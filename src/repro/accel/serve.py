@@ -24,7 +24,9 @@ state into the process-default
 :class:`~repro.resilience.CheckpointStore` under a per-task key, so a
 supervised retry that runs in the same process (the threaded and
 serial rungs) warm-resumes from the last snapshot instead of
-recomputing from iteration 1.
+recomputing from iteration 1.  A config rounding with a stateful
+matcher (:func:`~repro.resilience.checkpoint.checkpointable`) solves
+without snapshots.
 
 The process backend ships each problem to a worker by pickle (problems
 are independent here, unlike the batched-rounding path where one problem
@@ -128,7 +130,8 @@ def solve_many(
         run.  ``True``: never raise per-task — failed positions hold
         their ``TaskFailedError`` in the returned list.
     """
-    from repro.registry import get_solver
+    from repro.registry import canonical_config, get_solver
+    from repro.resilience.checkpoint import checkpointable
 
     spec = get_solver(method)  # raises ConfigurationError when unknown
     parallel = parallel or ParallelConfig()
@@ -138,6 +141,8 @@ def solve_many(
         res is not None
         and res.checkpoint_every > 0
         and spec.supports_checkpoint
+        and checkpointable(
+            spec.config_cls.from_dict(canonical_config(method, config)))
     ):
         ckpt_every = res.checkpoint_every
     from repro.resilience import active_fault_plan

@@ -19,6 +19,7 @@ rounding by construction.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Any
 
@@ -36,8 +37,11 @@ from repro.core.rounding import (
     round_heuristic,
 )
 from repro.errors import ConfigurationError
-from repro.matching.result import MatchingResult
 from repro.observe import get_bus
+from repro.resilience.checkpoint import (
+    SolverCheckpoint,
+    require_checkpointable,
+)
 from repro.resilience.faults import maybe_inject
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import row_sums
@@ -138,85 +142,68 @@ def belief_propagation_align(
     all-zeros cold start of Listing 2.
 
     ``checkpoint_every`` > 0 snapshots the full iterate state (**y**,
-    **z**, **S**:sup:`(k)`, the best tracker, the history) into
-    ``checkpoint_store`` under ``checkpoint_key`` at batch-flush
-    boundaries (so no pending rounding work is lost); ``resume`` picks
-    any such snapshot back up and continues from the iteration after
-    it, bit-identically to the uninterrupted run (damping uses the
-    absolute iteration number).  A found snapshot takes precedence over
-    ``init_messages``.  Stateless matchers only: ``exact-warm`` carries
-    cross-call dual state a snapshot cannot capture.
+    **z**, **S**:sup:`(k)`, the best tracker, the history, and for
+    incremental runs the active set) into ``checkpoint_store`` under
+    ``checkpoint_key`` at batch-flush boundaries (so no pending rounding
+    work is lost); ``resume`` picks any such snapshot back up and
+    continues from the iteration after it, bit-identically to the
+    uninterrupted run (damping uses the absolute iteration number).  A
+    found snapshot takes precedence over ``init_messages`` and
+    ``warm_from``; an incremental snapshot resumes incrementally even
+    without ``warm_from``.  Stateless matchers only: ``exact-warm``
+    carries cross-call dual state a snapshot cannot capture (see
+    :func:`repro.resilience.checkpoint.checkpointable`).
 
     ``warm_from`` switches to *incremental* BP: messages are seeded from
     a prior converged :class:`repro.incremental.WarmState` (keyed by L
     edges, so it survives problem edits) and each iteration updates only
     an *active set* of edges, expanded outward from the perturbation via
     residual thresholds (``config.active_tol``) and falling back to full
-    sweeps past ``config.active_max_frac``.  When the seeding finds the
-    problem unchanged, the prior matching is returned bit-identically
-    without iterating.  Incompatible with ``tracer``, ``init_messages``,
-    checkpointing, and non-serial ``parallel``.
+    sweeps past ``config.active_max_frac``.  The run is wrapped in a
+    ``bp.realign`` span, emits ``active_set_size`` events and reports a
+    ``bp-warm[...]`` method.  When the seeding finds the problem
+    unchanged, the prior matching is returned bit-identically without
+    iterating.  Incremental runs checkpoint, resume and take any
+    ``parallel`` backend like cold ones; they are incompatible with
+    ``tracer`` and ``init_messages``.
 
     ``keep_state`` asks the run to attach its final message state to
     ``result.solver_state`` so a :class:`repro.incremental.WarmState`
     can be captured from it.
     """
     config = config or BPConfig()
-    if (checkpoint_every > 0 or resume) and config.matcher == "exact-warm":
+    if checkpoint_every > 0 or resume:
+        require_checkpointable(config)
+    if warm_from is not None and (
+        tracer is not None or init_messages is not None
+    ):
         raise ConfigurationError(
-            "checkpoint/resume requires a stateless matcher; "
-            "'exact-warm' keeps dual potentials between matchings that "
-            "a checkpoint does not capture"
+            "warm_from is incompatible with tracer/init_messages"
         )
     bus = get_bus()
-    if warm_from is not None:
-        if tracer is not None or init_messages is not None:
-            raise ConfigurationError(
-                "warm_from is incompatible with tracer/init_messages"
-            )
-        if checkpoint_every > 0 or resume:
-            raise ConfigurationError(
-                "warm_from is incompatible with checkpointing; the warm "
-                "state already is the resume point"
-            )
-        if parallel is not None and parallel.backend != "serial":
-            raise ConfigurationError(
-                "incremental BP is serial; drop the parallel backend "
-                "(active-set iterations are too small to fan out)"
-            )
-        matching_backend = None if parallel is None \
-            else parallel.matching_backend
-        with bus.trace(
-            "bp.realign", matcher=config.matcher, n_iter=config.n_iter,
-            batch=config.batch, damping=config.damping,
-        ):
-            return _bp_warm_run(problem, config, bus, warm_from,
-                                matching_backend=matching_backend,
-                                keep_state=keep_state)
+    backend = "serial" if parallel is None else parallel.backend
     matching_backend = None if parallel is None else parallel.matching_backend
-    checkpointing = {
-        "checkpoint_every": checkpoint_every,
-        "checkpoint_store": checkpoint_store,
-        "checkpoint_key": checkpoint_key,
-        "resume": resume,
-    }
-    with bus.trace(
-        "bp.align", matcher=config.matcher, n_iter=config.n_iter,
-        batch=config.batch, damping=config.damping,
-        backend="serial" if parallel is None else parallel.backend,
-        matching_backend=matching_backend,
-    ):
-        if parallel is not None and parallel.backend != "serial":
+    labels = dict(matcher=config.matcher, n_iter=config.n_iter,
+                  batch=config.batch, damping=config.damping)
+    if warm_from is None:
+        labels.update(backend=backend, matching_backend=matching_backend)
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(bus.trace(
+            "bp.align" if warm_from is None else "bp.realign", **labels))
+        pool = None
+        if backend != "serial":
             from repro.accel.pool import RoundingPool
 
-            with RoundingPool(problem, config.matcher, parallel) as pool:
-                return _bp_run(problem, config, tracer, bus, pool,
-                               init_messages,
-                               matching_backend=matching_backend,
-                               keep_state=keep_state, **checkpointing)
-        return _bp_run(problem, config, tracer, bus, None, init_messages,
-                       matching_backend=matching_backend,
-                       keep_state=keep_state, **checkpointing)
+            pool = stack.enter_context(
+                RoundingPool(problem, config.matcher, parallel))
+        return _bp_run(
+            problem, config, tracer, bus, pool, init_messages, warm_from,
+            matching_backend=matching_backend,
+            checkpoint_every=checkpoint_every,
+            checkpoint_store=checkpoint_store,
+            checkpoint_key=checkpoint_key, resume=resume,
+            keep_state=keep_state,
+        )
 
 
 def _bp_run(
@@ -224,17 +211,31 @@ def _bp_run(
     config: BPConfig,
     tracer: Any | None,
     bus,
-    pool: "RoundingPool | None" = None,
-    init_messages: tuple[np.ndarray, np.ndarray] | None = None,
+    pool: "RoundingPool | None",
+    init_messages: tuple[np.ndarray, np.ndarray] | None,
+    warm: "WarmState | None",
     *,
-    matching_backend: str | None = None,
-    checkpoint_every: int = 0,
-    checkpoint_store: Any | None = None,
-    checkpoint_key: str = "bp",
-    resume: bool = False,
-    keep_state: bool = False,
+    matching_backend: str | None,
+    checkpoint_every: int,
+    checkpoint_store: Any | None,
+    checkpoint_key: str,
+    resume: bool,
+    keep_state: bool,
 ) -> AlignmentResult:
-    """The BP iteration body (Listing 2)."""
+    """The BP iteration body (Listing 2), cold or incremental.
+
+    ``active`` holds the L edges the next iteration updates.  It is
+    ``None`` for cold runs, so every iteration is the full in-place
+    sweep.  Incremental runs (``warm``, or a resumed incremental
+    snapshot) seed it with the edges the perturbation touched
+    (:func:`repro.incremental.state.seed_from_warm`), recompute Steps
+    1–5 only for those edges, and expand it outward along othermax
+    groups and **S** adjacency from edges whose damped update moved more
+    than ``config.active_tol``.  Past ``config.active_max_frac · m``
+    edges the iteration is the full sweep (the gather/scatter
+    bookkeeping would cost more than it saves); when the set empties the
+    run stops early — the remaining iterations are provably no-ops.
+    """
     matcher: Matcher = make_matcher(config.matcher, backend=matching_backend)
     ell = problem.ell
     s_mat = problem.squares
@@ -245,7 +246,7 @@ def _bp_run(
     w_vec = problem.weights
     rows_nz = s_mat.row_of_nonzero()
 
-    # Messages and preallocated temporaries (no allocation inside the loop).
+    # Messages and preallocated temporaries for the full sweep.
     if init_messages is None:
         y = np.zeros(m)
         z = np.zeros(m)
@@ -275,35 +276,101 @@ def _bp_run(
     # Passing the matcher lets kernel matchers build their group plan
     # here, outside the iteration loop.
     workspace = RoundingWorkspace.for_problem(problem, matcher=matcher)
-    flush_every = max(1, config.batch // 2)
     pending: list[tuple[int, np.ndarray, np.ndarray]] = []
+    active: np.ndarray | None = None
+    counters: dict[str, int] = {}  # incremental runs' params
+
+    def warm_params(iterations_run: int) -> dict:
+        return {
+            "n_iter": config.n_iter,
+            "gamma": config.gamma,
+            "matcher": config.matcher,
+            "damping": config.damping,
+            "alpha": problem.alpha,
+            "beta": problem.beta,
+            "warm": True,
+            "active_tol": config.active_tol,
+            "active_max_frac": config.active_max_frac,
+            "round_every": config.round_every,
+            "iterations_run": iterations_run,
+            **counters,
+        }
+
+    def finish(result: AlignmentResult) -> AlignmentResult:
+        if keep_state:
+            result.solver_state = {"y": y.copy(), "z": z.copy(),
+                                   "sk": sk.copy()}
+        return result
 
     start_k = 1
+    ckpt = None
     if resume and checkpoint_store is not None:
         ckpt = checkpoint_store.load(checkpoint_key)
-        if ckpt is not None:
-            from repro.resilience.checkpoint import SolverCheckpoint
+    if ckpt is not None:
+        if ckpt.method != "bp":
+            raise ConfigurationError(
+                f"checkpoint {checkpoint_key!r} was written by "
+                f"method {ckpt.method!r}, not 'bp'; resuming from it "
+                "would silently restart the solve"
+            )
+        state = ckpt.state
+        if state["y"].shape != (m,) or state["sk"].shape != (nnz,):
+            raise ConfigurationError(
+                f"checkpoint {checkpoint_key!r} does not match this "
+                "problem's dimensions"
+            )
+        if warm is not None and "active" not in state:
+            raise ConfigurationError(
+                f"checkpoint {checkpoint_key!r} was written by a cold "
+                "run; resuming it would silently drop warm_from"
+            )
+        y[:] = state["y"]
+        z[:] = state["z"]
+        sk[:] = state["sk"]
+        SolverCheckpoint.restore_tracker(tracker, state["tracker"])
+        history.extend(state["history"])
+        start_k = ckpt.iteration + 1
+        if "active" in state:
+            active = state["active"].copy()
+            counters.update(state["warm"])
+    elif warm is not None:
+        from repro.incremental.state import seed_from_warm
 
-            if ckpt.method != "bp":
-                raise ConfigurationError(
-                    f"checkpoint {checkpoint_key!r} was written by "
-                    f"method {ckpt.method!r}, not 'bp'; resuming from it "
-                    "would silently restart the solve"
-                )
-
-            state = ckpt.state
-            if state["y"].shape != (m,) or state["sk"].shape != (nnz,):
-                raise ConfigurationError(
-                    f"checkpoint {checkpoint_key!r} does not match this "
-                    "problem's dimensions"
-                )
-            y[:] = state["y"]
-            z[:] = state["z"]
-            sk[:] = state["sk"]
-            SolverCheckpoint.restore_tracker(tracker, state["tracker"])
-            history.extend(state["history"])
-            start_k = ckpt.iteration + 1
-    last_ckpt = start_k - 1
+        seed = seed_from_warm(problem, warm, s_mat)
+        y, z, sk, active = seed.y, seed.z, seed.sk, seed.active
+        counters.update(full_sweeps=0, carried_edges=seed.carried_edges,
+                        carried_squares=seed.carried_squares)
+        # The tracker starts from the prior matching, and the unchanged
+        # shortcut returns it outright.
+        prior = seed.prior
+        x_prior = prior.indicator(m)
+        obj_p, wp_p, op_p = problem.objective_parts(x_prior)
+        if seed.unchanged:
+            # Nothing moved: the converged messages are still a fixed
+            # point and the prior matching is returned bit-identically.
+            if bus.active:
+                bus.emit("active_set_size", iteration=0, active=0,
+                         total=m, full_sweep=False)
+            return finish(AlignmentResult(
+                matching=prior, objective=obj_p, weight_part=wp_p,
+                overlap_part=op_p, best_upper_bound=float("inf"),
+                history=[], method=f"bp-warm[{config.matcher}]",
+                params=warm_params(0),
+            ))
+        tracker.offer(obj_p, wp_p, op_p, prior, x_prior, "warm", 0)
+        history.append(IterationRecord(
+            iteration=0, objective=obj_p, weight_part=wp_p,
+            overlap_part=op_p, upper_bound=float("nan"), source="warm",
+            gamma=config.gamma,
+        ))
+    incremental = active is not None
+    method = "bp-warm" if incremental else "bp"
+    # Incremental runs round every ``round_every`` iterations and flush
+    # at once: they start from a good matching, and per-iteration
+    # flushes keep each iteration's events together.
+    flush_every = 1 if incremental else max(1, config.batch // 2)
+    round_every = config.round_every if incremental else 1
+    last_ckpt = last_rounded = k_done = start_k - 1
 
     def maybe_checkpoint(k: int) -> None:
         """Snapshot at a flush boundary (``pending`` is empty here)."""
@@ -314,21 +381,20 @@ def _bp_run(
             or k - last_ckpt < checkpoint_every
         ):
             return
-        from repro.resilience.checkpoint import SolverCheckpoint
-
+        state = {
+            "y": y.copy(),
+            "z": z.copy(),
+            "sk": sk.copy(),
+            "tracker": SolverCheckpoint.snapshot_tracker(tracker),
+            "history": list(history),
+        }
+        if incremental:
+            # F and d are rewritten before they are read, so the active
+            # set and the counters complete an incremental snapshot.
+            state.update(active=active.copy(), warm=dict(counters))
         checkpoint_store.save(
             checkpoint_key,
-            SolverCheckpoint(
-                method="bp",
-                iteration=k,
-                state={
-                    "y": y.copy(),
-                    "z": z.copy(),
-                    "sk": sk.copy(),
-                    "tracker": SolverCheckpoint.snapshot_tracker(tracker),
-                    "history": list(history),
-                },
-            ),
+            SolverCheckpoint(method="bp", iteration=k, state=state),
         )
         last_ckpt = k
 
@@ -396,7 +462,7 @@ def _bp_run(
             if bus.active:
                 bus.emit(
                     "iteration",
-                    method="bp",
+                    method=method,
                     iteration=it,
                     objective=obj,
                     weight_part=wp,
@@ -406,89 +472,117 @@ def _bp_run(
                     gamma=config.gamma,
                 )
                 bus.metrics.counter(
-                    "repro_solver_iterations_total", method="bp"
+                    "repro_solver_iterations_total", method=method
                 ).inc()
                 bus.metrics.gauge(
-                    "repro_best_objective", method="bp"
+                    "repro_best_objective", method=method
                 ).set(tracker.best_objective)
         pending.clear()
 
     for k in range(start_k, config.n_iter + 1):
+        if incremental and len(active) == 0:
+            break  # converged: every remaining update is a no-op
         # Chaos consultation point: lets a FaultPlan crash a solve
         # mid-iteration so supervised retries exercise warm-resume.
         maybe_inject("solver.iteration", task_index=k)
-
-        # ---- Step 1: compute F = bound_{0,β}[βS + S^(k)ᵀ] ----------
-        np.take(sk, perm, out=f_vals)
-        f_vals += beta
-        np.clip(f_vals, 0.0, beta, out=f_vals)
-        if tracer is not None:
-            tracer.uniform_loop("compute_f", n_items=nnz,
-                                cost_per_item=1.0, bytes_per_item=24.0,
-                                random_frac=0.6)
-
-        # ---- Step 2: d = αw + Fe -----------------------------------
-        row_sums(f_mat, out=d_vec)
-        d_vec += alpha * w_vec
-        if tracer is not None:
-            tracer.uniform_loop("compute_d", n_items=m,
-                                cost_per_item=max(1.0, nnz / max(m, 1)),
-                                bytes_per_item=8.0 * (1 + nnz / max(m, 1)),
-                                random_frac=0.1)
-
-        # ---- Step 3: othermax --------------------------------------
-        othermax_col(ell, z, out=omax_col, scratch=scratch)
-        othermax_row(ell, y, out=omax_row)
-        np.subtract(d_vec, omax_col, out=y_new)
-        np.subtract(d_vec, omax_row, out=z_new)
-        if tracer is not None:
-            group_sizes = np.concatenate(
-                [np.diff(ell.row_ptr), np.diff(ell.col_ptr)]
-            ).astype(np.float64)
-            tracer.loop(
-                "othermax",
-                costs=2.0 * group_sizes,
-                bytes_per_item=group_sizes * 16.0,
-                random_frac=0.5,
-            )
-
-        # ---- Step 4: update S^(k) ----------------------------------
-        np.take(y_new + z_new - d_vec, rows_nz, out=sk_new)
-        sk_new -= f_vals
-        if tracer is not None:
-            tracer.uniform_loop("update_s", n_items=nnz,
-                                cost_per_item=1.0, bytes_per_item=32.0,
-                                random_frac=0.4)
-
-        # ---- Step 5: damping ---------------------------------------
         if config.damping == "power":
             gamma_k = config.gamma ** k
         elif config.damping == "fixed":
             gamma_k = config.gamma
         else:
             gamma_k = 1.0
-        for new, old in ((y_new, y), (z_new, z), (sk_new, sk)):
-            new *= gamma_k
-            new += (1.0 - gamma_k) * old
-            old[:] = new
-        if tracer is not None:
-            tracer.uniform_loop("damping", n_items=2 * m + nnz,
-                                cost_per_item=2.0, bytes_per_item=24.0)
+        full = not incremental or len(active) > config.active_max_frac * m
+        if incremental:
+            counters["full_sweeps"] += full
+            if bus.active:
+                bus.emit("active_set_size", iteration=k,
+                         active=len(active), total=m, full_sweep=full)
+                bus.metrics.histogram("repro_active_set_fraction").observe(
+                    len(active) / max(m, 1)
+                )
+        if not full:
+            hot = _active_sweep(problem, y, z, sk, active, gamma_k,
+                                config.active_tol, scratch)
+        else:
+            # ---- Step 1: compute F = bound_{0,β}[βS + S^(k)ᵀ] ------
+            np.take(sk, perm, out=f_vals)
+            f_vals += beta
+            np.clip(f_vals, 0.0, beta, out=f_vals)
+            if tracer is not None:
+                tracer.uniform_loop("compute_f", n_items=nnz,
+                                    cost_per_item=1.0, bytes_per_item=24.0,
+                                    random_frac=0.6)
+
+            # ---- Step 2: d = αw + Fe -------------------------------
+            row_sums(f_mat, out=d_vec)
+            d_vec += alpha * w_vec
+            if tracer is not None:
+                tracer.uniform_loop("compute_d", n_items=m,
+                                    cost_per_item=max(1.0, nnz / max(m, 1)),
+                                    bytes_per_item=8.0 * (1 + nnz / max(m, 1)),
+                                    random_frac=0.1)
+
+            # ---- Step 3: othermax ----------------------------------
+            othermax_col(ell, z, out=omax_col, scratch=scratch)
+            othermax_row(ell, y, out=omax_row)
+            np.subtract(d_vec, omax_col, out=y_new)
+            np.subtract(d_vec, omax_row, out=z_new)
+            if tracer is not None:
+                group_sizes = np.concatenate(
+                    [np.diff(ell.row_ptr), np.diff(ell.col_ptr)]
+                ).astype(np.float64)
+                tracer.loop(
+                    "othermax",
+                    costs=2.0 * group_sizes,
+                    bytes_per_item=group_sizes * 16.0,
+                    random_frac=0.5,
+                )
+
+            # ---- Step 4: update S^(k) ------------------------------
+            np.take(y_new + z_new - d_vec, rows_nz, out=sk_new)
+            sk_new -= f_vals
+            if tracer is not None:
+                tracer.uniform_loop("update_s", n_items=nnz,
+                                    cost_per_item=1.0, bytes_per_item=32.0,
+                                    random_frac=0.4)
+
+            # ---- Step 5: damping -----------------------------------
+            for new, old in ((y_new, y), (z_new, z), (sk_new, sk)):
+                new *= gamma_k
+                new += (1.0 - gamma_k) * old
+            if incremental:
+                hot = np.flatnonzero(np.maximum(
+                    np.abs(y_new - y), np.abs(z_new - z)
+                ) > config.active_tol)
+            y[:] = y_new
+            z[:] = z_new
+            sk[:] = sk_new
+            if tracer is not None:
+                tracer.uniform_loop("damping", n_items=2 * m + nnz,
+                                    cost_per_item=2.0, bytes_per_item=24.0)
+        if incremental:
+            active = _frontier(problem, hot)
+        k_done = k
 
         # ---- Step 6: (batched) rounding ----------------------------
-        pending.append((k, y.copy(), z.copy()))
+        if k % round_every == 0 or k == config.n_iter:
+            pending.append((k, y.copy(), z.copy()))
+            last_rounded = k
         if len(pending) >= flush_every or k == config.n_iter:
             flush_batch()
             maybe_checkpoint(k)
         if tracer is not None:
             tracer.end_iteration()
 
+    if k_done > last_rounded:
+        # An incremental run stopped early between rounding iterations.
+        pending.append((k_done, y.copy(), z.copy()))
     flush_batch()
     result = _finalize(problem, tracker, history, config)
-    if keep_state:
-        result.solver_state = {"y": y.copy(), "z": z.copy(),
-                               "sk": sk.copy()}
-    return result
+    if incremental:
+        result.method = f"bp-warm[{config.matcher}]"
+        result.params = warm_params(k_done)
+    return finish(result)
 
 
 def _concat_ranges(
@@ -510,272 +604,77 @@ def _concat_ranges(
     return out, lens
 
 
-def _bp_warm_run(
+def _groups_of(
+    ptr: np.ndarray, vertices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The positions in the othermax groups of ``vertices`` (``ptr`` is
+    L's row or column pointer), and those groups' boundaries."""
+    groups = np.unique(vertices)
+    pos, lens = _concat_ranges(ptr[groups], ptr[groups + 1])
+    return pos, np.concatenate([[0], np.cumsum(lens)])
+
+
+def _active_sweep(
     problem: NetworkAlignmentProblem,
-    config: BPConfig,
-    bus,
-    warm: "WarmState",
-    *,
-    matching_backend: str | None = None,
-    keep_state: bool = False,
-) -> AlignmentResult:
-    """Incremental BP: seed from a warm state, iterate on an active set.
+    y: np.ndarray,
+    z: np.ndarray,
+    sk: np.ndarray,
+    active: np.ndarray,
+    gamma_k: float,
+    tol: float,
+    scratch: np.ndarray,
+) -> np.ndarray:
+    """Steps 1–5 for the ``active`` edges only, updating y, z, S in place.
 
-    Messages transfer from ``warm`` by L-edge/square key
-    (:func:`repro.incremental.state.seed_from_warm`); each iteration then
-    recomputes Steps 1–5 only for the *active* edges, and the active set
-    expands outward along othermax groups and **S** adjacency from edges
-    whose damped update moved more than ``config.active_tol``.  When it
-    exceeds ``config.active_max_frac · m`` the iteration falls back to
-    the vectorized full sweep (the gather/scatter bookkeeping would cost
-    more than it saves); when it empties, the run stops early — the
-    remaining iterations are provably no-ops.
+    Computes the same values the full sweep would on those edges (F and
+    d only on their rows of **S**, othermax over the groups they touch)
+    and returns the ones whose damped update moved more than ``tol``.
+    ``scratch`` is an ``m``-length buffer.
     """
-    from repro.incremental.state import seed_from_warm
+    ell, s_mat = problem.ell, problem.squares
+    # ---- Steps 1+2 on the active rows of S -------------------------
+    s_pos, row_lens = _concat_ranges(s_mat.indptr[active],
+                                     s_mat.indptr[active + 1])
+    f_sub = np.clip(sk[problem.squares_transpose_perm[s_pos]]
+                    + problem.beta, 0.0, problem.beta)
+    rs = np.zeros(len(active))
+    if len(s_pos):
+        nz_rows = row_lens > 0
+        seg_starts = np.concatenate([[0], np.cumsum(row_lens)[:-1]])
+        rs[nz_rows] = np.add.reduceat(f_sub, seg_starts[nz_rows])
+    d_act = problem.alpha * problem.weights[active] + rs
+    # ---- Step 3: othermax over the touched groups ------------------
+    e_rows, ptr_a = _groups_of(ell.row_ptr, ell.edge_a[active])
+    scratch[e_rows] = othermax_grouped(y[e_rows], ptr_a)
+    z_upd = d_act - scratch[active]
+    pos_cols, ptr_b = _groups_of(ell.col_ptr, ell.edge_b[active])
+    e_cols = ell.col_perm[pos_cols]
+    scratch[e_cols] = othermax_grouped(z[e_cols], ptr_b)
+    y_upd = d_act - scratch[active]
+    # ---- Step 4: S^(k) on the active rows --------------------------
+    sk_upd = np.repeat(y_upd + z_upd - d_act, row_lens) - f_sub
+    # ---- Step 5: damping, residuals, in-place commit ---------------
+    y_next = gamma_k * y_upd + (1.0 - gamma_k) * y[active]
+    z_next = gamma_k * z_upd + (1.0 - gamma_k) * z[active]
+    resid = np.maximum(np.abs(y_next - y[active]),
+                       np.abs(z_next - z[active]))
+    y[active] = y_next
+    z[active] = z_next
+    sk[s_pos] = gamma_k * sk_upd + (1.0 - gamma_k) * sk[s_pos]
+    return active[resid > tol]
 
-    matcher: Matcher = make_matcher(config.matcher,
-                                    backend=matching_backend)
-    ell = problem.ell
-    s_mat = problem.squares
-    perm = problem.squares_transpose_perm
-    m = problem.n_edges_l
-    alpha, beta = problem.alpha, problem.beta
-    w_vec = problem.weights
-    rows_nz = s_mat.row_of_nonzero()
-    s_indptr, s_indices = s_mat.indptr, s_mat.indices
-    row_ptr, col_ptr, col_perm = ell.row_ptr, ell.col_ptr, ell.col_perm
 
-    seed = seed_from_warm(problem, warm, s_mat)
-
-    # Rebuild the prior matching on the new problem (mates whose L edge
-    # vanished are unmatched) — warm rounding starts from it, and the
-    # unchanged shortcut returns it outright.
-    mate_a = warm.mate_a.copy()
-    matched = np.flatnonzero(mate_a >= 0)
-    if len(matched):
-        eids = ell.lookup_edges(matched, mate_a[matched])
-        mate_a[matched[eids < 0]] = -1
-    prior = MatchingResult.from_mates(ell, mate_a)
-    x_prior = prior.indicator(m)
-    obj_p, wp_p, op_p = problem.objective_parts(x_prior)
-
-    def warm_params(iterations_run: int, full_sweeps: int) -> dict:
-        return {
-            "n_iter": config.n_iter,
-            "gamma": config.gamma,
-            "matcher": config.matcher,
-            "damping": config.damping,
-            "alpha": problem.alpha,
-            "beta": problem.beta,
-            "warm": True,
-            "active_tol": config.active_tol,
-            "active_max_frac": config.active_max_frac,
-            "round_every": config.round_every,
-            "iterations_run": iterations_run,
-            "full_sweeps": full_sweeps,
-            "carried_edges": seed.carried_edges,
-            "carried_squares": seed.carried_squares,
-        }
-
-    if seed.unchanged:
-        # Nothing moved: the converged messages are still a fixed point
-        # and the prior matching is returned bit-identically.
-        if bus.active:
-            bus.emit("active_set_size", iteration=0, active=0, total=m,
-                     full_sweep=False)
-        result = AlignmentResult(
-            matching=prior,
-            objective=obj_p,
-            weight_part=wp_p,
-            overlap_part=op_p,
-            best_upper_bound=float("inf"),
-            history=[],
-            method=f"bp-warm[{config.matcher}]",
-            params=warm_params(0, 0),
-        )
-        if keep_state:
-            result.solver_state = {"y": seed.y.copy(),
-                                   "z": seed.z.copy(),
-                                   "sk": seed.sk.copy()}
-        return result
-
-    y, z, sk = seed.y, seed.z, seed.sk
-    active = seed.active
-    nnz = s_mat.nnz
-    f_vals = np.empty(nnz)
-    f_mat = CSRMatrix(s_mat.shape, s_mat.indptr, s_mat.indices, f_vals,
-                      _checked=True)
-    f_vals = f_mat.data
-    # Establish F and d consistent with the seeded messages, once, so
-    # subset iterations can update both in place.
-    np.take(sk, perm, out=f_vals)
-    f_vals += beta
-    np.clip(f_vals, 0.0, beta, out=f_vals)
-    d_vec = np.empty(m)
-    row_sums(f_mat, out=d_vec)
-    d_vec += alpha * w_vec
-    omax_row = np.empty(m)
-    omax_col = np.empty(m)
-    scratch = np.empty(m)
-
-    tracker = BestTracker()
-    history: list[IterationRecord] = []
-    workspace = RoundingWorkspace.for_problem(problem, matcher=matcher)
-    tracker.offer(obj_p, wp_p, op_p, prior, x_prior, "warm", 0)
-    history.append(IterationRecord(
-        iteration=0, objective=obj_p, weight_part=wp_p,
-        overlap_part=op_p, upper_bound=float("nan"), source="warm",
-        gamma=config.gamma,
+def _frontier(problem: NetworkAlignmentProblem, hot: np.ndarray) -> np.ndarray:
+    """Edges whose next update can differ because ``hot`` moved."""
+    if not len(hot):
+        return np.empty(0, dtype=np.int64)
+    ell, s_mat = problem.ell, problem.squares
+    e_rows, _ = _groups_of(ell.row_ptr, ell.edge_a[hot])
+    pos_cols, _ = _groups_of(ell.col_ptr, ell.edge_b[hot])
+    s_pos, _ = _concat_ranges(s_mat.indptr[hot], s_mat.indptr[hot + 1])
+    return np.unique(np.concatenate(
+        [hot, e_rows, ell.col_perm[pos_cols], s_mat.indices[s_pos]]
     ))
-
-    def do_round(k: int) -> None:
-        """Round the current y and z iterates (serial, immediate)."""
-        obj_y, wp_y, op_y, _ = round_heuristic(
-            problem, y, matcher=matcher, tracker=tracker,
-            source="y", iteration=k, workspace=workspace,
-        )
-        obj_z, wp_z, op_z, _ = round_heuristic(
-            problem, z, matcher=matcher, tracker=tracker,
-            source="z", iteration=k, workspace=workspace,
-        )
-        if obj_y >= obj_z:
-            obj, wp, op, src = obj_y, wp_y, op_y, "y"
-        else:
-            obj, wp, op, src = obj_z, wp_z, op_z, "z"
-        history.append(IterationRecord(
-            iteration=k, objective=obj, weight_part=wp, overlap_part=op,
-            upper_bound=float("nan"), source=src, gamma=config.gamma,
-        ))
-        if bus.active:
-            bus.emit(
-                "iteration", method="bp-warm", iteration=k,
-                objective=obj, weight_part=wp, overlap_part=op,
-                upper_bound=float("nan"), source=src, gamma=config.gamma,
-            )
-            bus.metrics.counter(
-                "repro_solver_iterations_total", method="bp-warm"
-            ).inc()
-            bus.metrics.gauge(
-                "repro_best_objective", method="bp-warm"
-            ).set(tracker.best_objective)
-
-    def frontier(hot: np.ndarray) -> np.ndarray:
-        """Edges whose next update can differ because ``hot`` moved."""
-        if not len(hot):
-            return np.empty(0, dtype=np.int64)
-        groups_a = np.unique(ell.edge_a[hot])
-        groups_b = np.unique(ell.edge_b[hot])
-        e_rows, _ = _concat_ranges(row_ptr[groups_a],
-                                   row_ptr[groups_a + 1])
-        pos_cols, _ = _concat_ranges(col_ptr[groups_b],
-                                     col_ptr[groups_b + 1])
-        s_pos, _ = _concat_ranges(s_indptr[hot], s_indptr[hot + 1])
-        return np.unique(np.concatenate(
-            [hot, e_rows, col_perm[pos_cols], s_indices[s_pos]]
-        ))
-
-    full_sweeps = 0
-    iterations_run = 0
-    last_rounded = 0
-    for k in range(1, config.n_iter + 1):
-        if len(active) == 0:
-            break  # converged: every remaining update is a no-op
-        maybe_inject("solver.iteration", task_index=k)
-        full = len(active) > config.active_max_frac * m
-        if config.damping == "power":
-            gamma_k = config.gamma ** k
-        elif config.damping == "fixed":
-            gamma_k = config.gamma
-        else:
-            gamma_k = 1.0
-        if bus.active:
-            bus.emit("active_set_size", iteration=k, active=len(active),
-                     total=m, full_sweep=full)
-            bus.metrics.histogram("repro_active_set_fraction").observe(
-                len(active) / max(m, 1)
-            )
-        if full:
-            full_sweeps += 1
-            np.take(sk, perm, out=f_vals)
-            f_vals += beta
-            np.clip(f_vals, 0.0, beta, out=f_vals)
-            row_sums(f_mat, out=d_vec)
-            d_vec += alpha * w_vec
-            othermax_col(ell, z, out=omax_col, scratch=scratch)
-            othermax_row(ell, y, out=omax_row)
-            y_upd = d_vec - omax_col
-            z_upd = d_vec - omax_row
-            sk_upd = np.take(y_upd + z_upd - d_vec, rows_nz) - f_vals
-            y_next = gamma_k * y_upd + (1.0 - gamma_k) * y
-            z_next = gamma_k * z_upd + (1.0 - gamma_k) * z
-            resid = np.maximum(np.abs(y_next - y), np.abs(z_next - z))
-            hot = np.flatnonzero(resid > config.active_tol)
-            y, z = y_next, z_next
-            sk *= (1.0 - gamma_k)
-            sk += gamma_k * sk_upd
-        else:
-            # ---- Steps 1+2 on the active rows of S ------------------
-            s_pos, row_lens = _concat_ranges(s_indptr[active],
-                                             s_indptr[active + 1])
-            if len(s_pos):
-                f_sub = sk[perm[s_pos]]
-                f_sub += beta
-                np.clip(f_sub, 0.0, beta, out=f_sub)
-                f_vals[s_pos] = f_sub
-            rs = np.zeros(len(active))
-            nz_rows = row_lens > 0
-            if len(s_pos):
-                seg_starts = np.concatenate(
-                    [[0], np.cumsum(row_lens)[:-1]]
-                )
-                rs[nz_rows] = np.add.reduceat(
-                    f_vals[s_pos], seg_starts[nz_rows]
-                )
-            d_vec[active] = alpha * w_vec[active] + rs
-            # ---- Step 3: othermax over the touched groups -----------
-            groups_a = np.unique(ell.edge_a[active])
-            e_rows, glens_a = _concat_ranges(row_ptr[groups_a],
-                                             row_ptr[groups_a + 1])
-            ptr_a = np.concatenate([[0], np.cumsum(glens_a)])
-            scratch[e_rows] = othermax_grouped(y[e_rows], ptr_a)
-            om_row_act = scratch[active].copy()
-            groups_b = np.unique(ell.edge_b[active])
-            pos_cols, glens_b = _concat_ranges(col_ptr[groups_b],
-                                               col_ptr[groups_b + 1])
-            e_cols = col_perm[pos_cols]
-            ptr_b = np.concatenate([[0], np.cumsum(glens_b)])
-            scratch[e_cols] = othermax_grouped(z[e_cols], ptr_b)
-            om_col_act = scratch[active]
-            d_act = d_vec[active]
-            y_upd = d_act - om_col_act
-            z_upd = d_act - om_row_act
-            # ---- Step 4: S^(k) on the active rows -------------------
-            sk_upd = (np.repeat(y_upd + z_upd - d_act, row_lens)
-                      - f_vals[s_pos])
-            # ---- Step 5: damping, residuals, in-place commit --------
-            y_next = gamma_k * y_upd + (1.0 - gamma_k) * y[active]
-            z_next = gamma_k * z_upd + (1.0 - gamma_k) * z[active]
-            resid = np.maximum(np.abs(y_next - y[active]),
-                               np.abs(z_next - z[active]))
-            hot = active[resid > config.active_tol]
-            y[active] = y_next
-            z[active] = z_next
-            sk[s_pos] = gamma_k * sk_upd + (1.0 - gamma_k) * sk[s_pos]
-        iterations_run = k
-        if k % config.round_every == 0 or k == config.n_iter:
-            do_round(k)
-            last_rounded = k
-        active = frontier(hot)
-    if iterations_run > last_rounded:
-        do_round(iterations_run)
-
-    result = _finalize(problem, tracker, history, config)
-    result.method = f"bp-warm[{config.matcher}]"
-    result.params = warm_params(iterations_run, full_sweeps)
-    if keep_state:
-        result.solver_state = {"y": y.copy(), "z": z.copy(),
-                               "sk": sk.copy()}
-    return result
 
 
 def _finalize(

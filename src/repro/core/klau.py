@@ -29,6 +29,7 @@ from repro.core.rounding import Matcher, make_matcher, round_heuristic
 from repro.core.row_match import RowMatcher
 from repro.errors import ConfigurationError
 from repro.observe import get_bus
+from repro.resilience.checkpoint import require_checkpointable
 from repro.resilience.faults import maybe_inject
 
 __all__ = ["KlauConfig", "klau_align"]
@@ -128,18 +129,12 @@ def klau_align(
     bit-identically to the uninterrupted run.  Stateless Step-3 oracles
     only: ``exact-warm``/``warm_start`` carries cross-call dual state a
     snapshot cannot capture, so checkpointing it raises
-    :class:`~repro.errors.ConfigurationError`.
+    :class:`~repro.errors.ConfigurationError` (see
+    :func:`repro.resilience.checkpoint.checkpointable`).
     """
     config = config or KlauConfig()
-    if (
-        (checkpoint_every > 0 or resume)
-        and config.matcher_kind() == "exact-warm"
-    ):
-        raise ConfigurationError(
-            "checkpoint/resume requires a stateless matcher; "
-            "'exact-warm' keeps dual potentials between matchings that "
-            "a checkpoint does not capture"
-        )
+    if checkpoint_every > 0 or resume:
+        require_checkpointable(config)
     bus = get_bus()
     with bus.trace(
         "klau.align", matcher=config.matcher, n_iter=config.n_iter,

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core.problem import NetworkAlignmentProblem
 from repro.errors import ValidationError
+from repro.matching.result import MatchingResult
 from repro.sparse.csr import CSRMatrix
 
 __all__ = ["WarmState", "seed_from_warm"]
@@ -197,6 +198,7 @@ class _Seed:
     z: np.ndarray
     sk: np.ndarray
     active: np.ndarray
+    prior: MatchingResult
     unchanged: bool
     carried_edges: int
     carried_squares: int
@@ -210,7 +212,8 @@ def seed_from_warm(
     """Map a warm state onto ``problem``, computing the active seed.
 
     Messages transfer by L-edge key (surviving edges keep their values,
-    new edges start at zero) and square messages by square key.  The
+    new edges start at zero) and square messages by square key; the
+    prior matching keeps every pair whose L edge survived.  The
     returned active set contains every L edge whose next-iteration
     computation differs from the converged fixed point: inserted or
     reweighted edges, edges sharing an othermax group with an inserted
@@ -307,6 +310,13 @@ def seed_from_warm(
     active = np.unique(np.concatenate(marks).astype(np.int64)) \
         if marks else np.empty(0, dtype=np.int64)
 
+    # --- prior matching: pairs whose L edge vanished go unmatched -----
+    mate_a = warm.mate_a.copy()
+    matched = np.flatnonzero(mate_a >= 0)
+    if len(matched):
+        eids = ell.lookup_edges(matched, mate_a[matched])
+        mate_a[matched[eids < 0]] = -1
+
     unchanged = (
         m_new == m_old and len(active) == 0 and bool(hit.all())
         and bool(sk_seeded.all()) and nnz_new == len(warm.sk)
@@ -316,6 +326,7 @@ def seed_from_warm(
         z=z0,
         sk=sk0,
         active=active,
+        prior=MatchingResult.from_mates(ell, mate_a),
         unchanged=unchanged,
         carried_edges=int(hit.sum()),
         carried_squares=int(shit.sum()),

@@ -23,10 +23,11 @@ Checkpoints do not cross process boundaries: a process-pool retry on a
 arrays live where the solver ran).
 
 Stateful rounding oracles are the one exclusion: ``exact-warm`` carries
-dual potentials between matchings that a snapshot does not capture, so
-checkpointing a warm-started Klau run raises
-:class:`~repro.errors.ConfigurationError` rather than silently breaking
-the bit-identity contract.
+dual potentials between matchings that a snapshot does not capture.
+:func:`checkpointable` is the one home of that rule — BP and Klau raise
+:class:`~repro.errors.ConfigurationError` on checkpoint/resume when it
+fails (rather than silently breaking the bit-identity contract), and the
+job server runs such jobs without checkpoints.
 """
 
 from __future__ import annotations
@@ -42,14 +43,54 @@ from typing import Any
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.observe import get_bus
 
 __all__ = [
+    "STATEFUL_MATCHERS",
     "CheckpointStore",
     "FileCheckpointStore",
     "SolverCheckpoint",
+    "checkpointable",
     "get_checkpoint_store",
+    "require_checkpointable",
 ]
+
+#: Matcher kinds that keep state between calls which a
+#: :class:`SolverCheckpoint` does not capture.
+STATEFUL_MATCHERS = frozenset({"exact-warm"})
+
+
+def checkpointable(config: Any) -> bool:
+    """Whether a solve under ``config`` can be checkpointed and resumed.
+
+    Args:
+        config: A solver config; its rounding oracle is read from
+            ``matcher_kind()`` when the config has one (Klau's
+            ``warm_start`` upgrades ``exact`` to ``exact-warm``), else
+            from its ``matcher`` field.
+
+    Returns:
+        ``False`` when that oracle is in :data:`STATEFUL_MATCHERS`.
+    """
+    kind_of = getattr(config, "matcher_kind", None)
+    kind = kind_of() if kind_of is not None else getattr(
+        config, "matcher", None)
+    return kind not in STATEFUL_MATCHERS
+
+
+def require_checkpointable(config: Any) -> None:
+    """Refuse checkpoint/resume for a config :func:`checkpointable` rejects.
+
+    Raises:
+        ConfigurationError: The config rounds with a stateful matcher.
+    """
+    if not checkpointable(config):
+        raise ConfigurationError(
+            "checkpoint/resume requires a stateless matcher; "
+            "'exact-warm' keeps dual potentials between matchings that "
+            "a checkpoint does not capture"
+        )
 
 
 @dataclass(frozen=True)

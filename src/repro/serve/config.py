@@ -42,8 +42,10 @@ class ServeConfig(ConfigBase):
             ``warm_from``); ``0`` disables warm submissions entirely
             (every ``warm_from`` rejects with ``warm_unavailable``).
         checkpoint_every: Snapshot solver iterate state every this many
-            iterations while a job runs (``0`` = off).  With retries,
-            a crashed attempt warm-resumes from its last snapshot.
+            iterations while a job runs (``0`` = off), cold and
+            ``warm_from`` jobs alike; jobs rounding with a stateful
+            matcher run without snapshots.  With retries, a crashed
+            attempt warm-resumes from its last snapshot.
         max_retries: Supervised retry budget per job after the first
             attempt (see :mod:`repro.resilience`).
         timeout_s: Per-attempt wall-clock budget under supervision;

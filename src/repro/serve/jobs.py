@@ -334,18 +334,23 @@ def _execute_job_task(task: tuple) -> Any:
 
     Args:
         task: ``(problem, method, config, checkpoint_every, key,
-            ckpt_store, warm_state, keep_state)``.  With checkpointing
-            on (and a method that supports it), the solve snapshots
-            under ``key`` in ``ckpt_store`` (the job store's checkpoint
-            store — the process-default one, or a
+            ckpt_store, warm_state, keep_state)``.  When the method
+            supports checkpointing and the config is
+            :func:`~repro.resilience.checkpoint.checkpointable` (a
+            stateful matcher is not: such jobs run without
+            checkpoints), the solve snapshots every
+            ``checkpoint_every`` iterations (``0``: never) under
+            ``key`` in ``ckpt_store`` (the job store's checkpoint store
+            — the process-default one, or a
             :class:`~repro.resilience.FileCheckpointStore` under a
             persistent job store) and ``resume=True`` warm-resumes from
             whatever an earlier crashed attempt — or a crashed
             *process*, for the file-backed store — left there; a clean
             finish discards the key.  A ``warm_state``
-            (:class:`~repro.incremental.WarmState`) instead seeds the
-            solve incrementally via ``warm_from`` — the two resume
-            mechanisms are mutually exclusive, and warm wins.
+            (:class:`~repro.incremental.WarmState`) seeds the solve
+            incrementally via ``warm_from``; an incremental snapshot
+            under ``key`` takes precedence over it, and resumes the
+            warm solve even after a restart lost the warm state.
             ``keep_state`` asks the solver to attach its converged
             messages so the job can itself become a warm parent.
 
@@ -359,21 +364,22 @@ def _execute_job_task(task: tuple) -> Any:
     (problem, method, config, ckpt_every, ckpt_key, ckpt_store,
      warm_state, keep) = task
     from repro.registry import align, get_solver
+    from repro.resilience.checkpoint import checkpointable
 
+    spec = get_solver(method)
     kwargs: dict[str, Any] = {}
     if warm_state is not None:
         kwargs["warm_from"] = warm_state
-    elif ckpt_every > 0 and get_solver(method).supports_checkpoint:
-        kwargs = {
-            "checkpoint_every": ckpt_every,
-            "checkpoint_store": ckpt_store,
-            "checkpoint_key": ckpt_key,
-            "resume": True,
-        }
+    checkpointing = spec.supports_checkpoint and checkpointable(
+        spec.config_cls.from_dict(config))
+    if checkpointing:
+        kwargs.update(checkpoint_every=ckpt_every,
+                      checkpoint_store=ckpt_store,
+                      checkpoint_key=ckpt_key, resume=True)
     if keep:
         kwargs["keep_state"] = True
     result = align(problem, method, config, **kwargs)
-    if "checkpoint_every" in kwargs:
+    if checkpointing:
         ckpt_store.discard(ckpt_key)
     return result
 

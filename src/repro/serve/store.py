@@ -20,13 +20,17 @@ On construction the store **replays the journal**:
 * jobs that were mid-run when the process died are requeued *ahead* of
   the queued backlog and resume through the checkpoint path — the
   store's :class:`~repro.resilience.FileCheckpointStore` (under
-  ``<store_path>/checkpoints``) survives the crash, and the PR 5
+  ``<store_path>/checkpoints``) survives the crash, and the solvers'
   resume contract makes the recovered result bit-identical to an
-  uninterrupted run (a job that never checkpointed simply cold-starts,
-  which is bit-identical too — the solvers are deterministic);
-* non-terminal ``warm_from`` jobs fail with ``warm_unavailable``: the
-  parent's converged solver state lives in the in-memory warm LRU and
-  did not survive the process.
+  uninterrupted run (a cold job that never checkpointed simply
+  cold-starts, which is bit-identical too — the solvers are
+  deterministic);
+* a ``warm_from`` job that was mid-run resumes the same way when its
+  ``serve:<id>`` checkpoint is on disk: an incremental snapshot carries
+  everything the warm solve needs.  Any other non-terminal ``warm_from``
+  job fails with ``warm_unavailable`` — the parent's converged solver
+  state lived in the in-memory warm LRU and did not survive the
+  process, and re-solving cold would silently change the answer.
 
 Layout under ``ServeConfig.store_path``: ``jobs.db`` (plus SQLite's
 WAL side files) and ``checkpoints/``.  One connection is shared across
@@ -244,8 +248,9 @@ class SqliteJobStore(JobStore):
         Populates :attr:`recovered` with per-outcome counts:
         ``terminal`` (served from disk), ``queued`` (re-entered the
         queue), ``requeued`` (interrupted mid-run, resuming via
-        checkpoint), ``failed`` (non-terminal warm jobs whose parent
-        state died with the process).
+        checkpoint), ``failed`` (non-terminal warm jobs with no
+        checkpoint to resume from, whose parent state died with the
+        process).
         """
         with self._db_lock:
             rows = self._db.execute(
@@ -280,9 +285,13 @@ class SqliteJobStore(JobStore):
                 if state == "done" and job.result is not None:
                     self.cache.put(job.key, job.result)
                 counts["terminal"] += 1
-            elif warm_from is not None:
+            elif warm_from is not None and not (
+                state == "running"
+                and self.checkpoints.load(f"serve:{job_id}") is not None
+            ):
                 # The parent's warm state lived in the in-memory LRU;
-                # it did not survive the restart.
+                # it did not survive the restart, and no checkpoint of
+                # this job's own warm solve did either.
                 job.error = error_envelope(
                     "warm_unavailable",
                     f"job {job_id} was recovered after a restart, but "

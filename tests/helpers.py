@@ -4,9 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.resilience import CheckpointStore
 from repro.sparse.bipartite import BipartiteGraph
 
-__all__ = ["random_bipartite"]
+__all__ = ["SnapshotLog", "random_bipartite"]
+
+
+class SnapshotLog(CheckpointStore):
+    """A checkpoint store that also keeps every snapshot saved, by
+    iteration (the base store keeps only the latest per key)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.saved: dict = {}
+
+    def save(self, key, checkpoint) -> None:
+        super().save(key, checkpoint)
+        self.saved[checkpoint.iteration] = checkpoint
 
 
 def random_bipartite(

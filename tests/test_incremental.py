@@ -11,12 +11,16 @@ Four layers of coverage:
 * warm BP — rate-0 realignment reproduces the prior result (and a
   mid-run checkpoint, via ``WarmState.from_checkpoint``) bit-identically
   in zero iterations; perturbed realignment emits ``active_set_size``
-  events and matches the two-step apply+align sequence exactly;
+  events and matches the two-step apply+align sequence exactly; a warm
+  run resumes bit-identically from each of its own checkpoints (with or
+  without ``warm_from``) and after a supervised crash, and matches the
+  serial run on the process backend;
 * the delivery surfaces — registry gating, the CLI ``realign``
   subcommand, and the serving layer's ``warm_from=<job_id>`` path with
   its cache-digest lineage.
 """
 
+import glob
 import http.client
 import json
 
@@ -24,6 +28,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.accel import ParallelConfig
 from repro.core.bp import BPConfig
 from repro.core.problem import NetworkAlignmentProblem
 from repro.core.squares import build_squares
@@ -39,8 +44,16 @@ from repro.incremental import (
 from repro.incremental.state import seed_from_warm
 from repro.observe import capture
 from repro.registry import align, get_solver
-from repro.resilience import CheckpointStore
+from repro.resilience import (
+    CheckpointStore,
+    FaultPlan,
+    FaultSpec,
+    ResilienceConfig,
+    fault_plan,
+    supervised_map,
+)
 from repro.serve import problem_digest, problem_to_wire
+from tests.helpers import SnapshotLog
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +330,116 @@ class TestWarmAlign:
         _, res, _ = realign(problem, delta, warm_state, config=cfg)
         assert res.method == "bp-warm[exact-warm]"
         assert res.matching.cardinality >= 1
+
+
+WARM_CFG = BPConfig(n_iter=20, matcher="approx", batch=2)
+
+
+@pytest.fixture(scope="module")
+def warm_case(problem):
+    """An edited problem and the warm state of its unedited parent.
+
+    The warm run on it mixes active-subset iterations with full sweeps
+    and stops early, so its checkpoints land in both regimes.
+    """
+    cold = align(problem, "bp", WARM_CFG, keep_state=True)
+    delta = edit_script(problem, l_edge_rate=0.02, weight_rate=0.02,
+                        seed=41)
+    edited, _ = apply_delta(problem, delta)
+    return edited, WarmState.from_result(problem, cold)
+
+
+def _assert_same_run(res, ref):
+    assert res.objective == ref.objective  # exact float equality
+    np.testing.assert_array_equal(res.matching.mate_a, ref.matching.mate_a)
+    def rows(result):  # IterationRecord's NaN upper bound never ==
+        return [(r.iteration, r.source, r.objective, r.weight_part,
+                 r.overlap_part) for r in result.history]
+
+    assert rows(res) == rows(ref)
+    assert (res.method, res.params) == (ref.method, ref.params)
+    for key in ("y", "z", "sk"):
+        np.testing.assert_array_equal(res.solver_state[key],
+                                      ref.solver_state[key])
+
+
+class TestWarmCheckpointResume:
+    def test_resume_from_every_checkpoint(self, warm_case):
+        edited, warm_state = warm_case
+        ref = align(edited, "bp", WARM_CFG, warm_from=warm_state,
+                    keep_state=True)
+        params = ref.params
+        assert 0 < params["full_sweeps"] < params["iterations_run"] \
+            < WARM_CFG.n_iter
+        log = SnapshotLog()
+        res = align(edited, "bp", WARM_CFG, warm_from=warm_state,
+                    keep_state=True, checkpoint_every=2,
+                    checkpoint_store=log, checkpoint_key="w")
+        _assert_same_run(res, ref)
+        assert sorted(log.saved) == list(
+            range(2, params["iterations_run"] + 1, 2))
+        for ckpt in log.saved.values():
+            # Without warm_from, the incremental snapshot alone resumes
+            # the warm solve (a restarted server has no warm state).
+            for kwargs in ({"warm_from": warm_state}, {}):
+                store = CheckpointStore()
+                store.save("w", ckpt)
+                resumed = align(edited, "bp", WARM_CFG, keep_state=True,
+                                checkpoint_store=store, checkpoint_key="w",
+                                resume=True, **kwargs)
+                _assert_same_run(resumed, ref)
+
+    def test_cold_checkpoint_does_not_resume_warm(self, warm_case):
+        edited, warm_state = warm_case
+        store = CheckpointStore()
+        align(edited, "bp", WARM_CFG, checkpoint_every=2,
+              checkpoint_store=store, checkpoint_key="c")
+        with pytest.raises(ConfigurationError, match="cold run"):
+            align(edited, "bp", WARM_CFG, warm_from=warm_state,
+                  checkpoint_store=store, checkpoint_key="c", resume=True)
+
+    @pytest.mark.chaos
+    def test_supervised_crash_resumes_bit_identically(self, warm_case):
+        edited, warm_state = warm_case
+        ref = align(edited, "bp", WARM_CFG, warm_from=warm_state,
+                    keep_state=True)
+        store = CheckpointStore()
+
+        def solve(_):
+            return align(edited, "bp", WARM_CFG, warm_from=warm_state,
+                         keep_state=True, checkpoint_every=2,
+                         checkpoint_store=store, checkpoint_key="w",
+                         resume=True)
+
+        plan = FaultPlan(
+            [FaultSpec("crash", site="solver.iteration", task_index=7)],
+            seed=0,
+        )
+        resilience = ResilienceConfig(max_retries=1, backoff_base_s=0.0)
+        with fault_plan(plan), capture() as sink:
+            [outcome] = supervised_map(
+                solve, [None],
+                ParallelConfig(backend="serial", resilience=resilience),
+            )
+        assert outcome.attempts == 2 and len(plan.fired()) == 1
+        _assert_same_run(outcome.unwrap(), ref)
+        # The retry resumed from the iteration-6 snapshot instead of
+        # re-running iterations 1-6.
+        iterations = [e.fields["iteration"]
+                      for e in sink.of_type("active_set_size")]
+        assert iterations == list(
+            range(1, ref.params["iterations_run"] + 1))
+
+    def test_process_backend_matches_serial(self, warm_case):
+        edited, warm_state = warm_case
+        before = set(glob.glob("/dev/shm/psm_*"))
+        ref = align(edited, "bp", WARM_CFG, warm_from=warm_state,
+                    keep_state=True)
+        res = align(edited, "bp", WARM_CFG, warm_from=warm_state,
+                    keep_state=True,
+                    parallel=ParallelConfig(backend="process", n_workers=2))
+        _assert_same_run(res, ref)
+        assert set(glob.glob("/dev/shm/psm_*")) == before
 
 
 class TestRegistryGating:

@@ -619,6 +619,19 @@ class TestCheckpointResume:
                   {"n_iter": 4, "matcher": "exact-warm"},
                   checkpoint_every=2, checkpoint_store=CheckpointStore())
 
+    def test_solve_many_runs_stateful_matchers_unsnapshotted(
+            self, small_instance):
+        problem = small_instance.problem
+        parallel = ParallelConfig(
+            backend="serial",
+            resilience=ResilienceConfig(checkpoint_every=2))
+        for method, cfg in (
+            ("bp", {"n_iter": 4, "matcher": "exact-warm"}),
+            ("klau", {"n_iter": 4, "matcher": "exact", "warm_start": True}),
+        ):
+            [res] = solve_many([problem], method, cfg, parallel)
+            assert res.objective == align(problem, method, cfg).objective
+
     def test_unsupported_method_rejected(self, small_instance):
         with pytest.raises(ConfigurationError, match="checkpoint"):
             align(small_instance.problem, "isorank", checkpoint_every=2)

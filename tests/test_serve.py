@@ -13,7 +13,7 @@ Three layers of coverage:
 * a chaos test (``-m chaos``) where a deterministic ``FaultPlan``
   crashes a job's first attempt mid-solve and the supervised retry
   warm-resumes from its checkpoint, bit-identical to an uninterrupted
-  run.
+  run; jobs rounding with a stateful matcher run without checkpoints.
 """
 
 import http.client
@@ -473,6 +473,31 @@ class TestCheckpointedResume:
 
         # A clean finish discards the job's checkpoint key.
         assert get_checkpoint_store().load(f"serve:{job['id']}") is None
+
+    def test_stateful_matcher_jobs_run_without_checkpoints(
+            self, instance, wire_problem):
+        # exact-warm carries dual state a checkpoint cannot capture, so a
+        # checkpointing server must run these jobs unsnapshotted rather
+        # than fail them.
+        cfg = ServeConfig(port=0, workers=1, checkpoint_every=2,
+                          max_retries=0)
+        jobs = [("bp", dict(CONFIG, matcher="exact-warm")),
+                ("klau", {"n_iter": 6, "matcher": "exact",
+                          "warm_start": True})]
+        with serve_in_thread(cfg) as srv:
+            for method, config in jobs:
+                status, job = _request(
+                    srv.base_url, "POST", "/jobs?wait=1",
+                    body=_submission(wire_problem, method=method,
+                                     config=config))
+                assert status == 200
+                assert job["state"] == "done", job
+                _, served = _request(srv.base_url, "GET",
+                                     f"/jobs/{job['id']}/result")
+                for field in ("cached", "warm_from", "parent_digest"):
+                    served.pop(field)
+                assert served == result_to_wire(
+                    align(instance.problem, method, config))
 
     def test_failed_job_reports_error_envelope(self, wire_problem):
         # Retries exhausted: crash fires on both attempts.

@@ -7,8 +7,10 @@ Coverage for the durability layer of ``repro.serve``:
 * journal/recovery tests against :class:`~repro.serve.store.SqliteJobStore`
   — terminal results served from disk after a restart, queued jobs
   requeued in submission order with their quota slots restored,
-  interrupted jobs re-run to the same result, non-terminal ``warm_from``
-  jobs failed with ``warm_unavailable``, plus ``list_jobs``/``gc_jobs``;
+  interrupted jobs re-run to the same result, an interrupted
+  ``warm_from`` job resumed from its checkpoint to the uninterrupted
+  warm result, other non-terminal ``warm_from`` jobs failed with
+  ``warm_unavailable``, plus ``list_jobs``/``gc_jobs``;
 * deadline enforcement (``deadline_s``) — queued expiry, mid-run
   cooperative cancellation, validation;
 * graceful drain and backpressure over live HTTP — ``503 draining``
@@ -36,8 +38,16 @@ import pytest
 
 import repro
 from repro.errors import ConfigurationError, ValidationError
+from repro.generators.perturb import edit_script
+from repro.incremental import WarmState, apply_delta
 from repro.registry import align
-from repro.resilience import FileCheckpointStore, SolverCheckpoint
+from repro.resilience import (
+    FaultPlan,
+    FaultSpec,
+    FileCheckpointStore,
+    SolverCheckpoint,
+    fault_plan,
+)
 from repro.serve import (
     AdmissionError,
     JobStore,
@@ -307,6 +317,94 @@ class TestRecovery:
         db.execute(
             "UPDATE jobs SET state='queued', finished=NULL, result=NULL"
             " WHERE id=?", (child.id,))
+        db.commit()
+        db.close()
+
+        reborn = SqliteJobStore(cfg)
+        try:
+            assert reborn.recovered["failed"] == 1
+            failed = reborn.get(child.id)
+            assert failed.state == "failed"
+            assert failed.snapshot()["error"]["code"] == \
+                "warm_unavailable"
+        finally:
+            reborn.shutdown()
+
+    def test_running_warm_job_resumes_from_checkpoint(
+            self, tmp_path, instance, wire_problem):
+        edited, _ = apply_delta(
+            instance.problem,
+            edit_script(instance.problem, l_edge_rate=0.05,
+                        weight_rate=0.05, seed=3))
+        edited_wire = problem_to_wire(edited)
+        cfg = _sqlite_config(tmp_path, checkpoint_every=2, max_retries=0)
+        plan = FaultPlan(
+            [FaultSpec("crash", site="solver.iteration", task_index=5)],
+            seed=0,
+        )
+        store = SqliteJobStore(cfg)
+        try:
+            parent = store.submit(_submission(wire_problem), "default")
+            assert parent.wait_terminal(30.0)
+            with fault_plan(plan):
+                child = store.submit(
+                    _submission(edited_wire, warm_from=parent.id),
+                    "default")
+                assert child.wait_terminal(30.0)
+            assert child.state == "failed" and len(plan.fired()) == 1
+        finally:
+            store.shutdown()
+        # Rewind the journal to the crash: the warm child was mid-run
+        # (its iteration-4 checkpoint is on disk), and its parent's
+        # warm state died with the process.
+        db = sqlite3.connect(tmp_path / "store" / "jobs.db")
+        db.execute(
+            "UPDATE jobs SET state='running', finished=NULL, error=NULL,"
+            " problem=? WHERE id=?", (json.dumps(edited_wire), child.id))
+        db.commit()
+        db.close()
+
+        reborn = SqliteJobStore(cfg)
+        try:
+            assert reborn.recovered["requeued"] == 1
+            resumed = reborn.get(child.id)
+            assert resumed.wait_terminal(30.0)
+            assert resumed.state == "done"
+            payload = dict(resumed.result)
+        finally:
+            reborn.shutdown()
+        assert payload.pop("warm_from") == parent.id
+        assert payload.pop("parent_digest") == parent.digest
+        cold = align(instance.problem, "bp", CONFIG, keep_state=True)
+        warm = align(edited, "bp", CONFIG,
+                     warm_from=WarmState.from_result(instance.problem,
+                                                     cold))
+        assert warm.method.startswith("bp-warm")
+        assert payload == result_to_wire(warm)
+
+    def test_running_warm_job_without_checkpoint_fails_on_recovery(
+            self, tmp_path, instance, wire_problem):
+        # Mid-run but never checkpointed (checkpoint_every=0): with the
+        # parent's warm state gone, recovery must not re-solve cold.
+        cfg = _sqlite_config(tmp_path, checkpoint_every=0)
+        edited, _ = apply_delta(
+            instance.problem,
+            edit_script(instance.problem, l_edge_rate=0.05, seed=3))
+        store = SqliteJobStore(cfg)
+        try:
+            parent = store.submit(_submission(wire_problem), "default")
+            assert parent.wait_terminal(30.0)
+            child = store.submit(
+                _submission(problem_to_wire(edited), warm_from=parent.id),
+                "default")
+            assert child.wait_terminal(30.0)
+        finally:
+            store.shutdown()
+        db = sqlite3.connect(tmp_path / "store" / "jobs.db")
+        db.execute(
+            "UPDATE jobs SET state='running', finished=NULL, result=NULL,"
+            " problem=? WHERE id=?",
+            (json.dumps(problem_to_wire(edited)), child.id))
         db.commit()
         db.close()
 
