@@ -1,21 +1,23 @@
 #!/usr/bin/env python
 """Benchmark trajectory harness: run the kernel + backend groups
 (``BENCH_2.json``), the flat-vs-multilevel comparison
-(``BENCH_3.json``), the matching-kernel backend comparison
-(``BENCH_4.json``), the resilience/supervision overhead group
+(``BENCH_3.json``), the resilience/supervision overhead group
 (``BENCH_5.json``), the HTTP serving latency group (``BENCH_6.json``),
 the incremental-realignment group (``BENCH_7.json``), the
 telemetry-exporter group (``BENCH_8.json``), and the durable-store
-group (``BENCH_10.json``) at the repo root.
+group (``BENCH_10.json``) at the repo root.  ``BENCH_4.json`` (the
+python-vs-numpy matching-kernel comparison) is history: the kernels it
+timed are gone, and the trajectory gate keeps checking its recorded
+numbers.
 
 Usage (from the repo root)::
 
     PYTHONPATH=src python benchmarks/run_bench.py [--out BENCH_2.json]
         [--repeats 5] [--scale 0.01] [--skip-process]
-        [--group all|kernels-backend|multilevel|matching|resilience|
+        [--group all|kernels-backend|multilevel|resilience|
                  serve|incremental|export|durability]
         [--out3 BENCH_3.json] [--multilevel-n 50000]
-        [--out4 BENCH_4.json] [--out5 BENCH_5.json]
+        [--out5 BENCH_5.json]
         [--out6 BENCH_6.json] [--out7 BENCH_7.json]
         [--out8 BENCH_8.json] [--out10 BENCH_10.json] [--smoke]
 
@@ -247,119 +249,6 @@ def multilevel_benchmarks(n: int, repeats: int) -> tuple[list[dict], dict]:
         "p_perturb": 8.0 / n, "seed": 3,
         "n_a": problem.ell.n_a, "n_b": problem.ell.n_b,
         "n_edges_l": problem.n_edges_l, "nnz_s": problem.squares.nnz,
-    }
-    return rows, instance
-
-
-def matching_benchmarks(
-    repeats: int, smoke: bool
-) -> tuple[list[dict], dict]:
-    """Matching-kernel backends: ``python`` vs ``numpy`` per kind, plus
-    BP's rounding step end-to-end under each backend.
-
-    The microbenchmark rows time ``run_kernel`` on a random bipartite L
-    with |E_L| ≥ 2×10⁵ (the plan cache is warmed outside the timed
-    region, matching how solvers call the kernels; the ``python`` rows
-    run once — they are the slow side being measured, not the claim).
-    The end-to-end rows time a BP-style batch of roundings through
-    ``round_heuristic`` with each backend's ``"approx"`` matcher and
-    assert the objectives are identical.  ``--smoke`` shrinks both
-    families to CI-size shape checks.
-    """
-    from repro.core.rounding import (
-        RoundingWorkspace, make_matcher, round_heuristic,
-    )
-    from repro.generators import powerlaw_alignment_instance
-    from repro.matching import get_plan, run_kernel
-    from repro.matching.kernels import KERNEL_KINDS
-    from repro.sparse.bipartite import BipartiteGraph
-
-    rng = np.random.default_rng(7)
-    n = 2_000 if smoke else 50_000
-    deg = 4 if smoke else 5
-    a = np.repeat(np.arange(n), deg)
-    b = rng.integers(0, n, n * deg)
-    w = rng.random(n * deg) + 0.01
-    graph = BipartiteGraph.from_edges(n, n, a, b, w)
-    get_plan(graph)  # plan built once, outside every timed region
-    print(f"  kernel instance: n={n} deg={deg} n_edges_l={graph.n_edges}")
-
-    rows = []
-    for kind in KERNEL_KINDS:
-        base = None
-        for backend in ("python", "numpy"):
-            reps = 1 if backend == "python" else max(3, repeats)
-            samples = timeit(
-                lambda k=kind, b_=backend: run_kernel(k, b_, graph), reps
-            )
-            row = {
-                "group": "matching", "name": f"kernel_{kind}_{backend}",
-                **summarize(samples),
-                "extra": {"n_edges_l": graph.n_edges, "kind": kind,
-                          "backend": backend},
-            }
-            if backend == "python":
-                base = row["median_s"]
-            else:
-                row["extra"]["speedup_vs_python"] = base / row["median_s"]
-            rows.append(row)
-            print(f"  matching/{row['name']}: "
-                  f"{row['median_s'] * 1e3:.1f} ms"
-                  + (f" ({row['extra']['speedup_vs_python']:.1f}x)"
-                     if backend == "numpy" else ""))
-
-    # ---- BP's rounding step, end to end ------------------------------
-    bp_n = 2_000 if smoke else 50_000
-    inst = powerlaw_alignment_instance(
-        n=bp_n, expected_degree=6.0, p_perturb=8.0 / bp_n, seed=3,
-        name=f"powerlaw-n{bp_n}",
-    )
-    problem = inst.problem
-    _ = problem.squares  # build S once, outside every timed region
-    vectors = batch_vectors(problem, count=8, seed=0)
-    objectives: dict[str, list[float]] = {}
-    medians: dict[str, float] = {}
-    for backend in ("python", "numpy"):
-        matcher = make_matcher("approx", backend=backend)
-        ws = RoundingWorkspace.for_problem(problem, matcher=matcher)
-
-        def run(matcher=matcher, ws=ws, backend=backend):
-            objs = []
-            for g_vec in vectors:
-                obj, _, _, _ = round_heuristic(
-                    problem, g_vec, matcher=matcher, workspace=ws
-                )
-                objs.append(obj)
-            objectives[backend] = objs
-
-        reps = 1 if backend == "python" else max(2, repeats)
-        samples = timeit(run, reps)
-        medians[backend] = summarize(samples)["median_s"]
-        rows.append({
-            "group": "matching", "name": f"bp_rounding_step_{backend}",
-            **summarize(samples),
-            "extra": {"n": bp_n, "n_vectors": len(vectors),
-                      "matcher": "approx", "backend": backend},
-        })
-        print(f"  matching/bp_rounding_step_{backend}: "
-              f"{rows[-1]['median_s']:.3f} s")
-    if objectives["python"] != objectives["numpy"]:
-        raise AssertionError(
-            "matching backends disagree on rounding objectives: "
-            f"{objectives['python']} vs {objectives['numpy']}"
-        )
-    rows[-1]["extra"]["speedup_vs_python"] = (
-        medians["python"] / medians["numpy"]
-    )
-    rows[-1]["extra"]["objective_change"] = 0.0
-    instance = {
-        "kernel_instance": {"family": "random-regular", "n": n, "deg": deg,
-                            "n_edges_l": graph.n_edges, "seed": 7},
-        "rounding_instance": {"family": "powerlaw", "n": bp_n,
-                              "expected_degree": 6.0,
-                              "p_perturb": 8.0 / bp_n, "seed": 3,
-                              "n_edges_l": problem.n_edges_l},
-        "smoke": smoke,
     }
     return rows, instance
 
@@ -1027,14 +916,12 @@ def main(argv: list[str] | None = None) -> int:
                     help="skip the process-pool rows (e.g. no /dev/shm)")
     ap.add_argument("--group", default="all",
                     choices=["all", "kernels-backend", "multilevel",
-                             "matching", "resilience", "serve",
-                             "incremental", "export", "durability"])
+                             "resilience", "serve", "incremental",
+                             "export", "durability"])
     ap.add_argument("--multilevel-n", type=int, default=50_000,
                     help="synthetic size for the multilevel group")
     ap.add_argument("--multilevel-repeats", type=int, default=1,
                     help="repeats for the (long) multilevel runs")
-    ap.add_argument("--out4", default=str(
-        Path(__file__).resolve().parent.parent / "BENCH_4.json"))
     ap.add_argument("--out5", default=str(
         Path(__file__).resolve().parent.parent / "BENCH_5.json"))
     ap.add_argument("--out6", default=str(
@@ -1046,8 +933,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out10", default=str(
         Path(__file__).resolve().parent.parent / "BENCH_10.json"))
     ap.add_argument("--smoke", action="store_true",
-                    help="shrink the matching group to a CI-size shape "
-                         "check (numbers are not performance claims)")
+                    help="shrink the groups to CI-size shape checks "
+                         "(numbers are not performance claims)")
     args = ap.parse_args(argv)
 
     if args.group in ("all", "kernels-backend"):
@@ -1086,20 +973,6 @@ def main(argv: list[str] | None = None) -> int:
         }
         Path(args.out3).write_text(json.dumps(doc3, indent=2) + "\n")
         print(f"wrote {args.out3} ({len(rows3)} benchmarks)")
-
-    if args.group in ("all", "matching"):
-        print("running matching-kernel benchmarks "
-              f"(smoke={args.smoke}) ...")
-        rows4, instance4 = matching_benchmarks(args.repeats, args.smoke)
-        doc4 = {
-            "schema": 1,
-            "generated_by": "benchmarks/run_bench.py --group matching",
-            "instance": instance4,
-            "machine": machine_info(),
-            "benchmarks": rows4,
-        }
-        Path(args.out4).write_text(json.dumps(doc4, indent=2) + "\n")
-        print(f"wrote {args.out4} ({len(rows4)} benchmarks)")
 
     if args.group in ("all", "resilience"):
         print("running resilience benchmarks "

@@ -58,8 +58,6 @@ from repro.incremental import (
 )
 from repro.machine import SimulatedRuntime, xeon_e7_8870
 from repro.matching import (
-    KERNEL_KINDS,
-    MATCHING_BACKENDS,
     MatchingResult,
     auction_matching,
     greedy_matching,
@@ -109,10 +107,8 @@ __all__ = [
     "FaultSpec",
     "Graph",
     "IsoRankConfig",
-    "KERNEL_KINDS",
     "KlauConfig",
     "MATCHER_KINDS",
-    "MATCHING_BACKENDS",
     "MachineFaults",
     "MatchingResult",
     "MultilevelConfig",

@@ -7,8 +7,8 @@ independent work units on:
     In-process loop.  The reference semantics — every other backend is
     required (and tested) to be bit-identical to it.
 ``"threaded"``
-    ``concurrent.futures.ThreadPoolExecutor``.  Honest about the GIL: the
-    pure-Python matching kernels do not speed up (see
+    ``concurrent.futures.ThreadPoolExecutor``.  Honest about the GIL:
+    pure-Python matching does not speed up (see
     ``benchmarks/bench_gil_reality.py``), but NumPy-releasing sections
     overlap and the backend is useful for I/O-bound ``solve_many`` work.
 ``"process"``
@@ -52,14 +52,6 @@ class ParallelConfig(ConfigBase):
         ``multiprocessing`` start method for the process backend.
         ``"fork"`` (default on Linux) inherits the parent's read-only
         state cheaply; ``"spawn"`` is the portable escape hatch.
-    matching_backend:
-        Matching-kernel backend for the approximate matcher kinds
-        (:data:`repro.matching.MATCHING_BACKENDS`): ``"numpy"`` for the
-        round-synchronous segmented kernels, ``"python"`` for the
-        interpreted reference, ``None`` (default) for each kind's
-        historical implementation.  Orthogonal to ``backend`` — it
-        selects *how each rounding call computes*, not *where* calls
-        run — and applies on the serial backend too.
     resilience:
         Optional :class:`repro.resilience.ResilienceConfig` putting
         every fanned-out task under supervision (timeouts, retries with
@@ -72,7 +64,6 @@ class ParallelConfig(ConfigBase):
     n_workers: int = 0
     chunk: int = 1
     start_method: str = "fork"
-    matching_backend: str | None = None
     resilience: ResilienceConfig | None = None
     #: Accepted on every public config (common surface, round-tripped by
     #: ``to_dict``/``from_dict``); backend scheduling is deterministic
@@ -93,16 +84,6 @@ class ParallelConfig(ConfigBase):
             raise ConfigurationError(
                 f"unknown start_method {self.start_method!r}"
             )
-        if self.matching_backend is not None:
-            # Imported here: repro.matching pulls numpy-heavy modules the
-            # config layer otherwise doesn't need.
-            from repro.matching.backends import MATCHING_BACKENDS
-
-            if self.matching_backend not in MATCHING_BACKENDS:
-                raise ConfigurationError(
-                    f"unknown matching_backend {self.matching_backend!r}; "
-                    f"expected one of {MATCHING_BACKENDS}"
-                )
         if self.resilience is not None and not isinstance(
             self.resilience, ResilienceConfig
         ):

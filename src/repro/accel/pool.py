@@ -125,25 +125,15 @@ def parallel_map(
 _WORKER: dict[str, Any] = {}
 
 
-def _init_rounding_worker(
-    handle: tuple, matcher_kind: str, matching_backend: str | None = None
-) -> None:
-    """Process-pool initializer: attach shared memory, build the kit.
-
-    The kit includes the worker's group plan when a kernel matcher is
-    selected (``RoundingWorkspace.for_problem`` runs its ``prepare``
-    hook), so per-task work is pure matching.
-    """
+def _init_rounding_worker(handle: tuple, matcher_kind: str) -> None:
+    """Process-pool initializer: attach shared memory, build the kit."""
     _silence_worker_bus()
     shared = SharedProblem.attach(handle)
     problem = shared.to_problem()
-    matcher = make_matcher(matcher_kind, backend=matching_backend)
     _WORKER["shared"] = shared
     _WORKER["problem"] = problem
-    _WORKER["matcher"] = matcher
-    _WORKER["workspace"] = RoundingWorkspace.for_problem(
-        problem, matcher=matcher
-    )
+    _WORKER["matcher"] = make_matcher(matcher_kind)
+    _WORKER["workspace"] = RoundingWorkspace.for_problem(problem)
 
 
 def _round_with(
@@ -216,10 +206,6 @@ class RoundingPool:
                 "distributed across process workers; use backend="
                 "'serial' or a stateless matcher"
             )
-        if config.matching_backend is not None:
-            # Fail fast in the parent: a kind without kernels would
-            # otherwise surface as an opaque worker-initializer death.
-            make_matcher(matcher_kind, backend=config.matching_backend)
         self.config = config
         self.matcher_kind = matcher_kind
         self.n_workers = config.resolve_workers()
@@ -236,11 +222,7 @@ class RoundingPool:
             self._pool = ctx.Pool(
                 self.n_workers,
                 initializer=_init_rounding_worker,
-                initargs=(
-                    self._shared.handle,
-                    matcher_kind,
-                    config.matching_backend,
-                ),
+                initargs=(self._shared.handle, matcher_kind),
             )
         elif config.backend == "threaded":
             self._executor = ThreadPoolExecutor(max_workers=self.n_workers)
@@ -252,13 +234,10 @@ class RoundingPool:
 
     # ------------------------------------------------------------------
     def _make_kit(self) -> tuple:
-        """Build one (matcher, workspace) kit honoring ``matching_backend``."""
-        matcher = make_matcher(
-            self.matcher_kind, backend=self.config.matching_backend
-        )
+        """Build one (matcher, workspace) kit."""
         return (
-            matcher,
-            RoundingWorkspace.for_problem(self._problem, matcher=matcher),
+            make_matcher(self.matcher_kind),
+            RoundingWorkspace.for_problem(self._problem),
         )
 
     def _thread_task(

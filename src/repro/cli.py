@@ -27,6 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.rounding import MATCHER_KINDS
+
 __all__ = ["main"]
 
 
@@ -252,18 +254,13 @@ def _cmd_solve(args: argparse.Namespace) -> None:
     spec = get_solver(args.method)
     resilience = _resilience_config(args)
     parallel = None
-    if (
-        args.backend != "serial"
-        or args.matching_backend is not None
-        or resilience is not None
-    ):
+    if args.backend != "serial" or resilience is not None:
         if spec.supports_parallel:
             from repro.accel import ParallelConfig
 
             parallel = ParallelConfig(
                 backend=args.backend,
                 n_workers=args.jobs,
-                matching_backend=args.matching_backend,
                 resilience=resilience,
             )
         elif args.backend != "serial":
@@ -271,16 +268,10 @@ def _cmd_solve(args: argparse.Namespace) -> None:
                 f"note: --backend applies to methods with batched "
                 f"rounding; {args.method} runs serially", file=sys.stderr,
             )
-        elif resilience is not None:
+        else:
             print(
                 f"note: --timeout/--retries/--fallback supervise methods "
                 f"that take a ParallelConfig; {args.method} ignores them",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                f"note: --matching-backend applies to methods that take "
-                f"a ParallelConfig; {args.method} ignores it",
                 file=sys.stderr,
             )
     plan = None
@@ -605,10 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
              "explicit flags below override its entries",
     )
     p.add_argument(
-        "--matcher",
-        choices=["exact", "exact-warm", "approx", "approx-queue",
-                 "greedy", "suitor", "auction"],
-        default=None,
+        "--matcher", choices=MATCHER_KINDS, default=None,
         help="rounding matcher (multilevel: the coarsest-solve matcher); "
              "default approx for bp/mr",
     )
@@ -626,14 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=0, metavar="N",
         help="worker count for --backend threaded/process "
              "(0 = one per CPU)",
-    )
-    p.add_argument(
-        "--matching-backend", choices=["python", "numpy"], default=None,
-        dest="matching_backend",
-        help="matching-kernel backend for the approximate matchers "
-             "(approx/suitor/greedy/auction): numpy = round-synchronous "
-             "segmented kernels, python = interpreted reference; "
-             "default keeps each matcher's historical implementation",
     )
     res_group = p.add_argument_group(
         "resilience",
@@ -693,9 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", default=None, metavar="PATH",
                    help="JSON fed through the method config's from_dict()")
-    p.add_argument("--matcher", default=None,
-                   choices=["exact", "exact-warm", "approx", "approx-queue",
-                            "greedy", "suitor", "auction"],
+    p.add_argument("--matcher", default=None, choices=MATCHER_KINDS,
                    help="rounding matcher; exact-warm reuses duals "
                         "across warm roundings")
     p.add_argument("--iters", type=int, default=None)

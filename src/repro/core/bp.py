@@ -182,11 +182,10 @@ def belief_propagation_align(
         )
     bus = get_bus()
     backend = "serial" if parallel is None else parallel.backend
-    matching_backend = None if parallel is None else parallel.matching_backend
     labels = dict(matcher=config.matcher, n_iter=config.n_iter,
                   batch=config.batch, damping=config.damping)
     if warm_from is None:
-        labels.update(backend=backend, matching_backend=matching_backend)
+        labels.update(backend=backend)
     with contextlib.ExitStack() as stack:
         stack.enter_context(bus.trace(
             "bp.align" if warm_from is None else "bp.realign", **labels))
@@ -198,7 +197,6 @@ def belief_propagation_align(
                 RoundingPool(problem, config.matcher, parallel))
         return _bp_run(
             problem, config, tracer, bus, pool, init_messages, warm_from,
-            matching_backend=matching_backend,
             checkpoint_every=checkpoint_every,
             checkpoint_store=checkpoint_store,
             checkpoint_key=checkpoint_key, resume=resume,
@@ -215,7 +213,6 @@ def _bp_run(
     init_messages: tuple[np.ndarray, np.ndarray] | None,
     warm: "WarmState | None",
     *,
-    matching_backend: str | None,
     checkpoint_every: int,
     checkpoint_store: Any | None,
     checkpoint_key: str,
@@ -236,7 +233,7 @@ def _bp_run(
     bookkeeping would cost more than it saves); when the set empties the
     run stops early — the remaining iterations are provably no-ops.
     """
-    matcher: Matcher = make_matcher(config.matcher, backend=matching_backend)
+    matcher: Matcher = make_matcher(config.matcher)
     ell = problem.ell
     s_mat = problem.squares
     perm = problem.squares_transpose_perm
@@ -273,9 +270,7 @@ def _bp_run(
 
     tracker = BestTracker()
     history: list[IterationRecord] = []
-    # Passing the matcher lets kernel matchers build their group plan
-    # here, outside the iteration loop.
-    workspace = RoundingWorkspace.for_problem(problem, matcher=matcher)
+    workspace = RoundingWorkspace.for_problem(problem)
     pending: list[tuple[int, np.ndarray, np.ndarray]] = []
     active: np.ndarray | None = None
     counters: dict[str, int] = {}  # incremental runs' params

@@ -20,12 +20,8 @@ in here:
   with the Dijkstra searches pruned by the previous call's duals when
   the same L structure is rounded repeatedly.
 
-The approximate kinds (``"approx"``, ``"suitor"``, ``"greedy"``,
-``"auction"``) additionally accept a *matching backend* —
-``make_matcher(kind, backend="numpy")`` returns the round-synchronous
-kernel implementation from the :mod:`repro.matching.backends` registry
-(``"python"`` is the interpreted reference with identical output).  The
-default ``backend=None`` keeps each kind's historical implementation.
+:data:`MATCHER_KINDS` lists these kinds; the CLI's ``--matcher``
+choices come from it.
 
 ``RoundingWorkspace`` lets hot loops (BP's batched rounding) reuse the
 indicator and SpMV buffers across calls instead of allocating
@@ -44,10 +40,8 @@ from repro.core.problem import NetworkAlignmentProblem
 from repro.core.result import BestTracker
 from repro.errors import ConfigurationError, DimensionError
 from repro.matching.auction import auction_matching
-from repro.matching.backends import KernelMatcher
 from repro.matching.exact import max_weight_matching
 from repro.matching.greedy import greedy_matching
-from repro.matching.kernels import KERNEL_KINDS
 from repro.matching.locally_dominant import (
     locally_dominant_matching,
     locally_dominant_matching_vectorized,
@@ -82,7 +76,7 @@ MATCHER_KINDS = (
 )
 
 
-def make_matcher(kind: str, backend: str | None = None) -> Matcher:
+def make_matcher(kind: str) -> Matcher:
     """Return the ``bipartite_match`` implementation named ``kind``.
 
     The returned callable carries a ``kind`` attribute so downstream
@@ -90,22 +84,7 @@ def make_matcher(kind: str, backend: str | None = None) -> Matcher:
     ``"exact-warm"`` returns a *stateful* matcher (a fresh
     :class:`~repro.matching.warm.ExactMatcher` per call to this factory)
     that warm-starts successive matchings on the same L structure.
-
-    ``backend`` selects a registered matching backend for the kinds that
-    have round-synchronous kernels (:data:`repro.matching.KERNEL_KINDS`):
-    ``"numpy"`` for the segmented kernels, ``"python"`` for the
-    interpreted reference.  Requesting a backend for a kind without
-    kernels (the exact matchers, ``"approx-queue"``) raises
-    :class:`~repro.errors.ConfigurationError` — silently dropping the
-    request would misreport any benchmark built on it.
     """
-    if backend is not None:
-        if kind not in KERNEL_KINDS:
-            raise ConfigurationError(
-                f"matcher kind {kind!r} has no matching-backend kernels; "
-                f"backends apply to {KERNEL_KINDS}"
-            )
-        return KernelMatcher(kind, backend)
     if kind == "exact-warm":
         return ExactMatcher(warm_start=True)
     impls: dict[str, Matcher] = {
@@ -140,21 +119,10 @@ class RoundingWorkspace:
 
     @classmethod
     def for_problem(
-        cls,
-        problem: NetworkAlignmentProblem,
-        matcher: Matcher | None = None,
+        cls, problem: NetworkAlignmentProblem
     ) -> "RoundingWorkspace":
-        """Allocate buffers for ``problem``; optionally warm a matcher.
-
-        When ``matcher`` exposes a ``prepare(graph)`` hook (the kernel
-        matchers do: it builds the cached group plan), it runs here —
-        workspace construction is the natural "outside the timed loop"
-        moment for one-off structure work.
-        """
+        """Allocate buffers for ``problem``."""
         m = problem.n_edges_l
-        prepare = getattr(matcher, "prepare", None)
-        if prepare is not None:
-            prepare(problem.ell)
         return cls(x=np.zeros(m), spmv_out=np.empty(m))
 
     def check(self, n_edges: int) -> None:

@@ -16,33 +16,21 @@ with non-positive weight can never increase a matching's weight), return a
 :class:`~repro.matching.result.MatchingResult`, and break weight ties by
 vertex id exactly as §V prescribes.
 
-The approximate matchers additionally exist as *round-synchronous
-kernels* (:mod:`repro.matching.kernels`) selectable through the
-:mod:`repro.matching.backends` registry: a ``"python"`` reference and a
-``"numpy"`` segmented implementation per kind, bit-identical to each
-other, with group plans cached across calls on the same L structure.
+The vectorized rounds form runs on :mod:`repro.matching.kernels`, which
+caches each L structure's group plan across calls, so iterative solvers
+that round the same L every iteration build it once.
 """
 
 from repro.matching.auction import auction_matching
-from repro.matching.backends import (
-    MATCHING_BACKENDS,
-    KernelMatcher,
-    MatchingBackend,
-    available_matching_backends,
-    get_matching_backend,
-    register_matching_backend,
-)
 from repro.matching.cardinality import hopcroft_karp, karp_sipser_matching
 from repro.matching.dense import max_weight_matching_dense
 from repro.matching.exact import max_weight_matching
 from repro.matching.greedy import greedy_matching
 from repro.matching.kernels import (
-    KERNEL_KINDS,
     GroupPlan,
     clear_plan_cache,
     get_plan,
     plan_cache_stats,
-    run_kernel,
 )
 from repro.matching.locally_dominant import (
     locally_dominant_matching,
@@ -58,16 +46,10 @@ from repro.matching.validate import (
 
 __all__ = [
     "GroupPlan",
-    "KERNEL_KINDS",
-    "KernelMatcher",
-    "MATCHING_BACKENDS",
-    "MatchingBackend",
     "MatchingResult",
     "auction_matching",
-    "available_matching_backends",
     "check_matching",
     "clear_plan_cache",
-    "get_matching_backend",
     "get_plan",
     "greedy_matching",
     "hopcroft_karp",
@@ -79,7 +61,5 @@ __all__ = [
     "max_weight_matching",
     "max_weight_matching_dense",
     "plan_cache_stats",
-    "register_matching_backend",
-    "run_kernel",
     "suitor_matching",
 ]

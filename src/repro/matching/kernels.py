@@ -1,58 +1,26 @@
-"""Round-synchronous matching kernels: one algorithm, two backends.
+"""The locally-dominant rounds kernel and its cached group plans.
 
 The paper's §V matcher is already a *round* algorithm — every round, each
 still-active vertex does local work against the state left by the
-previous round, then all updates commit at a barrier.  This module
-reformulates all four ½-approximate matchers in that round-synchronous
-shape and implements each one twice with identical semantics:
-
-* a **python** backend — interpreted loops over the same plan arrays; the
-  executable specification (and the honest baseline the BENCH_4 group
-  measures against);
-* a **numpy** backend — the same rounds as segmented array operations
-  (``reduceat`` / ``lexsort`` / first-occurrence masks).
-
-The two backends are *bit-identical* per round: same mates, same weights,
-same tie-breaks (heavier edge wins; equal weights prefer the smaller
-vertex id), and the same :class:`~repro.matching.result.RoundStats`
-stream, so machine-simulator replay through
-:func:`repro.machine.trace.matching_to_trace` is backend-independent.
-``tests/test_matching_kernels.py`` property-tests the equivalence.
-
-The four kernels:
-
-* **locally-dominant** (``kind="approx"``) — per-round segmented argmax
-  over still-free vertices plus mutual-pointer detection; exactly the
-  rounds formulation of Algorithm 1.  The numpy variant *is* the
-  implementation behind
-  :func:`repro.matching.locally_dominant.locally_dominant_mates`, so the
-  default ``"approx"`` matcher and the kernel cannot drift apart.
-* **Suitor** (``kind="suitor"``) — batched proposal rounds: every
-  worklist vertex proposes to its best neighbor that would accept it
-  (heavier than the standing suitor, or equal with a smaller proposer
-  id), each target keeps its best same-round proposal, and dethroned or
-  outbid vertices form the next round's worklist.
-* **greedy** (``kind="greedy"``) — one argsort by ``(-w, edge id)``,
-  then conflict-free prefix rounds: an edge commits when it is the first
-  surviving edge for *both* endpoints; committed endpoints retire their
-  remaining edges.  Equal to the serial sorted scan (each committed edge
-  dominates its surviving neighborhood in the scan order, so the serial
-  scan takes it too; induction on rounds gives equality).
-* **auction** (``kind="auction"``) — Jacobi-style batched bidding: all
-  active bidders price their options against the same start-of-round
-  prices, each object accepts its best bid (largest increment, ties to
-  the smaller bidder id), and losers plus dethroned owners re-bid next
-  round.  ε-complementary slackness holds at assignment time and other
-  prices only rise afterwards, so the sequential auction's ``n·ε``
-  additive guarantee carries over — but the *assignment* may differ
-  from the Gauss-Seidel :func:`repro.matching.auction.auction_matching`
-  in ways that guarantee permits.  Cross-backend bit-identity between
-  python and numpy still holds exactly.
+previous round, then all updates commit at a barrier.
+:func:`locally_dominant_rounds` runs those rounds as segmented array
+operations (``reduceat`` plus mutual-pointer detection): per round, a
+segmented argmax over still-free vertices (heavier edge wins; equal
+weights prefer the smaller vertex id), then every mutually-pointing pair
+commits at once.  It is the implementation behind the ``"approx"``
+matcher (:func:`repro.matching.locally_dominant
+.locally_dominant_matching_vectorized`) and the multilevel coarsener
+(:func:`repro.matching.locally_dominant.locally_dominant_mates`), and
+reports the same :class:`~repro.matching.result.RoundStats` stream the
+machine simulator replays through
+:func:`repro.machine.trace.matching_to_trace`.  An interpreted version
+of the same rounds lives in ``tests/oracles.py``; the tests pin the
+kernel's mates and round stats against it.
 
 Group plans
 -----------
 
-Feeding L to the general-graph matchers costs an ``as_general_graph()``
+Feeding L to a general-graph matcher costs an ``as_general_graph()``
 conversion plus the segmented-reduction index arrays — pure structure,
 independent of the weights.  Iterative solvers round the *same* L with
 drifting weights every iteration (BP rounds ``2×batch`` vectors per
@@ -68,35 +36,23 @@ whose ``id()`` was reused.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro._util import asarray_f64, asarray_i64
-from repro.errors import ConfigurationError, DimensionError
+from repro.errors import DimensionError
 from repro.matching.result import RoundStats
 from repro.observe import get_bus
 from repro.sparse.bipartite import BipartiteGraph
 
 __all__ = [
-    "KERNEL_KINDS",
     "GroupPlan",
     "get_plan",
     "clear_plan_cache",
     "plan_cache_stats",
-    "run_kernel",
-    "locally_dominant_rounds_numpy",
-    "locally_dominant_rounds_python",
-    "suitor_rounds_numpy",
-    "suitor_rounds_python",
-    "greedy_rounds_numpy",
-    "greedy_rounds_python",
-    "auction_rounds_numpy",
-    "auction_rounds_python",
+    "locally_dominant_rounds",
 ]
-
-#: Matcher kinds with a round-synchronous kernel pair.
-KERNEL_KINDS = ("approx", "suitor", "greedy", "auction")
 
 
 # ----------------------------------------------------------------------
@@ -129,9 +85,6 @@ class GroupPlan:
     #: Strong references pinning the structure key (see module docs).
     edge_a: np.ndarray | None = None
     edge_b: np.ndarray | None = None
-    _indptr_list: list | None = field(default=None, repr=False)
-    _neighbors_list: list | None = field(default=None, repr=False)
-    _degrees_list: list | None = field(default=None, repr=False)
 
     @property
     def n_half(self) -> int:
@@ -167,27 +120,6 @@ class GroupPlan:
         plan.edge_a = graph.edge_a
         plan.edge_b = graph.edge_b
         return plan
-
-    # Lazy python mirrors for the interpreted backend (kept on the plan
-    # so the python backend amortizes its list conversions the same way
-    # the numpy backend amortizes its index arrays).
-    @property
-    def indptr_list(self) -> list:
-        if self._indptr_list is None:
-            self._indptr_list = self.indptr.tolist()
-        return self._indptr_list
-
-    @property
-    def neighbors_list(self) -> list:
-        if self._neighbors_list is None:
-            self._neighbors_list = self.neighbors.tolist()
-        return self._neighbors_list
-
-    @property
-    def degrees_list(self) -> list:
-        if self._degrees_list is None:
-            self._degrees_list = self.degrees.tolist()
-        return self._degrees_list
 
 
 #: LRU of structure key -> plan.  Small: solvers touch one or two L
@@ -257,7 +189,7 @@ def _check_half_weights(plan: GroupPlan, hw: np.ndarray) -> np.ndarray:
 # Locally-dominant rounds (paper §V, Algorithm 1 in rounds form)
 # ----------------------------------------------------------------------
 
-def locally_dominant_rounds_numpy(
+def locally_dominant_rounds(
     plan: GroupPlan,
     half_weights: np.ndarray,
     *,
@@ -287,7 +219,7 @@ def locally_dominant_rounds_numpy(
     # Incremental FindMate: a vertex's candidate only changes when a
     # neighbor's free status does, and every such vertex is marked stale
     # when the neighbor matches — so each round recomputes candidates
-    # for the stale frontier only.  The interpreted reference recomputes
+    # for the stale frontier only.  The interpreted oracle recomputes
     # every free vertex each round; the results are identical because a
     # non-stale vertex's recomputation sees an unchanged neighborhood.
     candidate = np.full(n, -1, dtype=np.int64)
@@ -360,689 +292,3 @@ def locally_dominant_rounds_numpy(
         round_index += 1
 
     return mate, rounds
-
-
-def locally_dominant_rounds_python(
-    plan: GroupPlan,
-    half_weights: np.ndarray,
-    *,
-    collect_rounds: bool = True,
-    max_rounds: int | None = None,
-) -> tuple[np.ndarray, list[RoundStats]]:
-    """Interpreted reference of :func:`locally_dominant_rounds_numpy`.
-
-    Same rounds, same tie-breaks, same stats — loop for reduction.
-    """
-    n = plan.n
-    rounds: list[RoundStats] = []
-    if plan.n_half == 0:
-        return np.full(n, -1, dtype=np.int64), rounds
-    hw = _check_half_weights(plan, half_weights).tolist()
-    indptr = plan.indptr_list
-    adj = plan.neighbors_list
-    deg = plan.degrees_list
-    neg_inf = float("-inf")
-
-    mate = [-1] * n
-    stale = [True] * n
-    round_index = 0
-    limit = max_rounds if max_rounds is not None else n + 1
-    queue_size = n
-    while round_index <= limit:
-        candidate = [-1] * n
-        for v in range(n):
-            if mate[v] != -1:
-                continue
-            best_w = neg_inf
-            best_t = -1
-            for k in range(indptr[v], indptr[v + 1]):
-                w = hw[k]
-                t = adj[k]
-                if w <= 0.0 or mate[t] != -1:
-                    continue
-                if w > best_w:
-                    best_w = w
-                    best_t = t
-                elif w == best_w and t < best_t:
-                    best_t = t
-            candidate[v] = best_t
-        new_lo = [
-            v for v in range(n)
-            if candidate[v] > v and candidate[candidate[v]] == v
-        ]
-        if not new_lo:
-            break
-        if collect_rounds:
-            rescans = sum(
-                deg[v] for v in range(n) if stale[v] and mate[v] == -1
-            )
-            rounds.append(
-                RoundStats(
-                    round_index=round_index,
-                    queue_size=queue_size,
-                    vertices_matched=2 * len(new_lo),
-                    adjacency_scanned=rescans,
-                    atomics=2 * len(new_lo),
-                )
-            )
-        newly = list(new_lo)
-        for v in new_lo:
-            u = candidate[v]
-            mate[v] = u
-            mate[u] = v
-            newly.append(u)
-        stale = [False] * n
-        for v in newly:
-            for k in range(indptr[v], indptr[v + 1]):
-                stale[adj[k]] = True
-        queue_size = len(newly)
-        round_index += 1
-
-    return np.array(mate, dtype=np.int64), rounds
-
-
-# ----------------------------------------------------------------------
-# Suitor rounds (Manne & Halappanavar, batched proposals)
-# ----------------------------------------------------------------------
-
-def _mutual_pair_count(suitor: np.ndarray) -> int:
-    """Pairs ``(u, t)`` with mutual suitors, counted once each."""
-    v = np.flatnonzero(suitor >= 0)
-    if len(v) == 0:
-        return 0
-    return int(np.count_nonzero((suitor[v] > v) & (suitor[suitor[v]] == v)))
-
-
-def suitor_rounds_numpy(
-    plan: GroupPlan,
-    half_weights: np.ndarray,
-    *,
-    collect_rounds: bool = True,
-) -> tuple[np.ndarray, list[RoundStats]]:
-    """Round-synchronous Suitor matching over a general graph.
-
-    Every round, each worklist vertex proposes to its heaviest neighbor
-    that would accept it (an offer beats the standing suitor when it is
-    heavier, or equal-weight with a smaller proposer id); each target
-    installs its best same-round proposal (heaviest, ties to the smaller
-    proposer), dethroning the previous suitor.  Outbid proposers and
-    dethroned suitors form the next worklist; a proposer with no
-    acceptable target retires permanently (standing offers only get
-    harder to beat).  Returns the suitor array — the matching is its
-    mutual pairs — plus per-round stats (``atomics`` = installed
-    proposals; ``vertices_matched`` = change in mutual pairs × 2, which
-    dethronement can make negative within a round).
-    """
-    n = plan.n
-    rounds: list[RoundStats] = []
-    if plan.n_half == 0:
-        return np.full(n, -1, dtype=np.int64), rounds
-    hw = _check_half_weights(plan, half_weights)
-    indptr, neighbors, degrees = plan.indptr, plan.neighbors, plan.degrees
-
-    suitor = np.full(n, -1, dtype=np.int64)
-    suitor_w = np.zeros(n, dtype=np.float64)
-    worklist = np.arange(n, dtype=np.int64)
-    round_index = 0
-    mutual_before = 0
-    neg_inf = -np.inf
-    while len(worklist):
-        counts = degrees[worklist]
-        total = int(counts.sum())
-        if total == 0:
-            break
-        nz = counts > 0
-        wl_nz = worklist[nz]
-        counts = counts[nz]
-        cum = np.cumsum(counts)
-        starts = cum - counts
-        offs = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-        hidx = np.repeat(indptr[wl_nz], counts) + offs
-        src_k = np.repeat(wl_nz, counts)
-        t_k = neighbors[hidx]
-        w_k = hw[hidx]
-        st = suitor[t_k]
-        eligible = (w_k > 0.0) & (
-            (w_k > suitor_w[t_k])
-            | ((w_k == suitor_w[t_k]) & ((st == -1) | (src_k < st)))
-        )
-        # Per proposer: heaviest acceptable target, ties to the smaller
-        # id — the expansion is grouped by (sorted) proposer, so this is
-        # a pair of segmented reductions, not a sort.
-        masked = np.where(eligible, w_k, neg_inf)
-        seg_max = np.maximum.reduceat(masked, starts)
-        proposing = seg_max > neg_inf
-        if not proposing.any():
-            if collect_rounds:
-                rounds.append(RoundStats(
-                    round_index=round_index,
-                    queue_size=int(len(worklist)),
-                    vertices_matched=0,
-                    adjacency_scanned=total,
-                    atomics=0,
-                ))
-            break
-        at_max = eligible & (masked == np.repeat(seg_max, counts))
-        nbr_or_n = np.where(at_max, t_k, n)
-        best_t = np.minimum.reduceat(nbr_or_n, starts)
-        p_u = wl_nz[proposing]
-        p_t = best_t[proposing]
-        p_w = seg_max[proposing]
-        # Per target: best same-round proposal, ties to the smaller
-        # proposer.  ``p_u`` is ascending, so a stable sort by target
-        # keeps proposers ordered within each group and the winner is
-        # the group's first max-weight entry.
-        order2 = np.argsort(p_t, kind="stable")
-        t_s = p_t[order2]
-        gfirst = np.empty(len(order2), dtype=bool)
-        gfirst[0] = True
-        gfirst[1:] = t_s[1:] != t_s[:-1]
-        gid = np.cumsum(gfirst) - 1
-        w_s = p_w[order2]
-        gstarts = np.flatnonzero(gfirst)
-        gcounts = np.diff(np.append(gstarts, len(w_s)))
-        gmax = np.maximum.reduceat(w_s, gstarts)
-        at_gmax = np.flatnonzero(w_s == np.repeat(gmax, gcounts))
-        gfirst_max = np.empty(len(at_gmax), dtype=bool)
-        gfirst_max[0] = True
-        gfirst_max[1:] = gid[at_gmax][1:] != gid[at_gmax][:-1]
-        win_pos = at_gmax[gfirst_max]
-        win = np.zeros(len(order2), dtype=bool)
-        win[win_pos] = True
-        w_t = t_s[win]
-        w_u = p_u[order2][win]
-        w_w = w_s[win]
-        prev = suitor[w_t]
-        suitor[w_t] = w_u
-        suitor_w[w_t] = w_w
-        dethroned = prev[prev != -1]
-        losers = p_u[order2][~win]
-        next_work = np.unique(np.concatenate([losers, dethroned]))
-        if collect_rounds:
-            mutual_now = _mutual_pair_count(suitor)
-            rounds.append(RoundStats(
-                round_index=round_index,
-                queue_size=int(len(worklist)),
-                vertices_matched=2 * (mutual_now - mutual_before),
-                adjacency_scanned=total,
-                atomics=int(len(w_t)),
-            ))
-            mutual_before = mutual_now
-        worklist = next_work
-        round_index += 1
-
-    return suitor, rounds
-
-
-def suitor_rounds_python(
-    plan: GroupPlan,
-    half_weights: np.ndarray,
-    *,
-    collect_rounds: bool = True,
-) -> tuple[np.ndarray, list[RoundStats]]:
-    """Interpreted reference of :func:`suitor_rounds_numpy`."""
-    n = plan.n
-    rounds: list[RoundStats] = []
-    if plan.n_half == 0:
-        return np.full(n, -1, dtype=np.int64), rounds
-    hw = _check_half_weights(plan, half_weights).tolist()
-    indptr = plan.indptr_list
-    adj = plan.neighbors_list
-
-    suitor = [-1] * n
-    suitor_w = [0.0] * n
-    worklist = list(range(n))
-    round_index = 0
-    mutual_before = 0
-    while worklist:
-        scanned = 0
-        proposals: dict[int, tuple[float, int]] = {}  # t -> (w, u)
-        losers: list[int] = []
-        for u in worklist:
-            best_w = 0.0
-            best_t = -1
-            for k in range(indptr[u], indptr[u + 1]):
-                w = hw[k]
-                t = adj[k]
-                scanned += 1
-                if w <= 0.0:
-                    continue
-                sw = suitor_w[t]
-                s = suitor[t]
-                if not (w > sw or (w == sw and (s == -1 or u < s))):
-                    continue
-                if w > best_w:  # adjacency is id-sorted: ties keep smaller t
-                    best_w = w
-                    best_t = t
-            if best_t == -1:
-                continue  # retires: standing offers only get harder to beat
-            cur = proposals.get(best_t)
-            if cur is None or best_w > cur[0] or (best_w == cur[0] and u < cur[1]):
-                if cur is not None:
-                    losers.append(cur[1])
-                proposals[best_t] = (best_w, u)
-            else:
-                losers.append(u)
-        if scanned == 0:
-            break
-        if not proposals:
-            if collect_rounds:
-                rounds.append(RoundStats(
-                    round_index=round_index,
-                    queue_size=len(worklist),
-                    vertices_matched=0,
-                    adjacency_scanned=scanned,
-                    atomics=0,
-                ))
-            break
-        next_work: set[int] = set(losers)
-        for t, (w, u) in proposals.items():
-            prev = suitor[t]
-            suitor[t] = u
-            suitor_w[t] = w
-            if prev != -1:
-                next_work.add(prev)
-        if collect_rounds:
-            mutual_now = sum(
-                1 for v in range(n)
-                if suitor[v] > v and suitor[suitor[v]] == v
-            )
-            rounds.append(RoundStats(
-                round_index=round_index,
-                queue_size=len(worklist),
-                vertices_matched=2 * (mutual_now - mutual_before),
-                adjacency_scanned=scanned,
-                atomics=len(proposals),
-            ))
-            mutual_before = mutual_now
-        worklist = sorted(next_work)
-        round_index += 1
-
-    return np.array(suitor, dtype=np.int64), rounds
-
-
-# ----------------------------------------------------------------------
-# Greedy rounds (one argsort + conflict-free prefix commits)
-# ----------------------------------------------------------------------
-
-def greedy_rounds_numpy(
-    order_a: np.ndarray,
-    order_b: np.ndarray,
-    n_a: int,
-    n_b: int,
-    *,
-    collect_rounds: bool = True,
-) -> tuple[np.ndarray, list[RoundStats]]:
-    """Round-synchronous greedy over edges pre-sorted by ``(-w, edge id)``.
-
-    ``order_a``/``order_b`` are the endpoints of the positive edges in
-    scan order.  Each round commits every surviving edge that is the
-    first survivor for *both* of its endpoints (conflict-free by
-    construction), then compacts away edges touching a matched vertex.
-    Equals the serial sorted scan; the first surviving edge always
-    commits, so the loop terminates in ≤ cardinality rounds.
-    """
-    oa = asarray_i64(order_a)
-    ob = asarray_i64(order_b)
-    mate_a = np.full(n_a, -1, dtype=np.int64)
-    a_used = np.zeros(n_a, dtype=bool)
-    b_used = np.zeros(n_b, dtype=bool)
-    rounds: list[RoundStats] = []
-    round_index = 0
-    while len(oa):
-        first_a = np.zeros(len(oa), dtype=bool)
-        first_a[np.unique(oa, return_index=True)[1]] = True
-        first_b = np.zeros(len(ob), dtype=bool)
-        first_b[np.unique(ob, return_index=True)[1]] = True
-        commit = first_a & first_b
-        ca = oa[commit]
-        cb = ob[commit]
-        mate_a[ca] = cb
-        a_used[ca] = True
-        b_used[cb] = True
-        if collect_rounds:
-            rounds.append(RoundStats(
-                round_index=round_index,
-                queue_size=int(len(oa)),
-                vertices_matched=2 * len(ca),
-                adjacency_scanned=int(len(oa)),
-                atomics=2 * len(ca),
-            ))
-        keep = ~(a_used[oa] | b_used[ob])
-        oa = oa[keep]
-        ob = ob[keep]
-        round_index += 1
-    return mate_a, rounds
-
-
-def greedy_rounds_python(
-    order_a: np.ndarray,
-    order_b: np.ndarray,
-    n_a: int,
-    n_b: int,
-    *,
-    collect_rounds: bool = True,
-) -> tuple[np.ndarray, list[RoundStats]]:
-    """Interpreted reference of :func:`greedy_rounds_numpy`."""
-    oa = asarray_i64(order_a).tolist()
-    ob = asarray_i64(order_b).tolist()
-    mate = [-1] * n_a
-    a_used = [False] * n_a
-    b_used = [False] * n_b
-    rounds: list[RoundStats] = []
-    round_index = 0
-    while oa:
-        seen_a: set[int] = set()
-        seen_b: set[int] = set()
-        committed = 0
-        for a, b in zip(oa, ob):
-            fa = a not in seen_a
-            fb = b not in seen_b
-            seen_a.add(a)
-            seen_b.add(b)
-            if fa and fb:
-                mate[a] = b
-                a_used[a] = True
-                b_used[b] = True
-                committed += 1
-        if collect_rounds:
-            rounds.append(RoundStats(
-                round_index=round_index,
-                queue_size=len(oa),
-                vertices_matched=2 * committed,
-                adjacency_scanned=len(oa),
-                atomics=2 * committed,
-            ))
-        alive = [
-            (a, b) for a, b in zip(oa, ob)
-            if not a_used[a] and not b_used[b]
-        ]
-        oa = [a for a, _ in alive]
-        ob = [b for _, b in alive]
-        round_index += 1
-    return np.array(mate, dtype=np.int64), rounds
-
-
-# ----------------------------------------------------------------------
-# Auction rounds (Jacobi-style batched bidding)
-# ----------------------------------------------------------------------
-
-def auction_rounds_numpy(
-    ptr: np.ndarray,
-    bid_b: np.ndarray,
-    bid_w: np.ndarray,
-    n_a: int,
-    n_b: int,
-    epsilon: float,
-    *,
-    collect_rounds: bool = True,
-) -> tuple[np.ndarray, list[RoundStats]]:
-    """Jacobi auction over the positive-edge CSR ``(ptr, bid_b, bid_w)``.
-
-    Every round, all active bidders evaluate net values against the same
-    start-of-round prices and bid ``best − second + ε`` on their best
-    object (second-best floored at the value 0 of staying unmatched, the
-    sequential matcher's convention); each object takes the largest
-    increment (ties to the smaller bidder id), dethroning its owner.
-    Losers and dethroned owners re-bid next round; a bidder whose best
-    net value is ≤ 0 retires permanently (prices only rise).
-    """
-    ptr = asarray_i64(ptr)
-    bb = asarray_i64(bid_b)
-    bw = asarray_f64(bid_w)
-    deg = np.diff(ptr)
-    prices = np.zeros(n_b, dtype=np.float64)
-    owner = np.full(n_b, -1, dtype=np.int64)
-    assigned = np.full(n_a, -1, dtype=np.int64)
-    active = np.flatnonzero(deg > 0).astype(np.int64)
-    rounds: list[RoundStats] = []
-    round_index = 0
-    while len(active):
-        counts = deg[active]
-        total = int(counts.sum())
-        cum = np.cumsum(counts)
-        offs = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
-        hidx = np.repeat(ptr[active], counts) + offs
-        src_k = np.repeat(active, counts)
-        j_k = bb[hidx]
-        v_k = bw[hidx] - prices[j_k]
-        # Per bidder: best value (ties to scan order = smaller object id)
-        # and the value of the best alternative, floored at 0.
-        order = np.lexsort((hidx, -v_k, src_k))
-        src_s = src_k[order]
-        first = np.empty(total, dtype=bool)
-        first[0] = True
-        first[1:] = src_s[1:] != src_s[:-1]
-        fidx = np.flatnonzero(first)
-        v_s = v_k[order]
-        best_u = src_s[fidx]
-        best_v = v_s[fidx]
-        best_j = j_k[order][fidx]
-        second_v = np.zeros(len(fidx), dtype=np.float64)
-        nxt = fidx + 1
-        in_range = nxt < total
-        has2 = np.zeros(len(fidx), dtype=bool)
-        has2[in_range] = src_s[nxt[in_range]] == src_s[fidx[in_range]]
-        second_v[has2] = np.maximum(v_s[nxt[has2]], 0.0)
-        bid_mask = best_v > 0.0  # the rest retire permanently
-        u_b = best_u[bid_mask]
-        if len(u_b) == 0:
-            if collect_rounds:
-                rounds.append(RoundStats(
-                    round_index=round_index,
-                    queue_size=int(len(active)),
-                    vertices_matched=0,
-                    adjacency_scanned=total,
-                    atomics=0,
-                ))
-            break
-        j_b = best_j[bid_mask]
-        inc_b = best_v[bid_mask] - second_v[bid_mask] + epsilon
-        # Per object: largest increment wins, ties to the smaller bidder.
-        order2 = np.lexsort((u_b, -inc_b, j_b))
-        j_s = j_b[order2]
-        win = np.empty(len(order2), dtype=bool)
-        win[0] = True
-        win[1:] = j_s[1:] != j_s[:-1]
-        j_w = j_s[win]
-        u_w = u_b[order2][win]
-        inc_w = inc_b[order2][win]
-        prev = owner[j_w]
-        newly = int(np.count_nonzero(prev == -1))
-        owner[j_w] = u_w
-        assigned[u_w] = j_w
-        prices[j_w] += inc_w
-        dethroned = prev[prev != -1]
-        assigned[dethroned] = -1
-        losers = u_b[order2][~win]
-        if collect_rounds:
-            rounds.append(RoundStats(
-                round_index=round_index,
-                queue_size=int(len(active)),
-                vertices_matched=2 * newly,
-                adjacency_scanned=total,
-                atomics=int(len(j_w)),
-            ))
-        active = np.unique(np.concatenate([losers, dethroned]))
-        round_index += 1
-    return assigned, rounds
-
-
-def auction_rounds_python(
-    ptr: np.ndarray,
-    bid_b: np.ndarray,
-    bid_w: np.ndarray,
-    n_a: int,
-    n_b: int,
-    epsilon: float,
-    *,
-    collect_rounds: bool = True,
-) -> tuple[np.ndarray, list[RoundStats]]:
-    """Interpreted reference of :func:`auction_rounds_numpy`."""
-    ptr_l = asarray_i64(ptr).tolist()
-    b_l = asarray_i64(bid_b).tolist()
-    w_l = asarray_f64(bid_w).tolist()
-    prices = [0.0] * n_b
-    owner = [-1] * n_b
-    assigned = [-1] * n_a
-    active = [a for a in range(n_a) if ptr_l[a] < ptr_l[a + 1]]
-    rounds: list[RoundStats] = []
-    round_index = 0
-    while active:
-        scanned = 0
-        bids: dict[int, tuple[float, int]] = {}  # j -> (increment, bidder)
-        losers: list[int] = []
-        for a in active:
-            best_j = -1
-            best_v = 0.0  # the unmatched option is worth 0
-            second_v = 0.0
-            for k in range(ptr_l[a], ptr_l[a + 1]):
-                scanned += 1
-                v = w_l[k] - prices[b_l[k]]
-                if v > best_v:
-                    second_v = best_v
-                    best_v = v
-                    best_j = b_l[k]
-                elif v > second_v:
-                    second_v = v
-            if best_j < 0 or best_v <= 0.0:
-                continue  # prices only rise: permanently retired
-            inc = best_v - second_v + epsilon
-            cur = bids.get(best_j)
-            if cur is None or inc > cur[0] or (inc == cur[0] and a < cur[1]):
-                if cur is not None:
-                    losers.append(cur[1])
-                bids[best_j] = (inc, a)
-            else:
-                losers.append(a)
-        if not bids:
-            if collect_rounds:
-                rounds.append(RoundStats(
-                    round_index=round_index,
-                    queue_size=len(active),
-                    vertices_matched=0,
-                    adjacency_scanned=scanned,
-                    atomics=0,
-                ))
-            break
-        dethroned: list[int] = []
-        newly = 0
-        for j, (inc, u) in bids.items():
-            prev = owner[j]
-            if prev == -1:
-                newly += 1
-            else:
-                assigned[prev] = -1
-                dethroned.append(prev)
-            owner[j] = u
-            assigned[u] = j
-            prices[j] += inc
-        if collect_rounds:
-            rounds.append(RoundStats(
-                round_index=round_index,
-                queue_size=len(active),
-                vertices_matched=2 * newly,
-                adjacency_scanned=scanned,
-                atomics=len(bids),
-            ))
-        active = sorted(set(losers) | set(dethroned))
-        round_index += 1
-    return np.array(assigned, dtype=np.int64), rounds
-
-
-# ----------------------------------------------------------------------
-# Graph-level dispatch
-# ----------------------------------------------------------------------
-
-def _check_weights(graph: BipartiteGraph, weights) -> np.ndarray:
-    w_vec = graph.weights if weights is None else asarray_f64(weights)
-    if w_vec.shape != (graph.n_edges,):
-        raise DimensionError("weights has wrong length")
-    return w_vec
-
-
-def _mate_a_from_general(mate: np.ndarray, n_a: int) -> np.ndarray:
-    head = mate[:n_a]
-    return np.where(head >= 0, head - n_a, -1).astype(np.int64)
-
-
-def _mate_a_from_suitor(suitor: np.ndarray, n_a: int) -> np.ndarray:
-    mate_a = np.full(n_a, -1, dtype=np.int64)
-    idx = np.flatnonzero(suitor[:n_a] >= 0)
-    if len(idx):
-        targets = suitor[idx]
-        mutual = suitor[targets] == idx
-        mate_a[idx[mutual]] = targets[mutual] - n_a
-    return mate_a
-
-
-def run_kernel(
-    kind: str,
-    backend: str,
-    graph: BipartiteGraph,
-    weights: np.ndarray | None = None,
-    *,
-    collect_rounds: bool = True,
-    epsilon: float | None = None,
-) -> tuple[np.ndarray, list[RoundStats], np.ndarray]:
-    """Run one round-synchronous kernel on a bipartite L.
-
-    Returns ``(mate_a, rounds, w_vec)``.  ``kind`` must be one of
-    :data:`KERNEL_KINDS`; ``backend`` is ``"python"`` or ``"numpy"``.
-    ``epsilon`` applies to the auction kind only and defaults to the
-    sequential matcher's ``max_weight / (4·(n_a + n_b))``.
-    """
-    if kind not in KERNEL_KINDS:
-        raise ConfigurationError(f"no kernel for matcher kind {kind!r}")
-    if backend not in ("python", "numpy"):
-        raise ConfigurationError(f"unknown matching backend {backend!r}")
-    w_vec = _check_weights(graph, weights)
-    use_numpy = backend == "numpy"
-
-    if kind == "approx":
-        plan = get_plan(graph)
-        fn = (locally_dominant_rounds_numpy if use_numpy
-              else locally_dominant_rounds_python)
-        mate, rounds = fn(
-            plan, w_vec[plan.half_eid], collect_rounds=collect_rounds
-        )
-        return _mate_a_from_general(mate, graph.n_a), rounds, w_vec
-
-    if kind == "suitor":
-        plan = get_plan(graph)
-        fn = suitor_rounds_numpy if use_numpy else suitor_rounds_python
-        suitor, rounds = fn(
-            plan, w_vec[plan.half_eid], collect_rounds=collect_rounds
-        )
-        return _mate_a_from_suitor(suitor, graph.n_a), rounds, w_vec
-
-    if kind == "greedy":
-        positive = np.flatnonzero(w_vec > 0)
-        # Edge ids are (a, b)-lexicographic, so the stable sort yields the
-        # reference matcher's deterministic tie order.
-        order = positive[np.argsort(-w_vec[positive], kind="stable")]
-        fn = greedy_rounds_numpy if use_numpy else greedy_rounds_python
-        mate_a, rounds = fn(
-            graph.edge_a[order], graph.edge_b[order],
-            graph.n_a, graph.n_b, collect_rounds=collect_rounds,
-        )
-        return mate_a, rounds, w_vec
-
-    # kind == "auction"
-    keep = w_vec > 0.0
-    if not keep.any():
-        return np.full(graph.n_a, -1, dtype=np.int64), [], w_vec
-    if epsilon is None:
-        epsilon = float(w_vec[keep].max()) / (4.0 * (graph.n_a + graph.n_b))
-    if epsilon <= 0:
-        raise ConfigurationError("epsilon must be positive")
-    a_f = graph.edge_a[keep]
-    ptr = np.zeros(graph.n_a + 1, dtype=np.int64)
-    np.add.at(ptr, a_f + 1, 1)
-    np.cumsum(ptr, out=ptr)
-    fn = auction_rounds_numpy if use_numpy else auction_rounds_python
-    mate_a, rounds = fn(
-        ptr, graph.edge_b[keep], w_vec[keep],
-        graph.n_a, graph.n_b, epsilon, collect_rounds=collect_rounds,
-    )
-    return mate_a, rounds, w_vec

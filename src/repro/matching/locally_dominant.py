@@ -34,7 +34,7 @@ from repro.matching.instrument import observed_matcher
 from repro.matching.kernels import (
     GroupPlan,
     get_plan,
-    locally_dominant_rounds_numpy,
+    locally_dominant_rounds,
 )
 from repro.matching.result import MatchingResult, RoundStats
 from repro.sparse.bipartite import BipartiteGraph
@@ -211,7 +211,7 @@ def locally_dominant_matching_vectorized(
     Phase-2 ``while`` iterations.
 
     The rounds core is :func:`repro.matching.kernels
-    .locally_dominant_rounds_numpy` running on the graph's cached
+    .locally_dominant_rounds` running on the graph's cached
     :class:`~repro.matching.kernels.GroupPlan`, so repeated rounding of
     the same L structure skips the ``as_general_graph()`` conversion.
     """
@@ -219,7 +219,7 @@ def locally_dominant_matching_vectorized(
     if w_vec.shape != (graph.n_edges,):
         raise DimensionError("weights has wrong length")
     plan = get_plan(graph)
-    mate, rounds = locally_dominant_rounds_numpy(
+    mate, rounds = locally_dominant_rounds(
         plan, w_vec[plan.half_eid],
         collect_rounds=collect_rounds, max_rounds=max_rounds,
     )
@@ -251,13 +251,13 @@ def locally_dominant_mates(
     neighbor id.
 
     The implementation is :func:`repro.matching.kernels
-    .locally_dominant_rounds_numpy` on an uncached one-shot plan;
+    .locally_dominant_rounds` on an uncached one-shot plan;
     callers that repeatedly match the same structure should build a
     :class:`~repro.matching.kernels.GroupPlan` once (or go through the
     bipartite entry points, which cache plans per L structure).
     """
     plan = GroupPlan.from_csr(indptr, neighbors)
-    return locally_dominant_rounds_numpy(
+    return locally_dominant_rounds(
         plan, half_weights,
         collect_rounds=collect_rounds, max_rounds=max_rounds,
     )

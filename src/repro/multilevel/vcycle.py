@@ -30,13 +30,7 @@ from repro.core.bp import BPConfig, belief_propagation_align
 from repro.core.klau import KlauConfig, klau_align
 from repro.core.problem import NetworkAlignmentProblem
 from repro.core.result import AlignmentResult, IterationRecord
-from repro.core.rounding import (
-    MATCHER_KINDS,
-    Matcher,
-    make_matcher,
-    round_heuristic,
-)
-from repro.matching.kernels import KERNEL_KINDS
+from repro.core.rounding import MATCHER_KINDS, round_heuristic
 from repro.errors import ConfigurationError
 from repro.multilevel.coarsen import (
     CoarsenedGraph,
@@ -252,25 +246,10 @@ def _build_hierarchy(
     return levels
 
 
-def _resolve_matcher(
-    kind: str, parallel: ParallelConfig | None
-) -> str | Matcher:
-    """Apply ``parallel.matching_backend`` to kernel-capable kinds.
-
-    The exact matchers have no backend kernels; they keep their string
-    form (the backend directive targets the approximate family, it is
-    not an error to combine it with an exact refine matcher).
-    """
-    backend = None if parallel is None else parallel.matching_backend
-    if backend is not None and kind in KERNEL_KINDS:
-        return make_matcher(kind, backend=backend)
-    return kind
-
-
 def _round_prior(
     problem: NetworkAlignmentProblem,
     g_vec: np.ndarray,
-    matcher: str | Matcher,
+    matcher: str,
     result: AlignmentResult | None,
 ) -> AlignmentResult:
     """Round the prior vector itself; keep it if it beats the refine.
@@ -381,8 +360,7 @@ def _vcycle(
         # and the refine pass's own final exact rounding already polishes
         # a well-conditioned BP vector.
         result = _round_prior(
-            fine_problem, g_vec,
-            _resolve_matcher(config.refine_matcher, parallel), refined,
+            fine_problem, g_vec, config.refine_matcher, refined
         )
 
     return AlignmentResult(

@@ -46,9 +46,8 @@ Event types
     One supervised retry of a failed or timed-out task, with the
     backoff it slept; emitted by ``resilience/supervise.py``.
 ``backend_degraded``
-    One taken step down a degradation ladder (execution backend or
-    matching kernel); emitted by ``resilience/degrade.py`` and the
-    kernel fallback in ``matching/backends.py``.
+    One taken step down the execution-backend degradation ladder;
+    emitted by ``resilience/degrade.py``.
 ``checkpoint``
     One saved :class:`repro.resilience.SolverCheckpoint`; emitted by
     ``resilience/checkpoint.py`` on behalf of BP and Klau.

@@ -6,16 +6,16 @@ in four pieces (see ``docs/resilience.md`` for the full story):
 * :mod:`~repro.resilience.faults` — a deterministic fault-injection
   harness (:class:`FaultPlan`: seeded crash/hang/slow/corrupt faults
   addressable by call site, task index, or worker id) with hooks in
-  ``parallel_map``, the rounding pool, the matching backends, and —
-  via :class:`MachineFaults` — simulated core failures and stragglers
-  in the machine simulator;
+  ``parallel_map``, the rounding pool, the solver iterations, the job
+  server, and — via :class:`MachineFaults` — simulated core failures
+  and stragglers in the machine simulator;
 * :mod:`~repro.resilience.supervise` — :func:`supervised_map`:
   per-task timeouts, bounded retries with exponential backoff + jitter,
   dead-worker detection with task requeue, and a per-backend
   :class:`CircuitBreaker`;
 * :mod:`~repro.resilience.degrade` — the graceful-degradation ladder
-  (``process → threaded → serial`` execution, ``numpy → python``
-  matching kernels), bit-identical by the backend contract;
+  (``process → threaded → serial`` execution), bit-identical by the
+  backend contract;
 * :mod:`~repro.resilience.checkpoint` — :class:`SolverCheckpoint` /
   :class:`CheckpointStore` so supervised retries of BP and Klau
   warm-resume instead of restarting.
@@ -33,13 +33,10 @@ from repro.resilience.checkpoint import (
     get_checkpoint_store,
 )
 from repro.resilience.config import ResilienceConfig
-from repro.resilience.degrade import (
-    EXECUTION_LADDER,
-    MATCHING_LADDER,
-    next_step,
-)
+from repro.resilience.degrade import EXECUTION_LADDER, next_step
 from repro.resilience.faults import (
     FAULT_KINDS,
+    FAULT_SITES,
     FaultPlan,
     FaultSpec,
     MachineFaults,
@@ -58,7 +55,7 @@ from repro.resilience.supervise import (
 __all__ = [
     "EXECUTION_LADDER",
     "FAULT_KINDS",
-    "MATCHING_LADDER",
+    "FAULT_SITES",
     "CheckpointStore",
     "CircuitBreaker",
     "FaultPlan",

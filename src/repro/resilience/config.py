@@ -4,8 +4,7 @@ Attach one to :class:`repro.accel.ParallelConfig` (its ``resilience``
 field) to put every fanned-out task under supervision: a per-task
 timeout, a bounded retry budget with exponential backoff + jitter, a
 per-backend circuit breaker, and — when ``fallback`` is on — the
-graceful-degradation ladder (``process → threaded → serial`` execution,
-``numpy → python`` matching kernels).
+graceful-degradation ladder (``process → threaded → serial``).
 
 Leaving ``resilience`` unset keeps the historical fast paths: no
 supervision wrapper, no timeouts, zero overhead (the acceptance

@@ -1,13 +1,9 @@
 """The graceful-degradation ladder.
 
-Two independent ladders, both ordered fastest-first and ending on the
-reference implementation:
-
-* execution backends: ``process → threaded → serial`` — the serial rung
-  is the bit-identical reference, so a batch that degrades all the way
-  down still returns exactly the fault-free answer;
-* matching kernels: ``numpy → python`` — the interpreted reference the
-  round-synchronous kernels are tested bit-identical against.
+One ladder of execution backends, ordered fastest-first and ending on
+the reference implementation: ``process → threaded → serial``.  The
+serial rung is the bit-identical reference, so a batch that degrades
+all the way down still returns exactly the fault-free answer.
 
 :func:`next_step` answers "where does this rung fall to?"; stepping off
 the last rung raises :class:`~repro.errors.BackendUnavailableError`.
@@ -22,7 +18,6 @@ from repro.observe import get_bus
 
 __all__ = [
     "EXECUTION_LADDER",
-    "MATCHING_LADDER",
     "emit_degradation",
     "next_step",
 ]
@@ -30,15 +25,11 @@ __all__ = [
 #: Execution-backend ladder, fastest first, reference last.
 EXECUTION_LADDER: tuple[str, ...] = ("process", "threaded", "serial")
 
-#: Matching-kernel ladder, fastest first, reference last.
-MATCHING_LADDER: tuple[str, ...] = ("numpy", "python")
-
 
 def next_step(ladder: tuple[str, ...], current: str) -> str:
     """The rung below ``current``, or raise when already on the floor.
 
-    A ``current`` not on the ladder (e.g. matching_backend ``None``,
-    meaning "each kind's historical kernel") has nothing to fall to.
+    A ``current`` not on the ladder has nothing to fall to.
     """
     try:
         pos = ladder.index(current)

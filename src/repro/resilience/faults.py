@@ -3,9 +3,9 @@
 A :class:`FaultPlan` is a *seeded, replayable* description of the faults
 to inject into a run: each :class:`FaultSpec` names a fault ``kind``
 (``crash`` | ``hang`` | ``slow`` | ``corrupt``), the call ``site`` it
-arms (``"parallel_map"``, ``"rounding"``, ``"matching"``,
-``"solve"``, ``"solver.iteration"``, or ``"*"`` for every site), and an
-optional ``task_index`` / ``worker_id`` address.  Whether a given
+arms (one of :data:`FAULT_SITES`: ``"parallel_map"``, ``"rounding"``,
+``"solver.iteration"``, ``"serve.job"``, or ``"*"`` for every site), and
+an optional ``task_index`` / ``worker_id`` address.  Whether a given
 consultation fires is a pure function of ``(plan.seed, spec position,
 site, task_index, worker_id, attempt)`` — **not** of wall clock or
 thread interleaving — so a seeded plan reproduces the identical fault
@@ -56,6 +56,7 @@ from repro.observe import get_bus
 
 __all__ = [
     "FAULT_KINDS",
+    "FAULT_SITES",
     "FaultSpec",
     "FaultPlan",
     "MachineFaults",
@@ -70,6 +71,12 @@ __all__ = [
 #: The recognized fault kinds.
 FAULT_KINDS = ("crash", "hang", "slow", "corrupt")
 
+#: The sites some code consults (plus ``"*"``, every site).  A spec
+#: aimed anywhere else could never fire, so a chaos run using it would
+#: pass without any chaos.
+FAULT_SITES = ("*", "parallel_map", "rounding", "solver.iteration",
+               "serve.job")
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -80,7 +87,8 @@ class FaultSpec:
     kind:
         One of :data:`FAULT_KINDS`.
     site:
-        Call-site name the fault arms, or ``"*"`` for every site.
+        Call-site name the fault arms, one of :data:`FAULT_SITES`
+        (``"*"`` arms every site).
     task_index:
         Only fire for this task index (``None`` = any task).
     worker_id:
@@ -108,6 +116,11 @@ class FaultSpec:
             raise ConfigurationError(
                 f"unknown fault kind {self.kind!r}; expected one of "
                 f"{FAULT_KINDS}"
+            )
+        if self.site not in FAULT_SITES:
+            raise ConfigurationError(
+                f"unknown fault site {self.site!r}; expected one of "
+                f"{FAULT_SITES}"
             )
         if not (0.0 <= self.probability <= 1.0):
             raise ConfigurationError("probability must be in [0, 1]")

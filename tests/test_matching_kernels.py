@@ -1,16 +1,17 @@
-"""Tests for the round-synchronous matching kernels and backend registry.
+"""Tests for the locally-dominant rounds kernel and its group-plan cache.
 
-The contracts under test (docs/performance.md "Matching kernels"):
+The contracts under test:
 
-* the ``"numpy"`` kernels are **bit-identical** to their ``"python"``
-  references — same mates, same weight, same per-round
-  :class:`RoundStats` stream — for every kind in ``KERNEL_KINDS``;
-* the kernel matchers agree with the historical reference matchers
-  (``locally_dominant_matching_vectorized``, ``suitor_matching``,
-  ``greedy_matching``) including tie-breaks on duplicate weights;
+* the ``"approx"`` matcher — the rounds kernel of
+  :mod:`repro.matching.kernels` — is **bit-identical** to the
+  interpreted oracle in ``tests/oracles.py``: same mates, same per-round
+  :class:`RoundStats` stream, including tie-breaks on duplicate weights;
+* both agree with the queue-form matcher (``"approx-queue"``), and the
+  whole ½-approximation family resolves ties identically;
+* every approximate matcher kind returns valid matchings whose rounds
+  (if any) the machine simulator can replay;
 * group plans are cached and reused across calls on the same L
-  structure;
-* the registry and config layers reject unknown kinds/backends loudly.
+  structure.
 """
 
 import numpy as np
@@ -18,46 +19,50 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BPConfig, belief_propagation_align
-from repro.core.rounding import RoundingWorkspace, make_matcher
-from repro.errors import ConfigurationError, DimensionError, TraceError
+from repro.core.rounding import make_matcher
+from repro.errors import DimensionError, TraceError
 from repro.machine.trace import matching_to_trace
 from repro.matching import (
-    KERNEL_KINDS,
-    MATCHING_BACKENDS,
-    KernelMatcher,
-    auction_matching,
-    available_matching_backends,
     check_matching,
     clear_plan_cache,
-    get_matching_backend,
     get_plan,
     greedy_matching,
     locally_dominant_matching,
     locally_dominant_matching_vectorized,
     max_weight_matching,
     plan_cache_stats,
-    run_kernel,
     suitor_matching,
 )
-from repro.matching.kernels import GroupPlan
+from repro.matching.kernels import GroupPlan, locally_dominant_rounds
 from repro.sparse.bipartite import BipartiteGraph
 
 from tests.helpers import random_bipartite
+from tests.oracles import locally_dominant_rounds_python
 
-#: Reference matcher per kernel kind (auction's Jacobi rounds legitimately
-#: differ from the sequential reference; its contract is python==numpy).
-REFERENCE = {
-    "approx": locally_dominant_matching_vectorized,
-    "suitor": suitor_matching,
-    "greedy": greedy_matching,
-}
+#: Matcher kinds whose production implementation is a rounds kernel.
+KERNEL_KIND = ["approx"]
+
+#: The ½-approximate matcher kinds besides ``approx-queue``.
+APPROX_KINDS = ["approx", "suitor", "greedy", "auction"]
+
+#: (python, numpy) = (the interpreted oracle, the production kernel).
+ROUNDS = {"python": locally_dominant_rounds_python,
+          "numpy": locally_dominant_rounds}
 
 
 def duplicate_heavy(graph: BipartiteGraph) -> BipartiteGraph:
     """Quantize weights so duplicates (and tie-breaks) are common."""
     w = np.round(np.abs(graph.weights) * 2.0) / 2.0
     return graph.with_weights(w)
+
+
+def rounds_match(backend: str, graph: BipartiteGraph, **kwargs):
+    """``(mate_a, rounds)`` of one rounds implementation on ``graph``."""
+    plan = get_plan(graph)
+    mate, rounds = ROUNDS[backend](
+        plan, graph.weights[plan.half_eid], **kwargs)
+    head = mate[:graph.n_a]
+    return np.where(head >= 0, head - graph.n_a, -1), rounds
 
 
 def assert_rounds_equal(ra, rb):
@@ -67,11 +72,11 @@ def assert_rounds_equal(ra, rb):
 
 
 # ----------------------------------------------------------------------
-# Cross-backend bit-identity
+# Kernel vs interpreted oracle
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("kind", KERNEL_KIND)
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), ties=st.booleans())
 def test_python_numpy_bit_identical(kind, seed, ties):
@@ -79,14 +84,13 @@ def test_python_numpy_bit_identical(kind, seed, ties):
     g = random_bipartite(rng, max_side=14)
     if ties:
         g = duplicate_heavy(g)
-    mp, rp, wp = run_kernel(kind, "python", g)
-    mn, rn, wn = run_kernel(kind, "numpy", g)
-    assert np.array_equal(mp, mn)
-    assert np.array_equal(wp, wn)
-    assert_rounds_equal(rp, rn)
+    mate_a, rounds = rounds_match("python", g)
+    res = make_matcher(kind)(g, g.weights)
+    assert np.array_equal(res.mate_a, mate_a)
+    assert_rounds_equal(res.rounds, rounds)
 
 
-@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("kind", ["approx", "suitor", "greedy"])
 @pytest.mark.parametrize(
     "graph",
     [
@@ -102,41 +106,42 @@ def test_python_numpy_bit_identical(kind, seed, ties):
     ids=["empty", "singleton", "all-zero", "ties"],
 )
 def test_degenerate_cases_cross_backend(kind, graph):
-    mp, rp, _ = run_kernel(kind, "python", graph)
-    mn, rn, _ = run_kernel(kind, "numpy", graph)
-    assert np.array_equal(mp, mn)
-    assert_rounds_equal(rp, rn)
+    """Each kind's matcher equals the oracle on degenerate graphs.
+
+    Suitor and greedy resolve ties like the locally-dominant rounds
+    (smaller-id tie-breaking), so their mates match too; only the
+    rounds kernel reports round stats.
+    """
+    mate_a, rounds = rounds_match("python", graph)
+    res = make_matcher(kind)(graph, graph.weights)
+    assert np.array_equal(res.mate_a, mate_a)
+    if kind in KERNEL_KIND:
+        assert_rounds_equal(res.rounds, rounds)
 
 
-@pytest.mark.parametrize("kind", KERNEL_KINDS)
-def test_kernel_matchings_are_valid(kind, rng):
-    for _ in range(20):
-        g = random_bipartite(rng)
-        matcher = KernelMatcher(kind, "numpy")
-        res = matcher(g)
-        check_matching(g, res)
-        # Only positive edges are ever selected.
-        if res.cardinality:
-            assert np.all(g.weights[res.edge_ids] > 0.0)
-
-
-# ----------------------------------------------------------------------
-# Kernel vs historical reference matchers (incl. tie-breaks)
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("kind", sorted(REFERENCE))
-@pytest.mark.parametrize("backend", MATCHING_BACKENDS)
+@pytest.mark.parametrize("kind", KERNEL_KIND)
+@pytest.mark.parametrize("backend", sorted(ROUNDS))
 @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
 def test_kernel_matches_reference(kind, backend, ties, rng):
+    """Oracle and kernel both equal the queue-form matcher."""
     for _ in range(25):
         g = random_bipartite(rng)
         if ties:
             g = duplicate_heavy(g)
-        ref = REFERENCE[kind](g)
-        res = KernelMatcher(kind, backend)(g)
-        assert np.array_equal(res.mate_a, ref.mate_a)
-        assert res.weight == ref.weight
+        ref = make_matcher(f"{kind}-queue")(g, g.weights)
+        mate_a, _ = rounds_match(backend, g)
+        assert np.array_equal(mate_a, ref.mate_a)
+
+
+@pytest.mark.parametrize("kind", APPROX_KINDS)
+def test_kernel_matchings_are_valid(kind, rng):
+    for _ in range(20):
+        g = random_bipartite(rng)
+        res = make_matcher(kind)(g, g.weights)
+        check_matching(g, res)
+        # Only positive edges are ever selected.
+        if res.cardinality:
+            assert np.all(g.weights[res.edge_ids] > 0.0)
 
 
 def test_half_approx_family_agrees_under_ties(rng):
@@ -148,9 +153,10 @@ def test_half_approx_family_agrees_under_ties(rng):
     for _ in range(25):
         g = duplicate_heavy(random_bipartite(rng))
         mates = [
-            run_kernel("approx", "numpy", g)[0],
-            run_kernel("suitor", "numpy", g)[0],
-            run_kernel("greedy", "numpy", g)[0],
+            rounds_match("python", g)[0],
+            locally_dominant_matching_vectorized(g).mate_a,
+            suitor_matching(g).mate_a,
+            greedy_matching(g).mate_a,
             locally_dominant_matching(g).mate_a,
         ]
         for m in mates[1:]:
@@ -158,27 +164,15 @@ def test_half_approx_family_agrees_under_ties(rng):
 
 
 def test_auction_epsilon_bound(rng):
-    """Jacobi auction keeps the n·ε additive guarantee of the reference."""
+    """The auction matcher keeps its n·ε additive guarantee."""
     for _ in range(15):
         g = random_bipartite(rng, allow_negative=False)
         exact = max_weight_matching(g)
         n = g.n_a + g.n_b
-        for backend in MATCHING_BACKENDS:
-            res = KernelMatcher(kind="auction", backend=backend)(g)
-            w = g.weights[g.weights > 0.0]
-            eps = float(w.max()) / (4.0 * n) if len(w) else 0.0
-            assert res.weight >= exact.weight - n * eps - 1e-9
-
-
-def test_auction_explicit_epsilon_and_errors():
-    g = BipartiteGraph.from_edges(2, 2, [0, 0, 1], [0, 1, 1],
-                                  [3.0, 1.0, 2.0])
-    ref = auction_matching(g, epsilon=0.05)
-    for backend in MATCHING_BACKENDS:
-        res = KernelMatcher("auction", backend, epsilon=0.05)(g)
-        assert res.weight == ref.weight
-    with pytest.raises(ConfigurationError):
-        run_kernel("auction", "numpy", g, epsilon=0.0)
+        res = make_matcher("auction")(g, g.weights)
+        w = g.weights[g.weights > 0.0]
+        eps = float(w.max()) / (4.0 * n) if len(w) else 0.0
+        assert res.weight >= exact.weight - n * eps - 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -186,10 +180,10 @@ def test_auction_explicit_epsilon_and_errors():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("kind", APPROX_KINDS)
 def test_rounds_feed_machine_trace(kind, rng):
     g = random_bipartite(rng, allow_negative=False)
-    res = KernelMatcher(kind, "numpy")(g)
+    res = make_matcher(kind)(g, g.weights)
     if res.rounds:
         trace = matching_to_trace("m", res, g)
         assert len(trace.rounds) == len(res.rounds)
@@ -200,10 +194,9 @@ def test_rounds_feed_machine_trace(kind, rng):
 
 def test_collect_rounds_off():
     g = BipartiteGraph.from_edges(2, 2, [0, 1], [0, 1], [1.0, 2.0])
-    for kind in KERNEL_KINDS:
-        mate, rounds, _ = run_kernel(kind, "numpy", g, collect_rounds=False)
-        assert rounds == []
-        assert np.array_equal(mate, run_kernel(kind, "python", g)[0])
+    mate_a, rounds = rounds_match("numpy", g, collect_rounds=False)
+    assert rounds == []
+    assert np.array_equal(mate_a, rounds_match("python", g)[0])
 
 
 # ----------------------------------------------------------------------
@@ -245,88 +238,6 @@ def test_group_plan_from_csr_matches_graph_plan(rng):
 def test_kernel_weight_length_checked():
     g = BipartiteGraph.from_edges(2, 2, [0, 1], [0, 1], [1.0, 2.0])
     with pytest.raises(DimensionError):
-        run_kernel("approx", "numpy", g, weights=np.ones(5))
-
-
-# ----------------------------------------------------------------------
-# Registry / config / factory surfaces
-# ----------------------------------------------------------------------
-
-
-def test_registry_contents():
-    for kind in KERNEL_KINDS:
-        for backend in MATCHING_BACKENDS:
-            spec = get_matching_backend(kind, backend)
-            assert spec.kind == kind and spec.backend == backend
-    assert len(available_matching_backends()) >= len(KERNEL_KINDS) * 2
-    assert {b for _, b in available_matching_backends("suitor")} == set(
-        MATCHING_BACKENDS
-    )
-    with pytest.raises(ConfigurationError):
-        get_matching_backend("approx", "fortran")
-    with pytest.raises(ConfigurationError):
-        get_matching_backend("exact", "numpy")
-
-
-def test_make_matcher_backend_selection():
-    m = make_matcher("suitor", backend="numpy")
-    assert isinstance(m, KernelMatcher)
-    assert m.kind == "suitor" and m.backend == "numpy"
-    with pytest.raises(ConfigurationError):
-        make_matcher("exact", backend="numpy")
-    with pytest.raises(ConfigurationError):
-        make_matcher("approx-queue", backend="python")
-
-
-def test_parallel_config_validates_matching_backend():
-    from repro.accel import ParallelConfig
-
-    cfg = ParallelConfig(matching_backend="numpy")
-    assert cfg.matching_backend == "numpy"
-    with pytest.raises(ConfigurationError):
-        ParallelConfig(matching_backend="jax")
-
-
-def test_workspace_prepare_builds_plan(medium_instance):
-    clear_plan_cache()
-    problem = medium_instance.problem
-    matcher = make_matcher("approx", backend="numpy")
-    base = plan_cache_stats()
-    RoundingWorkspace.for_problem(problem, matcher=matcher)
-    assert plan_cache_stats()["builds"] == base["builds"] + 1
-    matcher(problem.ell, problem.weights)
-    stats = plan_cache_stats()
-    assert stats["builds"] == base["builds"] + 1
-    assert stats["hits"] >= base["hits"] + 1
-
-
-# ----------------------------------------------------------------------
-# End-to-end: BP with a matching backend
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("backend", MATCHING_BACKENDS)
-def test_bp_matching_backend_bit_identical(small_instance, backend):
-    from repro.accel import ParallelConfig
-
-    problem = small_instance.problem
-    cfg = BPConfig(n_iter=5, matcher="approx")
-    serial = belief_propagation_align(problem, cfg)
-    kernel = belief_propagation_align(
-        problem, cfg, parallel=ParallelConfig(matching_backend=backend)
-    )
-    assert kernel.objective == serial.objective
-    assert np.array_equal(kernel.matching.mate_a, serial.matching.mate_a)
-
-
-def test_cli_matching_backend_smoke(tmp_path, capsys):
-    from repro.cli import main
-    from repro.generators.io import save_alignment_problem
-    from repro.generators.synthetic import powerlaw_alignment_instance
-
-    inst = powerlaw_alignment_instance(n=25, expected_degree=3, seed=0)
-    directory = str(tmp_path / "prob")
-    save_alignment_problem(directory, inst.problem)
-    main(["solve", directory, "--method", "bp", "--iters", "4",
-          "--matcher", "suitor", "--matching-backend", "numpy"])
-    assert "objective=" in capsys.readouterr().out
+        locally_dominant_matching_vectorized(g, weights=np.ones(5))
+    with pytest.raises(DimensionError):
+        locally_dominant_rounds(get_plan(g), np.ones(5))

@@ -34,7 +34,7 @@ from repro.observe.bus import EventBus, capture, set_bus
 from repro.registry import align
 from repro.resilience import (
     EXECUTION_LADDER,
-    MATCHING_LADDER,
+    FAULT_SITES,
     CheckpointStore,
     FaultPlan,
     FaultSpec,
@@ -175,6 +175,31 @@ class TestFaultPlanSerialization:
     def test_bad_kind_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown fault kind"):
             FaultSpec("explode")
+
+    @pytest.mark.parametrize("site", ["solve", "matching"])
+    def test_unconsulted_site_rejected(self, site):
+        """A spec aimed at a site no code consults could never fire."""
+        with pytest.raises(ConfigurationError, match="unknown fault site"):
+            FaultSpec("crash", site=site)
+        with pytest.raises(ConfigurationError, match="unknown fault site"):
+            FaultPlan.from_dict({"faults": [{"kind": "crash", "site": site}]})
+
+    def test_every_site_is_consulted(self):
+        """FAULT_SITES names exactly the sites the source consults."""
+        import pathlib
+        import re
+
+        import repro
+
+        src = pathlib.Path(repro.__file__).parent
+        consulted = set()
+        pattern = re.compile(
+            r"(?:maybe_inject\(|site=)\s*\"([\w.]+)\"")
+        for path in src.rglob("*.py"):
+            consulted |= set(pattern.findall(path.read_text()))
+        # supervised_map's default site.
+        consulted.add("parallel_map")
+        assert consulted == set(FAULT_SITES) - {"*"}
 
 
 @pytest.mark.chaos
@@ -351,7 +376,6 @@ class TestLadder:
     def test_next_step(self):
         assert next_step(EXECUTION_LADDER, "process") == "threaded"
         assert next_step(EXECUTION_LADDER, "threaded") == "serial"
-        assert next_step(MATCHING_LADDER, "numpy") == "python"
 
     def test_floor_raises(self):
         with pytest.raises(BackendUnavailableError):
@@ -510,33 +534,6 @@ class TestDegradedBitIdentity:
         assert np.array_equal(
             chaos.matching.mate_a, baseline.matching.mate_a
         )
-
-    def test_matching_kernel_falls_back_to_python(self, bus, rng):
-        from tests.helpers import random_bipartite
-
-        from repro.matching.backends import KernelMatcher
-
-        graph = random_bipartite(rng, max_side=10, allow_negative=False)
-        reference = KernelMatcher("approx", "python")(graph)
-        plan = FaultPlan([FaultSpec("crash", site="matching")], seed=0)
-        with fault_plan(plan), capture(bus=bus) as sink:
-            degraded = KernelMatcher("approx", "numpy")(graph)
-        [deg] = sink.of_type("backend_degraded")
-        assert deg.fields["site"] == "matching"
-        assert deg.fields["from_backend"] == "numpy"
-        assert deg.fields["to_backend"] == "python"
-        assert np.array_equal(degraded.mate_a, reference.mate_a)
-
-    def test_matching_kernel_identical_without_plan(self, rng):
-        from tests.helpers import random_bipartite
-
-        from repro.matching.backends import KernelMatcher
-
-        graph = random_bipartite(rng, max_side=10, allow_negative=False)
-        fast = KernelMatcher("approx", "numpy")(graph)
-        with fault_plan(FaultPlan([], seed=0)):
-            chaos_path = KernelMatcher("approx", "numpy")(graph)
-        assert np.array_equal(fast.mate_a, chaos_path.mate_a)
 
 
 # ----------------------------------------------------------------------
