@@ -11,6 +11,7 @@ __all__ = [
     "asarray_i64",
     "asarray_f64",
     "check_same_length",
+    "concat_ranges",
     "counting_sort_pairs",
 ]
 
@@ -43,6 +44,26 @@ def check_same_length(*arrays: Sequence | np.ndarray) -> int:
     if len(lengths) > 1:
         raise ValueError(f"arrays have mismatched lengths: {sorted(lengths)}")
     return lengths.pop() if lengths else 0
+
+
+def concat_ranges(
+    starts: np.ndarray, stops: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate the ``[start, stop)`` index ranges into one array.
+
+    Returns ``(indices, lengths)``; empty ranges contribute nothing but
+    keep their slot in ``lengths`` (callers need per-range boundaries).
+    This is how CSR rows are gathered without a Python loop.
+    """
+    lens = stops - starts
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if len(ends) else 0
+    if total == 0:
+        return np.empty(0, dtype=np.int64), lens
+    # Output k of range r is starts[r] + (k - range r's first output).
+    return np.repeat(starts - (ends - lens), lens) + np.arange(
+        total, dtype=np.int64
+    ), lens
 
 
 def counting_sort_pairs(

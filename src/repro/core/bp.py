@@ -25,6 +25,7 @@ from typing import Any
 
 import numpy as np
 
+from repro._util import concat_ranges
 from repro.configtools import ConfigBase
 from repro.core.othermax import othermax_col, othermax_grouped, othermax_row
 from repro.core.problem import NetworkAlignmentProblem
@@ -580,23 +581,16 @@ def _bp_run(
     return finish(result)
 
 
-def _concat_ranges(
-    starts: np.ndarray, stops: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate ``[start, stop)`` index ranges into one array.
+def _sorted_union(n: int, *index_arrays: np.ndarray) -> np.ndarray:
+    """The distinct values of ``index_arrays`` (all in ``[0, n)``), sorted.
 
-    Returns ``(indices, lengths)``; empty ranges contribute nothing but
-    keep their slot in ``lengths`` (callers need per-range boundaries).
+    A mark array and ``flatnonzero``: what ``np.unique`` of their
+    concatenation returns, without its sort.
     """
-    lens = (stops - starts).astype(np.int64)
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), lens
-    block_starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    out = np.repeat(starts, lens) + (
-        np.arange(total, dtype=np.int64) - np.repeat(block_starts, lens)
-    )
-    return out, lens
+    mark = np.zeros(n, dtype=bool)
+    for idx in index_arrays:
+        mark[idx] = True
+    return np.flatnonzero(mark)
 
 
 def _groups_of(
@@ -604,8 +598,8 @@ def _groups_of(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The positions in the othermax groups of ``vertices`` (``ptr`` is
     L's row or column pointer), and those groups' boundaries."""
-    groups = np.unique(vertices)
-    pos, lens = _concat_ranges(ptr[groups], ptr[groups + 1])
+    groups = _sorted_union(len(ptr) - 1, vertices)
+    pos, lens = concat_ranges(ptr[groups], ptr[groups + 1])
     return pos, np.concatenate([[0], np.cumsum(lens)])
 
 
@@ -628,8 +622,8 @@ def _active_sweep(
     """
     ell, s_mat = problem.ell, problem.squares
     # ---- Steps 1+2 on the active rows of S -------------------------
-    s_pos, row_lens = _concat_ranges(s_mat.indptr[active],
-                                     s_mat.indptr[active + 1])
+    s_pos, row_lens = concat_ranges(s_mat.indptr[active],
+                                    s_mat.indptr[active + 1])
     f_sub = np.clip(sk[problem.squares_transpose_perm[s_pos]]
                     + problem.beta, 0.0, problem.beta)
     rs = np.zeros(len(active))
@@ -666,10 +660,9 @@ def _frontier(problem: NetworkAlignmentProblem, hot: np.ndarray) -> np.ndarray:
     ell, s_mat = problem.ell, problem.squares
     e_rows, _ = _groups_of(ell.row_ptr, ell.edge_a[hot])
     pos_cols, _ = _groups_of(ell.col_ptr, ell.edge_b[hot])
-    s_pos, _ = _concat_ranges(s_mat.indptr[hot], s_mat.indptr[hot + 1])
-    return np.unique(np.concatenate(
-        [hot, e_rows, ell.col_perm[pos_cols], s_mat.indices[s_pos]]
-    ))
+    s_pos, _ = concat_ranges(s_mat.indptr[hot], s_mat.indptr[hot + 1])
+    return _sorted_union(ell.n_edges, hot, e_rows, ell.col_perm[pos_cols],
+                         s_mat.indices[s_pos])
 
 
 def _finalize(

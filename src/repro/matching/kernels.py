@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util import asarray_f64, asarray_i64
+from repro._util import asarray_f64, asarray_i64, concat_ranges
 from repro.errors import DimensionError
 from repro.matching.result import RoundStats
 from repro.observe import get_bus
@@ -64,23 +64,17 @@ class GroupPlan:
     """Precomputed segmented-reduction structure of a general graph.
 
     ``indptr``/``neighbors`` is the half-edge CSR adjacency over ``n``
-    vertices; for plans built from a :class:`BipartiteGraph` the first
-    ``n_a`` vertices are the A side and ``half_eid`` maps half-edges
-    back to L edge ids (so per-call weights are one gather).  The
-    remaining arrays are exactly what the segmented kernels need every
-    round — building them once per L structure instead of once per call
-    is the plan's whole point.
+    vertices and ``degrees`` its row lengths; for plans built from a
+    :class:`BipartiteGraph` the first ``n_a`` vertices are the A side
+    and ``half_eid`` maps half-edges back to L edge ids (so per-call
+    weights are one gather).  Building them once per L structure
+    instead of once per call is the plan's whole point.
     """
 
     n: int
     indptr: np.ndarray
     neighbors: np.ndarray
     degrees: np.ndarray
-    src: np.ndarray
-    seg_starts: np.ndarray
-    seg_rows: np.ndarray
-    n_a: int = -1
-    n_b: int = -1
     half_eid: np.ndarray | None = None
     #: Strong references pinning the structure key (see module docs).
     edge_a: np.ndarray | None = None
@@ -96,17 +90,11 @@ class GroupPlan:
         """Build a plan from a raw half-edge CSR adjacency."""
         indptr = asarray_i64(indptr)
         neighbors = asarray_i64(neighbors)
-        n = len(indptr) - 1
-        degrees = np.diff(indptr)
-        nonempty = degrees > 0
         return cls(
-            n=n,
+            n=len(indptr) - 1,
             indptr=indptr,
             neighbors=neighbors,
-            degrees=degrees,
-            src=np.repeat(np.arange(n, dtype=np.int64), degrees),
-            seg_starts=indptr[:-1][nonempty],
-            seg_rows=np.arange(n)[nonempty],
+            degrees=np.diff(indptr),
         )
 
     @classmethod
@@ -114,8 +102,6 @@ class GroupPlan:
         """Build the general-graph plan of a bipartite L."""
         indptr, neighbors, half_eid, _ = graph.as_general_graph()
         plan = cls.from_csr(indptr, neighbors)
-        plan.n_a = graph.n_a
-        plan.n_b = graph.n_b
         plan.half_eid = half_eid
         plan.edge_a = graph.edge_a
         plan.edge_b = graph.edge_b
@@ -235,15 +221,9 @@ def locally_dominant_rounds(
             nz = counts > 0
             candidate[work[~nz]] = -1
             wv = work[nz]
-            counts = counts[nz]
             if len(wv):
-                cum = np.cumsum(counts)
-                starts = cum - counts
-                total = int(cum[-1])
-                offs = np.arange(total, dtype=np.int64) - np.repeat(
-                    starts, counts
-                )
-                hidx = np.repeat(indptr[wv], counts) + offs
+                hidx, counts = concat_ranges(indptr[wv], indptr[wv + 1])
+                starts = np.cumsum(counts) - counts
                 t_k = neighbors[hidx]
                 usable = positive[hidx] & free[t_k]
                 masked = np.where(usable, hw[hidx], neg_inf)
@@ -280,13 +260,7 @@ def locally_dominant_rounds(
         # Vertices adjacent to newly matched ones will need new candidates.
         candidate_stale[:] = False
         newly = np.concatenate([new_lo, new_hi])
-        ncounts = degrees[newly]
-        ncum = np.cumsum(ncounts)
-        ntotal = int(ncum[-1]) if len(ncum) else 0
-        noffs = np.arange(ntotal, dtype=np.int64) - np.repeat(
-            ncum - ncounts, ncounts
-        )
-        nhidx = np.repeat(indptr[newly], ncounts) + noffs
+        nhidx, _ = concat_ranges(indptr[newly], indptr[newly + 1])
         candidate_stale[neighbors[nhidx]] = True
         queue_size = len(newly)
         round_index += 1

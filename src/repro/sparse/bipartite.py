@@ -183,8 +183,8 @@ class BipartiteGraph:
     def lookup_edges(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vectorized ``(a, b) -> edge id`` lookup; ``-1`` where absent.
 
-        This is the hash join used to build the squares matrix **S**:
-        the edge keys are already sorted, so a ``searchsorted`` suffices.
+        The edge keys ``a·n_b + b`` are already sorted, so a
+        ``searchsorted`` suffices.
         """
         a = asarray_i64(a)
         b = asarray_i64(b)

@@ -231,8 +231,9 @@ def test_group_plan_from_csr_matches_graph_plan(rng):
     g = random_bipartite(rng, max_side=10)
     plan = get_plan(g)
     raw = GroupPlan.from_csr(plan.indptr, plan.neighbors)
-    assert np.array_equal(raw.src, plan.src)
-    assert np.array_equal(raw.seg_starts, plan.seg_starts)
+    assert raw.n == plan.n == g.n_a + g.n_b
+    for name in ("indptr", "neighbors", "degrees"):
+        assert np.array_equal(getattr(raw, name), getattr(plan, name))
 
 
 def test_kernel_weight_length_checked():
