@@ -15,7 +15,8 @@ Two fan-out shapes back the library's parallelism:
 Determinism contract: for a *stateless* matcher every backend computes
 the same floats in the same order as the serial path, so results are
 bit-identical — workers read the very same float64 bytes through shared
-memory and run the identical expression sequence as
+memory and score with the same
+:func:`repro.core.rounding.score_matching` as
 :func:`repro.core.rounding.round_heuristic`.  The parent replays
 tracker offers and ``rounding`` events in serial order, so histories and
 event streams are backend-independent (per-``matching`` events from
@@ -42,7 +43,11 @@ import numpy as np
 from repro.accel.config import ParallelConfig
 from repro.accel.shm import SharedProblem
 from repro.core.problem import NetworkAlignmentProblem
-from repro.core.rounding import RoundingWorkspace, make_matcher
+from repro.core.rounding import (
+    RoundingWorkspace,
+    make_matcher,
+    score_matching,
+)
 from repro.errors import ConfigurationError
 from repro.matching.result import MatchingResult
 from repro.observe import get_bus
@@ -142,11 +147,11 @@ def _round_with(
     workspace: RoundingWorkspace,
     g: np.ndarray,
 ) -> tuple[float, float, float, MatchingResult]:
-    """One rounding, expression-for-expression the serial hot path.
+    """One rounding: the serial hot path's matcher call and scorer.
 
-    Mirrors :func:`repro.core.rounding.round_heuristic` exactly (same
-    matcher call, same indicator gather, same ``objective_parts``
-    invocation) so the floats are bit-identical across backends.
+    Calls the matcher and :func:`repro.core.rounding.score_matching` the
+    way :func:`repro.core.rounding.round_heuristic` does, so the floats
+    are bit-identical across backends.
 
     This is the rounding layer's chaos consultation point (site
     ``"rounding"``): a ``crash`` fault raises here, wherever the task
@@ -157,11 +162,8 @@ def _round_with(
     """
     spec = maybe_inject("rounding")
     matching = matcher(problem.ell, np.asarray(g, dtype=np.float64))
-    x = workspace.x
-    x[:] = 0.0
-    x[matching.edge_ids] = 1.0
-    objective, weight_part, overlap_part = problem.objective_parts(
-        x, out=workspace.spmv_out
+    objective, weight_part, overlap_part = score_matching(
+        problem, matching, workspace.x
     )
     if spec is not None and spec.kind == "corrupt":
         return float("nan"), weight_part, overlap_part, matching

@@ -207,9 +207,9 @@ class SharedProblem:
 
     The parent builds one (forcing the squares matrix), passes
     :attr:`handle` to workers, and each worker materializes a problem
-    whose array payloads alias the shared segment —
-    ``problem.objective_parts`` in a worker is bit-identical to the
-    parent's because it reads the very same float64 bytes.
+    whose array payloads alias the shared segment — a matching scored
+    in a worker is bit-identical to the parent's because it reads the
+    very same float64 bytes.
     """
 
     def __init__(

@@ -36,6 +36,7 @@ from repro.core.rounding import (
     emit_rounding,
     make_matcher,
     round_heuristic,
+    score_matching,
 )
 from repro.errors import ConfigurationError
 from repro.observe import get_bus
@@ -339,8 +340,8 @@ def _bp_run(
         # The tracker starts from the prior matching, and the unchanged
         # shortcut returns it outright.
         prior = seed.prior
-        x_prior = prior.indicator(m)
-        obj_p, wp_p, op_p = problem.objective_parts(x_prior)
+        x_prior = np.empty(m)
+        obj_p, wp_p, op_p = score_matching(problem, prior, x_prior)
         if seed.unchanged:
             # Nothing moved: the converged messages are still a fixed
             # point and the prior matching is returned bit-identically.

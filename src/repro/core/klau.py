@@ -25,7 +25,12 @@ import numpy as np
 from repro.configtools import ConfigBase
 from repro.core.problem import NetworkAlignmentProblem
 from repro.core.result import AlignmentResult, BestTracker, IterationRecord
-from repro.core.rounding import Matcher, make_matcher, round_heuristic
+from repro.core.rounding import (
+    Matcher,
+    make_matcher,
+    round_heuristic,
+    score_matching,
+)
 from repro.core.row_match import RowMatcher
 from repro.errors import ConfigurationError
 from repro.observe import get_bus
@@ -187,6 +192,7 @@ def _klau_run(
     sl_vals = np.zeros(nnz)
     d_vec = np.zeros(m)
     wbar = np.empty(m)
+    x = np.empty(m)  # the Step-3 matching's indicator
     w_vec = problem.weights
 
     tracker = BestTracker()
@@ -278,12 +284,11 @@ def _klau_run(
 
         # ---- Step 3: match -----------------------------------------
         matching = matcher(ell, wbar)
-        x = matching.indicator(m)
         if tracer is not None:
             tracer.matching("match", matching, ell)
 
         # ---- Step 4: objective / bounds ----------------------------
-        obj, weight_part, overlap_part = problem.objective_parts(x)
+        obj, weight_part, overlap_part = score_matching(problem, matching, x)
         upper = float(np.dot(wbar, x))
         tracker.offer(obj, weight_part, overlap_part, matching, wbar, "wbar", k)
         if tracer is not None:

@@ -115,13 +115,15 @@ class NetworkAlignmentProblem:
     # ------------------------------------------------------------------
     # Objective
     # ------------------------------------------------------------------
-    def overlap(self, x: np.ndarray, *, out: np.ndarray | None = None) -> float:
+    def overlap(self, x: np.ndarray) -> float:
         """Number of overlapped edges ``xᵀSx / 2`` for indicator ``x``.
 
-        ``out`` optionally receives the SpMV product (a caller-provided
-        scratch buffer of length ``|E_L|``); the result is identical.
+        This is the definition, one full SpMV over **S**: correctness
+        checks recompute a solver's objective with it.  Solvers score
+        their matchings with :func:`repro.core.rounding.score_matching`,
+        which touches only the matched rows and must agree exactly.
         """
-        return float(np.dot(x, spmv(self.squares, x, out))) / 2.0
+        return float(np.dot(x, spmv(self.squares, x))) / 2.0
 
     def objective(self, x: np.ndarray) -> float:
         """The alignment objective ``α·wᵀx + (β/2)·xᵀSx``."""
@@ -130,16 +132,10 @@ class NetworkAlignmentProblem:
             + self.beta * self.overlap(x)
         )
 
-    def objective_parts(
-        self, x: np.ndarray, *, out: np.ndarray | None = None
-    ) -> tuple[float, float, float]:
-        """Return ``(objective, matching weight wᵀx, overlap count)``.
-
-        ``out`` is an optional SpMV scratch buffer (see :meth:`overlap`);
-        hot rounding loops pass one to avoid a per-call allocation.
-        """
+    def objective_parts(self, x: np.ndarray) -> tuple[float, float, float]:
+        """Return ``(objective, matching weight wᵀx, overlap count)``."""
         weight_part = float(np.dot(self.weights, x))
-        overlap_part = self.overlap(x, out=out)
+        overlap_part = self.overlap(x)
         return (
             self.alpha * weight_part + self.beta * overlap_part,
             weight_part,

@@ -23,9 +23,18 @@ in here:
 :data:`MATCHER_KINDS` lists these kinds; the CLI's ``--matcher``
 choices come from it.
 
+:func:`score_matching` is the one scorer for every matching a solver
+rounds: ``round_heuristic``, the process backend's workers, Klau's
+Step 4 and BP's warm prior.  Its weight part is ``wᵀx`` over the full
+0/1 indicator; its overlap part sums ``x`` only over the columns of the
+matched rows of **S**, so it costs what the matching touches instead of
+a full SpMV.  :meth:`NetworkAlignmentProblem.objective_parts
+<repro.core.problem.NetworkAlignmentProblem.objective_parts>` stays the
+definition, and correctness checks recompute with it.
+
 ``RoundingWorkspace`` lets hot loops (BP's batched rounding) reuse the
-indicator and SpMV buffers across calls instead of allocating
-``O(|E_L|)`` per rounding.
+indicator buffer across calls instead of allocating ``O(|E_L|)`` per
+rounding.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
+from repro._util import concat_ranges
 from repro.core.problem import NetworkAlignmentProblem
 from repro.core.result import BestTracker
 from repro.errors import ConfigurationError, DimensionError
@@ -58,6 +68,7 @@ __all__ = [
     "emit_rounding",
     "make_matcher",
     "round_heuristic",
+    "score_matching",
     "MATCHER_KINDS",
 ]
 
@@ -106,31 +117,63 @@ def make_matcher(kind: str) -> Matcher:
 
 @dataclass
 class RoundingWorkspace:
-    """Reusable buffers for :func:`round_heuristic`.
+    """Reusable buffer for :func:`round_heuristic`.
 
-    One workspace per solver run eliminates the two ``O(|E_L|)``
-    allocations each rounding call otherwise pays: the 0/1 indicator
-    ``x`` and the SpMV output of the overlap term.  Buffers are
-    overwritten on every call; callers must not hold views across calls.
+    One workspace per solver run eliminates the ``O(|E_L|)`` allocation
+    each rounding call otherwise pays for the 0/1 indicator ``x``.  The
+    buffer is overwritten on every call; callers must not hold views
+    across calls.
     """
 
     x: np.ndarray
-    spmv_out: np.ndarray
 
     @classmethod
     def for_problem(
         cls, problem: NetworkAlignmentProblem
     ) -> "RoundingWorkspace":
-        """Allocate buffers for ``problem``."""
-        m = problem.n_edges_l
-        return cls(x=np.zeros(m), spmv_out=np.empty(m))
+        """Allocate the buffer for ``problem``."""
+        return cls(x=np.zeros(problem.n_edges_l))
 
     def check(self, n_edges: int) -> None:
-        if self.x.shape != (n_edges,) or self.spmv_out.shape != (n_edges,):
+        if self.x.shape != (n_edges,):
             raise DimensionError(
-                f"workspace buffers have shapes {self.x.shape}/"
-                f"{self.spmv_out.shape}, expected ({n_edges},)"
+                f"workspace buffer has shape {self.x.shape}, "
+                f"expected ({n_edges},)"
             )
+
+
+def score_matching(
+    problem: NetworkAlignmentProblem,
+    matching: MatchingResult,
+    x: np.ndarray | None = None,
+) -> tuple[float, float, float]:
+    """Return ``(objective, weight part wᵀx, overlap part)`` of a matching.
+
+    ``x`` receives the matching's 0/1 indicator over L's edges (it is
+    overwritten; a fresh one is allocated when omitted), so callers
+    that go on to use the indicator pass their own buffer.  The weight
+    part is ``wᵀx`` over that full indicator.  The overlap ``xᵀSx / 2``
+    sums ``x`` over the columns of the matched rows of **S** only, which
+    skips every row ``x`` zeroes.  S and ``x`` are 0/1 (S stores ones),
+    so every partial sum is an integer below 2⁵³ and the result equals
+    :meth:`~repro.core.problem.NetworkAlignmentProblem.objective_parts`
+    of ``x`` exactly, whatever the summation order.
+    """
+    if x is None:
+        x = np.zeros(problem.n_edges_l)
+    else:
+        x[:] = 0.0
+    eids = matching.edge_ids
+    x[eids] = 1.0
+    weight_part = float(np.dot(problem.weights, x))
+    s_mat = problem.squares
+    nz, _ = concat_ranges(s_mat.indptr[eids], s_mat.indptr[eids + 1])
+    overlap_part = float(x[s_mat.indices[nz]].sum()) / 2.0
+    return (
+        problem.alpha * weight_part + problem.beta * overlap_part,
+        weight_part,
+        overlap_part,
+    )
 
 
 def emit_rounding(
@@ -181,12 +224,12 @@ def round_heuristic(
     emits :class:`DeprecationWarning` and will stop working one release
     cycle after 1.1 (see CHANGELOG.md).
 
-    Returns ``(objective, weight_part, overlap_part, matching)`` and, if a
-    :class:`BestTracker` is given, offers the result to it (keeping "track
-    of which g produced the largest objective", Table I).  A
-    :class:`RoundingWorkspace` makes the call allocation-free for the
-    indicator gather and the overlap SpMV (hot loops round thousands of
-    times on one problem).
+    Returns ``(objective, weight_part, overlap_part, matching)``, scored
+    by :func:`score_matching`, and, if a :class:`BestTracker` is given,
+    offers the result to it (keeping "track of which g produced the
+    largest objective", Table I).  A :class:`RoundingWorkspace` saves
+    the indicator allocation (hot loops round thousands of times on one
+    problem).
     """
     if legacy_args:
         if len(legacy_args) > 2:
@@ -222,17 +265,12 @@ def round_heuristic(
     if isinstance(matcher, str):
         matcher = make_matcher(matcher)
     matching = matcher(problem.ell, np.asarray(g, dtype=np.float64))
+    x = None
     if workspace is not None:
         workspace.check(problem.n_edges_l)
         x = workspace.x
-        x[:] = 0.0
-        x[matching.edge_ids] = 1.0
-        spmv_out = workspace.spmv_out
-    else:
-        x = matching.indicator(problem.n_edges_l)
-        spmv_out = None
-    objective, weight_part, overlap_part = problem.objective_parts(
-        x, out=spmv_out
+    objective, weight_part, overlap_part = score_matching(
+        problem, matching, x
     )
     if tracker is not None:
         tracker.offer(

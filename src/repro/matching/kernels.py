@@ -17,6 +17,17 @@ machine simulator replays through
 of the same rounds lives in ``tests/oracles.py``; the tests pin the
 kernel's mates and round stats against it.
 
+FindMate only ever takes a positive edge, and the vectors BP rounds are
+mostly non-positive (about one positive entry per A- and B-group, the
+"other max" structure of its messages).  So each call compacts the plan
+to its positive half-edges once and runs the rounds there; when every
+half-edge is positive (BP's first iterate, the coarsener's heavy-edge
+weights) it uses the plan as it is.  The work per call grows with the
+positive half-edges, plus, in productive rounds after the first, the
+full adjacency of the vertices the previous round matched, which the
+stats need.  The :class:`~repro.matching.result.RoundStats` are
+unchanged: they model the paper's full-adjacency FindMate scans.
+
 Group plans
 -----------
 
@@ -64,11 +75,12 @@ class GroupPlan:
     """Precomputed segmented-reduction structure of a general graph.
 
     ``indptr``/``neighbors`` is the half-edge CSR adjacency over ``n``
-    vertices and ``degrees`` its row lengths; for plans built from a
-    :class:`BipartiteGraph` the first ``n_a`` vertices are the A side
-    and ``half_eid`` maps half-edges back to L edge ids (so per-call
-    weights are one gather).  Building them once per L structure
-    instead of once per call is the plan's whole point.
+    vertices, each row's neighbors in increasing order (the kernel's
+    tie-break relies on it), and ``degrees`` its row lengths.  For plans
+    built from a :class:`BipartiteGraph` the first ``n_a`` vertices are
+    the A side and ``half_eid`` maps half-edges back to L edge ids (so
+    per-call weights are one gather).  Building them once per L
+    structure instead of once per call is the plan's whole point.
     """
 
     n: int
@@ -87,25 +99,47 @@ class GroupPlan:
 
     @classmethod
     def from_csr(cls, indptr: np.ndarray, neighbors: np.ndarray) -> "GroupPlan":
-        """Build a plan from a raw half-edge CSR adjacency."""
+        """Build a plan from a raw half-edge CSR adjacency.
+
+        Rows whose neighbors are not in increasing order are sorted;
+        ``half_eid`` then maps each plan half-edge to its position in
+        ``neighbors``, the order the caller's half-edge weights are in
+        (``None`` when every row already was sorted).
+        """
         indptr = asarray_i64(indptr)
         neighbors = asarray_i64(neighbors)
-        return cls(
+        plan = cls(
             n=len(indptr) - 1,
             indptr=indptr,
             neighbors=neighbors,
             degrees=np.diff(indptr),
         )
+        descents = np.diff(neighbors) < 0
+        cuts = indptr[1:-1]  # a descent across a row boundary is fine
+        descents[cuts[(cuts > 0) & (cuts < len(neighbors))] - 1] = False
+        if descents.any():
+            rows = np.repeat(np.arange(plan.n), plan.degrees)
+            plan.half_eid = np.lexsort((neighbors, rows))
+            plan.neighbors = neighbors[plan.half_eid]
+        return plan
 
     @classmethod
     def from_graph(cls, graph: BipartiteGraph) -> "GroupPlan":
-        """Build the general-graph plan of a bipartite L."""
+        """Build the general-graph plan of a bipartite L.
+
+        ``as_general_graph`` lists every row's neighbors in increasing
+        order already.
+        """
         indptr, neighbors, half_eid, _ = graph.as_general_graph()
-        plan = cls.from_csr(indptr, neighbors)
-        plan.half_eid = half_eid
-        plan.edge_a = graph.edge_a
-        plan.edge_b = graph.edge_b
-        return plan
+        return cls(
+            n=len(indptr) - 1,
+            indptr=indptr,
+            neighbors=neighbors,
+            degrees=np.diff(indptr),
+            half_eid=half_eid,
+            edge_a=graph.edge_a,
+            edge_b=graph.edge_b,
+        )
 
 
 #: LRU of structure key -> plan.  Small: solvers touch one or two L
@@ -175,65 +209,93 @@ def _check_half_weights(plan: GroupPlan, hw: np.ndarray) -> np.ndarray:
 # Locally-dominant rounds (paper §V, Algorithm 1 in rounds form)
 # ----------------------------------------------------------------------
 
+def _stale_scan(plan: GroupPlan, newly: np.ndarray, free: np.ndarray) -> int:
+    """Full-plan degrees summed over the free neighbours of ``newly``.
+
+    This is the FindMate work the queue algorithm attributes to a round:
+    every free vertex next to a newly matched one rescans its whole
+    adjacency, whatever the sign of the edges it scans.
+    """
+    nhidx, _ = concat_ranges(plan.indptr[newly], plan.indptr[newly + 1])
+    stale = np.zeros(plan.n, dtype=bool)
+    stale[plan.neighbors[nhidx]] = True
+    return int(plan.degrees[stale & free].sum())
+
+
 def locally_dominant_rounds(
     plan: GroupPlan,
     half_weights: np.ndarray,
     *,
     collect_rounds: bool = True,
-    max_rounds: int | None = None,
-) -> tuple[np.ndarray, list[RoundStats]]:
+) -> tuple[np.ndarray, np.ndarray, list[RoundStats]]:
     """Vectorized locally-dominant matching over a general graph.
 
     Each round recomputes, for every still-free vertex, its heaviest
-    free positive neighbor (ties to the smaller id) with a pair of
-    segmented reductions, then commits every mutually-pointing pair at
-    once.  Returns the symmetric mate array (``-1`` = unmatched) plus
-    per-round stats; work attribution mirrors the queue algorithm (this
-    round's FindMate scans are the adjacency of vertices whose candidate
-    was invalidated — all still-free vertices re-scan).
+    free positive neighbor (ties to the smaller id) with segmented
+    reductions, then commits every mutually-pointing pair at once.
+    Returns the symmetric mate array (``-1`` = unmatched), the plan
+    half-edge each matched vertex took (``-1`` = unmatched) and the
+    per-round stats.
+
+    FindMate only ever takes a positive edge, so the rounds run on the
+    plan compacted to its positive half-edges, built once per call (when
+    every half-edge is positive the plan's own arrays are used).  The
+    work per call grows with the positive half-edges, plus, in
+    productive rounds after the first, the full adjacency of the
+    vertices the previous round matched: the stats need it.  The
+    :class:`RoundStats` are those of the paper's full-adjacency FindMate
+    (this round's scans are the whole adjacency of every free vertex
+    next to a newly matched one), which the machine simulator replays.
     """
     n = plan.n
     mate = np.full(n, -1, dtype=np.int64)
+    took = np.full(n, -1, dtype=np.int64)
     rounds: list[RoundStats] = []
     if plan.n_half == 0:
-        return mate, rounds
+        return mate, took, rounds
     hw = _check_half_weights(plan, half_weights)
-    indptr, neighbors, degrees = plan.indptr, plan.neighbors, plan.degrees
-    neg_inf = -np.inf
     positive = hw > 0.0
+    if positive.all():
+        kept = None
+        indptr, neighbors, weights = plan.indptr, plan.neighbors, hw
+    else:
+        kept = np.flatnonzero(positive)
+        indptr = np.searchsorted(kept, plan.indptr)  # positives before
+        neighbors = plan.neighbors[kept]
+        weights = hw[kept]
+    neg_inf = -np.inf
 
     # Incremental FindMate: a vertex's candidate only changes when a
-    # neighbor's free status does, and every such vertex is marked stale
-    # when the neighbor matches — so each round recomputes candidates
-    # for the stale frontier only.  The interpreted oracle recomputes
-    # every free vertex each round; the results are identical because a
-    # non-stale vertex's recomputation sees an unchanged neighborhood.
+    # positive neighbor's free status does, and every such vertex is
+    # marked stale when the neighbor matches — so each round recomputes
+    # candidates for the stale frontier only.  The interpreted oracle
+    # recomputes every free vertex each round; the results are identical
+    # because a non-stale vertex's recomputation sees an unchanged
+    # positive neighborhood.
+    free = np.ones(n, dtype=bool)
     candidate = np.full(n, -1, dtype=np.int64)
-    candidate_stale = np.ones(n, dtype=bool)  # vertices needing FindMate
+    cand_half = np.zeros(n, dtype=np.int64)  # half-edge to the candidate
+    stale = np.zeros(n, dtype=bool)
+    # Round 0 scans every vertex with a positive edge: every half-edge.
+    work = np.flatnonzero(indptr[1:] > indptr[:-1])
+    hidx = np.arange(len(neighbors))
+    counts = indptr[work + 1] - indptr[work]
     round_index = 0
-    limit = max_rounds if max_rounds is not None else n + 1
     queue_size = int(n)  # phase-1 "queue" is every vertex
-    while round_index <= limit:
-        free = mate < 0
-        work = np.flatnonzero(candidate_stale & free)
+    while True:
         if len(work):
-            counts = degrees[work]
-            nz = counts > 0
-            candidate[work[~nz]] = -1
-            wv = work[nz]
-            if len(wv):
-                hidx, counts = concat_ranges(indptr[wv], indptr[wv + 1])
-                starts = np.cumsum(counts) - counts
-                t_k = neighbors[hidx]
-                usable = positive[hidx] & free[t_k]
-                masked = np.where(usable, hw[hidx], neg_inf)
-                seg_max = np.maximum.reduceat(masked, starts)
-                # Tie-break: among half-edges achieving the segment max,
-                # take the smallest neighbor id.
-                at_max = usable & (masked == np.repeat(seg_max, counts))
-                nbr_or_inf = np.where(at_max, t_k, n)
-                best_nbr = np.minimum.reduceat(nbr_or_inf, starts)
-                candidate[wv] = np.where(seg_max > neg_inf, best_nbr, -1)
+            starts = np.cumsum(counts) - counts
+            masked = np.where(free[neighbors[hidx]], weights[hidx], neg_inf)
+            seg_max = np.maximum.reduceat(masked, starts)
+            # Rows list their neighbors in increasing order, so the first
+            # half-edge at the segment max has the smallest neighbor id.
+            # Every segment attains its max, so ``pick`` is a half-edge.
+            at_max = masked == np.repeat(seg_max, counts)
+            pick = np.minimum.reduceat(
+                np.where(at_max, hidx, len(neighbors)), starts
+            )
+            candidate[work] = np.where(seg_max > neg_inf, neighbors[pick], -1)
+            cand_half[work] = pick
         idx = np.flatnonzero(free & (candidate >= 0))
         cand = candidate[idx]
         mutual = candidate[cand] == idx
@@ -241,13 +303,13 @@ def locally_dominant_rounds(
         if len(new_lo) == 0:
             break
         new_hi = candidate[new_lo]
-        mate[new_lo] = new_hi
-        mate[new_hi] = new_lo
         if collect_rounds:
-            # Work attribution mirrors the queue algorithm: this round's
-            # FindMate scans are the adjacency of vertices whose candidate
-            # was invalidated (here: the stale frontier re-scans).
-            rescans = int(degrees[work].sum())
+            if round_index == 0:
+                rescans = plan.n_half  # every vertex scans its adjacency
+            elif kept is None:
+                rescans = int(plan.degrees[work].sum())
+            else:
+                rescans = _stale_scan(plan, newly, free)
             rounds.append(
                 RoundStats(
                     round_index=round_index,
@@ -257,12 +319,22 @@ def locally_dominant_rounds(
                     atomics=2 * len(new_lo),
                 )
             )
-        # Vertices adjacent to newly matched ones will need new candidates.
-        candidate_stale[:] = False
         newly = np.concatenate([new_lo, new_hi])
+        mate[new_lo] = new_hi
+        mate[new_hi] = new_lo
+        took[newly] = cand_half[newly]
+        free[newly] = False
+        # Only vertices joined to a newly matched one by a positive edge
+        # can lose their candidate.
         nhidx, _ = concat_ranges(indptr[newly], indptr[newly + 1])
-        candidate_stale[neighbors[nhidx]] = True
+        stale[:] = False
+        stale[neighbors[nhidx]] = True
+        work = np.flatnonzero(stale & free)
+        hidx, counts = concat_ranges(indptr[work], indptr[work + 1])
         queue_size = len(newly)
         round_index += 1
 
-    return mate, rounds
+    if kept is not None:
+        matched = took >= 0
+        took[matched] = kept[took[matched]]
+    return mate, took, rounds

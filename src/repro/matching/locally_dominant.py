@@ -200,7 +200,6 @@ def locally_dominant_matching_vectorized(
     weights: np.ndarray | None = None,
     *,
     collect_rounds: bool = True,
-    max_rounds: int | None = None,
 ) -> MatchingResult:
     """Vectorized rounds formulation of the locally-dominant matcher.
 
@@ -214,20 +213,28 @@ def locally_dominant_matching_vectorized(
     .locally_dominant_rounds` running on the graph's cached
     :class:`~repro.matching.kernels.GroupPlan`, so repeated rounding of
     the same L structure skips the ``as_general_graph()`` conversion.
+    The kernel reports the half-edge each vertex took, so the matched
+    edge ids are one gather through the plan's ``half_eid``.
     """
     w_vec = graph.weights if weights is None else asarray_f64(weights)
     if w_vec.shape != (graph.n_edges,):
         raise DimensionError("weights has wrong length")
     plan = get_plan(graph)
-    mate, rounds = locally_dominant_rounds(
-        plan, w_vec[plan.half_eid],
-        collect_rounds=collect_rounds, max_rounds=max_rounds,
+    mate, took, rounds = locally_dominant_rounds(
+        plan, w_vec[plan.half_eid], collect_rounds=collect_rounds
     )
-    mate_a = np.where(
-        mate[: graph.n_a] >= 0, mate[: graph.n_a] - graph.n_a, -1
-    ).astype(np.int64)
-    w_vec = graph.weights if weights is None else asarray_f64(weights)
-    return MatchingResult.from_mates(graph, mate_a, weights=w_vec, rounds=rounds)
+    n_a = graph.n_a
+    head = mate[:n_a]
+    matched_a = head >= 0
+    # A-side half-edge k is L edge k, so these ids come out sorted.
+    eids = plan.half_eid[took[:n_a][matched_a]]
+    return MatchingResult(
+        mate_a=np.where(matched_a, head - n_a, -1),
+        mate_b=mate[n_a:],
+        edge_ids=eids,
+        weight=float(w_vec[eids].sum()) if len(eids) else 0.0,
+        rounds=rounds,
+    )
 
 
 def locally_dominant_mates(
@@ -236,7 +243,6 @@ def locally_dominant_mates(
     half_weights: np.ndarray,
     *,
     collect_rounds: bool = True,
-    max_rounds: int | None = None,
 ) -> tuple[np.ndarray, list[RoundStats]]:
     """Locally-dominant matching over a *general* undirected graph.
 
@@ -257,7 +263,10 @@ def locally_dominant_mates(
     bipartite entry points, which cache plans per L structure).
     """
     plan = GroupPlan.from_csr(indptr, neighbors)
-    return locally_dominant_rounds(
-        plan, half_weights,
-        collect_rounds=collect_rounds, max_rounds=max_rounds,
+    half_weights = asarray_f64(half_weights)
+    if plan.half_eid is not None and half_weights.shape == (plan.n_half,):
+        half_weights = half_weights[plan.half_eid]  # rows were sorted
+    mate, _, rounds = locally_dominant_rounds(
+        plan, half_weights, collect_rounds=collect_rounds
     )
+    return mate, rounds

@@ -35,7 +35,6 @@ def locally_dominant_rounds_python(
     half_weights: np.ndarray,
     *,
     collect_rounds: bool = True,
-    max_rounds: int | None = None,
 ) -> tuple[np.ndarray, list[RoundStats]]:
     """Interpreted reference of the locally-dominant rounds kernel.
 
@@ -59,9 +58,8 @@ def locally_dominant_rounds_python(
     mate = [-1] * n
     stale = [True] * n
     round_index = 0
-    limit = max_rounds if max_rounds is not None else n + 1
     queue_size = n
-    while round_index <= limit:
+    while True:
         candidate = [-1] * n
         for v in range(n):
             if mate[v] != -1:

@@ -5,7 +5,10 @@ The contracts under test:
 * the ``"approx"`` matcher — the rounds kernel of
   :mod:`repro.matching.kernels` — is **bit-identical** to the
   interpreted oracle in ``tests/oracles.py``: same mates, same per-round
-  :class:`RoundStats` stream, including tie-breaks on duplicate weights;
+  :class:`RoundStats` stream, including tie-breaks on duplicate weights,
+  on the mostly non-positive vectors BP rounds (the kernel runs on the
+  positive half-edges only; the stats still count full adjacency); its
+  edge ids and weight equal those recovered from its mates;
 * both agree with the queue-form matcher (``"approx-queue"``), and the
   whole ½-approximation family resolves ties identically;
 * every approximate matcher kind returns valid matchings whose rounds
@@ -34,6 +37,8 @@ from repro.matching import (
     suitor_matching,
 )
 from repro.matching.kernels import GroupPlan, locally_dominant_rounds
+from repro.matching.locally_dominant import locally_dominant_mates
+from repro.matching.result import MatchingResult
 from repro.sparse.bipartite import BipartiteGraph
 
 from tests.helpers import random_bipartite
@@ -45,15 +50,75 @@ KERNEL_KIND = ["approx"]
 #: The ½-approximate matcher kinds besides ``approx-queue``.
 APPROX_KINDS = ["approx", "suitor", "greedy", "auction"]
 
+
+def kernel_rounds(plan: GroupPlan, half_weights, **kwargs):
+    """The kernel's ``(mate, rounds)``, checking the half-edges it took."""
+    mate, took, rounds = locally_dominant_rounds(plan, half_weights, **kwargs)
+    matched = mate >= 0
+    assert np.array_equal(took >= 0, matched)
+    v = np.flatnonzero(matched)
+    assert np.all(plan.indptr[v] <= took[v])
+    assert np.all(took[v] < plan.indptr[v + 1])
+    assert np.array_equal(plan.neighbors[took[v]], mate[v])
+    return mate, rounds
+
+
 #: (python, numpy) = (the interpreted oracle, the production kernel).
 ROUNDS = {"python": locally_dominant_rounds_python,
-          "numpy": locally_dominant_rounds}
+          "numpy": kernel_rounds}
 
 
 def duplicate_heavy(graph: BipartiteGraph) -> BipartiteGraph:
     """Quantize weights so duplicates (and tie-breaks) are common."""
     w = np.round(np.abs(graph.weights) * 2.0) / 2.0
     return graph.with_weights(w)
+
+
+#: Weight shapes: BP's rounded iterates hold about one positive entry
+#: per A- and B-group ("other max"); its first iterates and the
+#: coarsener's heavy-edge weights are all positive.
+WEIGHT_SHAPES = ["random", "ties", "one-per-group", "sparse", "none",
+                 "single", "all", "positive-ties"]
+
+
+def shaped_weights(rng, graph: BipartiteGraph, shape: str) -> np.ndarray:
+    """Weights of one :data:`WEIGHT_SHAPES` shape over ``graph``'s edges."""
+    m = graph.n_edges
+    nonpos = rng.choice([0.0, -0.5, -1.0, -3.0], m)
+    if shape == "random":
+        return graph.weights
+    if shape == "ties":
+        return duplicate_heavy(graph).weights
+    if shape == "one-per-group":
+        # The max of each A-group is positive, the rest are not.
+        score = rng.random(m)
+        heads = np.flatnonzero(np.r_[True, np.diff(graph.edge_a) != 0])
+        top = np.repeat(np.maximum.reduceat(score, heads),
+                        np.diff(np.r_[heads, m])) if m else score
+        return np.where(score == top, rng.uniform(0.5, 8.0, m), nonpos)
+    if shape == "sparse":
+        return np.where(rng.random(m) < 0.15, rng.uniform(0.5, 8.0, m),
+                        nonpos)
+    if shape == "none":
+        return nonpos
+    if shape == "single":
+        w = nonpos
+        if m:
+            w[rng.integers(m)] = 2.0
+        return w
+    if shape == "all":
+        return rng.uniform(0.01, 8.0, m)
+    assert shape == "positive-ties"
+    return np.where(rng.random(m) < 0.5, rng.choice([1.0, 2.0, 3.0], m),
+                    rng.choice([0.0, -1.0], m))
+
+
+def assert_edges_from_mates(graph: BipartiteGraph, w, res) -> None:
+    """Edge ids, B-side mates and weight equal those the mates imply."""
+    ref = MatchingResult.from_mates(graph, res.mate_a, weights=w)
+    assert np.array_equal(res.edge_ids, ref.edge_ids)
+    assert np.array_equal(res.mate_b, ref.mate_b)
+    assert res.weight == ref.weight
 
 
 def rounds_match(backend: str, graph: BipartiteGraph, **kwargs):
@@ -77,17 +142,20 @@ def assert_rounds_equal(ra, rb):
 
 
 @pytest.mark.parametrize("kind", KERNEL_KIND)
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000), ties=st.booleans())
-def test_python_numpy_bit_identical(kind, seed, ties):
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 10_000), shape=st.sampled_from(WEIGHT_SHAPES))
+def test_python_numpy_bit_identical(kind, seed, shape):
     rng = np.random.default_rng(seed)
     g = random_bipartite(rng, max_side=14)
-    if ties:
-        g = duplicate_heavy(g)
+    g = g.with_weights(shaped_weights(rng, g, shape))
     mate_a, rounds = rounds_match("python", g)
     res = make_matcher(kind)(g, g.weights)
     assert np.array_equal(res.mate_a, mate_a)
     assert_rounds_equal(res.rounds, rounds)
+    assert_edges_from_mates(g, g.weights, res)
+    quiet = locally_dominant_matching_vectorized(g, collect_rounds=False)
+    assert np.array_equal(quiet.mate_a, mate_a)
+    assert quiet.rounds == []
 
 
 @pytest.mark.parametrize("kind", ["approx", "suitor", "greedy"])
@@ -102,8 +170,25 @@ def test_python_numpy_bit_identical(kind, seed, ties):
             3, 3, [0, 0, 1, 1, 2, 2], [0, 1, 0, 1, 1, 2],
             [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
         ),
+        BipartiteGraph.from_edges(  # one positive edge among non-positive
+            3, 3, [0, 0, 1, 2, 2], [0, 2, 1, 0, 2],
+            [0.0, -1.0, 2.0, -0.5, 0.0],
+        ),
+        BipartiteGraph.from_edges(  # positive ties beside zero/negative
+            3, 4, [0, 0, 0, 1, 1, 1, 2, 2], [0, 1, 3, 0, 1, 2, 1, 2],
+            [2.0, 2.0, 0.0, 2.0, -1.0, 2.0, 2.0, 0.0],
+        ),
+        # Round 0 matches A1-B1, round 1 A0-B0.  B2 (by a negative
+        # edge) and A2 (by a zero one) are free and next to a vertex
+        # round 0 matched, but share no positive edge with it: round 1
+        # scans their adjacency, although their candidates cannot change.
+        BipartiteGraph.from_edges(
+            3, 3, [0, 1, 1, 1, 2], [0, 0, 1, 2, 1],
+            [1.0, 2.0, 3.0, -1.0, 0.0],
+        ),
     ],
-    ids=["empty", "singleton", "all-zero", "ties"],
+    ids=["empty", "singleton", "all-zero", "ties", "single-positive",
+         "positive-ties", "nonpositive-stale"],
 )
 def test_degenerate_cases_cross_backend(kind, graph):
     """Each kind's matcher equals the oracle on degenerate graphs.
@@ -117,6 +202,7 @@ def test_degenerate_cases_cross_backend(kind, graph):
     assert np.array_equal(res.mate_a, mate_a)
     if kind in KERNEL_KIND:
         assert_rounds_equal(res.rounds, rounds)
+        assert_edges_from_mates(graph, graph.weights, res)
 
 
 @pytest.mark.parametrize("kind", KERNEL_KIND)
@@ -192,11 +278,14 @@ def test_rounds_feed_machine_trace(kind, rng):
             matching_to_trace("m", res, g)
 
 
-def test_collect_rounds_off():
-    g = BipartiteGraph.from_edges(2, 2, [0, 1], [0, 1], [1.0, 2.0])
-    mate_a, rounds = rounds_match("numpy", g, collect_rounds=False)
-    assert rounds == []
-    assert np.array_equal(mate_a, rounds_match("python", g)[0])
+def test_collect_rounds_off(rng):
+    for shape in WEIGHT_SHAPES:
+        for _ in range(10):
+            g = random_bipartite(rng)
+            g = g.with_weights(shaped_weights(rng, g, shape))
+            mate_a, rounds = rounds_match("numpy", g, collect_rounds=False)
+            assert rounds == []
+            assert np.array_equal(mate_a, rounds_match("python", g)[0])
 
 
 # ----------------------------------------------------------------------
@@ -234,6 +323,37 @@ def test_group_plan_from_csr_matches_graph_plan(rng):
     assert raw.n == plan.n == g.n_a + g.n_b
     for name in ("indptr", "neighbors", "degrees"):
         assert np.array_equal(getattr(raw, name), getattr(plan, name))
+    assert raw.half_eid is None  # already sorted: the caller's order
+
+
+def test_unsorted_csr_rows_keep_the_tie_break(rng):
+    """Rows listed out of order match like sorted ones (ties included).
+
+    The kernel takes the first half-edge at a vertex's maximum, which
+    is the smallest neighbor id only on sorted rows; ``from_csr`` sorts
+    them and ``half_eid`` carries the caller's weight order.
+    """
+    shuffled = 0
+    for _ in range(30):
+        g = duplicate_heavy(random_bipartite(rng))
+        plan = get_plan(g)
+        hw = g.weights[plan.half_eid]
+        ref_mate, ref_rounds = locally_dominant_rounds_python(plan, hw)
+        # Reverse a random subset of rows.
+        perm = np.arange(plan.n_half)
+        for v in np.flatnonzero(rng.random(plan.n) < 0.5):
+            lo, hi = plan.indptr[v], plan.indptr[v + 1]
+            perm[lo:hi] = perm[lo:hi][::-1]
+        raw = GroupPlan.from_csr(plan.indptr, plan.neighbors[perm])
+        if raw.half_eid is not None:
+            shuffled += 1
+            assert np.array_equal(raw.neighbors, plan.neighbors)
+            assert np.array_equal(perm[raw.half_eid], np.arange(plan.n_half))
+        mate, rounds = locally_dominant_mates(
+            plan.indptr, plan.neighbors[perm], hw[perm])
+        assert np.array_equal(mate, ref_mate)
+        assert_rounds_equal(rounds, ref_rounds)
+    assert shuffled > 10
 
 
 def test_kernel_weight_length_checked():
@@ -242,3 +362,7 @@ def test_kernel_weight_length_checked():
         locally_dominant_matching_vectorized(g, weights=np.ones(5))
     with pytest.raises(DimensionError):
         locally_dominant_rounds(get_plan(g), np.ones(5))
+    # A row out of order (vertex 0 lists 2 before 1) is sorted first.
+    for bad in (np.ones(2), np.ones(5)):
+        with pytest.raises(DimensionError):
+            locally_dominant_mates([0, 2, 3, 4], [2, 1, 0, 0], bad)

@@ -3,16 +3,60 @@
 import numpy as np
 import pytest
 
+from repro.core.problem import NetworkAlignmentProblem
 from repro.core.result import BestTracker
 from repro.core.rounding import (
     MATCHER_KINDS,
     RoundingWorkspace,
     make_matcher,
     round_heuristic,
+    score_matching,
 )
 from repro.errors import ConfigurationError, DimensionError
+from repro.generators import powerlaw_alignment_instance
+from repro.generators.bio import dmela_scere
+from repro.generators.ontology import lcsh_wiki
+from repro.graph import Graph
+from repro.matching import hopcroft_karp, max_weight_matching
+from repro.matching.result import MatchingResult
+from repro.multilevel import coarsen_graph, project_ell, project_squares
 
 from tests.helpers import random_bipartite
+
+
+def coarse_problem() -> NetworkAlignmentProblem:
+    """One multilevel coarsening of a power-law problem (projected S)."""
+    fine = powerlaw_alignment_instance(n=300, expected_degree=6, seed=4).problem
+    ca = coarsen_graph(fine.a_graph)
+    cb = coarsen_graph(fine.b_graph)
+    proj = project_ell(fine.ell, ca.cmap, cb.cmap)
+    coarse = NetworkAlignmentProblem(ca.graph, cb.graph, proj.ell,
+                                     fine.alpha, fine.beta)
+    coarse._squares = project_squares(fine.squares, proj)
+    return coarse
+
+
+def squareless_problem() -> NetworkAlignmentProblem:
+    """A problem whose S is empty: A and B have no edges."""
+    rng = np.random.default_rng(2)
+    ell = random_bipartite(rng, max_side=12, allow_negative=False)
+    return NetworkAlignmentProblem(Graph(ell.n_a, [], []),
+                                   Graph(ell.n_b, [], []), ell)
+
+
+SCORED_PROBLEMS = {
+    "powerlaw_300": lambda: powerlaw_alignment_instance(
+        n=300, expected_degree=6, seed=3).problem,
+    "dmela_scere": lambda: dmela_scere(scale=0.2, seed=1).problem,
+    "lcsh_wiki": lambda: lcsh_wiki(scale=0.004, seed=1).problem,
+    "coarse": coarse_problem,
+    "no_squares": squareless_problem,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SCORED_PROBLEMS))
+def scored_problem(request):
+    return SCORED_PROBLEMS[request.param]()
 
 
 class TestMakeMatcher:
@@ -88,9 +132,7 @@ class TestRoundHeuristic:
 
     def test_workspace_wrong_size_rejected(self, small_instance):
         p = small_instance.problem
-        bad = RoundingWorkspace(
-            x=np.zeros(p.n_edges_l + 1), spmv_out=np.zeros(p.n_edges_l)
-        )
+        bad = RoundingWorkspace(x=np.zeros(p.n_edges_l + 1))
         with pytest.raises(DimensionError):
             round_heuristic(p, p.weights, matcher="exact", workspace=bad)
 
@@ -140,3 +182,42 @@ class TestRoundHeuristic:
         assert not tracker.offer(0.5, 0.5, 0.0, dummy, np.zeros(1), "b", 2)
         assert tracker.best_source == "a"
         assert tracker.best_iteration == 1
+
+
+class TestScoreMatching:
+    """The scorer equals the SpMV definition, ``objective_parts``, exactly."""
+
+    @staticmethod
+    def assert_scores_like_definition(p, matching):
+        x = matching.indicator(p.n_edges_l)
+        expected = p.objective_parts(x)
+        assert score_matching(p, matching) == expected
+        buf = np.full(p.n_edges_l, 7.0)  # stale contents are overwritten
+        assert score_matching(p, matching, buf) == expected
+        assert np.array_equal(buf, x)
+        return expected
+
+    def test_random_matchings(self, scored_problem, rng):
+        p = scored_problem
+        matcher = make_matcher("approx")
+        overlaps = []
+        for _ in range(8):
+            w = rng.normal(0.0, 1.0, p.n_edges_l)  # about half positive
+            overlaps.append(
+                self.assert_scores_like_definition(p, matcher(p.ell, w))[2])
+        overlaps.append(self.assert_scores_like_definition(
+            p, matcher(p.ell, p.weights))[2])
+        # Every family with squares has matchings that overlap.
+        assert (max(overlaps) > 0) == (p.squares.nnz > 0)
+
+    def test_maximum_matchings(self, scored_problem):
+        p = scored_problem
+        self.assert_scores_like_definition(p, max_weight_matching(p.ell))
+        self.assert_scores_like_definition(p, hopcroft_karp(p.ell))
+
+    def test_empty_matching(self, scored_problem):
+        p = scored_problem
+        empty = MatchingResult.from_mates(
+            p.ell, np.full(p.ell.n_a, -1, dtype=np.int64))
+        self.assert_scores_like_definition(p, empty)
+        assert score_matching(p, empty) == (0.0, 0.0, 0.0)
