@@ -99,11 +99,13 @@ def test_warm_start_repeated_rounding(wiki_problem):
 
 
 def test_klau_warm_start(wiki_problem):
-    """Klau with warm-started Step-3 matchings: same objective, and the
-    timing delta is reported (wbar drifts, so the win is smaller than
-    the repeated-rounding case)."""
+    """Klau's default Step 3 (the warm-started exact matcher) against a
+    per-call cold oracle: the same run, and the timing delta is reported
+    (wbar drifts, so the win is smaller than the repeated-rounding
+    case)."""
     r = time_klau_warm(wiki_problem, n_iter=15, repeats=2)
-    assert r["objective_warm"] == pytest.approx(r["objective_cold"])
+    assert r["objective_warm"] == r["objective_cold"]
+    assert r["history_warm"] == r["history_cold"]
     cold, warm = _median(r["cold"]), _median(r["warm"])
     print(
         f"\nklau n_iter=15 (wiki@0.01): cold {cold:.3f}s  warm {warm:.3f}s"

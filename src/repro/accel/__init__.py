@@ -14,10 +14,11 @@ parallelism on the host.  Three layers (see ``docs/performance.md``):
 * :func:`solve_many` — the batch-serving API: whole alignment instances
   scheduled across the pool.
 
-The warm-started exact matcher
-(:class:`repro.matching.warm.ExactMatcher`, matcher kind
-``"exact-warm"``) attacks the same rounding bottleneck sequentially by
-reusing dual potentials across calls on the same L structure.
+The exact matcher (:class:`repro.matching.warm.ExactMatcher`, matcher
+kind ``"exact"``) attacks the same rounding bottleneck sequentially: it
+warm-starts from the dual potentials of its previous call on the same L
+structure and still returns the cold solver's answer, so it runs on
+every backend.
 """
 
 from repro.accel.config import BACKENDS, ParallelConfig

@@ -48,7 +48,6 @@ from repro.core.rounding import (
     make_matcher,
     score_matching,
 )
-from repro.errors import ConfigurationError
 from repro.matching.result import MatchingResult
 from repro.observe import get_bus
 from repro.resilience.degrade import emit_degradation
@@ -199,15 +198,6 @@ class RoundingPool:
         matcher_kind: str,
         config: ParallelConfig,
     ) -> None:
-        if config.backend == "process" and matcher_kind == "exact-warm":
-            # Warm state lives per worker; batches would warm-start
-            # against an arbitrary subset of prior vectors.  Refuse
-            # rather than silently degrade reuse.
-            raise ConfigurationError(
-                "matcher 'exact-warm' is stateful and cannot be "
-                "distributed across process workers; use backend="
-                "'serial' or a stateless matcher"
-            )
         self.config = config
         self.matcher_kind = matcher_kind
         self.n_workers = config.resolve_workers()

@@ -24,9 +24,7 @@ state into the process-default
 :class:`~repro.resilience.CheckpointStore` under a per-task key, so a
 supervised retry that runs in the same process (the threaded and
 serial rungs) warm-resumes from the last snapshot instead of
-recomputing from iteration 1.  A config rounding with a stateful
-matcher (:func:`~repro.resilience.checkpoint.checkpointable`) solves
-without snapshots.
+recomputing from iteration 1.
 
 The process backend ships each problem to a worker by pickle (problems
 are independent here, unlike the batched-rounding path where one problem
@@ -130,20 +128,14 @@ def solve_many(
         run.  ``True``: never raise per-task — failed positions hold
         their ``TaskFailedError`` in the returned list.
     """
-    from repro.registry import canonical_config, get_solver
-    from repro.resilience.checkpoint import checkpointable
+    from repro.registry import get_solver
 
     spec = get_solver(method)  # raises ConfigurationError when unknown
     parallel = parallel or ParallelConfig()
     res = parallel.resilience
     ckpt_every = 0
-    if (
-        res is not None
-        and res.checkpoint_every > 0
-        and spec.supports_checkpoint
-        and checkpointable(
-            spec.config_cls.from_dict(canonical_config(method, config)))
-    ):
+    if (res is not None and res.checkpoint_every > 0
+            and spec.supports_checkpoint):
         ckpt_every = res.checkpoint_every
     from repro.resilience import active_fault_plan
 

@@ -674,8 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, metavar="PATH",
                    help="JSON fed through the method config's from_dict()")
     p.add_argument("--matcher", default=None, choices=MATCHER_KINDS,
-                   help="rounding matcher; exact-warm reuses duals "
-                        "across warm roundings")
+                   help="rounding matcher")
     p.add_argument("--iters", type=int, default=None)
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--alpha", type=float, default=1.0)

@@ -40,10 +40,7 @@ from repro.core.rounding import (
 )
 from repro.errors import ConfigurationError
 from repro.observe import get_bus
-from repro.resilience.checkpoint import (
-    SolverCheckpoint,
-    require_checkpointable,
-)
+from repro.resilience.checkpoint import SolverCheckpoint
 from repro.resilience.faults import maybe_inject
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import row_sums
@@ -134,8 +131,7 @@ def belief_propagation_align(
     (:class:`repro.accel.ParallelConfig`) for the batched rounding step:
     the ``2 × batch`` matchings of each flush are independent, and the
     process backend fans them out over shared memory.  Results are
-    bit-identical to the serial path for stateless matchers (see
-    ``docs/performance.md``).
+    bit-identical to the serial path (see ``docs/performance.md``).
 
     ``init_messages`` optionally warm-starts the message vectors: a
     ``(y0, z0)`` pair of length ``|E_L|`` (both copied).  The multilevel
@@ -152,9 +148,8 @@ def belief_propagation_align(
     uninterrupted run (damping uses the absolute iteration number).  A
     found snapshot takes precedence over ``init_messages`` and
     ``warm_from``; an incremental snapshot resumes incrementally even
-    without ``warm_from``.  Stateless matchers only: ``exact-warm``
-    carries cross-call dual state a snapshot cannot capture (see
-    :func:`repro.resilience.checkpoint.checkpointable`).
+    without ``warm_from``.  No matcher state is snapshotted: every
+    matcher's answer is a pure function of L and the rounded vector.
 
     ``warm_from`` switches to *incremental* BP: messages are seeded from
     a prior converged :class:`repro.incremental.WarmState` (keyed by L
@@ -174,8 +169,6 @@ def belief_propagation_align(
     can be captured from it.
     """
     config = config or BPConfig()
-    if checkpoint_every > 0 or resume:
-        require_checkpointable(config)
     if warm_from is not None and (
         tracer is not None or init_messages is not None
     ):

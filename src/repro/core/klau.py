@@ -34,7 +34,6 @@ from repro.core.rounding import (
 from repro.core.row_match import RowMatcher
 from repro.errors import ConfigurationError
 from repro.observe import get_bus
-from repro.resilience.checkpoint import require_checkpointable
 from repro.resilience.faults import maybe_inject
 
 __all__ = ["KlauConfig", "klau_align"]
@@ -52,19 +51,16 @@ class KlauConfig(ConfigBase):
     step); the default is unbounded, which rounds best — the symmetry
     constraints the multipliers enforce are equalities.  ``matcher`` picks
     the Step-3 ``bipartite_match`` oracle — the substitution the paper
-    studies.
+    studies.  With ``"exact"``, one warm-started
+    :class:`~repro.matching.warm.ExactMatcher` serves the whole run:
+    ``wbar`` drifts by one subgradient step on a fixed L, and every
+    answer still equals a cold solve's.
     """
 
     n_iter: int = 500
     gamma: float = 0.4
     mstep: int = 25
     matcher: str = "exact"
-    #: Keep dual potentials between the Step-3 matchings
-    #: (:class:`repro.matching.warm.ExactMatcher`): ``wbar`` drifts by a
-    #: decaying subgradient step on one fixed L structure, which is the
-    #: warm-start use case.  Only meaningful with ``matcher="exact"``
-    #: (it upgrades the oracle to ``"exact-warm"``).
-    warm_start: bool = False
     u_bound: float = float("inf")
     final_exact: bool = True
     stall_tolerance: float = 1e-12
@@ -94,17 +90,6 @@ class KlauConfig(ConfigBase):
             raise ConfigurationError(
                 f"unknown step_rule {self.step_rule!r}"
             )
-        if self.warm_start and self.matcher not in ("exact", "exact-warm"):
-            raise ConfigurationError(
-                "warm_start requires the exact matcher "
-                f"(got matcher={self.matcher!r})"
-            )
-
-    def matcher_kind(self) -> str:
-        """The rounding oracle actually instantiated for Step 3."""
-        if self.warm_start and self.matcher == "exact":
-            return "exact-warm"
-        return self.matcher
 
 
 def klau_align(
@@ -131,15 +116,11 @@ def klau_align(
     step-control scalars (γ, best upper bound, stall counter), the best
     tracker and the history into ``checkpoint_store`` under
     ``checkpoint_key``; ``resume`` picks any such snapshot back up,
-    bit-identically to the uninterrupted run.  Stateless Step-3 oracles
-    only: ``exact-warm``/``warm_start`` carries cross-call dual state a
-    snapshot cannot capture, so checkpointing it raises
-    :class:`~repro.errors.ConfigurationError` (see
-    :func:`repro.resilience.checkpoint.checkpointable`).
+    bit-identically to the uninterrupted run.  The snapshot holds no
+    matcher state: each Step-3 answer is a pure function of L and
+    ``wbar``, so a fresh matcher resumes the same run.
     """
     config = config or KlauConfig()
-    if checkpoint_every > 0 or resume:
-        require_checkpointable(config)
     bus = get_bus()
     with bus.trace(
         "klau.align", matcher=config.matcher, n_iter=config.n_iter,
@@ -166,7 +147,7 @@ def _klau_run(
     resume: bool = False,
 ) -> AlignmentResult:
     """The MR iteration body (Listing 1)."""
-    matcher: Matcher = make_matcher(config.matcher_kind())
+    matcher: Matcher = make_matcher(config.matcher)
     ell = problem.ell
     s_mat = problem.squares
     perm = problem.squares_transpose_perm
@@ -365,7 +346,7 @@ def _klau_run(
         if best_upper - tracker.best_objective <= config.gap_tolerance:
             break  # provably optimal (§III-A)
 
-    return _finalize(problem, tracker, history, best_upper, config)
+    return _finalize(problem, tracker, history, best_upper, config, matcher)
 
 
 def _finalize(
@@ -374,15 +355,21 @@ def _finalize(
     history: list[IterationRecord],
     best_upper: float,
     config: KlauConfig,
+    matcher: Matcher,
 ) -> AlignmentResult:
-    """Apply the final exact rounding and package the result."""
+    """Apply the final exact rounding and package the result.
+
+    When Step 3 is exact, its matcher does the final rounding too: the
+    best ``wbar`` is one of the vectors it has warm-started through.
+    """
     objective = tracker.best_objective
     weight_part = tracker.best_weight_part
     overlap_part = tracker.best_overlap_part
     matching = tracker.best_matching
     if config.final_exact and tracker.best_vector is not None:
         obj_e, wp_e, op_e, match_e = round_heuristic(
-            problem, tracker.best_vector, matcher="exact"
+            problem, tracker.best_vector,
+            matcher=matcher if config.matcher == "exact" else "exact",
         )
         if obj_e >= objective:
             objective, weight_part, overlap_part, matching = (
@@ -395,13 +382,12 @@ def _finalize(
         overlap_part=overlap_part,
         best_upper_bound=best_upper,
         history=history,
-        method=f"klau-mr[{config.matcher_kind()}]",
+        method=f"klau-mr[{config.matcher}]",
         params={
             "n_iter": config.n_iter,
             "gamma": config.gamma,
             "mstep": config.mstep,
             "matcher": config.matcher,
-            "warm_start": config.warm_start,
             "alpha": problem.alpha,
             "beta": problem.beta,
         },

@@ -6,7 +6,9 @@ objective.  The whole paper turns on which ``bipartite_match`` is plugged
 in here:
 
 * ``"exact"`` — sparse successive-shortest-path Hungarian
-  (:func:`repro.matching.exact.max_weight_matching`);
+  (:class:`repro.matching.warm.ExactMatcher`, one per solve): each call
+  warm-starts from the previous call's duals and returns exactly the
+  cold solver's answer (:func:`repro.matching.exact.max_weight_matching`);
 * ``"approx"`` — the parallel locally-dominant ½-approximation of §V
   (vectorized rounds formulation);
 * ``"approx-queue"`` — the same algorithm in its faithful queue form
@@ -14,11 +16,7 @@ in here:
 * ``"greedy"`` — serial sorted greedy (equivalent output, different cost);
 * ``"suitor"`` — the proposal-based ½-approximation (same output as the
   locally-dominant matcher under distinct weights);
-* ``"auction"`` — Bertsekas auction with an additive n·ε guarantee;
-* ``"exact-warm"`` — the exact matcher with warm-started dual potentials
-  (:class:`repro.matching.warm.ExactMatcher`): optimal weight per call,
-  with the Dijkstra searches pruned by the previous call's duals when
-  the same L structure is rounded repeatedly.
+* ``"auction"`` — Bertsekas auction with an additive n·ε guarantee.
 
 :data:`MATCHER_KINDS` lists these kinds; the CLI's ``--matcher``
 choices come from it.
@@ -50,7 +48,6 @@ from repro.core.problem import NetworkAlignmentProblem
 from repro.core.result import BestTracker
 from repro.errors import ConfigurationError, DimensionError
 from repro.matching.auction import auction_matching
-from repro.matching.exact import max_weight_matching
 from repro.matching.greedy import greedy_matching
 from repro.matching.locally_dominant import (
     locally_dominant_matching,
@@ -82,8 +79,7 @@ class Matcher(Protocol):
 
 
 MATCHER_KINDS = (
-    "exact", "exact-warm", "approx", "approx-queue", "greedy", "suitor",
-    "auction",
+    "exact", "approx", "approx-queue", "greedy", "suitor", "auction",
 )
 
 
@@ -92,14 +88,15 @@ def make_matcher(kind: str) -> Matcher:
 
     The returned callable carries a ``kind`` attribute so downstream
     instrumentation (``rounding`` events) can name the oracle in use.
-    ``"exact-warm"`` returns a *stateful* matcher (a fresh
-    :class:`~repro.matching.warm.ExactMatcher` per call to this factory)
-    that warm-starts successive matchings on the same L structure.
+    ``"exact"`` returns a fresh
+    :class:`~repro.matching.warm.ExactMatcher` per call to this factory:
+    it warm-starts successive matchings on the same L structure, and
+    each answer equals a cold solve's, so one solver run should hold
+    one matcher.
     """
-    if kind == "exact-warm":
-        return ExactMatcher(warm_start=True)
+    if kind == "exact":
+        return ExactMatcher()
     impls: dict[str, Matcher] = {
-        "exact": lambda ell, w: max_weight_matching(ell, w),
         "approx": lambda ell, w: locally_dominant_matching_vectorized(ell, w),
         "approx-queue": lambda ell, w: locally_dominant_matching(ell, w),
         "greedy": lambda ell, w: greedy_matching(ell, w),

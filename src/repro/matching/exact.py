@@ -23,9 +23,6 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from repro._util import asarray_f64
-from repro.errors import DimensionError
-from repro.matching.instrument import observed_matcher
 from repro.matching.result import MatchingResult
 from repro.sparse.bipartite import BipartiteGraph
 
@@ -54,10 +51,10 @@ def _augment_row(
 
     Maintains the successive-shortest-path invariant: dual feasibility
     (all reduced costs non-negative) plus tightness of matched edges.
-    Any caller that establishes the same invariant — the cold solver
-    below with zero duals, or the warm-start matcher with repaired duals
-    from a previous call (:mod:`repro.matching.warm`) — may augment rows
-    in any order and reach an optimal assignment.
+    Any caller that establishes the same invariant — a cold solve with
+    zero duals, or a warm start with repaired duals from a previous call
+    (both in :mod:`repro.matching.warm`) — may augment rows in any order
+    and reach an optimal assignment.
 
     Returns the number of columns finalized by the search (the Dijkstra
     "depth"; the warm-start layer reports it as the residual search
@@ -139,7 +136,6 @@ def _augment_row(
     return len(done)
 
 
-@observed_matcher("exact")
 def max_weight_matching(
     graph: BipartiteGraph,
     weights: np.ndarray | None = None,
@@ -155,61 +151,18 @@ def max_weight_matching(
     weights:
         Optional replacement weight vector over L's edges (the iterative
         methods repeatedly match the same structure under new weights).
-        Defaults to ``graph.weights``.
+        Defaults to ``graph.weights``.  It must be finite.
     dense_cutoff:
         Vertex-product threshold under which the dense LSAP fast path is
         used (identical results; pass 0 to force the sparse search).
 
     Edges with non-positive weight are never selected: they cannot
     increase the matching weight, so the optimum over positive edges is a
-    global optimum.
+    global optimum.  This is the single call of a fresh
+    :class:`~repro.matching.warm.ExactMatcher`, which with no previous
+    call solves from zero duals; a matcher kept across calls returns
+    the same answers, cheaper.
     """
-    if 0 < graph.n_a * graph.n_b <= dense_cutoff:
-        from repro.matching.dense import max_weight_matching_dense
+    from repro.matching.warm import ExactMatcher
 
-        return max_weight_matching_dense(graph, weights)
-    w_vec = graph.weights if weights is None else asarray_f64(weights)
-    if w_vec.shape != (graph.n_edges,):
-        raise DimensionError(
-            f"weights has shape {w_vec.shape}, expected ({graph.n_edges},)"
-        )
-    keep = w_vec > 0.0
-    n_a, n_b = graph.n_a, graph.n_b
-    mate_a = np.full(n_a, -1, dtype=np.int64)
-    if not keep.any():
-        return MatchingResult.from_mates(graph, mate_a, weights=w_vec)
-
-    # Filtered row-CSR over the positive edges.  The edge arrays are
-    # already row-major, so filtering preserves grouping.
-    a_f = graph.edge_a[keep]
-    b_f = graph.edge_b[keep]
-    w_f = w_vec[keep]
-    ptr = np.zeros(n_a + 1, dtype=np.int64)
-    np.add.at(ptr, a_f + 1, 1)
-    np.cumsum(ptr, out=ptr)
-
-    shift = float(w_f.max())  # cost = shift - w >= 0; dummy cost = shift
-    # Plain Python lists: the Dijkstra inner loop is scalar-indexed and
-    # lists are markedly faster than NumPy scalars there.
-    ptr_l = ptr.tolist()
-    b_l = b_f.tolist()
-    cost_l = (shift - w_f).tolist()
-
-    n_cols = n_b + n_a  # real columns then one private dummy per row
-    v = [0.0] * n_cols
-    u = [0.0] * n_a
-    match_row = [-1] * n_a  # row -> column (possibly dummy)
-    match_col = [-1] * n_cols  # column -> row
-
-    for r in range(n_a):
-        if ptr_l[r] == ptr_l[r + 1]:
-            continue  # no positive edge: implicitly takes its dummy
-        _augment_row(
-            r, ptr_l, b_l, cost_l, shift, u, v, match_row, match_col, n_b
-        )
-
-    for i in range(n_a):
-        j = match_row[i]
-        if 0 <= j < n_b:
-            mate_a[i] = j
-    return MatchingResult.from_mates(graph, mate_a, weights=w_vec)
+    return ExactMatcher()(graph, weights, dense_cutoff=dense_cutoff)

@@ -1,49 +1,55 @@
-"""Warm-started exact matching: reuse dual potentials across calls.
+"""The exact matcher: warm-started, and always the cold solver's answer.
 
 The iterative methods call ``bipartite_match`` on the *same* L structure
 over and over with slowly drifting weight vectors (Klau rounds ``wbar``
-every iteration; BP's final rounding re-scores stored iterates).  The
-successive-shortest-path solver in :mod:`repro.matching.exact` starts
-every call from zero duals and an empty matching, so each call pays the
-full sequence of Dijkstra searches.
-
-:class:`ExactMatcher` keeps the dual potentials ``(u, v)`` and the
-previous matching between calls, in the spirit of Klau's Lagrangian
-relaxation and the auction-style price reuse of the message-passing
-network-alignment literature.  Between calls it restores the
+every iteration, on one fixed L).  The successive-shortest-path solver
+of :mod:`repro.matching.exact` started every call from zero duals and an
+empty matching.  :class:`ExactMatcher` keeps the dual potentials
+``(u, v)`` and the previous matching between calls and restores the
 successive-shortest-path invariant cheaply:
 
-1. **Dual repair** — with the new costs ``c' = shift' − w'``, set
-   ``u[r] = min_j (c'_rj − v[j])`` over row ``r``'s positive edges and
-   its private dummy column.  All reduced costs become non-negative with
-   ``v`` unchanged, so the repaired duals are feasible.
-2. **Matching reuse** — keep every previously matched pair whose edge is
-   still *tight* under the repaired duals (reduced cost zero up to the
-   tolerance ``tol``, then re-tightened exactly by nudging ``v``; the
-   stored duals are accumulated float increments, so exact-zero checks
-   would spuriously drop seeds that are tight up to an ulp).  The
-   partial-assignment optimality certificate additionally requires
-   ``v[j] = 0`` on every *unmatched* column (the column constraints are
-   inequalities), so columns whose pair is dropped get their potential
-   reset to zero; that can lower the repaired ``u`` of neighbouring rows
-   and break tightness of *their* seeds, so drops propagate through a
-   worklist over the column→rows adjacency until stable (each step drops
-   one seed, so the cascade is linear, not quadratic).  Feasible duals +
-   tight matched edges + zero potentials on free columns is precisely
-   the invariant the Hungarian augmentation maintains, so the remaining
-   free rows can be augmented from this partial state and the result is
-   an exact optimum (up to ``n·tol`` in degenerate near-tie instances;
-   ``tol=0.0`` restores bitwise-strict seeding).
-3. **Residual augmentation** — run the shared
-   :func:`~repro.matching.exact._augment_row` search only for rows not
-   reused.  Near a fixed point almost every row stays tight and the call
-   degenerates to the O(n + m) repair scan.
+1. **Seeds** — every matchable row (one with a positive edge) whose
+   previous column is still reachable: its dummy column, or a real
+   column whose edge is still positive (found by ``searchsorted`` on
+   the row-major keys of the positive edges).
+2. **Dual repair** — with the new costs ``c' = shift' − w'``, free
+   columns are priced zero (the column constraints are inequalities)
+   and ``u[r] = min_j (c'_rj − v[j])`` over row ``r``'s positive edges
+   and its private dummy column (``np.minimum.reduceat``).  All reduced
+   costs become non-negative, so the repaired duals are feasible.
+3. **Seed reuse** — a seed is kept when its reduced cost is at most
+   ``eps = tol·(1 + shift)`` (the stored duals are accumulated float
+   increments, so an exact-zero test would drop seeds that are tight up
+   to an ulp) and then re-tightened exactly by raising ``v[j]`` by that
+   residual.  Dropping a seed frees its column and zeroes its price,
+   which can lower the repaired ``u`` of rows adjacent to it and break
+   *their* seeds; the drops propagate through a LIFO worklist over the
+   column adjacency, which is built only when some seed fails.
+4. **Residual augmentation** — the shared
+   :func:`~repro.matching.exact._augment_row` search runs only for the
+   rows left free.  Near a fixed point every row stays tight and the
+   call costs a few vectorized passes over the edges.
 
-The matching returned can differ from the cold solver's in tie cases,
-but its weight is always the exact optimum (both are optimal solutions
-of the same assignment problem).  ``warm_start=False`` (or
-:meth:`ExactMatcher.reset`) is the cold-start escape hatch; the state is
-also dropped automatically whenever the L structure changes.
+Two rules make every answer equal to the cold solver's, so the answer
+is a pure function of ``(L, weights)``:
+
+* **Low reuse goes cold.**  When fewer than half of the matchable rows
+  keep a tight seed, a warm attempt would cost more than it saves.  The
+  call zeroes the duals and augments every row in row order, which is
+  exactly :func:`~repro.matching.exact.max_weight_matching`'s algorithm
+  (same row order, same heap order), so the answer is the cold one by
+  construction.
+* **A certificate, or a cold re-solve.**  A warm optimum is returned
+  only when :func:`_optimum_is_unique` proves that no other assignment
+  comes within ``tol·(1 + shift)`` of its cost; then the cold solver,
+  whose rounding error is far below that margin, must return the same
+  matching.  Otherwise (a tie, or a near-tie) the call re-solves cold
+  in place.
+
+Below the dense cutoff the matcher delegates to SciPy's LSAP, with no
+state, as the cold solver does.  Because no answer depends on the
+state, a checkpoint needs none of it: a solver resumed with a fresh
+matcher is bit-identical to the uninterrupted run.
 """
 
 from __future__ import annotations
@@ -51,10 +57,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from repro._util import asarray_f64
-from repro.errors import ConfigurationError, DimensionError
-from repro.matching.exact import _augment_row
+from repro.errors import ConfigurationError, DimensionError, ValidationError
+from repro.matching.dense import max_weight_matching_dense
+from repro.matching.exact import _DENSE_CUTOFF, _augment_row
 from repro.matching.instrument import emit_matching
 from repro.matching.result import MatchingResult
 from repro.observe import get_bus
@@ -62,22 +71,31 @@ from repro.sparse.bipartite import BipartiteGraph
 
 __all__ = ["ExactMatcher", "WarmStartStats"]
 
+#: ``WarmStartStats.path`` values: where a call's answer came from.
+PATHS = ("cold", "warm", "low_reuse", "tie", "dense")
+
 
 @dataclass(frozen=True)
 class WarmStartStats:
-    """What one :class:`ExactMatcher` call reused versus recomputed.
+    """What one :class:`ExactMatcher` call did.
 
-    ``search_depth`` is the total number of columns finalized by the
-    residual Dijkstra searches — the paper-relevant cost proxy; a deep
-    warm start shows up as ``rows_reused ≈ rows_total`` and a small
-    depth.
+    ``path`` names where the answer came from: ``"warm"`` (a certified
+    warm optimum), ``"cold"`` (no usable state: the first call on an L
+    structure, or no positive edge), ``"low_reuse"`` (too few seeds
+    stayed tight, so the call solved cold), ``"tie"`` (the warm optimum
+    was not certified unique, so the call re-solved cold) or
+    ``"dense"`` (below the dense cutoff: SciPy's LSAP, all counts 0).
+    ``rows_reused`` counts the seeds the answer kept (0 unless
+    ``warm``); ``rows_searched`` and ``search_depth`` (columns finalized
+    by the Dijkstra searches) count every search the call ran,
+    including a discarded warm attempt.
     """
 
+    path: str
     rows_total: int
     rows_reused: int
     rows_searched: int
     search_depth: int
-    warm: bool
 
     @property
     def hit_ratio(self) -> float:
@@ -87,49 +105,69 @@ class WarmStartStats:
         return self.rows_reused / self.rows_total
 
 
-class ExactMatcher:
-    """Exact maximum-weight matching with optional warm-started duals.
+class _Sparse:
+    """The positive edges of one call, as a row CSR (row-major order)."""
 
-    A drop-in ``bipartite_match`` oracle (``matcher(ell, weights)``)
-    registered as ``"exact-warm"`` in
-    :func:`repro.core.rounding.make_matcher`.  One instance accumulates
-    state across calls; distinct solver runs should use distinct
-    instances (``make_matcher`` returns a fresh one each time).
+    def __init__(self, graph: BipartiteGraph, w_vec: np.ndarray) -> None:
+        self.keep = w_vec > 0.0
+        self.a = graph.edge_a[self.keep]
+        self.b = graph.edge_b[self.keep]
+        w_f = w_vec[self.keep]
+        counts = np.bincount(self.a, minlength=graph.n_a)
+        self.ptr = np.zeros(graph.n_a + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.ptr[1:])
+        self.rows = np.flatnonzero(counts)  # the matchable rows
+        # cost = shift - w >= 0; a row's dummy column costs shift.
+        self.shift = float(w_f.max()) if len(w_f) else 0.0
+        self.cost = self.shift - w_f
+
+    def row_minima(self, v: np.ndarray, n_b: int) -> np.ndarray:
+        """``min(shift − v[dummy], min_k (cost_k − v[b_k]))`` per row.
+
+        The dummy bound stays unless an edge is strictly smaller, as in
+        a scan that starts from the dummy and keeps the first minimum.
+        """
+        edge_min = np.minimum.reduceat(self.cost - v[self.b],
+                                       self.ptr[self.rows])
+        dummy = self.shift - v[n_b + self.rows]
+        return np.where(edge_min < dummy, edge_min, dummy)
+
+
+class ExactMatcher:
+    """Exact maximum-weight matching that warm-starts from its last call.
+
+    The ``bipartite_match`` oracle :func:`repro.core.rounding.make_matcher`
+    returns for ``"exact"`` (one instance per solve), and the engine of
+    :func:`~repro.matching.exact.max_weight_matching` (a fresh instance
+    per call).  Every call returns the cold solver's answer; the state
+    carried between calls only makes it cheaper.  State is kept per L
+    structure (the identity of its endpoint arrays), so ``with_weights``
+    views of one graph warm-start each other.
     """
 
-    kind = "exact-warm"
+    kind = "exact"
 
     #: Default relative tightness tolerance (scaled by ``1 + shift``).
     #: Large enough to absorb the ulp-level drift the incremental dual
     #: updates accumulate, far below any generic optimality gap.
     DEFAULT_TOL = 1e-9
 
-    def __init__(
-        self, warm_start: bool = True, *, tol: float | None = None
-    ) -> None:
-        self.warm_start = bool(warm_start)
+    def __init__(self, *, tol: float | None = None) -> None:
         self.tol = self.DEFAULT_TOL if tol is None else float(tol)
         if self.tol < 0.0:
             raise ConfigurationError("tol must be non-negative")
         self.last_stats: WarmStartStats | None = None
         self._key: tuple | None = None
-        self._u: list[float] | None = None
-        self._v: list[float] | None = None
-        self._match_row: list[int] | None = None
-
-    def reset(self) -> None:
-        """Cold-start escape hatch: forget duals and the last matching."""
-        self._key = None
-        self._u = None
-        self._v = None
-        self._match_row = None
+        self._u: np.ndarray | None = None
+        self._v: np.ndarray | None = None
+        self._match_row: np.ndarray | None = None
 
     @staticmethod
     def _structure_key(graph: BipartiteGraph) -> tuple:
         # Endpoint arrays are treated as immutable; identity of both plus
         # the sizes pins down "the same L structure" without hashing the
-        # arrays.  ``with_weights`` views share the endpoint arrays, so
-        # re-weighted views of one graph warm-start each other.
+        # arrays.  A stale key can only cost time: no answer depends on
+        # the state.
         return (
             id(graph.edge_a), id(graph.edge_b),
             graph.n_a, graph.n_b, graph.n_edges,
@@ -139,162 +177,302 @@ class ExactMatcher:
         self,
         graph: BipartiteGraph,
         weights: np.ndarray | None = None,
+        *,
+        dense_cutoff: int = _DENSE_CUTOFF,
     ) -> MatchingResult:
+        """Match ``graph`` under ``weights`` (default: its own weights).
+
+        Below ``n_a·n_b = dense_cutoff`` the call delegates to SciPy's
+        dense LSAP (pass 0 to force the sparse search).  Edges with
+        non-positive weight are never selected.
+
+        Raises:
+            DimensionError: ``weights`` has the wrong length.
+            ValidationError: ``weights`` holds a NaN or an infinity.
+        """
         w_vec = graph.weights if weights is None else asarray_f64(weights)
         if w_vec.shape != (graph.n_edges,):
             raise DimensionError(
                 f"weights has shape {w_vec.shape}, expected "
                 f"({graph.n_edges},)"
             )
-        n_a, n_b = graph.n_a, graph.n_b
-        keep = w_vec > 0.0
-
-        # Filtered row-CSR over the positive edges (row-major input order
-        # makes the filter grouping-preserving), as in the cold solver.
-        b_f = graph.edge_b[keep]
-        w_f = w_vec[keep]
-        ptr = np.zeros(n_a + 1, dtype=np.int64)
-        np.add.at(ptr, graph.edge_a[keep] + 1, 1)
-        np.cumsum(ptr, out=ptr)
-        shift = float(w_f.max()) if len(w_f) else 0.0
-        ptr_l = ptr.tolist()
-        b_l = b_f.tolist()
-        cost_l = (shift - w_f).tolist()
-
-        n_cols = n_b + n_a  # real columns then one private dummy per row
-        key = self._structure_key(graph)
-        warm = (
-            self.warm_start
-            and self._key == key
-            and self._u is not None
-        )
-        match_row = [-1] * n_a
-        match_col = [-1] * n_cols
-        matchable = [
-            r for r in range(n_a) if ptr_l[r] != ptr_l[r + 1]
-        ]
-        rows_total = len(matchable)
-        rows_reused = 0
-        if warm:
-            u, v = self._u, self._v
-            prev_row = self._match_row
-            eps = self.tol * (1.0 + shift)
-            # Candidate seeds: previously matched pairs that structurally
-            # survive, with their current cost.
-            live: dict[int, tuple[int, float]] = {}
-            for r in matchable:
-                prev_j = prev_row[r]
-                if prev_j == n_b + r:
-                    live[r] = (prev_j, shift)
-                elif prev_j >= 0:
-                    for k in range(ptr_l[r], ptr_l[r + 1]):
-                        if b_l[k] == prev_j:
-                            live[r] = (prev_j, cost_l[k])
-                            break
-            # Free columns must be priced zero (inequality duals).
-            matched_cols = {j for j, _ in live.values()}
-            for j in range(n_cols):
-                if v[j] != 0.0 and j not in matched_cols:
-                    v[j] = 0.0
-            # Dual repair: u[r] := min_j (c'_rj - v[j]) restores
-            # feasibility with v unchanged.
-            for r in matchable:
-                best = shift - v[n_b + r]
-                for k in range(ptr_l[r], ptr_l[r + 1]):
-                    nd = cost_l[k] - v[b_l[k]]
-                    if nd < best:
-                        best = nd
-                u[r] = best
-            # Drop seeds that lost tightness, propagating through a
-            # worklist: freeing column j resets v[j] to 0, which can
-            # lower the repaired u of rows adjacent to j (their reduced
-            # cost through j shrinks) and untighten *their* seeds.
-            # Column -> (row, edge) adjacency of the filtered graph:
-            a_f = graph.edge_a[keep]
-            order = np.argsort(b_f, kind="stable")
-            col_rows = a_f[order].tolist()
-            col_edge = order.tolist()
-            cptr = np.zeros(n_b + 1, dtype=np.int64)
-            np.add.at(cptr, b_f + 1, 1)
-            np.cumsum(cptr, out=cptr)
-            cptr_l = cptr.tolist()
-            queue = [
-                r for r, (j, c) in live.items() if c - v[j] - u[r] > eps
-            ]
-            while queue:
-                r = queue.pop()
-                entry = live.pop(r, None)
-                if entry is None:
-                    continue
-                j = entry[0]
-                v_j = v[j]
-                v[j] = 0.0
-                if v_j == 0.0 or j >= n_b:
-                    continue  # price unchanged / private dummy column
-                for idx in range(cptr_l[j], cptr_l[j + 1]):
-                    r2 = col_rows[idx]
-                    nd = cost_l[col_edge[idx]]  # c - v[j] with v[j] = 0
-                    if nd < u[r2]:
-                        u[r2] = nd
-                        seed = live.get(r2)
-                        if seed is not None and (
-                            seed[1] - v[seed[0]] - nd > eps
-                        ):
-                            queue.append(r2)
-            # Re-tighten survivors exactly: the residual is <= eps, so
-            # nudging v restores c - u - v == 0 while perturbing other
-            # rows' reduced costs through j by at most eps.
-            for r, (j, c) in live.items():
-                v[j] = c - u[r]
-                match_row[r] = j
-                match_col[j] = r
-            rows_reused = len(live)
+        if not np.isfinite(w_vec).all():
+            raise ValidationError(
+                "matching weights must be finite (NaN/inf found); a NaN "
+                "edge would silently drop out of the matching"
+            )
+        if 0 < graph.n_a * graph.n_b <= dense_cutoff:
+            result = max_weight_matching_dense(graph, w_vec)
+            self.last_stats = WarmStartStats("dense", 0, 0, 0, 0)
         else:
-            u = [0.0] * n_a
-            v = [0.0] * n_cols
-
-        search_depth = 0
-        rows_searched = 0
-        for r in range(n_a):
-            if ptr_l[r] == ptr_l[r + 1] or match_row[r] != -1:
-                continue
-            rows_searched += 1
-            search_depth += _augment_row(
-                r, ptr_l, b_l, cost_l, shift, u, v, match_row, match_col,
-                n_b,
-            )
-
-        self._key = key
-        self._u = u
-        self._v = v
-        self._match_row = match_row
-        self.last_stats = WarmStartStats(
-            rows_total=rows_total,
-            rows_reused=rows_reused,
-            rows_searched=rows_searched,
-            search_depth=search_depth,
-            warm=warm,
-        )
-
-        mate_a = np.full(n_a, -1, dtype=np.int64)
-        for i in range(n_a):
-            j = match_row[i]
-            if 0 <= j < n_b:
-                mate_a[i] = j
-        result = MatchingResult.from_mates(graph, mate_a, weights=w_vec)
-        bus = get_bus()
-        if bus.active:
-            bus.metrics.counter("repro_warm_start_rows_reused_total").inc(
-                rows_reused
-            )
-            bus.metrics.counter("repro_warm_start_rows_searched_total").inc(
-                rows_searched
-            )
-            bus.metrics.histogram("repro_warm_start_search_depth").observe(
-                float(search_depth)
-            )
-        emit_matching(
-            "exact-warm", graph, result,
-            warm=warm, rows_reused=rows_reused, rows_searched=rows_searched,
-        )
+            result = self._match_sparse(graph, w_vec)
+            bus = get_bus()
+            if bus.active:
+                stats = self.last_stats
+                bus.metrics.counter(
+                    "repro_warm_start_rows_reused_total"
+                ).inc(stats.rows_reused)
+                bus.metrics.counter(
+                    "repro_warm_start_rows_searched_total"
+                ).inc(stats.rows_searched)
+                bus.metrics.histogram(
+                    "repro_warm_start_search_depth"
+                ).observe(float(stats.search_depth))
+        emit_matching(self.kind, graph, result)
         return result
+
+    def _match_sparse(
+        self, graph: BipartiteGraph, w_vec: np.ndarray
+    ) -> MatchingResult:
+        n_a, n_b = graph.n_a, graph.n_b
+        sp = _Sparse(graph, w_vec)
+        rows_total = len(sp.rows)
+        key = self._structure_key(graph)
+        path, reused, searched, depth = "cold", 0, 0, 0
+        solved = None
+        if self._key == key and rows_total:
+            solved, reused, searched, depth = self._warm(graph, sp)
+            if solved is None:
+                path = "low_reuse"
+            elif _optimum_is_unique(sp, n_b, *solved, self.tol):
+                path = "warm"
+            else:
+                path, reused, solved = "tie", 0, None
+        if solved is None:
+            solved, depth_cold = _solve_cold(sp, n_a, n_b)
+            searched += rows_total
+            depth += depth_cold
+        self._key = key
+        self._u, self._v, self._match_row = solved
+        self.last_stats = WarmStartStats(
+            path, rows_total, reused, searched, depth
+        )
+        match_row = solved[2]
+        mate_a = np.where(match_row < n_b, match_row, -1)
+        return MatchingResult.from_mates(graph, mate_a, weights=w_vec)
+
+    def _warm(self, graph: BipartiteGraph, sp: _Sparse):
+        """Repair the stored duals and reuse the stored matching.
+
+        Returns ``(solved, rows_reused, rows_searched, search_depth)``
+        with ``solved = (u, v, match_row)``, or ``solved = None`` when
+        fewer than half of the matchable rows keep a tight seed.
+        """
+        n_a, n_b = graph.n_a, graph.n_b
+        u, v = self._u.copy(), self._v.copy()
+        rows, shift = sp.rows, sp.shift
+        eps = self.tol * (1.0 + shift)
+
+        # Seeds: each matchable row's previous column, if it survives.
+        prev = self._match_row[rows]
+        probe = rows * n_b + prev
+        keys = sp.a * n_b + sp.b
+        pos = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+        on_edge = (prev >= 0) & (prev < n_b) & (keys[pos] == probe)
+        on_dummy = prev == n_b + rows
+        seeded = on_edge | on_dummy
+        s_rows = rows[seeded]
+        s_cols = prev[seeded]
+        s_cost = np.where(on_dummy, shift, sp.cost[pos])[seeded]
+
+        # Free columns are priced zero (inequality duals); then the dual
+        # repair makes every reduced cost non-negative with v fixed.
+        seed_col = np.zeros(n_b + n_a, dtype=bool)
+        seed_col[s_cols] = True
+        v[~seed_col & (v != 0.0)] = 0.0
+        u[rows] = sp.row_minima(v, n_b)
+        tight = s_cost - v[s_cols] - u[s_rows] <= eps
+        if 2 * int(tight.sum()) < len(rows):
+            return None, 0, 0, 0
+
+        match_row = np.full(n_a, -1, dtype=np.int64)
+        if len(s_rows) == len(rows) and tight.all():
+            # Every row keeps its seed: re-tighten, nothing to search.
+            v[s_cols] = s_cost - u[s_rows]
+            match_row[s_rows] = s_cols
+            return (u, v, match_row), len(s_rows), 0, 0
+
+        u_l, v_l = u.tolist(), v.tolist()
+        live = dict(zip(s_rows.tolist(), zip(s_cols.tolist(),
+                                             s_cost.tolist())))
+        queue = s_rows[~tight].tolist()
+        if queue:
+            _drop_cascade(graph, sp, queue, live, u_l, v_l, eps)
+        # Re-tighten the survivors exactly: each residual is <= eps, so
+        # raising v[j] by it restores c - u - v == 0 on the seed while
+        # lowering other rows' reduced costs through j by at most eps.
+        match_row_l = match_row.tolist()
+        match_col_l = [-1] * (n_b + n_a)
+        for r, (j, c) in live.items():
+            v_l[j] = c - u_l[r]
+            match_row_l[r] = j
+            match_col_l[j] = r
+        ptr_l = sp.ptr.tolist()
+        b_l = sp.b.tolist()
+        cost_l = sp.cost.tolist()
+        searched = depth = 0
+        for r in rows.tolist():
+            if match_row_l[r] == -1:
+                searched += 1
+                depth += _augment_row(
+                    r, ptr_l, b_l, cost_l, shift, u_l, v_l, match_row_l,
+                    match_col_l, n_b,
+                )
+        solved = (np.array(u_l), np.array(v_l),
+                  np.array(match_row_l, dtype=np.int64))
+        return solved, len(live), searched, depth
+
+
+def _solve_cold(sp: _Sparse, n_a: int, n_b: int):
+    """Zero duals, then one augmenting search per matchable row in order.
+
+    Returns ``((u, v, match_row), search_depth)``.
+    """
+    # Plain Python lists: the Dijkstra inner loop is scalar-indexed and
+    # lists are markedly faster than NumPy scalars there.
+    ptr_l = sp.ptr.tolist()
+    b_l = sp.b.tolist()
+    cost_l = sp.cost.tolist()
+    n_cols = n_b + n_a  # real columns then one private dummy per row
+    u = [0.0] * n_a
+    v = [0.0] * n_cols
+    match_row = [-1] * n_a  # row -> column (possibly dummy)
+    match_col = [-1] * n_cols  # column -> row
+    depth = 0
+    for r in sp.rows.tolist():
+        depth += _augment_row(
+            r, ptr_l, b_l, cost_l, sp.shift, u, v, match_row, match_col, n_b
+        )
+    solved = (np.array(u), np.array(v), np.array(match_row, dtype=np.int64))
+    return solved, depth
+
+
+def _drop_cascade(
+    graph: BipartiteGraph,
+    sp: _Sparse,
+    queue: list,
+    live: dict,
+    u: list,
+    v: list,
+    eps: float,
+) -> None:
+    """Drop the seeds in ``queue`` and every seed their drops untighten.
+
+    Freeing column j resets v[j] to 0, which can lower the repaired u of
+    rows adjacent to j (their reduced cost through j shrinks) and
+    untighten *their* seeds.  Each step drops one seed, so the cascade
+    is linear in the drops, not quadratic.
+    """
+    # Column -> (row, edge) adjacency of the positive edges: the graph's
+    # column permutation is already in (b, a) order.
+    col_perm = graph.col_perm
+    cp = col_perm[sp.keep[col_perm]]
+    col_rows = graph.edge_a[cp].tolist()
+    col_edge = (np.cumsum(sp.keep) - 1)[cp].tolist()
+    cptr = np.zeros(graph.n_b + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sp.b, minlength=graph.n_b), out=cptr[1:])
+    cptr_l = cptr.tolist()
+    cost_l = sp.cost.tolist()
+    n_b = graph.n_b
+    while queue:
+        r = queue.pop()
+        entry = live.pop(r, None)
+        if entry is None:
+            continue
+        j = entry[0]
+        v_j = v[j]
+        v[j] = 0.0
+        if v_j == 0.0 or j >= n_b:
+            continue  # price unchanged / private dummy column
+        for idx in range(cptr_l[j], cptr_l[j + 1]):
+            r2 = col_rows[idx]
+            nd = cost_l[col_edge[idx]]  # c - v[j] with v[j] = 0
+            if nd < u[r2]:
+                u[r2] = nd
+                seed = live.get(r2)
+                if seed is not None and seed[1] - v[seed[0]] - nd > eps:
+                    queue.append(r2)
+
+
+def _optimum_is_unique(
+    sp: _Sparse,
+    n_b: int,
+    u: np.ndarray,
+    v: np.ndarray,
+    match_row: np.ndarray,
+    tol: float,
+) -> bool:
+    """Whether ``match_row`` is the only assignment within the tolerance.
+
+    Every matchable row is assigned a column (a real one, or its private
+    dummy).  The duals are first made exactly feasible: ``u`` becomes
+    the row minima of ``c − v``, so every reduced cost
+    ``rc = c − u − v`` is ≥ 0.  Let ``S`` be M's total slack under them:
+    the reduced costs of M's pairs plus ``max(v, 0)`` over M's columns
+    (the column duals of the ``≤ 1`` constraints should be ≤ 0; warm
+    re-tightening can leave one up to ``eps`` above).  Free columns are
+    priced exactly 0 by construction.  Then for any other assignment M'
+
+        cost(M') − cost(M) = Σ_{M'∖M} rc − Σ_{M∖M'} rc
+                             − Σ_{j ∈ cols(M)∖cols(M')} v_j
+                           ≥ Σ_{M'∖M} rc + Σ_{cols(M)∖cols(M')} (−v_j)⁺ − S.
+
+    M ⊕ M' splits into alternating cycles and alternating paths, and a
+    path runs from a column only M uses to a column only M' uses (free
+    in M).  Draw an arc a → b when the row M matches to column a has
+    reduced cost ≤ δ to column b (its own dummy included).  If the
+    digraph has no cycle, and no path from an M-column priced
+    ``v ≥ −δ`` to a free column, then every component of M ⊕ M' holds
+    an M' pair with rc > δ or an end column with −v > δ, so
+    ``cost(M') − cost(M) > δ − S``.  With ``δ = tol·(1 + shift) + S``,
+    every other assignment costs more than M by over ``tol·(1 + shift)``:
+    M is the unique optimum with that margin, and the cold solver, whose
+    float error is orders of magnitude smaller (the reduced costs here
+    are exact to ~1e-16 relative as well), returns M.  The converse
+    holds up to δ: a cycle or such a path is an alternative assignment
+    within δ per pair, so a real tie is never certified.
+
+    The cycle test is one strongly-connected-components pass; the path
+    test one breadth-first search on the transpose from a sink that
+    every free column points to.
+    """
+    rows = sp.rows
+    n_cols = len(v)
+    u_r = np.zeros(len(match_row))
+    u_r[rows] = sp.row_minima(v, n_b)
+    rc = sp.cost - v[sp.b] - u_r[sp.a]
+    dummy_rc = sp.shift - v[n_b + rows] - u_r[rows]
+    cols = match_row[rows]  # every matchable row is assigned
+    on_m = sp.b == match_row[sp.a]
+    to_dummy = cols >= n_b
+    slack = (float(rc[on_m].sum()) + float(dummy_rc[to_dummy].sum())
+             + float(np.maximum(v[cols], 0.0).sum()))
+    delta = tol * (1.0 + sp.shift) + slack
+
+    near = ~on_m & (rc <= delta)
+    near_dummy = ~to_dummy & (dummy_rc <= delta)
+    src = np.concatenate([match_row[sp.a[near]], cols[near_dummy]])
+    dst = np.concatenate([sp.b[near], n_b + rows[near_dummy]])
+    if not len(src):
+        return True
+    taken = np.zeros(n_cols, dtype=bool)
+    taken[cols] = True
+    free = np.unique(dst[~taken[dst]])
+    sink = n_cols
+    # The transpose digraph: strongly connected components are the same
+    # as the original's, and its BFS from the sink finds every column
+    # with a path to a free column.
+    t_src = np.concatenate([dst, np.full(len(free), sink)])
+    t_dst = np.concatenate([src, free])
+    digraph = csr_matrix(
+        (np.ones(len(t_src), dtype=np.int8), (t_src, t_dst)),
+        shape=(n_cols + 1, n_cols + 1),
+    )
+    n_comp, _ = connected_components(digraph, directed=True,
+                                     connection="strong")
+    if n_comp < n_cols + 1:
+        return False  # an alternating cycle
+    reach = np.zeros(n_cols + 1, dtype=bool)
+    reach[breadth_first_order(digraph, sink, directed=True,
+                              return_predecessors=False)] = True
+    return not (reach[cols] & (v[cols] >= -delta)).any()

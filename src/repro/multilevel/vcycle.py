@@ -79,9 +79,9 @@ class MultilevelConfig(ConfigBase):
     #: Matcher for the refine roundings and the expanded-prior rounding.
     #: The prior vector is tie-heavy (α·w plus a 0/1 indicator), which
     #: degenerates exact matchers' augmenting search at scale — the
-    #: ½-approximation default handles ties in linear time.
-    #: ``"exact-warm"`` is worth trying on small/medium instances where
-    #: its dual reuse across the per-iteration roundings wins.
+    #: ½-approximation default handles ties in linear time.  Ties are
+    #: also where the exact matcher's warm start pays least: it re-solves
+    #: cold whenever it cannot prove its optimum unique.
     refine_matcher: str = "approx"
     prior_scale: float = 1.0
     gamma: float = 0.99

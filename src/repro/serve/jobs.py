@@ -335,10 +335,7 @@ def _execute_job_task(task: tuple) -> Any:
     Args:
         task: ``(problem, method, config, checkpoint_every, key,
             ckpt_store, warm_state, keep_state)``.  When the method
-            supports checkpointing and the config is
-            :func:`~repro.resilience.checkpoint.checkpointable` (a
-            stateful matcher is not: such jobs run without
-            checkpoints), the solve snapshots every
+            supports checkpointing, the solve snapshots every
             ``checkpoint_every`` iterations (``0``: never) under
             ``key`` in ``ckpt_store`` (the job store's checkpoint store
             — the process-default one, or a
@@ -364,14 +361,11 @@ def _execute_job_task(task: tuple) -> Any:
     (problem, method, config, ckpt_every, ckpt_key, ckpt_store,
      warm_state, keep) = task
     from repro.registry import align, get_solver
-    from repro.resilience.checkpoint import checkpointable
 
-    spec = get_solver(method)
+    checkpointing = get_solver(method).supports_checkpoint
     kwargs: dict[str, Any] = {}
     if warm_state is not None:
         kwargs["warm_from"] = warm_state
-    checkpointing = spec.supports_checkpoint and checkpointable(
-        spec.config_cls.from_dict(config))
     if checkpointing:
         kwargs.update(checkpoint_every=ckpt_every,
                       checkpoint_store=ckpt_store,

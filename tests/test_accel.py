@@ -1,7 +1,7 @@
 """Tests for the execution backend (repro.accel).
 
-The load-bearing contract is *bit-identity*: for a stateless matcher,
-the threaded and process backends must produce byte-for-byte the same
+The load-bearing contract is *bit-identity*: for every matcher, the
+threaded and process backends must produce byte-for-byte the same
 objectives, matchings, and solver histories as the serial reference —
 workers read the same float64 bytes through shared memory and run the
 identical expression sequence.  Plus lifecycle hygiene: the test module
@@ -164,20 +164,43 @@ class TestRoundingPool:
             assert np.array_equal(rm.mate_a, m.mate_a)
             assert np.array_equal(rm.edge_ids, m.edge_ids)
 
-    def test_refuses_stateful_matcher_on_process(self, small_instance):
-        with pytest.raises(ConfigurationError, match="exact-warm"):
-            RoundingPool(
-                small_instance.problem, "exact-warm",
-                ParallelConfig(backend="process", n_workers=2),
-            )
+    def test_exact_matcher_on_process_matches_serial(self):
+        """Each worker warm-starts its own exact matcher, and every
+        answer equals a cold solve's, so the process pool rounds with it
+        bit-identically to serial (above the dense cutoff)."""
+        from repro.generators import powerlaw_alignment_instance
+
+        p = powerlaw_alignment_instance(n=1300, seed=3).problem
+        rng = np.random.default_rng(5)
+        vectors = [p.weights + rng.normal(0, 0.1, p.n_edges_l)
+                   for _ in range(4)]
+        with RoundingPool(
+            p, "exact", ParallelConfig(backend="serial")
+        ) as ref_pool:
+            reference = ref_pool.round_many(vectors)
+        cfg = ParallelConfig(backend="process", n_workers=2)
+        with RoundingPool(p, "exact", cfg) as pool:
+            results = pool.round_many(vectors)
+        for (ro, rwp, rop, rm), (o, wp, op, m) in zip(reference, results):
+            assert (ro, rwp, rop) == (o, wp, op)
+            assert np.array_equal(rm.mate_a, m.mate_a)
 
     def test_exact_warm_allowed_serial(self, small_instance):
+        """The exact matcher, warm across a pool's roundings, returns
+        what a fresh one-shot rounding does."""
+        from repro.core.rounding import round_heuristic
+
         p = small_instance.problem
+        vectors = [p.weights, p.weights * 0.5 + 0.25]
         with RoundingPool(
-            p, "exact-warm", ParallelConfig(backend="serial")
+            p, "exact", ParallelConfig(backend="serial")
         ) as pool:
-            (obj, *_), = pool.round_many([p.weights])
-            assert obj > 0
+            results = pool.round_many(vectors)
+        for g, (obj, wp, op, m) in zip(vectors, results):
+            ref_obj, ref_wp, ref_op, ref_m = round_heuristic(
+                p, g, matcher="exact")
+            assert (obj, wp, op) == (ref_obj, ref_wp, ref_op) and obj > 0
+            assert np.array_equal(m.mate_a, ref_m.mate_a)
 
 
 class TestBPBackends:

@@ -149,6 +149,8 @@ class TestCommands:
         assert "mr runs serially" in captured.err
 
     def test_solve_exact_warm_matcher(self, tmp_path, capsys):
+        """MR's exact matcher warm-starts by itself; the old
+        ``exact-warm`` kind is no longer a choice."""
         from repro.generators.io import save_alignment_problem
         from repro.generators.synthetic import powerlaw_alignment_instance
 
@@ -156,8 +158,11 @@ class TestCommands:
         directory = str(tmp_path / "prob")
         save_alignment_problem(directory, inst.problem)
         main(["solve", directory, "--method", "mr", "--iters", "3",
-              "--matcher", "exact-warm"])
+              "--matcher", "exact"])
         assert "objective=" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["solve", directory, "--method", "mr", "--iters", "3",
+                  "--matcher", "exact-warm"])
 
     def test_solve_suitor_matcher(self, tmp_path, capsys):
         from repro.generators.io import save_alignment_problem

@@ -323,12 +323,14 @@ class TestWarmAlign:
         assert sink.of_type("delta_applied")
 
     def test_warm_exact_warm_matcher_supported(self, problem):
-        cfg = BPConfig(n_iter=8, matcher="exact-warm")
+        """Warm realignment rounds with the exact matcher, which itself
+        warm-starts across the run's roundings."""
+        cfg = BPConfig(n_iter=8, matcher="exact")
         cold = align(problem, "bp", cfg, keep_state=True)
         warm_state = WarmState.from_result(problem, cold)
         delta = edit_script(problem, weight_rate=0.1, seed=31)
         _, res, _ = realign(problem, delta, warm_state, config=cfg)
-        assert res.method == "bp-warm[exact-warm]"
+        assert res.method == "bp-warm[exact]"
         assert res.matching.cardinality >= 1
 
 

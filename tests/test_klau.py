@@ -27,17 +27,19 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             KlauConfig(**kwargs)
 
-    def test_warm_start_requires_exact_matcher(self):
-        KlauConfig(warm_start=True, matcher="exact")
+    def test_warm_start_is_not_a_field(self):
+        """The exact matcher always warm-starts; there is no switch."""
         with pytest.raises(ConfigurationError):
-            KlauConfig(warm_start=True, matcher="approx")
+            KlauConfig.from_dict({"warm_start": True})
 
-    def test_matcher_kind_resolution(self):
-        assert KlauConfig(matcher="exact").matcher_kind() == "exact"
-        assert (
-            KlauConfig(matcher="exact", warm_start=True).matcher_kind()
-            == "exact-warm"
-        )
+    def test_matcher_kind_resolution(self, small_instance):
+        """Step 3 runs the configured kind; the method string names it."""
+        assert not hasattr(KlauConfig, "matcher_kind")
+        for kind in ("exact", "approx"):
+            res = klau_align(small_instance.problem,
+                             KlauConfig(n_iter=2, matcher=kind))
+            assert res.method == f"klau-mr[{kind}]"
+            assert res.params["matcher"] == kind
 
 
 class TestRun:
@@ -71,20 +73,36 @@ class TestRun:
         )
         check_matching(small_instance.problem.ell, res.matching)
 
-    def test_warm_start_matches_cold_exactly(self, small_instance):
-        """Warm-started Step-3 matchings are optimal per call, so the
-        whole run — iterates, bounds, objective — must be unchanged."""
-        p = small_instance.problem
-        cold = klau_align(
-            p, KlauConfig(n_iter=12, matcher="exact", warm_start=False)
-        )
-        warm = klau_align(
-            p, KlauConfig(n_iter=12, matcher="exact", warm_start=True)
-        )
-        assert warm.objective == pytest.approx(cold.objective)
-        assert warm.best_upper_bound == pytest.approx(cold.best_upper_bound)
-        assert warm.method == "klau-mr[exact-warm]"
-        assert warm.params["warm_start"] is True
+    def test_warm_start_matches_cold_exactly(self, monkeypatch):
+        """Step 3's matcher warm-starts across the iterations and the
+        final rounding, yet the run — history, bounds, mates — equals a
+        run whose every matching is solved cold."""
+        import repro.core.klau as klau_module
+        from repro.generators.bio import dmela_scere
+        from repro.matching.exact import max_weight_matching
+        from repro.matching.warm import ExactMatcher
+
+        paths = []
+
+        class Recording(ExactMatcher):
+            def __call__(self, *args, **kwargs):
+                result = super().__call__(*args, **kwargs)
+                paths.append(self.last_stats.path)
+                return result
+
+        p = dmela_scere(scale=0.2, seed=4).problem
+        cfg = KlauConfig(n_iter=10, gap_tolerance=float("-inf"))
+        monkeypatch.setattr(klau_module, "make_matcher",
+                            lambda kind: Recording())
+        warm = klau_align(p, cfg)
+        monkeypatch.setattr(klau_module, "make_matcher",
+                            lambda kind: max_weight_matching)
+        cold = klau_align(p, cfg)
+        assert paths.count("warm") >= 8, paths
+        assert warm.history == cold.history
+        assert np.array_equal(warm.matching.mate_a, cold.matching.mate_a)
+        assert warm.objective == cold.objective
+        assert warm.best_upper_bound == cold.best_upper_bound
 
     def test_gamma_halving_on_stall(self, small_instance):
         res = klau_align(

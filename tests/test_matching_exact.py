@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DimensionError
+from repro.errors import DimensionError, ValidationError
 from repro.matching import (
     check_matching,
     max_weight_matching,
     max_weight_matching_dense,
 )
+from repro.matching.exact import _DENSE_CUTOFF
+from repro.matching.warm import ExactMatcher
 from repro.sparse.bipartite import BipartiteGraph
 
 from tests.helpers import random_bipartite
@@ -71,6 +73,30 @@ class TestSmallCases:
         sparse = max_weight_matching(g, dense_cutoff=0)
         fast = max_weight_matching(g)  # takes the dense path at this size
         assert np.isclose(sparse.weight, fast.weight)
+
+
+class TestNonFiniteWeights:
+    """A NaN or infinite weight is refused, never silently dropped."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("regime", ["dense", "sparse"])
+    @pytest.mark.parametrize("call", ["first", "warm"])
+    def test_rejected(self, bad, regime, call):
+        g = BipartiteGraph.from_edges(
+            3, 3, [0, 0, 1, 2], [0, 1, 1, 2], [1.0, 2.0, 3.0, 4.0])
+        cutoff = {"dense": _DENSE_CUTOFF, "sparse": 0}[regime]
+        matcher = ExactMatcher()
+        if call == "warm":
+            matcher(g, g.weights, dense_cutoff=cutoff)
+        w = g.weights.copy()
+        w[1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            matcher(g, w, dense_cutoff=cutoff)
+        with pytest.raises(ValidationError, match="finite"):
+            max_weight_matching(g, w, dense_cutoff=cutoff)
+        # The refused call leaves the matcher usable.
+        res = matcher(g, g.weights, dense_cutoff=cutoff)
+        assert np.array_equal(res.mate_a, [0, 1, 2]) and res.weight == 8.0
 
 
 class TestMatchingStructure:

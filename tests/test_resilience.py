@@ -611,22 +611,38 @@ class TestCheckpointResume:
         assert [e.fields["iteration"] for e in events] == [2, 4, 6]
 
     def test_exact_warm_rejected(self, small_instance):
-        with pytest.raises(ConfigurationError, match="stateless matcher"):
+        """``exact-warm`` is no longer a kind: ``exact`` warm-starts."""
+        with pytest.raises(ConfigurationError, match="unknown matcher"):
             align(small_instance.problem, "bp",
                   {"n_iter": 4, "matcher": "exact-warm"},
                   checkpoint_every=2, checkpoint_store=CheckpointStore())
 
-    def test_solve_many_runs_stateful_matchers_unsnapshotted(
-            self, small_instance):
+    def test_klau_exact_resume_matches_uninterrupted(self):
+        """The resumed run starts a fresh exact matcher (above the dense
+        cutoff, so it warm-starts); its answers do not depend on the
+        state the crashed run's matcher held."""
+        from repro.generators.bio import dmela_scere
+
+        self._interrupt_then_resume(
+            dmela_scere(scale=0.2, seed=3).problem, "klau",
+            {"n_iter": 8, "matcher": "exact",
+             "gap_tolerance": float("-inf")}, crash_at=5,
+        )
+
+    def test_solve_many_checkpoints_exact_matcher_solves(
+            self, bus, small_instance):
         problem = small_instance.problem
         parallel = ParallelConfig(
             backend="serial",
             resilience=ResilienceConfig(checkpoint_every=2))
         for method, cfg in (
-            ("bp", {"n_iter": 4, "matcher": "exact-warm"}),
-            ("klau", {"n_iter": 4, "matcher": "exact", "warm_start": True}),
+            ("bp", {"n_iter": 4, "matcher": "exact"}),
+            ("klau", {"n_iter": 4, "matcher": "exact",
+                      "gap_tolerance": float("-inf")}),
         ):
-            [res] = solve_many([problem], method, cfg, parallel)
+            with capture(bus=bus) as sink:
+                [res] = solve_many([problem], method, cfg, parallel)
+            assert sink.of_type("checkpoint"), method
             assert res.objective == align(problem, method, cfg).objective
 
     def test_unsupported_method_rejected(self, small_instance):

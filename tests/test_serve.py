@@ -474,16 +474,14 @@ class TestCheckpointedResume:
         # A clean finish discards the job's checkpoint key.
         assert get_checkpoint_store().load(f"serve:{job['id']}") is None
 
-    def test_stateful_matcher_jobs_run_without_checkpoints(
-            self, instance, wire_problem):
-        # exact-warm carries dual state a checkpoint cannot capture, so a
-        # checkpointing server must run these jobs unsnapshotted rather
-        # than fail them.
+    def test_exact_matcher_jobs_checkpoint(self, instance, wire_problem):
+        # The exact matcher's answers do not depend on its warm state,
+        # so a checkpointing server snapshots its jobs like any other.
         cfg = ServeConfig(port=0, workers=1, checkpoint_every=2,
                           max_retries=0)
-        jobs = [("bp", dict(CONFIG, matcher="exact-warm")),
+        jobs = [("bp", dict(CONFIG, matcher="exact")),
                 ("klau", {"n_iter": 6, "matcher": "exact",
-                          "warm_start": True})]
+                          "gap_tolerance": float("-inf")})]
         with serve_in_thread(cfg) as srv:
             for method, config in jobs:
                 status, job = _request(
@@ -492,6 +490,8 @@ class TestCheckpointedResume:
                                      config=config))
                 assert status == 200
                 assert job["state"] == "done", job
+                frames = _stream_frames(srv.base_url, job["id"])
+                assert "checkpoint" in [f["type"] for f in frames], method
                 _, served = _request(srv.base_url, "GET",
                                      f"/jobs/{job['id']}/result")
                 for field in ("cached", "warm_from", "parent_digest"):
