@@ -71,9 +71,6 @@ from repro.sparse.bipartite import BipartiteGraph
 
 __all__ = ["ExactMatcher", "WarmStartStats"]
 
-#: ``WarmStartStats.path`` values: where a call's answer came from.
-PATHS = ("cold", "warm", "low_reuse", "tie", "dense")
-
 
 @dataclass(frozen=True)
 class WarmStartStats:

@@ -11,6 +11,12 @@ matrix's definition, the reference for :mod:`repro.core.squares`: every
 L edge expands the full product of its endpoints' adjacency lists and
 probes L for each candidate pair.  :func:`count_squares_bruteforce` is
 the O(|E_L|²) definition itself.
+
+:func:`warm_start_loops` is the loop form of the exact matcher's warm
+repair (:meth:`repro.matching.warm.ExactMatcher._warm`): seed lookup,
+free-column reset, dual repair, tightness test, drop cascade,
+re-tightening and residual augmentation, one scalar at a time, with the
+same arithmetic in the same order.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import numpy as np
 
 from repro.errors import DimensionError
 from repro.graph.graph import Graph
+from repro.matching.exact import _augment_row
 from repro.matching.kernels import GroupPlan
 from repro.matching.result import RoundStats
 from repro.sparse.bipartite import BipartiteGraph
@@ -27,6 +34,7 @@ __all__ = [
     "count_squares_bruteforce",
     "locally_dominant_rounds_python",
     "squares_coo_cartesian",
+    "warm_start_loops",
 ]
 
 
@@ -159,3 +167,95 @@ def count_squares_bruteforce(
             if a_graph.has_edge(i, j) and b_graph.has_edge(ip, jp):
                 count += 1
     return count
+
+
+def warm_start_loops(
+    graph: BipartiteGraph,
+    weights: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    prev_row: np.ndarray,
+    tol: float,
+) -> tuple:
+    """Warm-start one exact matching from the duals ``(u, v)`` and the
+    previous row -> column assignment ``prev_row``, in loops.
+
+    Returns ``(u, v, match_row, rows_reused, rows_searched,
+    search_depth)`` after every free matchable row has been augmented.
+    """
+    n_a, n_b = graph.n_a, graph.n_b
+    keep = weights > 0.0
+    b_f = graph.edge_b[keep]
+    w_f = weights[keep]
+    ptr = np.zeros(n_a + 1, dtype=np.int64)
+    np.add.at(ptr, graph.edge_a[keep] + 1, 1)
+    np.cumsum(ptr, out=ptr)
+    shift = float(w_f.max())
+    ptr_l, b_l = ptr.tolist(), b_f.tolist()
+    cost_l = (shift - w_f).tolist()
+    u, v, prev_row = u.tolist(), v.tolist(), prev_row.tolist()
+    n_cols = n_b + n_a
+    matchable = [r for r in range(n_a) if ptr_l[r] != ptr_l[r + 1]]
+    eps = tol * (1.0 + shift)
+    live: dict[int, tuple[int, float]] = {}
+    for r in matchable:
+        prev_j = prev_row[r]
+        if prev_j == n_b + r:
+            live[r] = (prev_j, shift)
+        elif prev_j >= 0:
+            for k in range(ptr_l[r], ptr_l[r + 1]):
+                if b_l[k] == prev_j:
+                    live[r] = (prev_j, cost_l[k])
+                    break
+    matched_cols = {j for j, _ in live.values()}
+    for j in range(n_cols):
+        if v[j] != 0.0 and j not in matched_cols:
+            v[j] = 0.0
+    for r in matchable:
+        best = shift - v[n_b + r]
+        for k in range(ptr_l[r], ptr_l[r + 1]):
+            nd = cost_l[k] - v[b_l[k]]
+            if nd < best:
+                best = nd
+        u[r] = best
+    a_f = graph.edge_a[keep]
+    order = np.argsort(b_f, kind="stable")
+    col_rows = a_f[order].tolist()
+    col_edge = order.tolist()
+    cptr = np.zeros(n_b + 1, dtype=np.int64)
+    np.add.at(cptr, b_f + 1, 1)
+    np.cumsum(cptr, out=cptr)
+    cptr_l = cptr.tolist()
+    queue = [r for r, (j, c) in live.items() if c - v[j] - u[r] > eps]
+    while queue:
+        r = queue.pop()
+        entry = live.pop(r, None)
+        if entry is None:
+            continue
+        j = entry[0]
+        v_j = v[j]
+        v[j] = 0.0
+        if v_j == 0.0 or j >= n_b:
+            continue
+        for idx in range(cptr_l[j], cptr_l[j + 1]):
+            r2 = col_rows[idx]
+            nd = cost_l[col_edge[idx]]
+            if nd < u[r2]:
+                u[r2] = nd
+                seed = live.get(r2)
+                if seed is not None and seed[1] - v[seed[0]] - nd > eps:
+                    queue.append(r2)
+    match_row = [-1] * n_a
+    match_col = [-1] * n_cols
+    for r, (j, c) in live.items():
+        v[j] = c - u[r]
+        match_row[r] = j
+        match_col[j] = r
+    searched = depth = 0
+    for r in matchable:
+        if match_row[r] == -1:
+            searched += 1
+            depth += _augment_row(r, ptr_l, b_l, cost_l, shift, u, v,
+                                  match_row, match_col, n_b)
+    return (np.array(u), np.array(v), np.array(match_row), len(live),
+            searched, depth)

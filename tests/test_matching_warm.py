@@ -21,11 +21,12 @@ from repro.core.rounding import MATCHER_KINDS, make_matcher
 from repro.errors import ConfigurationError
 from repro.matching.exact import _DENSE_CUTOFF, max_weight_matching
 from repro.matching.validate import check_matching
-from repro.matching.warm import ExactMatcher
+from repro.matching.warm import ExactMatcher, _Sparse
 from repro.observe import EventBus, capture, set_bus
 from repro.sparse.bipartite import BipartiteGraph
 
 from tests.helpers import random_bipartite
+from tests.oracles import warm_start_loops
 
 #: Vertices per side of the random L: just above the dense cutoff.
 _SIDE = int(np.sqrt(_DENSE_CUTOFF)) + 26
@@ -155,6 +156,34 @@ class TestAgainstCold:
         g = random_ell(7)
         paths = replay([g] * _CALLS, [g.weights] * _CALLS)
         assert paths == Counter(cold=1, warm=_CALLS - 1)
+
+
+class TestVectorizedRepair:
+    def test_matches_loop_reference(self):
+        """Every warm attempt equals the loop form from the same state:
+        duals, assignment and counts, bit for bit."""
+        g = random_ell(12)
+        rng = np.random.default_rng(16)
+        matcher = ExactMatcher()
+        w = g.weights
+        compared = searched = 0
+        for k in range(_CALLS):
+            w = w + rng.normal(0.0, 0.05, g.n_edges)
+            if k % 4 == 3:  # empty some rows: their columns go free
+                rows = rng.choice(g.n_a, 20, replace=False)
+                w = np.where(np.isin(g.edge_a, rows), -np.abs(w), w)
+            if k:
+                want = warm_start_loops(g, w, matcher._u, matcher._v,
+                                        matcher._match_row, matcher.tol)
+                solved, *counts = matcher._warm(g, _Sparse(g, w))
+                if solved is not None:
+                    for got, ref in zip(solved, want):
+                        assert np.array_equal(got, ref)
+                    assert tuple(counts) == want[3:]
+                    compared += 1
+                    searched += counts[1]
+            matcher(g, w)
+        assert compared >= _CALLS - 5 and searched > 0
 
 
 class TestCertificate:
