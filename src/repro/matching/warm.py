@@ -289,12 +289,16 @@ class ExactMatcher:
             match_row[s_rows] = s_cols
             return (u, v, match_row), len(s_rows), 0, 0
 
+        # Some row is left free, so the Dijkstra lists are needed.
+        ptr_l = sp.ptr.tolist()
+        b_l = sp.b.tolist()
+        cost_l = sp.cost.tolist()
         u_l, v_l = u.tolist(), v.tolist()
         live = dict(zip(s_rows.tolist(), zip(s_cols.tolist(),
                                              s_cost.tolist())))
         queue = s_rows[~tight].tolist()
         if queue:
-            _drop_cascade(graph, sp, queue, live, u_l, v_l, eps)
+            _drop_cascade(graph, sp, cost_l, queue, live, u_l, v_l, eps)
         # Re-tighten the survivors exactly: each residual is <= eps, so
         # raising v[j] by it restores c - u - v == 0 on the seed while
         # lowering other rows' reduced costs through j by at most eps.
@@ -304,9 +308,6 @@ class ExactMatcher:
             v_l[j] = c - u_l[r]
             match_row_l[r] = j
             match_col_l[j] = r
-        ptr_l = sp.ptr.tolist()
-        b_l = sp.b.tolist()
-        cost_l = sp.cost.tolist()
         searched = depth = 0
         for r in rows.tolist():
             if match_row_l[r] == -1:
@@ -347,6 +348,7 @@ def _solve_cold(sp: _Sparse, n_a: int, n_b: int):
 def _drop_cascade(
     graph: BipartiteGraph,
     sp: _Sparse,
+    cost_l: list,
     queue: list,
     live: dict,
     u: list,
@@ -369,7 +371,6 @@ def _drop_cascade(
     cptr = np.zeros(graph.n_b + 1, dtype=np.int64)
     np.cumsum(np.bincount(sp.b, minlength=graph.n_b), out=cptr[1:])
     cptr_l = cptr.tolist()
-    cost_l = sp.cost.tolist()
     n_b = graph.n_b
     while queue:
         r = queue.pop()

@@ -18,7 +18,9 @@ upper bound, γ)``, ``method``, ``params`` and the event stream (without
 the span ids and timings, which differ per run).
 
 The fixture was recorded from the code in which Step 3 solved every
-matching cold, by running this module from the repository root::
+matching cold (its ``params`` then also held ``warm_start``, which the
+recording left out), by running this module from the repository
+root::
 
     PYTHONPATH=src python -m tests.test_klau_parity --record
 """
@@ -112,7 +114,6 @@ def _plain(obj):
 
 def summarize(result, events) -> dict:
     """The pinned view of one run."""
-    params = {k: v for k, v in result.params.items() if k != "warm_start"}
     return _plain({
         "mate_a": result.matching.mate_a,
         "objective": result.objective,
@@ -123,7 +124,7 @@ def summarize(result, events) -> dict:
                      r.overlap_part, r.upper_bound, r.gamma)
                     for r in result.history],
         "method": result.method,
-        "params": params,
+        "params": result.params,
         "events": [
             {"type": e.type,
              **{k: v for k, v in e.fields.items() if k not in _VOLATILE}}
