@@ -71,6 +71,10 @@ class NetworkAlignmentProblem:
     def __post_init__(self) -> None:
         if self.a_graph.n != self.ell.n_a or self.b_graph.n != self.ell.n_b:
             raise DimensionError("L does not connect V_A to V_B")
+        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+            raise ValidationError(
+                "alpha and beta must be finite (NaN/inf found)"
+            )
         if self.alpha < 0 or self.beta < 0:
             raise ConfigurationError("alpha and beta must be non-negative")
         w = self.ell.weights

@@ -4,9 +4,9 @@ A job moves ``queued → running → done | failed | cancelled`` (plus the
 virtual ``cancelling`` the status document shows when cancellation was
 requested against a running solve).  The store owns:
 
-* the **submission path** — wire decoding, admission control
-  (:mod:`repro.serve.quotas`), the content-addressed cache lookup
-  (:mod:`repro.serve.cache`), and job creation;
+* the **submission path** — the body memo, wire decoding, admission
+  control (:mod:`repro.serve.quotas`), the content-addressed cache
+  lookup (:mod:`repro.serve.cache`), and job creation;
 * the **worker pool** — plain threads draining a deque.  Each job
   executes through :func:`repro.resilience.supervised_map` at site
   ``"serve.job"`` on the serial rung, which (a) runs the solver on the
@@ -31,12 +31,12 @@ Jobs can also realign **incrementally**: a submission carrying
 ``warm_from: "<job_id>"`` re-solves its (perturbed) problem starting
 from the named job's converged solver state
 (:class:`~repro.incremental.WarmState`), kept in a bounded LRU
-(:class:`_WarmStore`, ``ServeConfig.warm_entries``).  Warm results get
-their own cache lineage — the parent's cache key is folded into the
-child's — so a warm solve and a cold solve of the same problem never
-answer from each other's cache entry, and both the status document and
-the result payload carry ``warm_from`` / ``parent_digest`` so warm
-results stay distinguishable.
+(``ServeConfig.warm_entries``).  Warm results get their own cache
+lineage — the parent's cache key is folded into the child's — so a warm
+solve and a cold solve of the same problem never answer from each
+other's cache entry, and both the status document and the result
+payload carry ``warm_from`` / ``parent_digest`` so warm results stay
+distinguishable.
 
 Three operational layers ride on top of the lifecycle:
 
@@ -54,16 +54,25 @@ Three operational layers ride on top of the lifecycle:
   graceful half of SIGTERM handling.  :meth:`JobStore.retry_after`
   turns an EWMA of observed service times into the ``Retry-After``
   hint backpressure responses carry.
+
+The server hands each ``POST /jobs`` body to :meth:`JobStore.submit_body`
+as raw bytes.  A body byte-identical to one already accepted is
+answered from a SHA-256 of its bytes (the *body memo*, a bounded LRU
+beside the result cache) without a JSON parse, wire decode or problem
+digest, as long as its result is still cached; every other body is
+parsed and goes through :meth:`JobStore.submit`.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import secrets
 import threading
 import time
 from collections import deque
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from repro.accel.config import ParallelConfig
 from repro.errors import ValidationError
@@ -114,45 +123,62 @@ class WarmUnavailableError(ValidationError):
     """
 
 
-class _WarmStore:
-    """A bounded LRU of per-job warm solver states, keyed by job id.
+class _Lru:
+    """A bounded, thread-safe LRU map; ``capacity=0`` disables it.
 
-    Every successfully *executed* (not cache-answered) job of a
-    warm-capable method deposits its converged
-    :class:`~repro.incremental.WarmState` here, so any recent job can be
-    the parent of an incremental realignment.  Eviction is
-    least-recently-used over both reads and writes; ``capacity=0``
-    disables the store.
+    The store keeps two.  The warm store maps a job id to the
+    ``(WarmState, cache key)`` its solve converged to: every
+    successfully *executed* (not cache-answered) job of a warm-capable
+    method deposits one, so any recent job can be the parent of an
+    incremental realignment.  The body memo maps a request body's
+    SHA-256 to the :class:`_Admitted` fields of its accepted
+    submission.  Eviction is least-recently-used over both reads and
+    writes.
     """
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._states: dict[str, tuple[Any, str]] = {}
+        self._entries: dict[Any, Any] = {}
 
-    def put(self, job_id: str, state: Any, key: str) -> None:
-        """Store ``(state, parent_cache_key)``, evicting the oldest."""
+    def put(self, key: Any, value: Any) -> None:
+        """Store ``value`` under ``key``, evicting the oldest entry."""
         if self.capacity <= 0:
             return
         with self._lock:
-            self._states.pop(job_id, None)
-            self._states[job_id] = (state, key)
-            while len(self._states) > self.capacity:
-                self._states.pop(next(iter(self._states)))
+            self._entries.pop(key, None)
+            self._entries[key] = value
+            while len(self._entries) > self.capacity:
+                self._entries.pop(next(iter(self._entries)))
 
-    def get(self, job_id: str) -> tuple[Any, str] | None:
-        """Fetch ``(state, parent_cache_key)``; refreshes LRU order."""
+    def get(self, key: Any) -> Any | None:
+        """Fetch the value under ``key``; refreshes LRU order."""
         with self._lock:
-            hit = self._states.pop(job_id, None)
+            hit = self._entries.pop(key, None)
             if hit is not None:
-                self._states[job_id] = hit
+                self._entries[key] = hit
             return hit
 
     def stats(self) -> dict[str, int]:
         """Occupancy report for ``/healthz``."""
         with self._lock:
-            return {"entries": len(self._states),
+            return {"entries": len(self._entries),
                     "capacity": self.capacity}
+
+
+class _Admitted(NamedTuple):
+    """What an accepted body fixed: every field its cache hit needs."""
+
+    method: str
+    config: dict[str, Any]
+    digest: str
+    key: str
+    deadline_s: float | None
+
+
+def _new_job_id() -> str:
+    """A fresh random job id."""
+    return "j-" + secrets.token_hex(6)
 
 
 class Job:
@@ -395,7 +421,8 @@ class JobStore:
             config.cache_entries)
         self.quotas = TenantQuotas(config.max_queue,
                                    config.max_active_per_tenant)
-        self.warm = _WarmStore(config.warm_entries)
+        self.warm = _Lru(config.warm_entries)
+        self._bodies = _Lru(config.cache_entries)
         from repro.resilience import get_checkpoint_store
 
         self.checkpoints = get_checkpoint_store()
@@ -415,8 +442,84 @@ class JobStore:
             t.start()
 
     # -- submission ----------------------------------------------------
+    def submit_body(self, body: bytes, tenant: str) -> Job:
+        """Admit one raw ``POST /jobs`` body, answering a known one unparsed.
+
+        The draining check runs first.  Then the body's SHA-256 is
+        looked up in the body memo: if it names an accepted submission
+        whose result is still cached, the job is answered from the
+        cache with no JSON parse, wire decode or problem digest.
+        Otherwise the body is parsed and goes through :meth:`submit`;
+        once that returns a job (queued or a hit) without ``warm_from``,
+        the body is recorded.  A body that raises is never recorded.
+
+        The memo answer is exact.  Every field it records — method,
+        canonical config, problem digest, cache key and deadline — is a
+        pure function of the body bytes on a given server (the wire
+        decode, ``canonical_config``, ``problem_digest``, ``cache_key``
+        and the fixed ``max_edges_l`` gate), and SHA-256 makes it
+        infeasible for two different bodies to share an entry.  So a
+        memo hit's status document, journal row and result payload
+        equal those of the parse path's hit, except ``id`` and the
+        timestamps.  A ``warm_from`` body is never recorded: its cache
+        key folds in the warm store's state, so its parent must be
+        resolved on every submission.  The memo holds at most
+        ``ServeConfig.cache_entries`` bodies (``0`` turns it off with
+        the cache); a memoized body whose result was evicted falls
+        through to the parse path, which makes that one submission look
+        the cache up twice.  A memo hit does not enter :meth:`submit`.
+
+        Args:
+            body: The request body bytes (UTF-8 JSON).
+            tenant: The submitting tenant (``X-Tenant`` header).
+
+        Returns:
+            The created :class:`Job`, as :meth:`submit` returns it.
+
+        Raises:
+            ValidationError: The body is not valid UTF-8 JSON (``request
+                body is not valid JSON: …``), or as :meth:`submit`.
+            ConfigurationError: As :meth:`submit`.
+            WarmUnavailableError: As :meth:`submit`.
+            AdmissionError: As :meth:`submit`.
+        """
+        self._check_admitting(tenant)
+        body_key = hashlib.sha256(body).digest()
+        known = self._bodies.get(body_key)
+        if known is not None:
+            hit = self.cache.get(known.key)
+            if hit is not None:
+                job = Job(_new_job_id(), tenant, known.method,
+                          dict(known.config), None, known.digest,
+                          known.key, deadline_s=known.deadline_s)
+                return self._answer_from_cache(job, hit)
+        try:
+            doc = json.loads(body.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValidationError(
+                f"request body is not valid JSON: {exc}") from None
+        job = self.submit(doc, tenant)
+        if job.warm_from is None:
+            self._bodies.put(body_key, _Admitted(
+                job.method, job.config, job.digest, job.key,
+                job.deadline_s))
+        return job
+
+    def _check_admitting(self, tenant: str) -> None:
+        """Refuse every submission once draining or closed (HTTP 503)."""
+        if self._draining or self._closed:
+            raise AdmissionError(
+                "draining",
+                "server is draining and no longer admits jobs; "
+                "retry against a fresh instance",
+                tenant,
+            )
+
     def submit(self, doc: Mapping[str, Any], tenant: str) -> Job:
-        """Admit one job submission (the body of ``POST /jobs``).
+        """Admit one decoded job submission (the body of ``POST /jobs``).
+
+        The server reaches this through :meth:`submit_body`; in-process
+        callers pass the decoded document directly.
 
         Args:
             doc: The decoded request body: ``method`` (default
@@ -439,13 +542,7 @@ class JobStore:
         """
         if not isinstance(doc, Mapping):
             raise ValidationError("request body must be a JSON object")
-        if self._draining or self._closed:
-            raise AdmissionError(
-                "draining",
-                "server is draining and no longer admits jobs; "
-                "retry against a fresh instance",
-                tenant,
-            )
+        self._check_admitting(tenant)
         from repro.registry import canonical_config, get_solver
 
         method = doc.get("method", "bp")
@@ -480,37 +577,52 @@ class JobStore:
                     "'deadline_s' must be a positive number of seconds"
                 )
             deadline_s = float(deadline_s)
-        job_id = "j-" + secrets.token_hex(6)
-        job = Job(job_id, tenant, spec.name, config, problem, digest, key,
-                  warm_from=warm_from, parent_digest=parent_digest,
+        job = Job(_new_job_id(), tenant, spec.name, config, problem, digest,
+                  key, warm_from=warm_from, parent_digest=parent_digest,
                   warm_state=warm_state, deadline_s=deadline_s)
 
         hit = self.cache.get(key)
         if hit is not None:
-            job.result = dict(hit)
-            job.result["warm_from"] = warm_from
-            job.result["parent_digest"] = parent_digest
-            job.cached = True
-            job.problem = None  # the arrays are not needed again
-            job.warm_state = None
-            self._finish(job, "done", release=False)
-            with self._lock:
-                self._jobs[job_id] = job
-            self._persist_submit(job)
-            return job
+            return self._answer_from_cache(job, hit)
 
         self.quotas.acquire(tenant)
         job.add_frame({"type": "state", "state": "queued"})
         job._wire_problem = doc["problem"]
         with self._lock:
-            self._jobs[job_id] = job
+            self._jobs[job.id] = job
         # Journal before the job becomes runnable: a worker must never
         # pick up a submission the write-ahead journal does not know.
         self._persist_submit(job)
         job._wire_problem = None
         with self._lock:
-            self._queue.append(job_id)
+            self._queue.append(job.id)
             self._cond.notify()
+        return job
+
+    def _answer_from_cache(self, job: Job,
+                           payload: Mapping[str, Any]) -> Job:
+        """Finish ``job`` as a content-address hit and register it.
+
+        The one place a hit job is built, for both :meth:`submit` and
+        :meth:`submit_body`: the job is born ``done`` with
+        ``cached=True``, holds no quota slot, and is journaled whole by
+        one ``_persist_submit`` — one commit, one ``done`` transition.
+
+        Args:
+            job: The new job, not yet registered or journaled.
+            payload: The cached result payload.
+
+        Returns:
+            ``job``, terminal.
+        """
+        job.result = dict(payload)
+        job.result["warm_from"] = job.warm_from
+        job.result["parent_digest"] = job.parent_digest
+        job.cached = True
+        self._finish(job, "done")
+        with self._lock:
+            self._jobs[job.id] = job
+        self._persist_submit(job)
         return job
 
     def _resolve_warm(
@@ -763,23 +875,25 @@ class JobStore:
         if keep and outcome.value.solver_state is not None:
             from repro.incremental import WarmState
 
-            self.warm.put(
-                job.id,
+            self.warm.put(job.id, (
                 WarmState.from_result(job.problem, outcome.value,
                                       digest=job.digest),
                 job.key,
-            )
+            ))
         job.result = payload
         self.cache.put(job.key, payload)
         self._finish(job, "done")
 
-    def _finish(self, job: Job, state: str, release: bool = True) -> None:
+    def _finish(self, job: Job, state: str) -> None:
         """Move ``job`` to a terminal state exactly once.
 
         The final ``state`` frame is appended *before* the terminal
         event is set: a client streaming ``/jobs/{id}/events`` that
         observes ``job.terminal`` is therefore guaranteed to find the
         closing frame on its last drain instead of a truncated stream.
+        A cache hit (``job.cached``) holds no quota slot and has no
+        journal row yet — :meth:`_answer_from_cache` inserts it whole —
+        so it releases nothing and journals no transition here.
         """
         with self._lock:
             if job._finished:
@@ -796,8 +910,8 @@ class JobStore:
             job.warm_state = None
         job.add_frame({"type": "state", "state": state})
         job._terminal.set()
-        self._persist_transition(job)
-        if release:
+        if not job.cached:
+            self._persist_transition(job)
             self.quotas.release(job.tenant)
         bus = get_bus()
         if bus.active:

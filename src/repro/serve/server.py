@@ -388,15 +388,14 @@ class AlignmentServer:
 
     async def _post_job(self, ctx: _Ctx, body: bytes,
                         query: dict[str, list[str]], tenant: str) -> None:
-        """Handle ``POST /jobs`` (optionally ``?wait=1``)."""
+        """Handle ``POST /jobs`` (optionally ``?wait=1``).
+
+        The raw body goes to :meth:`JobStore.submit_body`, which answers
+        a byte-identical resubmission from a hash of the body and parses
+        every other one.
+        """
         try:
-            doc = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _HttpError(400, "bad_request",
-                             f"request body is not valid JSON: {exc}"
-                             ) from None
-        try:
-            job = self.store.submit(doc, tenant)
+            job = self.store.submit_body(body, tenant)
         except AdmissionError as exc:
             if exc.code == "too_large":
                 raise _HttpError(413, exc.code, str(exc)) from None

@@ -73,6 +73,101 @@ def _require(mapping: Mapping[str, Any], key: str, where: str) -> Any:
     return mapping[key]
 
 
+#: Largest accepted vertex count: the graph constructors pack an edge
+#: ``(u, v)`` into one int64 key ``u·n + v``, so ``n·n`` must fit in int64.
+_MAX_VERTICES = math.isqrt(np.iinfo(np.int64).max)
+#: float64 holds every integer of magnitude below 2**53 exactly.
+_EXACT_FLOAT_INT = 2.0 ** 53
+
+
+def _numeric_rows(edges: list, width: int) -> np.ndarray | None:
+    """Decode an edge list with one ``np.asarray``.
+
+    Args:
+        edges: The JSON list of edge rows.
+        width: The row length (2 for a graph, 3 for L).
+
+    Returns:
+        An ``(m, width)`` array of bools, ints or floats, or ``None``
+        when the rows are ragged, of another width, or hold anything
+        but numbers (``null``, strings, nested lists, objects, ints
+        beyond int64).
+    """
+    if not edges:
+        return np.zeros((0, width))
+    try:
+        rows = np.asarray(edges)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if rows.ndim != 2 or rows.shape[1] != width or \
+            rows.dtype.kind not in "bif":
+        return None
+    return rows
+
+
+def _vertex_ids(columns: np.ndarray) -> np.ndarray | None:
+    """Numeric id columns as int64, or ``None`` if one is not an integer.
+
+    A float id counts when it has an integral value below 2**53 (``1.0``
+    is vertex 1); ``0.7``, NaN and ±inf do not.
+    """
+    if columns.dtype.kind == "f" and not (
+        np.all(np.abs(columns) < _EXACT_FLOAT_INT)
+        and np.all(np.floor(columns) == columns)
+    ):
+        return None
+    return columns.astype(np.int64)
+
+
+def _is_vertex_id(value: Any, n: int) -> bool:
+    """Whether one wire value is an integer vertex id in ``[0, n)``."""
+    if isinstance(value, float):
+        return value.is_integer() and 0 <= value < n
+    return isinstance(value, int) and 0 <= value < n
+
+
+def _is_weight(value: Any) -> bool:
+    """Whether one wire value is a number with a finite float64 value."""
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _row_error(edges: list, where: str, shape: str,
+               bounds: tuple[int, int], weighted: bool) -> ValidationError:
+    """Locate the first bad row of an edge list that did not decode.
+
+    Walks the rows in Python, which only a rejected body pays, so the
+    error names the row as it did when every body was decoded this way.
+
+    Args:
+        edges: The JSON list of edge rows.
+        where: Location label (``"problem.a"``, ``"problem.l"``).
+        shape: The row's description (``"a [u, v] pair"``).
+        bounds: The vertex counts the two ids index.
+        weighted: Whether each row ends with a weight.
+
+    Returns:
+        The :class:`ValidationError` to raise.
+    """
+    width = len(bounds) + weighted
+    for i, row in enumerate(edges):
+        if not isinstance(row, (list, tuple)) or len(row) != width:
+            return ValidationError(f"{where}.edges[{i}] must be {shape}")
+        for value, n in zip(row, bounds):
+            if not _is_vertex_id(value, n):
+                return ValidationError(
+                    f"{where}.edges[{i}] must hold integer vertex ids "
+                    f"in [0, {n})"
+                )
+        if weighted and not _is_weight(row[2]):
+            return ValidationError(
+                f"{where}.edges[{i}] weight must be a finite number"
+            )
+    return ValidationError(f"{where}.edges must hold numbers only")
+
+
 def _graph_from_wire(doc: Any, where: str) -> Graph:
     """Decode one ``{"n": ..., "edges": [[u, v], ...]}`` graph object.
 
@@ -84,28 +179,26 @@ def _graph_from_wire(doc: Any, where: str) -> Graph:
         The undirected :class:`~repro.graph.Graph`.
 
     Raises:
-        ValidationError: On wrong types, ragged edge rows, or vertex ids
-            out of range (via ``Graph.from_edges``).
+        ValidationError: On wrong types, ragged edge rows, ids that are
+            not integers, or ids out of range (via ``Graph.from_edges``).
     """
     if not isinstance(doc, Mapping):
         raise ValidationError(f"{where} must be an object with 'n'/'edges'")
     n = _require(doc, "n", where)
     edges = _require(doc, "edges", where)
-    if not isinstance(n, int) or n < 0:
-        raise ValidationError(f"{where}.n must be a non-negative integer")
+    if isinstance(n, bool) or not isinstance(n, int) or \
+            not 0 <= n <= _MAX_VERTICES:
+        raise ValidationError(
+            f"{where}.n must be a non-negative integer (at most "
+            f"{_MAX_VERTICES})"
+        )
     if not isinstance(edges, list):
         raise ValidationError(f"{where}.edges must be a list of [u, v] pairs")
-    us, vs = [], []
-    for i, row in enumerate(edges):
-        if not isinstance(row, (list, tuple)) or len(row) != 2:
-            raise ValidationError(
-                f"{where}.edges[{i}] must be a [u, v] pair"
-            )
-        us.append(int(row[0]))
-        vs.append(int(row[1]))
-    return Graph.from_edges(
-        n, np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
-    )
+    rows = _numeric_rows(edges, 2)
+    ids = None if rows is None else _vertex_ids(rows)
+    if ids is None:
+        raise _row_error(edges, where, "a [u, v] pair", (n, n), False)
+    return Graph.from_edges(n, ids[:, 0], ids[:, 1])
 
 
 def _bipartite_from_wire(doc: Any, n_a: int, n_b: int) -> BipartiteGraph:
@@ -120,8 +213,9 @@ def _bipartite_from_wire(doc: Any, n_a: int, n_b: int) -> BipartiteGraph:
         The weighted :class:`~repro.sparse.BipartiteGraph` L.
 
     Raises:
-        ValidationError: On wrong types, ragged rows, or ids out of
-            range (via ``BipartiteGraph.from_edges``).
+        ValidationError: On wrong types, ragged rows, ids that are not
+            integers, weights that are not numbers, or ids out of range
+            (via ``BipartiteGraph.from_edges``).
     """
     if not isinstance(doc, Mapping):
         raise ValidationError("problem.l must be an object with 'edges'")
@@ -130,21 +224,37 @@ def _bipartite_from_wire(doc: Any, n_a: int, n_b: int) -> BipartiteGraph:
         raise ValidationError(
             "problem.l.edges must be a list of [a, b, weight] triplets"
         )
-    aa, bb, ww = [], [], []
-    for i, row in enumerate(edges):
-        if not isinstance(row, (list, tuple)) or len(row) != 3:
-            raise ValidationError(
-                f"problem.l.edges[{i}] must be an [a, b, weight] triplet"
-            )
-        aa.append(int(row[0]))
-        bb.append(int(row[1]))
-        ww.append(float(row[2]))
-    return BipartiteGraph.from_edges(
-        n_a, n_b,
-        np.asarray(aa, dtype=np.int64),
-        np.asarray(bb, dtype=np.int64),
-        np.asarray(ww, dtype=np.float64),
-    )
+    rows = _numeric_rows(edges, 3)
+    ids = None if rows is None else _vertex_ids(rows[:, :2])
+    if ids is None:
+        raise _row_error(edges, "problem.l", "an [a, b, weight] triplet",
+                         (n_a, n_b), True)
+    return BipartiteGraph.from_edges(n_a, n_b, ids[:, 0], ids[:, 1],
+                                     rows[:, 2].astype(np.float64))
+
+
+def _objective_weight(doc: Mapping[str, Any], key: str,
+                      default: float) -> float:
+    """Decode ``alpha`` or ``beta``: a finite non-negative real number.
+
+    Args:
+        doc: The wire problem.
+        key: ``"alpha"`` or ``"beta"``.
+        default: The value when the member is absent.
+
+    Returns:
+        The value as a float.
+
+    Raises:
+        ValidationError: On a bool, a non-number, NaN, ±inf, a negative
+            value or an int beyond the float range.
+    """
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not _is_weight(value) or value < 0:
+        raise ValidationError(
+            f"problem.{key} must be a finite non-negative number"
+        )
+    return float(value)
 
 
 def problem_from_wire(doc: Any) -> NetworkAlignmentProblem:
@@ -156,6 +266,12 @@ def problem_from_wire(doc: Any) -> NetworkAlignmentProblem:
          "b": {"n": 3, "edges": [[0, 1], [1, 2]]},
          "l": {"edges": [[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0]]},
          "alpha": 1.0, "beta": 2.0, "name": "demo"}
+
+    ``n`` is a non-bool integer; vertex ids are integers (a float with
+    an integral value such as ``1.0`` counts); weights, ``alpha`` and
+    ``beta`` are numbers.  Each edge list decodes with one
+    ``np.asarray``; only a rejected list is walked row by row, to name
+    the offending row.
 
     Args:
         doc: The decoded ``problem`` member of a job submission.
@@ -172,8 +288,8 @@ def problem_from_wire(doc: Any) -> NetworkAlignmentProblem:
     a = _graph_from_wire(_require(doc, "a", "problem"), "problem.a")
     b = _graph_from_wire(_require(doc, "b", "problem"), "problem.b")
     ell = _bipartite_from_wire(_require(doc, "l", "problem"), a.n, b.n)
-    alpha = float(doc.get("alpha", 1.0))
-    beta = float(doc.get("beta", 2.0))
+    alpha = _objective_weight(doc, "alpha", 1.0)
+    beta = _objective_weight(doc, "beta", 2.0)
     name = str(doc.get("name", "wire"))
     return NetworkAlignmentProblem(a, b, ell, alpha=alpha, beta=beta,
                                    name=name)

@@ -10,6 +10,10 @@ Three layers of coverage:
   identical to a direct in-process ``repro.align()``), cache hits,
   cancellation, quota rejections, the error envelope, and the NDJSON
   progress stream;
+* the body memo — a byte-identical resubmission answered from a hash
+  of its body equals the parse path's hit, never reaches the decoder,
+  and leaves ``warm_from`` resolution, refusals and cache eviction as
+  they were;
 * a chaos test (``-m chaos``) where a deterministic ``FaultPlan``
   crashes a job's first attempt mid-solve and the supervised retry
   warm-resumes from its checkpoint, bit-identical to an uninterrupted
@@ -353,6 +357,138 @@ class TestHttpApi:
                                    body=_submission(wire_problem))
         assert status == 413
         assert doc["error"]["code"] == "too_large"
+
+
+# --------------------------------------------------------------------
+# live server: the body memo (a resubmission answered from its hash)
+# --------------------------------------------------------------------
+
+#: Status-document fields that differ between two jobs of one answer.
+VOLATILE = ("id", "created", "finished")
+
+#: The small problem of docs/serving.md (5 candidate edges).
+DEMO_PROBLEM = {
+    "a": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
+    "b": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
+    "l": {"edges": [[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [3, 3, 1.0],
+                    [0, 1, 0.5]]},
+    "alpha": 1.0, "beta": 2.0, "name": "demo",
+}
+
+
+def _stable(snapshot):
+    return {k: v for k, v in snapshot.items() if k not in VOLATILE}
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Count the job store's calls to ``problem_from_wire``."""
+    import repro.serve.jobs as jobs
+
+    calls = []
+    real = jobs.problem_from_wire
+
+    def counted(doc):
+        calls.append(doc)
+        return real(doc)
+
+    monkeypatch.setattr(jobs, "problem_from_wire", counted)
+    return calls
+
+
+class TestBodyMemo:
+    def test_resubmission_equals_the_parse_path_hit(
+            self, server, wire_problem, decodes):
+        doc = _submission(wire_problem, config=dict(CONFIG, n_iter=6))
+        body = json.dumps(doc).encode()
+        respaced = json.dumps(doc, indent=1).encode()
+        _, cold = _request(server.base_url, "POST", "/jobs?wait=1", body)
+        assert cold["cached"] is False and len(decodes) == 1
+        # The same problem with other whitespace: a hit through the
+        # parse path, which decodes once.
+        _, parsed = _request(server.base_url, "POST", "/jobs", respaced)
+        assert parsed["cached"] is True and len(decodes) == 2
+        # Byte-identical resubmissions, of a cold body and of a hit
+        # body, never reach the decoder.
+        _, again = _request(server.base_url, "POST", "/jobs", body)
+        _, again_respaced = _request(server.base_url, "POST", "/jobs",
+                                     respaced)
+        assert len(decodes) == 2
+        assert again["cached"] is True and again["attempts"] == 0
+        assert _stable(again) == _stable(parsed)
+        assert _stable(again_respaced) == _stable(parsed)
+        results = [
+            _request(server.base_url, "GET", f"/jobs/{job['id']}/result")
+            for job in (parsed, again, again_respaced)
+        ]
+        assert all(status == 200 for status, _ in results)
+        assert results[1][1] == results[0][1] == results[2][1]
+        _, first = _request(server.base_url, "GET",
+                            f"/jobs/{cold['id']}/result")
+        assert dict(first, cached=True) == results[0][1]
+
+    def test_warm_body_resolves_its_parent_every_time(self, wire_problem):
+        with serve_in_thread(ServeConfig(port=0, workers=1,
+                                         warm_entries=1)) as srv:
+            _, cold = _request(srv.base_url, "POST", "/jobs?wait=1",
+                               _submission(wire_problem))
+            warm = json.dumps(_submission(
+                wire_problem, warm_from=cold["id"])).encode()
+            status, child = _request(srv.base_url, "POST", "/jobs?wait=1",
+                                     warm)
+            assert status == 200 and child["warm_from"] == cold["id"]
+            # The child's own warm state evicted its parent's (one
+            # entry), so the same bytes now name an unusable parent.
+            status, doc = _request(srv.base_url, "POST", "/jobs", warm)
+            assert status == 400
+            assert doc["error"]["code"] == "warm_unavailable"
+
+    def test_refused_body_is_refused_again(self, wire_problem):
+        cfg = ServeConfig(port=0, workers=0, max_queue=1, max_edges_l=10)
+        with serve_in_thread(cfg) as srv:
+            status, _ = _request(srv.base_url, "POST", "/jobs",
+                                 _submission(DEMO_PROBLEM))
+            assert status == 202  # holds the one queue slot
+            refused = {
+                400: _submission(dict(DEMO_PROBLEM, alpha="x")),
+                413: _submission(wire_problem),
+                429: _submission(DEMO_PROBLEM,
+                                 config=dict(CONFIG, n_iter=3)),
+            }
+            for expected, doc in refused.items():
+                body = json.dumps(doc).encode()
+                first = _request(srv.base_url, "POST", "/jobs", body)
+                second = _request(srv.base_url, "POST", "/jobs", body)
+                assert first[0] == expected, first
+                assert second == first
+
+    def test_evicted_result_is_solved_again(self, wire_problem):
+        with serve_in_thread(ServeConfig(port=0, workers=1,
+                                         cache_entries=1)) as srv:
+            body = json.dumps(_submission(wire_problem)).encode()
+            _, cold = _request(srv.base_url, "POST", "/jobs?wait=1", body)
+            assert cold["cached"] is False
+            # A warm job's result takes the one cache entry; warm bodies
+            # are not memoized, so the cold body's memo entry stays.
+            _, child = _request(srv.base_url, "POST", "/jobs?wait=1",
+                                _submission(wire_problem,
+                                            warm_from=cold["id"]))
+            assert child["state"] == "done" and child["cached"] is False
+            before = srv.store.cache.stats()
+            _, again = _request(srv.base_url, "POST", "/jobs?wait=1", body)
+            after = srv.store.cache.stats()
+            assert again["state"] == "done" and again["cached"] is False
+            assert again["attempts"] == 1
+            # The memo's lookup and the parse path's: two misses.
+            assert after["misses"] - before["misses"] == 2
+            assert after["hits"] == before["hits"]
+            _, hit = _request(srv.base_url, "POST", "/jobs", body)
+            assert hit["cached"] is True
+            _, served = _request(srv.base_url, "GET",
+                                 f"/jobs/{hit['id']}/result")
+            _, solved = _request(srv.base_url, "GET",
+                                 f"/jobs/{again['id']}/result")
+            assert served == dict(solved, cached=True)
 
 
 # --------------------------------------------------------------------

@@ -13,9 +13,12 @@ Coverage for the durability layer of ``repro.serve``:
   ``warm_unavailable``, plus ``list_jobs``/``gc_jobs``;
 * deadline enforcement (``deadline_s``) — queued expiry, mid-run
   cooperative cancellation, validation;
+* the journal of cache hits — one commit and one ``done`` transition
+  per hit, and a body-memo hit journaled exactly as a parse-path hit;
 * graceful drain and backpressure over live HTTP — ``503 draining``
-  with ``Retry-After``, ``Retry-After`` on ``429``, the shutdown
-  stream-flush guarantee, and gzip result encoding;
+  with ``Retry-After`` (also for a memoized body), ``Retry-After`` on
+  ``429``, the shutdown stream-flush guarantee, and gzip result
+  encoding;
 * a chaos test (``-m chaos``) that SIGKILLs a ``repro.cli serve``
   process mid-solve and restarts on the same store path, asserting the
   recovered result is bit-identical to an uninterrupted run.
@@ -91,8 +94,8 @@ def _request(base_url, method, path, body=None, headers=None):
     host, port = base_url.removeprefix("http://").rsplit(":", 1)
     conn = http.client.HTTPConnection(host, int(port), timeout=60)
     try:
-        payload = None
-        if body is not None:
+        payload = body
+        if body is not None and not isinstance(body, bytes):
             payload = json.dumps(body).encode("utf-8")
         conn.request(method, path, body=payload, headers=headers or {})
         resp = conn.getresponse()
@@ -446,6 +449,136 @@ class TestRecovery:
 
 
 # --------------------------------------------------------------------
+# the journal of cache hits
+# --------------------------------------------------------------------
+
+def _transitions(tmp_path, job_id):
+    db = sqlite3.connect(tmp_path / "store" / "jobs.db")
+    try:
+        return [r[0] for r in db.execute(
+            "SELECT state FROM transitions WHERE job_id=? ORDER BY seq",
+            (job_id,))]
+    finally:
+        db.close()
+
+
+def _journal_row(tmp_path, job_id):
+    """The job's ``jobs`` row without its id and timestamps."""
+    db = sqlite3.connect(tmp_path / "store" / "jobs.db")
+    db.row_factory = sqlite3.Row
+    try:
+        row = dict(db.execute("SELECT * FROM jobs WHERE id=?",
+                              (job_id,)).fetchone())
+    finally:
+        db.close()
+    for column in ("id", "created", "finished"):
+        row.pop(column)
+    return row
+
+
+class TestCacheHitJournal:
+    def test_hit_is_one_commit_and_one_done_transition(
+            self, tmp_path, wire_problem):
+        cfg = _sqlite_config(tmp_path)
+        store = SqliteJobStore(cfg)
+        try:
+            cold = store.submit(_submission(wire_problem), "default")
+            assert cold.wait_terminal(30.0)
+        finally:
+            store.shutdown()  # joins the worker: its writes are done
+        reborn = SqliteJobStore(cfg)
+        try:
+            statements = []
+            reborn._db.set_trace_callback(statements.append)
+            try:
+                hit = reborn.submit(_submission(wire_problem), "default")
+            finally:
+                reborn._db.set_trace_callback(None)
+            assert hit.cached is True and hit.state == "done"
+        finally:
+            reborn.shutdown()
+        assert statements.count("COMMIT") == 1
+        assert _transitions(tmp_path, hit.id) == ["done"]
+        assert _transitions(tmp_path, cold.id) == [
+            "queued", "running", "done"]
+
+    def test_memo_hit_journals_the_parse_path_row(
+            self, tmp_path, wire_problem):
+        cfg = _sqlite_config(tmp_path)
+        doc = _submission(wire_problem, deadline_s=60.0)
+        body = json.dumps(doc).encode()
+        store = SqliteJobStore(cfg)
+        try:
+            cold = store.submit_body(body, "alice")
+            assert cold.wait_terminal(30.0)
+            parsed = store.submit_body(json.dumps(doc, indent=1).encode(),
+                                       "alice")
+            memo = store.submit_body(body, "alice")
+            assert parsed.cached is True and memo.cached is True
+        finally:
+            store.shutdown()
+        row = _journal_row(tmp_path, memo.id)
+        assert row == _journal_row(tmp_path, parsed.id)
+        assert row["state"] == "done" and row["deadline_s"] == 60.0
+        assert _transitions(tmp_path, memo.id) == ["done"]
+        reborn = SqliteJobStore(cfg)
+        try:
+            served = reborn.get(memo.id)
+            assert served is not None and served.terminal
+            assert served.result == memo.result == parsed.result
+            snap = served.snapshot()
+            assert snap["cached"] is True and snap["state"] == "done"
+        finally:
+            reborn.shutdown()
+
+
+class TestBodyMemoUnderThreads:
+    def test_threads_share_one_memo(self, wire_problem):
+        # More submitting threads than cores, a short switch interval,
+        # and a two-entry memo and cache that three bodies keep
+        # evicting: a lost update would leave a job unregistered, a
+        # memo over its bound, or a body answered with another's result.
+        store = JobStore(ServeConfig(port=0, workers=1, cache_entries=2,
+                                     max_queue=0, max_active_per_tenant=0))
+        bodies = [
+            json.dumps(_submission(wire_problem,
+                                   config=dict(CONFIG, n_iter=n))).encode()
+            for n in (3, 4, 5)
+        ]
+        jobs = {i: [] for i in range(len(bodies))}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def submit(offset):
+                for k in range(12):
+                    i = (offset + k) % len(bodies)
+                    jobs[i].append(store.submit_body(bodies[i], "default"))
+
+            threads = [threading.Thread(target=submit, args=(t,))
+                       for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            for i, submitted in jobs.items():
+                assert len(submitted) == 32
+                results = []
+                for job in submitted:
+                    assert store.get(job.id) is job
+                    assert job.wait_terminal(60.0) and job.state == "done"
+                    results.append(job.result)
+                assert all(r == results[0] for r in results)
+                assert results[0]["iterations"] == 3 + i
+            assert store._bodies.stats()["entries"] <= 2
+        finally:
+            store.shutdown()
+
+
+# --------------------------------------------------------------------
 # deadlines
 # --------------------------------------------------------------------
 
@@ -521,6 +654,22 @@ class TestDrainAndBackpressure:
                                          "/v1/healthz")
             assert health["draining"] is True
             assert health["store"] == {"kind": "memory", "path": None}
+
+    def test_drain_refuses_a_memoized_body(self, wire_problem):
+        with serve_in_thread(ServeConfig(port=0, workers=1)) as srv:
+            body = json.dumps(_submission(wire_problem)).encode()
+            status, _, _ = _request(srv.base_url, "POST",
+                                    "/v1/jobs?wait=1", body=body)
+            assert status == 200
+            status, hit, _ = _request(srv.base_url, "POST", "/v1/jobs",
+                                      body=body)
+            assert status == 200 and hit["cached"] is True
+            assert srv.store.drain(5.0) is True
+            status, doc, headers = _request(srv.base_url, "POST",
+                                            "/v1/jobs", body=body)
+            assert status == 503
+            assert doc["error"]["code"] == "draining"
+            assert int(headers["Retry-After"]) >= 1
 
     def test_drain_reports_unsettled_jobs(self, wire_problem):
         store = JobStore(ServeConfig(port=0, workers=0))
