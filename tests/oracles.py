@@ -17,12 +17,19 @@ repair (:meth:`repro.matching.warm.ExactMatcher._warm`): seed lookup,
 free-column reset, dual repair, tightness test, drop cascade,
 re-tightening and residual augmentation, one scalar at a time, with the
 same arithmetic in the same order.
+
+:func:`problem_from_wire_loops` is the per-row wire decoder that
+:func:`repro.serve.wire.problem_from_wire` replaced: every id through
+``int()``, every weight, ``alpha`` and ``beta`` through ``float()``.
+It coerces more than the vectorized decoder accepts; on what both
+accept, they must build the same problem.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.problem import NetworkAlignmentProblem
 from repro.errors import DimensionError
 from repro.graph.graph import Graph
 from repro.matching.exact import _augment_row
@@ -33,6 +40,7 @@ from repro.sparse.bipartite import BipartiteGraph
 __all__ = [
     "count_squares_bruteforce",
     "locally_dominant_rounds_python",
+    "problem_from_wire_loops",
     "squares_coo_cartesian",
     "warm_start_loops",
 ]
@@ -259,3 +267,35 @@ def warm_start_loops(
                                   match_row, match_col, n_b)
     return (np.array(u), np.array(v), np.array(match_row), len(live),
             searched, depth)
+
+
+def problem_from_wire_loops(doc) -> NetworkAlignmentProblem:
+    """Decode a wire problem one row at a time, as the server once did.
+
+    Args:
+        doc: A wire problem (``a``, ``b``, ``l``, optional ``alpha``,
+            ``beta`` and ``name``).
+
+    Returns:
+        The problem built from ``int()`` ids and ``float()`` weights.
+    """
+    def graph(g):
+        us, vs = [], []
+        for row in g["edges"]:
+            us.append(int(row[0]))
+            vs.append(int(row[1]))
+        return Graph.from_edges(g["n"], np.asarray(us, dtype=np.int64),
+                                np.asarray(vs, dtype=np.int64))
+
+    a, b = graph(doc["a"]), graph(doc["b"])
+    aa, bb, ww = [], [], []
+    for row in doc["l"]["edges"]:
+        aa.append(int(row[0]))
+        bb.append(int(row[1]))
+        ww.append(float(row[2]))
+    ell = BipartiteGraph.from_edges(
+        a.n, b.n, np.asarray(aa, dtype=np.int64),
+        np.asarray(bb, dtype=np.int64), np.asarray(ww, dtype=np.float64))
+    return NetworkAlignmentProblem(
+        a, b, ell, alpha=float(doc.get("alpha", 1.0)),
+        beta=float(doc.get("beta", 2.0)), name=str(doc.get("name", "wire")))

@@ -8,7 +8,12 @@ JSON a client sends, it must either build a problem or raise
 
 * a Hypothesis test puts arbitrary JSON values — null, bools, huge and
   negative ints, floats including NaN and ±inf, strings, lists and
-  objects — into each slot of a small valid wire problem;
+  objects — into each slot of a small valid wire problem; whatever it
+  accepts, the per-row decoder it replaced
+  (:func:`tests.oracles.problem_from_wire_loops`) builds with the same
+  ``problem_digest``;
+* the same equality on problems shaped like the ``serve_mix``
+  benchmark's (power-law n=2000 and a 1% perturbation of it);
 * a live-server test posts the bodies that used to answer 500 (or were
   admitted and then failed in the solver) and expects 400 envelopes.
 
@@ -27,8 +32,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.problem import NetworkAlignmentProblem
 from repro.errors import ValidationError
+from repro.generators.perturb import edit_script
 from repro.serve import (
     ServeConfig,
     problem_digest,
@@ -36,6 +43,7 @@ from repro.serve import (
     problem_to_wire,
     serve_in_thread,
 )
+from tests.oracles import problem_from_wire_loops
 
 BASE = {
     "a": {"n": 3, "edges": [[0, 1], [1, 2]]},
@@ -101,9 +109,24 @@ def test_decoder_builds_a_problem_or_raises_validation_error(edits):
     except ValidationError:
         return
     assert isinstance(problem, NetworkAlignmentProblem)
+    digest = problem_digest(problem)
+    assert problem_digest(problem_from_wire_loops(doc)) == digest
     # What decodes re-encodes to the same content address.
     assert problem_digest(problem_from_wire(problem_to_wire(problem))) \
-        == problem_digest(problem)
+        == digest
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_serve_mix_shaped_problems_decode_as_before(seed):
+    base = repro.powerlaw_alignment_instance(
+        n=2000, expected_degree=6.0, p_perturb=8.0 / 2000, seed=seed).problem
+    edited = base.apply_delta(edit_script(
+        base, l_edge_rate=0.01, weight_rate=0.01, seed=seed))[0]
+    for problem in (base, edited):
+        doc = json.loads(json.dumps(problem_to_wire(problem)))
+        assert problem_digest(problem_from_wire(doc)) == \
+            problem_digest(problem_from_wire_loops(doc)) == \
+            problem_digest(problem)
 
 
 def test_integral_float_ids_are_still_vertex_ids():
