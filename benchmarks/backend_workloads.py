@@ -17,7 +17,6 @@ from statistics import median, stdev
 
 import numpy as np
 
-from repro.accel import ParallelConfig, RoundingPool
 from repro.core.klau import KlauConfig, klau_align
 from repro.generators import lcsh_wiki
 from repro.matching.exact import max_weight_matching
@@ -53,28 +52,6 @@ def summarize(samples: list[float]) -> dict:
         "repeats": len(samples),
         "samples_s": samples,
     }
-
-
-def time_batched_rounding(
-    problem,
-    vectors: list[np.ndarray],
-    config: ParallelConfig,
-    repeats: int = 3,
-) -> tuple[list[float], list]:
-    """Steady-state ``round_many`` wall times (pool setup excluded).
-
-    Returns ``(samples, last_results)`` so callers can assert backend
-    equivalence on the exact objects that were timed.
-    """
-    samples: list[float] = []
-    with RoundingPool(problem, "approx", config) as pool:
-        pool.round_many(vectors[:1])  # warm the workers
-        results = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            results = pool.round_many(vectors)
-            samples.append(time.perf_counter() - t0)
-    return samples, results
 
 
 def time_repeated_rounding(

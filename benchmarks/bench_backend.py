@@ -1,40 +1,19 @@
-"""Backend benchmarks: process-pool rounding and warm-started matching.
+"""Backend benchmarks: warm-started exact matching.
 
 Run with ``pytest benchmarks/bench_backend.py -m bench -s`` (the ``-s``
 shows the timing tables).  ``benchmarks/run_bench.py`` times the same
 workloads (from ``backend_workloads.py``) and records them in
-``BENCH_2.json``.
-
-Hard assertions are portability-aware:
-
-* backend *equivalence* (bit-identical objectives/matchings) is always
-  asserted — it must hold on any machine;
-* the ≥2× process-pool *speedup* is only asserted when the host
-  actually has ≥4 CPUs (``os.cpu_count()``) — on a 1-CPU container the
-  pool pays dispatch overhead with no parallel hardware underneath, and
-  failing there would test the container, not the code;
-* the warm-start win does not need extra cores, so it is always
-  asserted (with a generous margin; the observed win is ≈2.8×).
+``BENCH_2.json``.  The warm-start win does not need extra cores, so it
+is always asserted (with a generous margin; the observed win is ≈2.8×).
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.accel import ParallelConfig
-
-from backend_workloads import (
-    batch_vectors,
-    time_batched_rounding,
-    time_klau_warm,
-    time_repeated_rounding,
-)
+from backend_workloads import time_klau_warm, time_repeated_rounding
 
 pytestmark = pytest.mark.bench
-
-MIN_CPUS_FOR_SPEEDUP = 4
 
 
 @pytest.fixture(scope="module")
@@ -48,38 +27,6 @@ def wiki_problem(wiki_instance):
 def _median(xs):
     xs = sorted(xs)
     return xs[len(xs) // 2]
-
-
-def test_batched_rounding_backends(wiki_problem):
-    """Serial vs process(4) batched rounding: equivalent, and faster
-    when the hardware can actually run 4 workers."""
-    vectors = batch_vectors(wiki_problem, count=8, seed=0)
-    serial_t, serial_r = time_batched_rounding(
-        wiki_problem, vectors, ParallelConfig(backend="serial")
-    )
-    process_t, process_r = time_batched_rounding(
-        wiki_problem, vectors,
-        ParallelConfig(backend="process", n_workers=4),
-    )
-    # Equivalence is bit-exact: same objectives, same matchings.
-    for (so, swp, sop, sm), (po, pwp, pop, pm) in zip(serial_r, process_r):
-        assert so == po and swp == pwp and sop == pop
-        assert (sm.mate_a == pm.mate_a).all()
-    speedup = _median(serial_t) / _median(process_t)
-    print(
-        f"\nbatched rounding (8 vectors, wiki@0.01): "
-        f"serial {_median(serial_t):.3f}s  process(4) {_median(process_t):.3f}s"
-        f"  speedup {speedup:.2f}x  (cpus={os.cpu_count()})"
-    )
-    if (os.cpu_count() or 1) >= MIN_CPUS_FOR_SPEEDUP:
-        assert speedup >= 2.0, (
-            f"expected >=2x with 4 process workers, got {speedup:.2f}x"
-        )
-    else:
-        pytest.skip(
-            f"speedup assertion needs >={MIN_CPUS_FOR_SPEEDUP} CPUs "
-            f"(have {os.cpu_count()}); equivalence verified"
-        )
 
 
 def test_warm_start_repeated_rounding(wiki_problem):

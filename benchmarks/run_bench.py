@@ -13,7 +13,7 @@ numbers.
 Usage (from the repo root)::
 
     PYTHONPATH=src python benchmarks/run_bench.py [--out BENCH_2.json]
-        [--repeats 5] [--scale 0.01] [--skip-process]
+        [--repeats 5] [--scale 0.01]
         [--group all|kernels-backend|multilevel|resilience|
                  serve|incremental|export|durability]
         [--out3 BENCH_3.json] [--multilevel-n 50000]
@@ -23,8 +23,7 @@ Usage (from the repo root)::
 
 The file captures *this machine's* numbers — machine info (platform,
 CPU count, library versions) rides along so readers can judge whether a
-recorded speedup is meaningful (a 1-CPU container cannot show a real
-process-pool win; the warm-start and kernel numbers still are).
+recorded speedup is meaningful.
 
 Each benchmark row: ``{"group", "name", "median_s", "stddev_s",
 "repeats", "samples_s", "extra"}``.  Kernel rows time the same loops as
@@ -49,14 +48,11 @@ import numpy as np
 import scipy
 
 from backend_workloads import (
-    batch_vectors,
     summarize,
-    time_batched_rounding,
     time_klau_warm,
     time_repeated_rounding,
     wiki_problem,
 )
-from repro.accel import ParallelConfig
 from repro.core.othermax import othermax_col, othermax_row
 from repro.sparse.ops import row_sums, spmv
 
@@ -128,36 +124,8 @@ def kernel_benchmarks(problem, repeats: int) -> list[dict]:
     return rows
 
 
-def backend_benchmarks(
-    problem, repeats: int, skip_process: bool
-) -> list[dict]:
+def backend_benchmarks(problem, repeats: int) -> list[dict]:
     rows = []
-    vectors = batch_vectors(problem, count=8, seed=0)
-    configs = [("serial", ParallelConfig(backend="serial"))]
-    if not skip_process:
-        configs += [
-            ("process_2", ParallelConfig(backend="process", n_workers=2)),
-            ("process_4", ParallelConfig(backend="process", n_workers=4)),
-        ]
-    baseline = None
-    for label, cfg in configs:
-        samples, _ = time_batched_rounding(
-            problem, vectors, cfg, repeats=repeats
-        )
-        row = {
-            "group": "backend", "name": f"batched_rounding_{label}",
-            **summarize(samples),
-            "extra": {"n_vectors": len(vectors), "backend": cfg.backend,
-                      "n_workers": cfg.n_workers},
-        }
-        if baseline is None:
-            baseline = row["median_s"]
-        else:
-            row["extra"]["speedup_vs_serial"] = baseline / row["median_s"]
-        rows.append(row)
-        print(f"  backend/batched_rounding_{label}: "
-              f"{row['median_s']:.3f} s")
-
     r = time_repeated_rounding(problem, rounds=5, repeats=repeats)
     for label in ("cold", "warm"):
         rows.append({
@@ -912,8 +880,6 @@ def main(argv: list[str] | None = None) -> int:
         Path(__file__).resolve().parent.parent / "BENCH_3.json"))
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--scale", type=float, default=0.01)
-    ap.add_argument("--skip-process", action="store_true",
-                    help="skip the process-pool rows (e.g. no /dev/shm)")
     ap.add_argument("--group", default="all",
                     choices=["all", "kernels-backend", "multilevel",
                              "resilience", "serve", "incremental",
@@ -944,7 +910,7 @@ def main(argv: list[str] | None = None) -> int:
               f"n_edges_l={problem.n_edges_l}")
 
         rows = kernel_benchmarks(problem, args.repeats)
-        rows += backend_benchmarks(problem, args.repeats, args.skip_process)
+        rows += backend_benchmarks(problem, args.repeats)
 
         doc = {
             "schema": 1,

@@ -1,20 +1,15 @@
 """Execution-backend configuration for :mod:`repro.accel`.
 
-One frozen dataclass names the three backends the library can run
+One frozen dataclass names the two backends the library can run
 independent work units on:
 
 ``"serial"``
-    In-process loop.  The reference semantics — every other backend is
+    In-process loop.  The reference semantics — the process backend is
     required (and tested) to be bit-identical to it.
-``"threaded"``
-    ``concurrent.futures.ThreadPoolExecutor``.  Honest about the GIL:
-    pure-Python matching does not speed up (see
-    ``benchmarks/bench_gil_reality.py``), but NumPy-releasing sections
-    overlap and the backend is useful for I/O-bound ``solve_many`` work.
 ``"process"``
-    ``multiprocessing`` pool over :mod:`repro.accel.shm` shared-memory
-    views of the problem's immutable CSR arrays.  This is the backend
-    that delivers real multicore wall-clock wins.
+    ``multiprocessing`` pool; each task (a whole solve for
+    :func:`repro.accel.solve_many`) is pickled to a worker.  This is
+    the backend that delivers real multicore wall-clock wins.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ from repro.resilience.config import ResilienceConfig
 __all__ = ["BACKENDS", "ParallelConfig"]
 
 #: The recognized execution backends.
-BACKENDS = ("serial", "threaded", "process")
+BACKENDS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -42,7 +37,7 @@ class ParallelConfig(ConfigBase):
     backend:
         One of :data:`BACKENDS`.
     n_workers:
-        Worker count for the pool backends; ``0`` means "one per CPU"
+        Worker count for the process backend; ``0`` means "one per CPU"
         (``os.cpu_count()``).  Ignored by ``"serial"``.
     chunk:
         Tasks handed to a worker per dispatch (``chunksize`` of

@@ -18,19 +18,16 @@ position instead of raising.
 
 Supervision: a :class:`~repro.resilience.ResilienceConfig` on
 ``parallel`` adds per-task timeouts, retries with backoff, dead-worker
-requeue, and the ``process → threaded → serial`` degradation ladder.
-When ``checkpoint_every`` is set, each solve snapshots its iterate
-state into the process-default
-:class:`~repro.resilience.CheckpointStore` under a per-task key, so a
-supervised retry that runs in the same process (the threaded and
-serial rungs) warm-resumes from the last snapshot instead of
-recomputing from iteration 1.
+requeue, and the ``process → serial`` degradation ladder.  When
+``checkpoint_every`` is set, each solve snapshots its iterate state into
+the process-default :class:`~repro.resilience.CheckpointStore` under a
+per-task key, so a supervised retry that runs in the same process (the
+serial rung) warm-resumes from the last snapshot instead of recomputing
+from iteration 1.
 
-The process backend ships each problem to a worker by pickle (problems
-are independent here, unlike the batched-rounding path where one problem
-is shared read-only).  Lazily derived structures (the squares matrix)
-are built in the worker if the caller has not forced them, so the parent
-does not pay for them twice.
+The process backend ships each problem to a worker by pickle.  Lazily
+derived structures (the squares matrix) are built in the worker if the
+caller has not forced them, so the parent does not pay for them twice.
 """
 
 from __future__ import annotations
@@ -44,6 +41,7 @@ from repro.core.problem import NetworkAlignmentProblem
 from repro.core.result import AlignmentResult
 from repro.errors import TaskFailedError
 from repro.observe import get_bus
+from repro.registry import align, get_solver
 
 __all__ = ["solve_many"]
 
@@ -59,10 +57,6 @@ def _solve_one_strict(task: tuple) -> AlignmentResult:
     problem, method, config = task[:3]
     ckpt_every = task[3] if len(task) > 3 else 0
     ckpt_key = task[4] if len(task) > 4 else ""
-    # Imported lazily: repro.registry imports this package's config
-    # module, so a module-level import here would be circular.
-    from repro.registry import align
-
     kwargs = {}
     if ckpt_every > 0:
         from repro.resilience import get_checkpoint_store
@@ -128,8 +122,6 @@ def solve_many(
         run.  ``True``: never raise per-task — failed positions hold
         their ``TaskFailedError`` in the returned list.
     """
-    from repro.registry import get_solver
-
     spec = get_solver(method)  # raises ConfigurationError when unknown
     parallel = parallel or ParallelConfig()
     res = parallel.resilience

@@ -222,58 +222,15 @@ def _solve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _resilience_config(args: argparse.Namespace):
-    """Build a ResilienceConfig from the supervision flags (or None)."""
-    if (
-        args.timeout is None
-        and args.retries is None
-        and args.fallback is None
-    ):
-        return None
-    from repro.resilience import ResilienceConfig
-
-    kwargs: dict = {}
-    if args.timeout is not None:
-        kwargs["timeout_s"] = args.timeout
-    if args.retries is not None:
-        kwargs["max_retries"] = args.retries
-    if args.fallback is not None:
-        kwargs["fallback"] = args.fallback
-    return ResilienceConfig(**kwargs)
-
-
 def _cmd_solve(args: argparse.Namespace) -> None:
     import json
 
     from repro.generators.io import load_alignment_problem
-    from repro.registry import align, get_solver
+    from repro.registry import align
 
     problem = load_alignment_problem(
         args.directory, alpha=args.alpha, beta=args.beta
     )
-    spec = get_solver(args.method)
-    resilience = _resilience_config(args)
-    parallel = None
-    if args.backend != "serial" or resilience is not None:
-        if spec.supports_parallel:
-            from repro.accel import ParallelConfig
-
-            parallel = ParallelConfig(
-                backend=args.backend,
-                n_workers=args.jobs,
-                resilience=resilience,
-            )
-        elif args.backend != "serial":
-            print(
-                f"note: --backend applies to methods with batched "
-                f"rounding; {args.method} runs serially", file=sys.stderr,
-            )
-        else:
-            print(
-                f"note: --timeout/--retries/--fallback supervise methods "
-                f"that take a ParallelConfig; {args.method} ignores them",
-                file=sys.stderr,
-            )
     plan = None
     if args.chaos:
         from repro.resilience import FaultPlan, install_fault_plan
@@ -282,9 +239,7 @@ def _cmd_solve(args: argparse.Namespace) -> None:
             plan = FaultPlan.from_dict(json.load(fh))
         install_fault_plan(plan)
     try:
-        res = align(
-            problem, args.method, _solve_config(args), parallel=parallel
-        )
+        res = align(problem, args.method, _solve_config(args))
     finally:
         if plan is not None:
             from repro.resilience import clear_fault_plan
@@ -605,36 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "default 100 for bp/mr")
     p.add_argument("--batch", type=int, default=None)
     p.add_argument(
-        "--backend", choices=["serial", "threaded", "process"],
-        default="serial",
-        help="execution backend for BP's batched rounding "
-             "(docs/performance.md); mr runs serially either way",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="worker count for --backend threaded/process "
-             "(0 = one per CPU)",
-    )
-    res_group = p.add_argument_group(
-        "resilience",
-        "Supervised execution and chaos testing (docs/resilience.md).",
-    )
-    res_group.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-task timeout for supervised dispatch; a task that "
-             "exceeds it is treated as a dead worker and requeued",
-    )
-    res_group.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="retry budget per task under supervision (default 2)",
-    )
-    res_group.add_argument(
-        "--fallback", action=argparse.BooleanOptionalAction, default=None,
-        help="walk the degradation ladder (process -> threaded -> serial) "
-             "when a backend's circuit breaker opens (default on once "
-             "any supervision flag is set)",
-    )
-    res_group.add_argument(
         "--chaos", default=None, metavar="PLAN.json",
         help="install a deterministic FaultPlan (JSON, see "
              "docs/resilience.md) for the duration of the solve",

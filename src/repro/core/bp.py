@@ -19,7 +19,6 @@ rounding by construction.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Any
 
@@ -33,7 +32,6 @@ from repro.core.result import AlignmentResult, BestTracker, IterationRecord
 from repro.core.rounding import (
     Matcher,
     RoundingWorkspace,
-    emit_rounding,
     make_matcher,
     round_heuristic,
     score_matching,
@@ -110,7 +108,6 @@ def belief_propagation_align(
     config: BPConfig | None = None,
     tracer: Any | None = None,
     *,
-    parallel: "ParallelConfig | None" = None,
     init_messages: tuple[np.ndarray, np.ndarray] | None = None,
     checkpoint_every: int = 0,
     checkpoint_store: Any | None = None,
@@ -126,12 +123,6 @@ def belief_propagation_align(
     :mod:`repro.observe` bus has sinks attached, the run is wrapped in a
     ``bp.align`` span and emits one ``iteration`` event per iteration
     (plus ``rounding``/``matching`` events from the rounding layer).
-
-    ``parallel`` optionally selects an execution backend
-    (:class:`repro.accel.ParallelConfig`) for the batched rounding step:
-    the ``2 × batch`` matchings of each flush are independent, and the
-    process backend fans them out over shared memory.  Results are
-    bit-identical to the serial path (see ``docs/performance.md``).
 
     ``init_messages`` optionally warm-starts the message vectors: a
     ``(y0, z0)`` pair of length ``|E_L|`` (both copied).  The multilevel
@@ -160,9 +151,8 @@ def belief_propagation_align(
     ``bp.realign`` span, emits ``active_set_size`` events and reports a
     ``bp-warm[...]`` method.  When the seeding finds the problem
     unchanged, the prior matching is returned bit-identically without
-    iterating.  Incremental runs checkpoint, resume and take any
-    ``parallel`` backend like cold ones; they are incompatible with
-    ``tracer`` and ``init_messages``.
+    iterating.  Incremental runs checkpoint and resume like cold ones;
+    they are incompatible with ``tracer`` and ``init_messages``.
 
     ``keep_state`` asks the run to attach its final message state to
     ``result.solver_state`` so a :class:`repro.incremental.WarmState`
@@ -176,22 +166,16 @@ def belief_propagation_align(
             "warm_from is incompatible with tracer/init_messages"
         )
     bus = get_bus()
-    backend = "serial" if parallel is None else parallel.backend
     labels = dict(matcher=config.matcher, n_iter=config.n_iter,
                   batch=config.batch, damping=config.damping)
     if warm_from is None:
-        labels.update(backend=backend)
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(bus.trace(
-            "bp.align" if warm_from is None else "bp.realign", **labels))
-        pool = None
-        if backend != "serial":
-            from repro.accel.pool import RoundingPool
-
-            pool = stack.enter_context(
-                RoundingPool(problem, config.matcher, parallel))
+        # Rounding always runs in-process; the label stays because
+        # recorded event streams (tests/golden/bp_parity.json) carry it.
+        labels.update(backend="serial")
+    with bus.trace("bp.align" if warm_from is None else "bp.realign",
+                   **labels):
         return _bp_run(
-            problem, config, tracer, bus, pool, init_messages, warm_from,
+            problem, config, tracer, bus, init_messages, warm_from,
             checkpoint_every=checkpoint_every,
             checkpoint_store=checkpoint_store,
             checkpoint_key=checkpoint_key, resume=resume,
@@ -204,7 +188,6 @@ def _bp_run(
     config: BPConfig,
     tracer: Any | None,
     bus,
-    pool: "RoundingPool | None",
     init_messages: tuple[np.ndarray, np.ndarray] | None,
     warm: "WarmState | None",
     *,
@@ -391,38 +374,21 @@ def _bp_run(
     def flush_batch() -> None:
         """Round all stored iterates (the paper's batched rounding).
 
-        The ``2 × batch`` matchings share no state; with a pool they run
-        on the configured backend and the parent replays tracker offers
-        and ``rounding`` events in serial order, so histories and event
-        streams are backend-independent.
+        The ``2 × batch`` matchings share no state; the tracer replays
+        them as one parallel task group on the simulated machine.
         """
         if not pending:
             return
         batch_records: list[tuple[Any, ...]] = []
-        if pool is not None:
-            rounded = pool.round_many(
-                [vec for _, y_it, z_it in pending for vec in (y_it, z_it)]
+        for it, y_it, z_it in pending:
+            obj_y, wp_y, op_y, match_y = round_heuristic(
+                problem, y_it, matcher=matcher, tracker=tracker,
+                source="y", iteration=it, workspace=workspace,
             )
-        for idx, (it, y_it, z_it) in enumerate(pending):
-            if pool is not None:
-                obj_y, wp_y, op_y, match_y = rounded[2 * idx]
-                obj_z, wp_z, op_z, match_z = rounded[2 * idx + 1]
-                tracker.offer(obj_y, wp_y, op_y, match_y, y_it, "y", it)
-                tracker.offer(obj_z, wp_z, op_z, match_z, z_it, "z", it)
-                if bus.active:
-                    emit_rounding(bus, pool.matcher_kind, "y", it, obj_y,
-                                  wp_y, op_y, match_y.cardinality)
-                    emit_rounding(bus, pool.matcher_kind, "z", it, obj_z,
-                                  wp_z, op_z, match_z.cardinality)
-            else:
-                obj_y, wp_y, op_y, match_y = round_heuristic(
-                    problem, y_it, matcher=matcher, tracker=tracker,
-                    source="y", iteration=it, workspace=workspace,
-                )
-                obj_z, wp_z, op_z, match_z = round_heuristic(
-                    problem, z_it, matcher=matcher, tracker=tracker,
-                    source="z", iteration=it, workspace=workspace,
-                )
+            obj_z, wp_z, op_z, match_z = round_heuristic(
+                problem, z_it, matcher=matcher, tracker=tracker,
+                source="z", iteration=it, workspace=workspace,
+            )
             if obj_y >= obj_z:
                 rec = (it, obj_y, wp_y, op_y, "y", match_y, match_z)
             else:

@@ -22,11 +22,11 @@ in here:
 choices come from it.
 
 :func:`score_matching` is the one scorer for every matching a solver
-rounds: ``round_heuristic``, the process backend's workers, Klau's
-Step 4 and BP's warm prior.  Its weight part is ``wᵀx`` over the full
-0/1 indicator; its overlap part sums ``x`` only over the columns of the
-matched rows of **S**, so it costs what the matching touches instead of
-a full SpMV.  :meth:`NetworkAlignmentProblem.objective_parts
+rounds: ``round_heuristic``, Klau's Step 4 and BP's warm prior.  Its
+weight part is ``wᵀx`` over the full 0/1 indicator; its overlap part
+sums ``x`` only over the columns of the matched rows of **S**, so it
+costs what the matching touches instead of a full SpMV.
+:meth:`NetworkAlignmentProblem.objective_parts
 <repro.core.problem.NetworkAlignmentProblem.objective_parts>` stays the
 definition, and correctness checks recompute with it.
 
@@ -62,7 +62,6 @@ from repro.sparse.bipartite import BipartiteGraph
 __all__ = [
     "Matcher",
     "RoundingWorkspace",
-    "emit_rounding",
     "make_matcher",
     "round_heuristic",
     "score_matching",
@@ -173,36 +172,6 @@ def score_matching(
     )
 
 
-def emit_rounding(
-    bus,
-    matcher_kind: str,
-    source: str,
-    iteration: int,
-    objective: float,
-    weight_part: float,
-    overlap_part: float,
-    cardinality: int,
-) -> None:
-    """Emit one ``rounding`` event + counters (shared with repro.accel).
-
-    The parallel rounding backend computes roundings in worker processes
-    whose buses are inactive; the parent replays the same emission
-    through this helper so the event stream is backend-independent.
-    """
-    bus.emit(
-        "rounding",
-        source=source,
-        iteration=iteration,
-        matcher=matcher_kind,
-        objective=objective,
-        weight_part=weight_part,
-        overlap_part=overlap_part,
-        cardinality=cardinality,
-    )
-    bus.metrics.counter("repro_roundings_total", matcher=matcher_kind).inc()
-    bus.metrics.histogram("repro_rounding_objective").observe(objective)
-
-
 def round_heuristic(
     problem: NetworkAlignmentProblem,
     g: np.ndarray,
@@ -275,8 +244,19 @@ def round_heuristic(
         )
     bus = get_bus()
     if bus.active:
-        emit_rounding(
-            bus, getattr(matcher, "kind", "custom"), source, iteration,
-            objective, weight_part, overlap_part, matching.cardinality,
+        matcher_kind = getattr(matcher, "kind", "custom")
+        bus.emit(
+            "rounding",
+            source=source,
+            iteration=iteration,
+            matcher=matcher_kind,
+            objective=objective,
+            weight_part=weight_part,
+            overlap_part=overlap_part,
+            cardinality=matching.cardinality,
         )
+        bus.metrics.counter(
+            "repro_roundings_total", matcher=matcher_kind
+        ).inc()
+        bus.metrics.histogram("repro_rounding_objective").observe(objective)
     return objective, weight_part, overlap_part, matching

@@ -172,7 +172,7 @@ def get_plan(graph: BipartiteGraph) -> GroupPlan:
         _PLAN_CACHE.move_to_end(key)
         _plan_hits += 1
         if bus.active:
-            bus.metrics.counter("repro_matching_backend_plan_hits_total").inc()
+            bus.metrics.counter("repro_matching_plan_hits_total").inc()
         return plan
     plan = GroupPlan.from_graph(graph)
     _PLAN_CACHE[key] = plan
@@ -180,7 +180,7 @@ def get_plan(graph: BipartiteGraph) -> GroupPlan:
         _PLAN_CACHE.popitem(last=False)
     _plan_builds += 1
     if bus.active:
-        bus.metrics.counter("repro_matching_backend_plan_builds_total").inc()
+        bus.metrics.counter("repro_matching_plan_builds_total").inc()
     return plan
 
 

@@ -24,7 +24,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.accel.config import ParallelConfig
 from repro.configtools import ConfigBase
 from repro.core.bp import BPConfig, belief_propagation_align
 from repro.core.klau import KlauConfig, klau_align
@@ -140,15 +139,12 @@ def multilevel_align(
     problem: NetworkAlignmentProblem,
     config: MultilevelConfig | None = None,
     tracer: Any | None = None,
-    *,
-    parallel: ParallelConfig | None = None,
 ) -> AlignmentResult:
     """Run one V-cycle on ``problem``.
 
     ``tracer`` collects the work traces of coarsening, the coarse solve
     and every refine pass into a single trace stream the machine model
-    replays; ``parallel`` fans the inner BP batched roundings out on an
-    execution backend.  When the :mod:`repro.observe` bus has sinks
+    replays.  When the :mod:`repro.observe` bus has sinks
     attached, the run is wrapped in a ``multilevel.align`` span, each
     level emits a ``multilevel_level`` event, and the
     ``repro_multilevel_*`` metrics are maintained.
@@ -161,7 +157,7 @@ def multilevel_align(
         coarsest_method=config.coarsest_method,
         refine_iters=config.refine_iters,
     ):
-        return _vcycle(problem, config, tracer, bus, parallel)
+        return _vcycle(problem, config, tracer, bus)
 
 
 def _emit_level(
@@ -286,7 +282,6 @@ def _vcycle(
     config: MultilevelConfig,
     tracer: Any | None,
     bus,
-    parallel: ParallelConfig | None,
 ) -> AlignmentResult:
     levels = _build_hierarchy(problem, config, tracer, bus)
     n_levels = len(levels)
@@ -309,7 +304,6 @@ def _vcycle(
                 final_exact=flat and config.final_exact,
             ),
             tracer,
-            parallel=parallel,
         )
     else:
         result = klau_align(
@@ -345,7 +339,6 @@ def _vcycle(
                     final_exact=is_finest and config.final_exact,
                 ),
                 tracer,
-                parallel=parallel,
                 init_messages=(g_vec, g_vec),
             )
             if bus.active:

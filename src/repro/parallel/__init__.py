@@ -9,25 +9,17 @@ flat curve — it is the empirical justification for reproducing the
 paper's scaling study with the trace-driven machine model in
 :mod:`repro.machine` instead (DESIGN.md §1).
 
-The backend that *does* deliver real wall-clock speedup lives in
-:mod:`repro.accel` (process pools over shared memory); its entry points
-are re-exported here so "the parallel layer" has one import surface:
-
->>> from repro.parallel import ParallelConfig, parallel_map
->>> parallel_map(len, ["ab", "c"], ParallelConfig(backend="serial"))
-[2, 1]
+Fanning whole, independent solves out to processes is a different job;
+it lives in :mod:`repro.accel` (``ParallelConfig``, ``parallel_map``,
+``solve_many``).
 """
 
-from repro.accel.config import ParallelConfig
-from repro.accel.pool import parallel_map
 from repro.parallel.threaded import (
     parallel_for_threaded,
     threaded_locally_dominant_matching,
 )
 
 __all__ = [
-    "ParallelConfig",
     "parallel_for_threaded",
-    "parallel_map",
     "threaded_locally_dominant_matching",
 ]

@@ -12,11 +12,10 @@ solve function.  :func:`align` is then one call for all of them:
 
 ``config`` accepts the method's config dataclass, a plain mapping (fed
 through the config's ``from_dict``, so JSON round-trips), or ``None``
-for defaults.  ``parallel`` (a :class:`repro.accel.ParallelConfig`) and
-``trace`` (an :class:`repro.machine.trace.AlgorithmTracer`) forward to
-methods that support them and raise :class:`ConfigurationError` on ones
-that do not — silently dropping a requested backend would misreport
-benchmarks.
+for defaults.  ``trace`` (an :class:`repro.machine.trace.AlgorithmTracer`)
+forwards to methods that support it and raises
+:class:`ConfigurationError` on ones that do not — silently dropping a
+requested trace would misreport benchmarks.
 
 The registry is intentionally open: downstream code can
 ``register_solver`` its own spec and dispatch through the same facade
@@ -29,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from repro.accel.config import ParallelConfig
 from repro.core.bp import BPConfig, belief_propagation_align
 from repro.core.isorank import IsoRankConfig, isorank_align
 from repro.core.klau import KlauConfig, klau_align
@@ -52,17 +50,16 @@ __all__ = [
 class SolverSpec:
     """One registered alignment method.
 
-    ``solve`` is called as ``solve(problem, config, tracer=..,
-    parallel=..)``; the two keyword arguments are only passed when the
-    corresponding ``supports_*`` flag is set, so plain
-    ``(problem, config)`` solvers register without adapters.
+    ``solve`` is called as ``solve(problem, config, tracer=..)``; the
+    keyword arguments are only passed when the corresponding
+    ``supports_*`` flag is set, so plain ``(problem, config)`` solvers
+    register without adapters.
     """
 
     name: str
     config_cls: type
     solve: Callable[..., AlignmentResult]
     aliases: tuple[str, ...] = ()
-    supports_parallel: bool = False
     supports_trace: bool = False
     #: The solver accepts the checkpoint/resume keyword group
     #: (``checkpoint_every``, ``checkpoint_store``, ``checkpoint_key``,
@@ -176,7 +173,6 @@ def align(
     method: str = "bp",
     config: Any = None,
     *,
-    parallel: ParallelConfig | None = None,
     trace: Any | None = None,
     checkpoint_every: int = 0,
     checkpoint_store: Any | None = None,
@@ -194,8 +190,6 @@ def align(
             :func:`register_solver`.
         config: The method's config dataclass, a mapping
             (``from_dict``), or ``None`` for defaults.
-        parallel: Execution backend for methods that fan work out (BP's
-            batched rounding, the multilevel refine passes).
         trace: A work-trace collector
             (:class:`~repro.machine.trace.AlgorithmTracer`) for methods
             that record replayable machine traces.
@@ -219,19 +213,13 @@ def align(
 
     Raises:
         ConfigurationError: Unknown method, bad config, or a
-            ``parallel``/``trace``/checkpoint request against a method
+            ``trace``/checkpoint/warm request against a method
             whose spec does not declare support for it — the facade
             raises rather than silently dropping the request.
     """
     spec = get_solver(method)
     cfg = _coerce_config(spec, config)
     kwargs: dict[str, Any] = {}
-    if parallel is not None:
-        if not spec.supports_parallel:
-            raise ConfigurationError(
-                f"method {spec.name!r} does not support parallel execution"
-            )
-        kwargs["parallel"] = parallel
     if trace is not None:
         if not spec.supports_trace:
             raise ConfigurationError(
@@ -264,10 +252,8 @@ def align(
     return spec.solve(problem, cfg, **kwargs)
 
 
-def _bp_solve(problem, config, tracer=None, parallel=None, **extra):
-    return belief_propagation_align(
-        problem, config, tracer, parallel=parallel, **extra
-    )
+def _bp_solve(problem, config, tracer=None, **extra):
+    return belief_propagation_align(problem, config, tracer, **extra)
 
 
 def _klau_solve(problem, config, tracer=None, **checkpointing):
@@ -278,8 +264,8 @@ def _isorank_solve(problem, config):
     return isorank_align(problem, config)
 
 
-def _multilevel_solve(problem, config, tracer=None, parallel=None):
-    return multilevel_align(problem, config, tracer, parallel=parallel)
+def _multilevel_solve(problem, config, tracer=None):
+    return multilevel_align(problem, config, tracer)
 
 
 register_solver(
@@ -287,7 +273,6 @@ register_solver(
         name="bp",
         config_cls=BPConfig,
         solve=_bp_solve,
-        supports_parallel=True,
         supports_trace=True,
         supports_checkpoint=True,
         supports_warm=True,
@@ -311,7 +296,6 @@ register_solver(
         name="multilevel",
         config_cls=MultilevelConfig,
         solve=_multilevel_solve,
-        supports_parallel=True,
         supports_trace=True,
     )
 )

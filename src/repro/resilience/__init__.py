@@ -4,18 +4,18 @@ The production-hardening layer over :mod:`repro.accel` and the solvers,
 in four pieces (see ``docs/resilience.md`` for the full story):
 
 * :mod:`~repro.resilience.faults` — a deterministic fault-injection
-  harness (:class:`FaultPlan`: seeded crash/hang/slow/corrupt faults
+  harness (:class:`FaultPlan`: seeded crash/hang/slow faults
   addressable by call site, task index, or worker id) with hooks in
-  ``parallel_map``, the rounding pool, the solver iterations, the job
-  server, and — via :class:`MachineFaults` — simulated core failures
-  and stragglers in the machine simulator;
+  ``parallel_map``, the solver iterations, the job server, and — via
+  :class:`MachineFaults` — simulated core failures and stragglers in
+  the machine simulator;
 * :mod:`~repro.resilience.supervise` — :func:`supervised_map`:
   per-task timeouts, bounded retries with exponential backoff + jitter,
   dead-worker detection with task requeue, and a per-backend
   :class:`CircuitBreaker`;
 * :mod:`~repro.resilience.degrade` — the graceful-degradation ladder
-  (``process → threaded → serial`` execution), bit-identical by the
-  backend contract;
+  (``process → serial`` execution), bit-identical by the backend
+  contract;
 * :mod:`~repro.resilience.checkpoint` — :class:`SolverCheckpoint` /
   :class:`CheckpointStore` so supervised retries of BP and Klau
   warm-resume instead of restarting.

@@ -16,8 +16,8 @@ the absolute iteration number, and Klau's step-control scalars
 :class:`CheckpointStore` is an in-memory, thread-safe keyed store.  The
 process-default store (:func:`get_checkpoint_store`) is what
 ``solve_many``'s supervised retries read: a retry that runs in the same
-process as the crashed attempt (the threaded and serial rungs — where
-retries land after degradation) finds the snapshot under its task key.
+process as the crashed attempt (the serial rung — where retries land
+after degradation) finds the snapshot under its task key.
 Checkpoints do not cross process boundaries: a process-pool retry on a
 *different* worker cold-starts (documented limitation; the snapshot
 arrays live where the solver ran).

@@ -4,7 +4,7 @@ Attach one to :class:`repro.accel.ParallelConfig` (its ``resilience``
 field) to put every fanned-out task under supervision: a per-task
 timeout, a bounded retry budget with exponential backoff + jitter, a
 per-backend circuit breaker, and — when ``fallback`` is on — the
-graceful-degradation ladder (``process → threaded → serial``).
+graceful-degradation ladder (``process → serial``).
 
 Leaving ``resilience`` unset keeps the historical fast paths: no
 supervision wrapper, no timeouts, zero overhead (the acceptance
@@ -50,7 +50,7 @@ class ResilienceConfig(ConfigBase):
     fallback:
         Arm the degradation ladder.  When the circuit breaker opens on a
         backend (or a pool cannot even be built), execution steps down
-        ``process → threaded → serial`` and re-runs the outstanding
+        ``process → serial`` and re-runs the outstanding
         tasks there.  The serial rung is the reference semantics, so
         results after any number of degradations are bit-identical to a
         fault-free serial run.

@@ -1,9 +1,9 @@
 """The graceful-degradation ladder.
 
 One ladder of execution backends, ordered fastest-first and ending on
-the reference implementation: ``process → threaded → serial``.  The
-serial rung is the bit-identical reference, so a batch that degrades
-all the way down still returns exactly the fault-free answer.
+the reference implementation: ``process → serial``.  The serial rung
+is the bit-identical reference, so a batch that degrades all the way
+down still returns exactly the fault-free answer.
 
 :func:`next_step` answers "where does this rung fall to?"; stepping off
 the last rung raises :class:`~repro.errors.BackendUnavailableError`.
@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 #: Execution-backend ladder, fastest first, reference last.
-EXECUTION_LADDER: tuple[str, ...] = ("process", "threaded", "serial")
+EXECUTION_LADDER: tuple[str, ...] = ("process", "serial")
 
 
 def next_step(ladder: tuple[str, ...], current: str) -> str:

@@ -2,10 +2,10 @@
 
 A :class:`FaultPlan` is a *seeded, replayable* description of the faults
 to inject into a run: each :class:`FaultSpec` names a fault ``kind``
-(``crash`` | ``hang`` | ``slow`` | ``corrupt``), the call ``site`` it
-arms (one of :data:`FAULT_SITES`: ``"parallel_map"``, ``"rounding"``,
-``"solver.iteration"``, ``"serve.job"``, or ``"*"`` for every site), and
-an optional ``task_index`` / ``worker_id`` address.  Whether a given
+(``crash`` | ``hang`` | ``slow``), the call ``site`` it arms (one of
+:data:`FAULT_SITES`: ``"parallel_map"``, ``"solver.iteration"``,
+``"serve.job"``, or ``"*"`` for every site), and an optional
+``task_index`` / ``worker_id`` address.  Whether a given
 consultation fires is a pure function of ``(plan.seed, spec position,
 site, task_index, worker_id, attempt)`` — **not** of wall clock or
 thread interleaving — so a seeded plan reproduces the identical fault
@@ -23,10 +23,6 @@ Fault semantics at a consultation point (:func:`maybe_inject`):
     exactly what a silently dead worker looks like.
 ``slow``
     Sleep ``delay_s`` (a straggler) and continue normally.
-``corrupt``
-    *Return* the matched spec so the call site corrupts its own data
-    (injection code cannot know which array is the payload); sites that
-    carry no corruptible payload ignore the return value.
 
 Fault injection is **off by default and zero-cost when off**: no plan
 installed means :func:`maybe_inject` is one global read and a ``None``
@@ -69,13 +65,12 @@ __all__ = [
 ]
 
 #: The recognized fault kinds.
-FAULT_KINDS = ("crash", "hang", "slow", "corrupt")
+FAULT_KINDS = ("crash", "hang", "slow")
 
 #: The sites some code consults (plus ``"*"``, every site).  A spec
 #: aimed anywhere else could never fire, so a chaos run using it would
 #: pass without any chaos.
-FAULT_SITES = ("*", "parallel_map", "rounding", "solver.iteration",
-               "serve.job")
+FAULT_SITES = ("*", "parallel_map", "solver.iteration", "serve.job")
 
 
 @dataclass(frozen=True)
@@ -348,23 +343,18 @@ def consult(
 
 def maybe_inject(
     site: str, task_index: int = -1, worker_id: int = -1
-) -> FaultSpec | None:
+) -> None:
     """Consult the armed plan at a call site; act on any fired fault.
 
-    Raises on ``crash``, sleeps on ``hang``/``slow``, and returns the
-    spec on ``corrupt`` so the call site can damage its own payload.
-    Returns ``None`` (at the cost of one global read) when no plan is
-    armed or nothing fires.
+    Raises on ``crash`` and sleeps on ``hang``/``slow``.  Costs one
+    global read when no plan is armed.
     """
     spec = consult(site, task_index, worker_id)
     if spec is None:
-        return None
+        return
     if spec.kind == "crash":
         raise FaultInjectedError(site, task_index, worker_id)
-    if spec.kind in ("hang", "slow"):
-        time.sleep(spec.delay_s)
-        return None
-    return spec  # "corrupt": the call site owns the payload
+    time.sleep(spec.delay_s)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ the configured backend, but every task runs under supervision —
   (``task_retry`` events, ``repro_retries_total``);
 * a per-backend **circuit breaker** — ``breaker_threshold`` consecutive
   failures opens it, at which point the **degradation ladder** steps
-  the whole remaining batch down ``process → threaded → serial``
+  the whole remaining batch down ``process → serial``
   (``backend_degraded`` events, ``repro_degradations_total``).  The
   serial rung is the bit-identical reference, so results survive any
   number of degradations unchanged;
@@ -41,8 +41,6 @@ import multiprocessing as mp
 import time
 import traceback
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -159,41 +157,6 @@ class _SerialRunner:
         pass
 
 
-class _ThreadRunner:
-    """ThreadPoolExecutor with ``future.result(timeout)`` supervision.
-
-    A timed-out thread cannot be killed (it parks until its task
-    returns); ``reset`` abandons the executor without waiting so the
-    batch can make progress on a fresh one.
-    """
-
-    backend = "threaded"
-
-    def __init__(self, config: Any) -> None:
-        self._workers = config.resolve_workers() if config is not None else 1
-        self._executor = ThreadPoolExecutor(max_workers=self._workers)
-
-    def submit(self, fn, item, hang_s):
-        return self._executor.submit(_guarded_call, fn, item, hang_s)
-
-    def collect(self, handle, timeout_s, task_index):
-        try:
-            if timeout_s == float("inf"):
-                return handle.result()
-            return handle.result(timeout=timeout_s)
-        except FuturesTimeoutError:
-            raise TimeoutExceededError(
-                "parallel_map", task_index, timeout_s
-            ) from None
-
-    def reset(self) -> None:
-        self._executor.shutdown(wait=False, cancel_futures=True)
-        self._executor = ThreadPoolExecutor(max_workers=self._workers)
-
-    def close(self) -> None:
-        self._executor.shutdown(wait=False, cancel_futures=True)
-
-
 class _ProcessRunner:
     """multiprocessing pool with ``AsyncResult.get(timeout)`` supervision.
 
@@ -234,7 +197,6 @@ class _ProcessRunner:
 
 _RUNNERS = {
     "serial": _SerialRunner,
-    "threaded": _ThreadRunner,
     "process": _ProcessRunner,
 }
 

@@ -120,12 +120,12 @@ class TestAlignDispatch:
         with pytest.raises(ConfigurationError):
             align(small_instance.problem, "bp", {"iterations": 5})
 
-    def test_parallel_rejected_where_unsupported(self, small_instance):
-        with pytest.raises(ConfigurationError, match="parallel"):
-            align(
-                small_instance.problem, "isorank",
-                parallel=ParallelConfig(),
-            )
+    def test_parallel_keyword_removed(self, small_instance):
+        """Solves round in-process; fan-out of whole solves is
+        ``solve_many``'s job."""
+        with pytest.raises(TypeError, match="parallel"):
+            align(small_instance.problem, "bp",
+                  parallel=ParallelConfig())
 
     def test_trace_rejected_where_unsupported(self, small_instance):
         from repro.machine.trace import AlgorithmTracer
@@ -143,15 +143,6 @@ class TestAlignDispatch:
             small_instance.problem, "bp", BPConfig(n_iter=3), trace=tracer
         )
         assert len(tracer.iterations) == 3
-
-    def test_parallel_forwarded_serial_identical(self, small_instance):
-        cfg = BPConfig(n_iter=4, batch=2)
-        plain = align(small_instance.problem, "bp", cfg)
-        serial = align(
-            small_instance.problem, "bp", cfg,
-            parallel=ParallelConfig(backend="serial"),
-        )
-        assert plain.objective == serial.objective
 
 
 class TestConfigSurface:

@@ -118,36 +118,6 @@ class TestCommands:
         assert "speedup" in out
         assert "p=" not in out  # table uses a threads column
 
-    def test_solve_backend_flags(self, tmp_path, capsys):
-        """--backend process --jobs 2 must reproduce the serial answer."""
-        from repro.generators.io import save_alignment_problem
-        from repro.generators.synthetic import powerlaw_alignment_instance
-
-        inst = powerlaw_alignment_instance(n=25, expected_degree=3, seed=3)
-        directory = str(tmp_path / "prob")
-        save_alignment_problem(directory, inst.problem)
-        main(["solve", directory, "--method", "bp", "--iters", "4",
-              "--batch", "4"])
-        serial_out = capsys.readouterr().out
-        main(["solve", directory, "--method", "bp", "--iters", "4",
-              "--batch", "4", "--backend", "process", "--jobs", "2"])
-        process_out = capsys.readouterr().out
-        assert "objective=" in process_out
-        assert serial_out == process_out
-
-    def test_solve_mr_backend_notes_serial(self, tmp_path, capsys):
-        from repro.generators.io import save_alignment_problem
-        from repro.generators.synthetic import powerlaw_alignment_instance
-
-        inst = powerlaw_alignment_instance(n=20, expected_degree=3, seed=5)
-        directory = str(tmp_path / "prob")
-        save_alignment_problem(directory, inst.problem)
-        main(["solve", directory, "--method", "mr", "--iters", "2",
-              "--backend", "threaded"])
-        captured = capsys.readouterr()
-        assert "objective=" in captured.out
-        assert "mr runs serially" in captured.err
-
     def test_solve_exact_warm_matcher(self, tmp_path, capsys):
         """MR's exact matcher warm-starts by itself; the old
         ``exact-warm`` kind is no longer a choice."""

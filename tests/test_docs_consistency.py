@@ -113,6 +113,29 @@ class TestMetricsDoc:
             f"{sorted(missing)}"
         )
 
+    def test_every_documented_metric_name_is_in_source(self):
+        """The reverse: every metric a registry table of
+        docs/observability.md names must appear in the source, so a
+        deleted metric cannot stay documented."""
+        doc = DOC.read_text(encoding="utf-8")
+        documented = re.findall(
+            r"^\| `((?:repro|machine)_\w+)` \| "
+            r"(?:counter|gauge|histogram) \|",
+            doc, flags=re.MULTILINE,
+        )
+        assert documented, "no metric rows found in observability.md"
+        src = "\n".join(
+            path.read_text(encoding="utf-8")
+            for path in (REPO / "src" / "repro").rglob("*.py")
+        )
+        stale = [
+            name for name in documented
+            if not re.search(rf"\b{name}\b", src)
+        ]
+        assert not stale, (
+            f"observability.md documents metrics no source emits: {stale}"
+        )
+
 
 class TestPerformanceDoc:
     DOC = REPO / "docs" / "performance.md"
@@ -130,20 +153,10 @@ class TestPerformanceDoc:
     def test_documents_backend_and_warm_metrics(self):
         text = self.DOC.read_text(encoding="utf-8")
         for name in (
-            "repro_backend_worker_utilization",
+            "repro_backend_tasks_total",
             "repro_warm_start_rows_reused_total",
         ):
             assert name in text
-
-    def test_cli_flags_match_doc(self):
-        """The flags the doc teaches must exist on the solve parser."""
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["solve", "dir", "--backend", "process", "--jobs", "4"]
-        )
-        assert args.backend == "process"
-        assert args.jobs == 4
 
 
 # --------------------------------------------------------------------
@@ -387,3 +400,21 @@ class TestDocsIndex:
         readme = (REPO / "README.md").read_text(encoding="utf-8")
         for rel in re.findall(r"\((docs/[\w\-]+\.md)\)", readme):
             assert (REPO / rel).is_file(), f"README links missing page {rel}"
+
+
+class TestVersion:
+    def test_metadata_files_match_package_version(self):
+        """pyproject.toml and CITATION.cff state ``repro.__version__``
+        (read with a regex: tomllib needs Python 3.11)."""
+        import repro
+
+        pyproject = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+        citation = (REPO / "CITATION.cff").read_text(encoding="utf-8")
+        project = pyproject.split("[project]", 1)[1].split("\n[", 1)[0]
+        [toml_version] = re.findall(
+            r'^version\s*=\s*"([^"]+)"', project, flags=re.MULTILINE)
+        [cff_version] = re.findall(
+            r"^version:\s*\"?([^\"\s]+)\"?\s*$", citation,
+            flags=re.MULTILINE)
+        assert toml_version == repro.__version__
+        assert cff_version == repro.__version__

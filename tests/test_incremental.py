@@ -20,7 +20,6 @@ Four layers of coverage:
   its cache-digest lineage.
 """
 
-import glob
 import http.client
 import json
 
@@ -431,17 +430,6 @@ class TestWarmCheckpointResume:
                       for e in sink.of_type("active_set_size")]
         assert iterations == list(
             range(1, ref.params["iterations_run"] + 1))
-
-    def test_process_backend_matches_serial(self, warm_case):
-        edited, warm_state = warm_case
-        before = set(glob.glob("/dev/shm/psm_*"))
-        ref = align(edited, "bp", WARM_CFG, warm_from=warm_state,
-                    keep_state=True)
-        res = align(edited, "bp", WARM_CFG, warm_from=warm_state,
-                    keep_state=True,
-                    parallel=ParallelConfig(backend="process", n_workers=2))
-        _assert_same_run(res, ref)
-        assert set(glob.glob("/dev/shm/psm_*")) == before
 
 
 class TestRegistryGating:
