@@ -359,7 +359,7 @@ def serve_benchmarks(repeats: int, smoke: bool) -> tuple[list[dict], dict]:
         host, port = base_url.removeprefix("http://").rsplit(":", 1)
         conn = http.client.HTTPConnection(host, int(port), timeout=600)
         try:
-            conn.request("POST", "/jobs?wait=1",
+            conn.request("POST", "/v1/jobs?wait=1",
                          body=json.dumps(body).encode(),
                          headers={"Content-Type": "application/json"})
             resp = conn.getresponse()
@@ -763,8 +763,7 @@ def durability_benchmarks(
                 max_active_per_tenant=64)),
             "sqlite": _TimedStore(ServeConfig(
                 port=0, workers=1, max_queue=64,
-                max_active_per_tenant=64, store="sqlite",
-                store_path=dirs[-1])),
+                max_active_per_tenant=64, store_path=dirs[-1])),
         }
         mode_samples: dict[str, list[float]] = {m: [] for m in stores}
         try:
@@ -805,7 +804,7 @@ def durability_benchmarks(
             dirs.append(tempfile.mkdtemp(prefix="repro-bench-store-"))
             cfg = ServeConfig(port=0, workers=0, max_queue=depth + 1,
                               max_active_per_tenant=depth + 1,
-                              store="sqlite", store_path=dirs[-1])
+                              store_path=dirs[-1])
             store = SqliteJobStore(cfg)
             for _ in range(depth):
                 store.submit(fresh_doc(), "default")
@@ -834,7 +833,7 @@ def durability_benchmarks(
         dirs.append(tempfile.mkdtemp(prefix="repro-bench-store-"))
         run_cfg = ServeConfig(port=0, workers=1, max_queue=count + 1,
                               max_active_per_tenant=count + 1,
-                              store="sqlite", store_path=dirs[-1])
+                              store_path=dirs[-1])
         store = SqliteJobStore(run_cfg)
         try:
             for _ in range(count):
@@ -843,8 +842,7 @@ def durability_benchmarks(
                     raise AssertionError("terminal-recovery seed hung")
         finally:
             store.shutdown()
-        idle_cfg = ServeConfig(port=0, workers=0, store="sqlite",
-                               store_path=dirs[-1])
+        idle_cfg = ServeConfig(port=0, workers=0, store_path=dirs[-1])
 
         def reopen_terminal():
             s = SqliteJobStore(idle_cfg)

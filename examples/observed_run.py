@@ -36,7 +36,7 @@ def main(argv=None) -> None:
     )
 
     bus = get_bus()
-    console = bus.add_sink(ConsoleSink(sys.stdout))
+    console = bus.add_sink(ConsoleSink(stream=sys.stdout))
     memory = bus.add_sink(MemorySink())
     try:
         # --- live algorithm progress -------------------------------------

@@ -320,8 +320,7 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         max_active_per_tenant=args.max_active_per_tenant,
         checkpoint_every=args.checkpoint_every,
         telemetry=args.telemetry,
-        store="sqlite" if args.store_path else "memory",
-        store_path=args.store_path or "",
+        store_path=args.store_path,
         drain_timeout_s=args.drain_timeout,
     )
     server = AlignmentServer(config)
@@ -634,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=True,
                    help="serve per-request metrics on GET /v1/metrics "
                         "(--no-telemetry disables recording)")
-    p.add_argument("--store-path", default=None, dest="store_path",
+    p.add_argument("--store-path", default="", dest="store_path",
                    metavar="DIR",
                    help="persist jobs to a write-ahead journal in this "
                         "directory (selects the sqlite store; restarts "

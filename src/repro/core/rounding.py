@@ -37,7 +37,6 @@ rounding.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -175,7 +174,7 @@ def score_matching(
 def round_heuristic(
     problem: NetworkAlignmentProblem,
     g: np.ndarray,
-    *legacy_args,
+    *,
     matcher: Matcher | str | None = None,
     tracker: BestTracker | None = None,
     source: str = "g",
@@ -185,10 +184,8 @@ def round_heuristic(
     """Round a heuristic vector to a matching and score it.
 
     The matcher is selected with the ``matcher=`` keyword (a kind string
-    from :data:`MATCHER_KINDS` or a :class:`Matcher` callable).  Passing
-    the matcher positionally is deprecated; a positional *kind string*
-    emits :class:`DeprecationWarning` and will stop working one release
-    cycle after 1.1 (see CHANGELOG.md).
+    from :data:`MATCHER_KINDS` or a :class:`Matcher` callable); every
+    argument after ``g`` is keyword-only.
 
     Returns ``(objective, weight_part, overlap_part, matching)``, scored
     by :func:`score_matching`, and, if a :class:`BestTracker` is given,
@@ -197,32 +194,6 @@ def round_heuristic(
     the indicator allocation (hot loops round thousands of times on one
     problem).
     """
-    if legacy_args:
-        if len(legacy_args) > 2:
-            raise TypeError(
-                "round_heuristic() takes at most 2 positional arguments "
-                "besides (problem, g); use matcher=/tracker= keywords"
-            )
-        if matcher is not None:
-            raise TypeError(
-                "matcher passed both positionally and as a keyword"
-            )
-        matcher = legacy_args[0]
-        if isinstance(matcher, str):
-            warnings.warn(
-                "passing the matcher kind positionally is deprecated; "
-                "use round_heuristic(problem, g, matcher="
-                f"{matcher!r}) — positional kind strings will be "
-                "removed one cycle after 1.1",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if len(legacy_args) == 2:
-            if tracker is not None:
-                raise TypeError(
-                    "tracker passed both positionally and as a keyword"
-                )
-            tracker = legacy_args[1]
     if matcher is None:
         raise ConfigurationError(
             "round_heuristic requires matcher= (a kind string from "

@@ -153,16 +153,6 @@ def render_dashboards() -> dict[str, str]:
                             "response status code.",
             ),
             _panel(
-                "Legacy (unversioned) share", [
-                    ("legacy fraction",
-                     f'sum(rate({req}{{api="legacy"}}[5m])) / '
-                     f"sum(rate({req}[5m]))"),
-                ], unit="percentunit",
-                description="Traffic still on deprecated unprefixed "
-                            "routes; should trend to zero as clients "
-                            "migrate to /v1.",
-            ),
-            _panel(
                 "Queue depth and active jobs", [
                     ("queued", t.METRIC_QUEUE_DEPTH),
                     ("active", t.METRIC_ACTIVE_JOBS),

@@ -25,8 +25,8 @@ Construction is uniform: every sink takes keyword options only, and
     make_sink("console", verbose=True)
     make_sink("prometheus", path="metrics.prom", interval_s=10.0)
 
-The pre-registry positional forms (``JSONLSink(fileobj)``,
-``ConsoleSink(stream)``) keep working but emit a ``DeprecationWarning``;
+An open stream always goes in as ``stream=`` (``JSONLSink(fileobj)``
+and ``ConsoleSink(stream)`` raise ``TypeError``);
 ``docs/observability.md`` documents the migration.
 """
 
@@ -39,7 +39,6 @@ import math
 import sys
 import threading
 import time
-import warnings
 from typing import IO, Iterable, Protocol
 
 from repro.errors import ObservabilityError
@@ -134,20 +133,20 @@ class JSONLSink:
         path: File path to create and own (closed by ``close()``).
         stream: An already-open text stream to write to instead; the
             caller keeps ownership.  Exactly one of ``path``/``stream``
-            must be given.  Passing a file object as ``path`` (the
-            pre-registry ``JSONLSink(path_or_file)`` form) still works
-            but emits a ``DeprecationWarning``.
+            must be given.
+
+    Raises:
+        TypeError: ``path`` is not a string (an open file goes in as
+            ``stream=``).
     """
 
-    def __init__(self, path: str | IO[str] | None = None, *,
+    def __init__(self, path: str | None = None, *,
                  stream: IO[str] | None = None) -> None:
         if path is not None and not isinstance(path, (str, bytes)):
-            warnings.warn(
-                "passing a file object to JSONLSink(path_or_file) is "
-                "deprecated; use JSONLSink(stream=...)",
-                DeprecationWarning, stacklevel=2,
+            raise TypeError(
+                "JSONLSink path must be a string, got "
+                f"{type(path).__name__}; pass an open file as stream="
             )
-            path, stream = None, path
         if (path is None) == (stream is None):
             raise ObservabilityError(
                 "JSONLSink needs exactly one of path= or stream="
@@ -200,22 +199,11 @@ class ConsoleSink:
 
     def __init__(
         self,
-        *args: IO[str],
+        *,
         stream: IO[str] | None = None,
         min_interval: float = 0.0,
         verbose: bool = False,
     ) -> None:
-        if args:
-            if len(args) > 1 or stream is not None:
-                raise TypeError(
-                    "ConsoleSink takes at most one stream argument"
-                )
-            warnings.warn(
-                "passing the stream positionally to ConsoleSink is "
-                "deprecated; use ConsoleSink(stream=...)",
-                DeprecationWarning, stacklevel=2,
-            )
-            stream = args[0]
         self._stream = stream if stream is not None else sys.stderr
         self._min_interval = min_interval
         self._verbose = verbose

@@ -8,10 +8,9 @@ the observe bus, supervised execution with checkpoint-backed resume on
 worker loss, and incremental realignment (``warm_from`` submissions
 seeded from a bounded LRU of converged solver states).
 
-The HTTP surface is versioned under ``/v1`` (legacy unprefixed routes
-still answer, marked with a ``Deprecation`` header), and — unless
-``ServeConfig(telemetry=False)`` — every server exposes a Prometheus
-scrape endpoint at ``GET /v1/metrics`` backed by
+The HTTP surface is versioned under ``/v1`` (any other path answers
+404), and — unless ``ServeConfig(telemetry=False)`` — every server
+exposes a Prometheus scrape endpoint at ``GET /v1/metrics`` backed by
 :class:`~repro.serve.telemetry.ServeTelemetry`.
 
 The API contract lives in ``docs/serving.md`` (normative; its examples
@@ -24,12 +23,12 @@ are executed by the docs-consistency tests).  Quick start::
 
 or, from a shell: ``python -m repro.cli serve --port 8080``.
 
-Jobs can be made **durable**: ``ServeConfig(store="sqlite",
-store_path=...)`` selects the write-ahead-journaled persistent store
-(:mod:`repro.serve.store`), which replays its journal on startup —
-terminal results serve from disk, queued jobs re-enter the queue, and
-interrupted solves resume bit-identically from their last checkpoint
-(docs/serving.md, "Durability & operations").
+Jobs can be made **durable**: ``ServeConfig(store_path=...)`` selects
+the write-ahead-journaled persistent store (:mod:`repro.serve.store`),
+which replays its journal on startup — terminal results serve from
+disk, queued jobs re-enter the queue, and interrupted solves resume
+bit-identically from their last checkpoint (docs/serving.md,
+"Durability & operations").
 
 Module map: :mod:`~repro.serve.wire` (JSON schemas, hashing, the error
 envelope), :mod:`~repro.serve.cache` (content-addressed LRU),

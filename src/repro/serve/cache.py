@@ -1,4 +1,4 @@
-"""The content-addressed result cache behind ``POST /jobs``.
+"""The content-addressed result cache behind ``POST /v1/jobs``.
 
 Results are cached under :func:`repro.serve.wire.cache_key` — a hash of
 the problem's canonical arrays plus the canonicalized solver config —
@@ -87,7 +87,7 @@ class ResultCache:
         """Return ``{"entries", "hits", "misses"}`` counters.
 
         Returns:
-            A snapshot dict (suitable for the ``/healthz`` payload).
+            A snapshot dict (suitable for the ``/v1/healthz`` payload).
         """
         with self._lock:
             return {

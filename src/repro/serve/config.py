@@ -38,33 +38,29 @@ class ServeConfig(ConfigBase):
         max_edges_l: Largest |E_L| accepted per submitted problem
             (``0`` = unbounded); breaches reject with ``too_large``.
         warm_entries: Bound on the LRU store of per-job solver states
-            kept for incremental realignment (``POST /jobs`` with
+            kept for incremental realignment (``POST /v1/jobs`` with
             ``warm_from``); ``0`` disables warm submissions entirely
             (every ``warm_from`` rejects with ``warm_unavailable``).
         checkpoint_every: Snapshot solver iterate state every this many
             iterations while a job runs (``0`` = off), cold and
-            ``warm_from`` jobs alike; jobs rounding with a stateful
-            matcher run without snapshots.  With retries, a crashed
-            attempt warm-resumes from its last snapshot.
+            ``warm_from`` jobs alike.  With retries, a crashed attempt
+            warm-resumes from its last snapshot.
         max_retries: Supervised retry budget per job after the first
-            attempt (see :mod:`repro.resilience`).
-        timeout_s: Per-attempt wall-clock budget under supervision;
-            ``inf`` disables the timeout.
-        wait_timeout_s: Longest a ``POST /jobs?wait=1`` submission
+            attempt (see :mod:`repro.resilience`).  A running job's
+            wall clock is bounded only by its submission's
+            ``deadline_s``.
+        wait_timeout_s: Longest a ``POST /v1/jobs?wait=1`` submission
             blocks for a terminal state before answering ``504``.
         telemetry: Serve the always-on HTTP metrics registry and attach
             the telemetry sink to the process observe bus while the
             server runs (``GET /v1/metrics``).  Off disables per-request
             metric recording; the endpoint then exposes only whatever
             the observe bus already collects.
-        store: Job-store backend: ``"memory"`` (the historical
-            in-process dict; every job dies with the process) or
-            ``"sqlite"`` (the write-ahead-journaled persistent store of
-            :mod:`repro.serve.store` — jobs survive restarts and crash
-            recovery replays the journal).
-        store_path: Directory holding the persistent store's journal
-            database and checkpoint files; required when
-            ``store="sqlite"``.
+        store_path: Directory of the persistent job store (its SQLite
+            journal and checkpoint files, :mod:`repro.serve.store`):
+            jobs survive restarts and crash recovery replays the
+            journal.  Empty (the default) keeps jobs in process memory,
+            where they die with the process.
         drain_timeout_s: Wall-clock budget graceful drain (SIGTERM /
             SIGINT under ``repro.cli serve``) gives in-flight jobs to
             settle before the process exits.
@@ -83,10 +79,8 @@ class ServeConfig(ConfigBase):
     max_edges_l: int = 2_000_000
     checkpoint_every: int = 0
     max_retries: int = 1
-    timeout_s: float = float("inf")
     wait_timeout_s: float = 60.0
     telemetry: bool = True
-    store: str = "memory"
     store_path: str = ""
     drain_timeout_s: float = 10.0
     seed: int | None = None
@@ -99,17 +93,7 @@ class ServeConfig(ConfigBase):
                      "checkpoint_every", "max_retries"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0")
-        if self.timeout_s <= 0:
-            raise ConfigurationError("timeout_s must be positive")
         if self.wait_timeout_s <= 0:
             raise ConfigurationError("wait_timeout_s must be positive")
-        if self.store not in ("memory", "sqlite"):
-            raise ConfigurationError(
-                f"store must be 'memory' or 'sqlite', got {self.store!r}"
-            )
-        if self.store == "sqlite" and not self.store_path:
-            raise ConfigurationError(
-                "store='sqlite' requires a store_path directory"
-            )
         if self.drain_timeout_s <= 0:
             raise ConfigurationError("drain_timeout_s must be positive")

@@ -20,7 +20,7 @@ requested against a running solve).  The store owns:
   subscribes to the process-default observe bus and keeps only events
   emitted from the job's worker thread, translating ``iteration`` /
   ``checkpoint`` / ``task_retry`` events into the NDJSON progress
-  frames ``GET /jobs/{id}/events`` streams.
+  frames ``GET /v1/jobs/{id}/events`` streams.
 
 Cancellation is cooperative: a *queued* job is removed before it ever
 starts; a *running* job cannot be preempted (the solvers have no abort
@@ -43,8 +43,8 @@ Three operational layers ride on top of the lifecycle:
 * **persistence hooks** — every lifecycle transition funnels through
   ``_persist_submit`` / ``_persist_transition``, no-ops here and
   overridden by :class:`repro.serve.store.SqliteJobStore` to journal
-  the job to disk (``ServeConfig.store="sqlite"``), which is what makes
-  restart recovery possible;
+  the job to disk (built when ``ServeConfig.store_path`` is set), which
+  is what makes restart recovery possible;
 * **deadlines** — a submission may carry ``deadline_s`` (seconds from
   admission); a queued job past its deadline fails without running, and
   a running one is aborted cooperatively at its next progress event
@@ -55,7 +55,7 @@ Three operational layers ride on top of the lifecycle:
   turns an EWMA of observed service times into the ``Retry-After``
   hint backpressure responses carry.
 
-The server hands each ``POST /jobs`` body to :meth:`JobStore.submit_body`
+The server hands each ``POST /v1/jobs`` body to :meth:`JobStore.submit_body`
 as raw bytes.  A body byte-identical to one already accepted is
 answered from a SHA-256 of its bytes (the *body memo*, a bounded LRU
 beside the result cache) without a JSON parse, wire decode or problem
@@ -160,7 +160,7 @@ class _Lru:
             return hit
 
     def stats(self) -> dict[str, int]:
-        """Occupancy report for ``/healthz``."""
+        """Occupancy report for ``/v1/healthz``."""
         with self._lock:
             return {"entries": len(self._entries),
                     "capacity": self.capacity}
@@ -256,7 +256,7 @@ class Job:
 
     # -- documents -----------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
-        """The status document ``GET /jobs/{id}`` returns.
+        """The status document ``GET /v1/jobs/{id}`` returns.
 
         Returns:
             A JSON-ready dict; ``state`` reports the virtual
@@ -443,7 +443,7 @@ class JobStore:
 
     # -- submission ----------------------------------------------------
     def submit_body(self, body: bytes, tenant: str) -> Job:
-        """Admit one raw ``POST /jobs`` body, answering a known one unparsed.
+        """Admit a raw ``POST /v1/jobs`` body, answering a known one unparsed.
 
         The draining check runs first.  Then the body's SHA-256 is
         looked up in the body memo: if it names an accepted submission
@@ -516,7 +516,7 @@ class JobStore:
             )
 
     def submit(self, doc: Mapping[str, Any], tenant: str) -> Job:
-        """Admit one decoded job submission (the body of ``POST /jobs``).
+        """Admit one decoded job submission (the body of ``POST /v1/jobs``).
 
         The server reaches this through :meth:`submit_body`; in-process
         callers pass the decoded document directly.
@@ -674,7 +674,7 @@ class JobStore:
             return self._jobs.get(job_id)
 
     def cancel(self, job_id: str) -> str | None:
-        """Cancel a job (the body of ``DELETE /jobs/{id}``).
+        """Cancel a job (the body of ``DELETE /v1/jobs/{id}``).
 
         Args:
             job_id: The job to cancel.
@@ -724,7 +724,7 @@ class JobStore:
         return self._draining or self._closed
 
     def describe(self) -> dict[str, Any]:
-        """The store's identity for ``/healthz`` (kind, persistence)."""
+        """The store's identity for ``/v1/healthz`` (kind, persistence)."""
         return {"kind": "memory", "path": None}
 
     # -- persistence hooks ---------------------------------------------
@@ -780,7 +780,7 @@ class JobStore:
         return True
 
     def counts(self) -> dict[str, int]:
-        """Jobs per state (the ``/healthz`` occupancy report)."""
+        """Jobs per state (the ``/v1/healthz`` occupancy report)."""
         out = {state: 0 for state in JOB_STATES}
         with self._lock:
             jobs = list(self._jobs.values())
@@ -825,10 +825,7 @@ class JobStore:
             return
         job.add_frame({"type": "state", "state": "running"})
         self._persist_transition(job)
-        resilience = ResilienceConfig(
-            timeout_s=self.config.timeout_s,
-            max_retries=self.config.max_retries,
-        )
+        resilience = ResilienceConfig(max_retries=self.config.max_retries)
         parallel = ParallelConfig(backend="serial", resilience=resilience)
         from repro.registry import get_solver
 

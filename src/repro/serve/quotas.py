@@ -2,7 +2,7 @@
 
 A serving deployment must reject work it cannot absorb *at the door*,
 not time it out mid-queue.  Admission is checked synchronously at
-``POST /jobs`` time, before a job object is even created:
+``POST /v1/jobs`` time, before a job object is even created:
 
 * the **global queue bound** (``max_queue``) caps jobs that are queued
   or running across all tenants — the backpressure valve for the whole
@@ -128,7 +128,7 @@ class TenantQuotas:
         """Return ``{"active", "tenants"}`` occupancy counters.
 
         Returns:
-            A dict for the ``/healthz`` payload: total active jobs and
+            A dict for the ``/v1/healthz`` payload: total active jobs and
             the number of tenants currently holding slots.
         """
         with self._lock:

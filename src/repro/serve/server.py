@@ -8,10 +8,8 @@ and writes JSON responses.  Every response closes its connection
 NDJSON progress stream be close-delimited.
 
 The API is versioned: every route lives under ``/v1`` (``/v1/jobs``,
-``/v1/healthz``, ``/v1/metrics``, …).  The original unprefixed paths
-keep working route-for-route, but every response to one carries a
-``Deprecation: true`` header, and request metrics label them
-``api="legacy"`` so a migration can be watched on a dashboard.
+``/v1/healthz``, ``/v1/metrics``, …).  Any other path answers the 404
+``not_found`` envelope, counted under the route label ``(unmatched)``.
 
 Unless disabled (``ServeConfig(telemetry=False)``), the server carries a
 :class:`~repro.serve.telemetry.ServeTelemetry`: per-request latency
@@ -26,7 +24,7 @@ normatively in ``docs/serving.md``; ``tests/test_docs_consistency.py``
 executes the documented examples against a live in-process server, so
 this module and that page cannot drift apart.
 
-Blocking waits (``POST /jobs?wait=1``) are pushed onto the default
+Blocking waits (``POST /v1/jobs?wait=1``) are pushed onto the default
 executor so the event loop keeps serving while a submission waits for
 its worker; everything else the loop touches is lock-protected and
 fast.
@@ -144,7 +142,8 @@ def _head(status: int, content_type: str, length: int | None,
         length: Body size for ``Content-Length``, or ``None`` for a
             close-delimited response (the NDJSON stream).
         extra: Additional preformatted ``Name: value`` header lines
-            (the ``Deprecation`` marker on legacy routes).
+            (``Retry-After`` on backpressure, ``Content-Encoding`` on a
+            gzip result).
     """
     lines = [
         f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
@@ -160,24 +159,17 @@ def _head(status: int, content_type: str, length: int | None,
 class _Ctx:
     """Per-request response context threaded through the handlers.
 
-    Bundles the writer with the request's API generation (``v1`` or
-    legacy), its route template, and the status that was eventually
-    written — so the telemetry hooks in ``_handle`` never race another
-    request's state.
+    Bundles the writer with the request's route template and the status
+    that was eventually written — so the telemetry hooks in ``_handle``
+    never race another request's state.
     """
 
-    __slots__ = ("writer", "deprecated", "api", "route", "status")
+    __slots__ = ("writer", "route", "status")
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
-        self.deprecated = False
-        self.api = API_VERSION
         self.route = "(unmatched)"
         self.status = 0
-
-    def extra_headers(self) -> tuple[str, ...]:
-        """Response headers implied by the request (deprecation mark)."""
-        return ("Deprecation: true",) if self.deprecated else ()
 
 
 class AlignmentServer:
@@ -269,7 +261,7 @@ class AlignmentServer:
             if self.telemetry is not None:
                 self.telemetry.request_finished(
                     method, ctx.route, ctx.status,
-                    time.perf_counter() - start, ctx.api,
+                    time.perf_counter() - start,
                 )
             with contextlib.suppress(ConnectionError):
                 writer.close()
@@ -280,12 +272,10 @@ class AlignmentServer:
         """Dispatch one parsed request to its endpoint handler."""
         split = urlsplit(target)
         raw_path = split.path.rstrip("/") or "/"
-        if raw_path == "/v1" or raw_path.startswith("/v1/"):
-            path = raw_path[len("/v1"):] or "/"
-        else:
-            path = raw_path
-            ctx.deprecated = True
-            ctx.api = "legacy"
+        if raw_path != "/v1" and not raw_path.startswith("/v1/"):
+            raise _HttpError(404, "not_found",
+                             f"no route for {raw_path} (the API is under /v1)")
+        path = raw_path[len("/v1"):] or "/"
         ctx.route = route_template(path)
         query = parse_qs(split.query)
         tenant = headers.get("x-tenant", "default")
@@ -334,7 +324,7 @@ class AlignmentServer:
 
     # -- endpoints -----------------------------------------------------
     def _health_doc(self) -> dict[str, Any]:
-        """Build the ``GET /healthz`` payload.
+        """Build the ``GET /v1/healthz`` payload.
 
         Beyond liveness, the document reports the occupancy numbers a
         dashboard's cheap probe needs: queue depth, cache entries (with
@@ -381,14 +371,13 @@ class AlignmentServer:
             return
         data = prometheus_text(*sources).encode("utf-8")
         ctx.status = 200
-        ctx.writer.write(_head(200, _PROM_CONTENT_TYPE, len(data),
-                               ctx.extra_headers()))
+        ctx.writer.write(_head(200, _PROM_CONTENT_TYPE, len(data)))
         ctx.writer.write(data)
         await ctx.writer.drain()
 
     async def _post_job(self, ctx: _Ctx, body: bytes,
                         query: dict[str, list[str]], tenant: str) -> None:
-        """Handle ``POST /jobs`` (optionally ``?wait=1``).
+        """Handle ``POST /v1/jobs`` (optionally ``?wait=1``).
 
         The raw body goes to :meth:`JobStore.submit_body`, which answers
         a byte-identical resubmission from a hash of the body and parses
@@ -426,7 +415,7 @@ class AlignmentServer:
         await self._send_json(ctx, status, job.snapshot())
 
     async def _delete_job(self, ctx: _Ctx, job_id: str) -> None:
-        """Handle ``DELETE /jobs/{id}``."""
+        """Handle ``DELETE /v1/jobs/{id}``."""
         state = self.store.cancel(job_id)
         if state is None:
             raise _HttpError(404, "not_found", f"no job with id {job_id!r}")
@@ -441,7 +430,7 @@ class AlignmentServer:
 
     async def _get_result(self, ctx: _Ctx, job: Job,
                           headers: dict[str, str]) -> None:
-        """Handle ``GET /jobs/{id}/result``.
+        """Handle ``GET /v1/jobs/{id}/result``.
 
         A done result is gzip-compressed when the client advertises
         ``Accept-Encoding: gzip`` — large matchings shrink severalfold
@@ -460,10 +449,8 @@ class AlignmentServer:
                     mtime=0,
                 )
                 ctx.status = 200
-                ctx.writer.write(_head(
-                    200, "application/json", len(data),
-                    ctx.extra_headers() + ("Content-Encoding: gzip",),
-                ))
+                ctx.writer.write(_head(200, "application/json", len(data),
+                                       ("Content-Encoding: gzip",)))
                 ctx.writer.write(data)
                 await ctx.writer.drain()
                 return
@@ -482,7 +469,7 @@ class AlignmentServer:
         )
 
     async def _stream_events(self, ctx: _Ctx, job: Job) -> None:
-        """Handle ``GET /jobs/{id}/events``: close-delimited NDJSON.
+        """Handle ``GET /v1/jobs/{id}/events``: close-delimited NDJSON.
 
         Frames already recorded are flushed immediately; new ones are
         polled every 20 ms until the job is terminal and fully drained.
@@ -493,8 +480,7 @@ class AlignmentServer:
         """
         ctx.status = 200
         writer = ctx.writer
-        writer.write(_head(200, "application/x-ndjson", None,
-                           ctx.extra_headers()))
+        writer.write(_head(200, "application/x-ndjson", None))
         sent = 0
         while True:
             closing = self.store.closed
@@ -518,7 +504,7 @@ class AlignmentServer:
         ctx.status = status
         data = json.dumps(body, sort_keys=True).encode("utf-8")
         ctx.writer.write(_head(status, "application/json", len(data),
-                               ctx.extra_headers() + extra))
+                               extra))
         ctx.writer.write(data)
         await ctx.writer.drain()
 

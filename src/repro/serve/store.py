@@ -38,6 +38,9 @@ the worker threads behind a lock — journal writes are short and the
 solver dominates, so contention is negligible (measured <3% of
 service time on the durability benchmark, BENCH_10).
 
+:func:`make_store` builds this store whenever ``ServeConfig.store_path``
+is set and the in-memory :class:`~repro.serve.jobs.JobStore` otherwise.
+
 :func:`list_jobs` and :func:`gc_jobs` operate on the database file
 directly without starting a worker pool — the backing for the
 ``repro.cli jobs ls`` / ``jobs gc`` admin commands.
@@ -142,7 +145,7 @@ class SqliteJobStore(JobStore):
         self._recover()
 
     def describe(self) -> dict[str, Any]:
-        """The store's identity for ``/healthz`` (kind, path, totals)."""
+        """The store's identity for ``/v1/healthz`` (kind, path, totals)."""
         with self._db_lock:
             row = self._db.execute("SELECT COUNT(*) FROM jobs").fetchone()
         return {"kind": "sqlite", "path": str(self._root),
@@ -377,19 +380,18 @@ class SqliteJobStore(JobStore):
 
 def make_store(config: ServeConfig,
                cache: ResultCache | None = None) -> JobStore:
-    """Build the job store ``config.store`` selects.
+    """Build the job store ``config.store_path`` selects.
 
     Args:
-        config: The serving policy; ``store="memory"`` builds the plain
-            in-memory :class:`~repro.serve.jobs.JobStore`,
-            ``store="sqlite"`` the persistent :class:`SqliteJobStore`
-            rooted at ``config.store_path``.
+        config: The serving policy; a ``store_path`` builds the
+            persistent :class:`SqliteJobStore` rooted there, an empty
+            one the plain in-memory :class:`~repro.serve.jobs.JobStore`.
         cache: Optional externally owned result cache.
 
     Returns:
         The constructed store (recovery already replayed for sqlite).
     """
-    if config.store == "sqlite":
+    if config.store_path:
         return SqliteJobStore(config, cache)
     return JobStore(config, cache)
 

@@ -53,7 +53,7 @@ __all__ = [
     "route_template",
 ]
 
-#: HTTP request counter, labeled ``method``/``route``/``status``/``api``.
+#: HTTP request counter, labeled ``method``/``route``/``status``.
 METRIC_REQUESTS = "repro_http_requests_total"
 #: HTTP request latency histogram (seconds), labeled ``route``.
 METRIC_LATENCY = "repro_http_request_seconds"
@@ -151,7 +151,7 @@ class ServeTelemetry:
             self.registry.gauge(METRIC_IN_FLIGHT).inc()
 
     def request_finished(self, method: str, route: str, status: int,
-                         seconds: float, api: str) -> None:
+                         seconds: float) -> None:
         """Record one finished request.
 
         Args:
@@ -160,15 +160,11 @@ class ServeTelemetry:
             status: The response status code (``0`` when the connection
                 died before a response was written).
             seconds: Wall-clock request duration.
-            api: ``"v1"`` for prefixed requests, ``"legacy"`` for
-                deprecated unprefixed ones (the label migration
-                dashboards watch).
         """
         with self._lock:
             self.registry.gauge(METRIC_IN_FLIGHT).inc(-1.0)
             self.registry.counter(
-                METRIC_REQUESTS, method=method, route=route,
-                status=status, api=api,
+                METRIC_REQUESTS, method=method, route=route, status=status,
             ).inc()
             self.registry.histogram(
                 METRIC_LATENCY, buckets=HTTP_LATENCY_BUCKETS, route=route

@@ -9,9 +9,9 @@ vocabulary:
   :class:`~repro.core.problem.NetworkAlignmentProblem` as a plain JSON
   document (graphs as edge lists, L as weighted pairs);
 * :func:`result_to_wire` — an
-  :class:`~repro.core.result.AlignmentResult` as the response payload of
-  ``GET /jobs/{id}/result`` (non-finite floats become ``null``, matching
-  the JSONL sink convention);
+  :class:`~repro.core.result.AlignmentResult` as the response payload
+  of ``GET /v1/jobs/{id}/result`` (non-finite floats become ``null``,
+  matching the JSONL sink convention);
 * :func:`problem_digest` / :func:`cache_key` — the content addresses
   the result cache is keyed by: a SHA-256 over the problem's canonical
   arrays plus the canonicalized solver config
@@ -380,7 +380,7 @@ def _finite(value: float) -> float | None:
 def result_to_wire(result: AlignmentResult) -> dict[str, Any]:
     """Serialize an alignment result to the response payload shape.
 
-    The payload is what ``GET /jobs/{id}/result`` returns (minus the
+    The payload is what ``GET /v1/jobs/{id}/result`` returns (minus the
     transport-level ``cached`` flag the server adds).  Matched pairs are
     listed A-side ascending, so two bit-identical results serialize to
     byte-identical JSON.
@@ -422,8 +422,8 @@ def error_envelope(code: str, message: str,
 
     Returns:
         ``{"api_version": "v1", "error": {"code", "message"[, "detail"]}}``.
-        The top-level ``api_version`` is stable across the deprecation
-        of the unprefixed routes — clients can key parsers on it.
+        The top-level ``api_version`` names the API generation that
+        answered — clients can key parsers on it.
     """
     body: dict[str, Any] = {
         "api_version": API_VERSION,

@@ -163,8 +163,7 @@ class TestCommands:
         from repro.serve import ServeConfig, SqliteJobStore, problem_to_wire
 
         store_path = str(tmp_path / "store")
-        cfg = ServeConfig(port=0, workers=1, store="sqlite",
-                          store_path=store_path)
+        cfg = ServeConfig(port=0, workers=1, store_path=store_path)
         store = SqliteJobStore(cfg)
         try:
             inst = powerlaw_alignment_instance(n=20, expected_degree=3,

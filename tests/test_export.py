@@ -13,8 +13,8 @@ Four layers of coverage:
   ``ExportMetricsServiceRequest`` shape with per-bucket (non-cumulative)
   histogram counts;
 * push-sink and registry tests — exporter flush/interval semantics,
-  ``make_sink`` construction and error reporting, and the deprecation
-  shims on the pre-registry sink constructors.
+  ``make_sink`` construction and error reporting, and the
+  ``TypeError`` a positional stream now raises.
 """
 
 import io
@@ -316,16 +316,17 @@ class TestSinkRegistry:
         with pytest.raises(ObservabilityError, match="memory"):
             make_sink("memory", path="nope")
 
-    def test_deprecated_positional_forms_still_work(self, tmp_path):
+    def test_positional_streams_raise_type_error(self):
+        with pytest.raises(TypeError, match="stream="):
+            JSONLSink(io.StringIO())
+        with pytest.raises(TypeError):
+            ConsoleSink(io.StringIO())
         stream = io.StringIO()
-        with pytest.warns(DeprecationWarning, match="JSONLSink"):
-            sink = JSONLSink(stream)
+        sink = JSONLSink(stream=stream)
         sink.write(Event("span_start", 1, 0.0, {"name": "x"}))
         sink.close()
         assert json.loads(stream.getvalue())["name"] == "x"
-        with pytest.warns(DeprecationWarning, match="ConsoleSink"):
-            console = ConsoleSink(io.StringIO())
-        console.close()
+        ConsoleSink(stream=io.StringIO()).close()
 
     def test_jsonl_requires_exactly_one_target(self, tmp_path):
         with pytest.raises(ObservabilityError, match="exactly one"):

@@ -522,23 +522,23 @@ class TestServeWarmPath:
                                           perturbed_wire):
         base = warm_server.base_url
         wire = problem_to_wire(problem)
-        _, cold = _request(base, "POST", "/jobs?wait=1",
+        _, cold = _request(base, "POST", "/v1/jobs?wait=1",
                            body=_submission(wire))
         assert cold["state"] == "done"
 
         status, warm = _request(
-            base, "POST", "/jobs?wait=1",
+            base, "POST", "/v1/jobs?wait=1",
             body=_submission(perturbed_wire, warm_from=cold["id"]))
         assert status == 200 and warm["state"] == "done"
         assert warm["warm_from"] == cold["id"]
         assert warm["parent_digest"] == cold["problem_digest"]
 
-        _, res = _request(base, "GET", f"/jobs/{warm['id']}/result")
+        _, res = _request(base, "GET", f"/v1/jobs/{warm['id']}/result")
         assert res["method"].startswith("bp-warm")
         assert res["warm_from"] == cold["id"]
         assert res["parent_digest"] == cold["problem_digest"]
         _, cold_res = _request(base, "GET",
-                               f"/jobs/{cold['id']}/result")
+                               f"/v1/jobs/{cold['id']}/result")
         assert cold_res["warm_from"] is None
         assert cold_res["parent_digest"] is None
 
@@ -551,21 +551,21 @@ class TestServeWarmPath:
         # (cache-hit jobs deposit no warm state).
         cfg = {"n_iter": 9, "matcher": "approx", "batch": 2}
         _, parent = _request(
-            base, "POST", "/jobs?wait=1",
+            base, "POST", "/v1/jobs?wait=1",
             body=_submission(problem_to_wire(problem), config=cfg))
         assert parent["cached"] is False
         _, first = _request(
-            base, "POST", "/jobs?wait=1",
+            base, "POST", "/v1/jobs?wait=1",
             body=_submission(perturbed_wire, config=cfg,
                              warm_from=parent["id"]))
         assert first["cached"] is False
         _, again = _request(
-            base, "POST", "/jobs",
+            base, "POST", "/v1/jobs",
             body=_submission(perturbed_wire, config=cfg,
                              warm_from=parent["id"]))
         assert again["cached"] is True
         assert again["warm_from"] == parent["id"]
-        status, cold = _request(base, "POST", "/jobs?wait=1",
+        status, cold = _request(base, "POST", "/v1/jobs?wait=1",
                                 body=_submission(perturbed_wire,
                                                  config=cfg))
         assert status == 200
@@ -576,20 +576,20 @@ class TestServeWarmPath:
                                          perturbed_wire):
         base = warm_server.base_url
         status, err = _request(
-            base, "POST", "/jobs",
+            base, "POST", "/v1/jobs",
             body=_submission(perturbed_wire, warm_from="j-missing"))
         assert status == 400
         assert err["error"]["code"] == "warm_unavailable"
 
         status, err = _request(
-            base, "POST", "/jobs",
+            base, "POST", "/v1/jobs",
             body=_submission(perturbed_wire, method="isorank",
                              config={}, warm_from="j-any"))
         assert status == 400
         assert err["error"]["code"] == "warm_unavailable"
 
         status, err = _request(
-            base, "POST", "/jobs",
+            base, "POST", "/v1/jobs",
             body=_submission(perturbed_wire, warm_from=7))
         assert status == 400
         assert err["error"]["code"] == "bad_request"
@@ -597,11 +597,11 @@ class TestServeWarmPath:
     def test_warm_disabled_server_rejects(self, perturbed_wire):
         cfg = repro.ServeConfig(port=0, workers=1, warm_entries=0)
         with repro.serve_in_thread(cfg) as srv:
-            _, cold = _request(srv.base_url, "POST", "/jobs?wait=1",
+            _, cold = _request(srv.base_url, "POST", "/v1/jobs?wait=1",
                                body=_submission(perturbed_wire))
             assert cold["state"] == "done"
             status, err = _request(
-                srv.base_url, "POST", "/jobs",
+                srv.base_url, "POST", "/v1/jobs",
                 body=_submission(perturbed_wire,
                                  warm_from=cold["id"]))
             assert status == 400

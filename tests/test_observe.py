@@ -251,7 +251,7 @@ class TestJsonlRoundTrip:
 
     def test_strict_json(self):
         buf = io.StringIO()
-        sink = JSONLSink(buf)
+        sink = JSONLSink(stream=buf)
         sink.write(Event("barrier", 0, 0.0, {
             "step": "x", "n_threads": 1, "seconds": float("inf")}))
         sink.close()
@@ -405,7 +405,7 @@ def locally_dominant_rounds(graph):
 class TestConsoleSink:
     def test_formats_iteration_lines(self, bus):
         buf = io.StringIO()
-        bus.add_sink(ConsoleSink(buf))
+        bus.add_sink(ConsoleSink(stream=buf))
         bus.emit("iteration", method="bp", iteration=3, objective=12.5,
                  weight_part=2.5, overlap_part=10.0,
                  upper_bound=float("nan"), source="y", gamma=0.9)
@@ -414,8 +414,8 @@ class TestConsoleSink:
 
     def test_quiet_by_default_verbose_opt_in(self, bus):
         quiet, loud = io.StringIO(), io.StringIO()
-        bus.add_sink(ConsoleSink(quiet))
-        bus.add_sink(ConsoleSink(loud, verbose=True))
+        bus.add_sink(ConsoleSink(stream=quiet))
+        bus.add_sink(ConsoleSink(stream=loud, verbose=True))
         bus.emit("barrier", step="x", n_threads=4, seconds=1e-6)
         bus.emit("matching", algorithm="greedy", cardinality=3, weight=1.0,
                  rounds=0)
@@ -425,7 +425,7 @@ class TestConsoleSink:
 
     def test_live_solver_run_writes_lines(self, bus, small_instance):
         buf = io.StringIO()
-        with capture(ConsoleSink(buf), bus=bus):
+        with capture(ConsoleSink(stream=buf), bus=bus):
             belief_propagation_align(
                 small_instance.problem, BPConfig(n_iter=3)
             )

@@ -136,29 +136,24 @@ class TestRoundHeuristic:
         with pytest.raises(DimensionError):
             round_heuristic(p, p.weights, matcher="exact", workspace=bad)
 
-    def test_positional_kind_string_deprecated(self, small_instance):
-        """Legacy positional matcher strings still work but warn."""
+    def test_positional_kind_string_rejected(self, small_instance):
         p = small_instance.problem
-        with pytest.warns(DeprecationWarning, match="positional"):
-            legacy = round_heuristic(p, p.weights, "exact")
-        modern = round_heuristic(p, p.weights, matcher="exact")
-        assert legacy[:3] == modern[:3]
+        with pytest.raises(TypeError):
+            round_heuristic(p, p.weights, "exact")
 
-    def test_positional_callable_no_warning(self, small_instance):
-        """Only *kind strings* passed positionally are deprecated."""
-        import warnings
-
+    def test_positional_callable_rejected(self, small_instance):
         p = small_instance.problem
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        with pytest.raises(TypeError):
             round_heuristic(p, p.weights, make_matcher("exact"))
 
-    def test_positional_tracker_still_accepted(self, small_instance):
+    def test_positional_tracker_rejected(self, small_instance):
         p = small_instance.problem
         tracker = BestTracker()
-        with pytest.warns(DeprecationWarning):
+        with pytest.raises(TypeError):
             round_heuristic(p, p.weights, "exact", tracker)
-        assert tracker.best_vector is not None
+        with pytest.raises(TypeError):
+            round_heuristic(p, p.weights, tracker, matcher="exact")
+        assert tracker.best_vector is None
 
     def test_matcher_required(self, small_instance):
         p = small_instance.problem

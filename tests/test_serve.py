@@ -17,7 +17,7 @@ Three layers of coverage:
 * a chaos test (``-m chaos``) where a deterministic ``FaultPlan``
   crashes a job's first attempt mid-solve and the supervised retry
   warm-resumes from its checkpoint, bit-identical to an uninterrupted
-  run; jobs rounding with a stateful matcher run without checkpoints.
+  run.
 """
 
 import http.client
@@ -78,7 +78,7 @@ def _stream_frames(base_url, job_id):
     host, port = base_url.removeprefix("http://").rsplit(":", 1)
     conn = http.client.HTTPConnection(host, int(port), timeout=60)
     try:
-        conn.request("GET", f"/jobs/{job_id}/events")
+        conn.request("GET", f"/v1/jobs/{job_id}/events")
         resp = conn.getresponse()
         assert resp.status == 200
         assert resp.getheader("Content-Type") == "application/x-ndjson"
@@ -244,7 +244,7 @@ def server():
 
 class TestHttpApi:
     def test_healthz(self, server):
-        status, doc = _request(server.base_url, "GET", "/healthz")
+        status, doc = _request(server.base_url, "GET", "/v1/healthz")
         assert status == 200
         assert doc["status"] == "ok"
         assert doc["version"] == repro.__version__
@@ -255,7 +255,7 @@ class TestHttpApi:
 
     def test_submit_poll_result_matches_direct_align(
             self, server, instance, wire_problem):
-        status, job = _request(server.base_url, "POST", "/jobs?wait=1",
+        status, job = _request(server.base_url, "POST", "/v1/jobs?wait=1",
                                body=_submission(wire_problem))
         assert status == 200
         assert job["state"] == "done"
@@ -264,12 +264,12 @@ class TestHttpApi:
         assert job["config"] == canonical_config("bp", CONFIG)
 
         status, snap = _request(server.base_url, "GET",
-                                f"/jobs/{job['id']}")
+                                f"/v1/jobs/{job['id']}")
         assert status == 200 and snap["state"] == "done"
         assert snap["problem_digest"] == problem_digest(instance.problem)
 
         status, served = _request(server.base_url, "GET",
-                                  f"/jobs/{job['id']}/result")
+                                  f"/v1/jobs/{job['id']}/result")
         assert status == 200
         assert served.pop("cached") is False
         assert served.pop("warm_from") is None
@@ -281,14 +281,14 @@ class TestHttpApi:
             self, server, wire_problem):
         # A config no other test submits, so the first run is cold.
         cfg = dict(CONFIG, n_iter=7)
-        _, first = _request(server.base_url, "POST", "/jobs?wait=1",
+        _, first = _request(server.base_url, "POST", "/v1/jobs?wait=1",
                             body=_submission(wire_problem, config=cfg))
         assert first["cached"] is False
         # Same content, different display name, defaults spelled out:
         # still the same content address.
         body = _submission(dict(wire_problem, name="renamed"),
                            config=canonical_config("bp", cfg))
-        status, hit = _request(server.base_url, "POST", "/jobs",
+        status, hit = _request(server.base_url, "POST", "/v1/jobs",
                                body=body)
         assert status == 200  # terminal at submit time, not 202
         assert hit["state"] == "done"
@@ -296,9 +296,9 @@ class TestHttpApi:
         assert hit["attempts"] == 0
         assert hit["id"] != first["id"]
         _, cold = _request(server.base_url, "GET",
-                           f"/jobs/{first['id']}/result")
+                           f"/v1/jobs/{first['id']}/result")
         _, warm = _request(server.base_url, "GET",
-                           f"/jobs/{hit['id']}/result")
+                           f"/v1/jobs/{hit['id']}/result")
         assert cold.pop("cached") is False
         assert warm.pop("cached") is True
         assert warm == cold
@@ -307,7 +307,7 @@ class TestHttpApi:
         # A distinct config so the submission misses the cache.
         body = _submission(wire_problem,
                            config=dict(CONFIG, n_iter=5))
-        _, job = _request(server.base_url, "POST", "/jobs?wait=1",
+        _, job = _request(server.base_url, "POST", "/v1/jobs?wait=1",
                           body=body)
         frames = _stream_frames(server.base_url, job["id"])
         assert frames[0] == {"type": "state", "state": "queued"}
@@ -322,7 +322,7 @@ class TestHttpApi:
         )
 
     def test_malformed_body_yields_error_envelope(self, server):
-        status, doc = _request(server.base_url, "POST", "/jobs",
+        status, doc = _request(server.base_url, "POST", "/v1/jobs",
                                body=b"this is not JSON")
         assert status == 400
         assert doc["error"]["code"] == "bad_request"
@@ -331,29 +331,29 @@ class TestHttpApi:
     def test_unknown_method_and_bad_config_rejected(
             self, server, wire_problem):
         status, doc = _request(
-            server.base_url, "POST", "/jobs",
+            server.base_url, "POST", "/v1/jobs",
             body=_submission(wire_problem, method="nope"))
         assert status == 400 and doc["error"]["code"] == "bad_request"
         status, doc = _request(
-            server.base_url, "POST", "/jobs",
+            server.base_url, "POST", "/v1/jobs",
             body=_submission(wire_problem, config={"bogus_knob": 3}))
         assert status == 400 and doc["error"]["code"] == "bad_request"
 
     def test_unknown_job_and_route(self, server):
-        status, doc = _request(server.base_url, "GET", "/jobs/j-missing")
+        status, doc = _request(server.base_url, "GET", "/v1/jobs/j-missing")
         assert status == 404 and doc["error"]["code"] == "not_found"
-        status, doc = _request(server.base_url, "GET", "/nope")
+        status, doc = _request(server.base_url, "GET", "/v1/nope")
         assert status == 404 and doc["error"]["code"] == "not_found"
 
     def test_method_not_allowed(self, server):
-        status, doc = _request(server.base_url, "DELETE", "/healthz")
+        status, doc = _request(server.base_url, "DELETE", "/v1/healthz")
         assert status == 405
         assert doc["error"]["code"] == "method_not_allowed"
 
     def test_oversized_problem_rejected(self, server, wire_problem):
         small = ServeConfig(port=0, workers=0, max_edges_l=2)
         with serve_in_thread(small) as srv:
-            status, doc = _request(srv.base_url, "POST", "/jobs",
+            status, doc = _request(srv.base_url, "POST", "/v1/jobs",
                                    body=_submission(wire_problem))
         assert status == 413
         assert doc["error"]["code"] == "too_large"
@@ -402,51 +402,51 @@ class TestBodyMemo:
         doc = _submission(wire_problem, config=dict(CONFIG, n_iter=6))
         body = json.dumps(doc).encode()
         respaced = json.dumps(doc, indent=1).encode()
-        _, cold = _request(server.base_url, "POST", "/jobs?wait=1", body)
+        _, cold = _request(server.base_url, "POST", "/v1/jobs?wait=1", body)
         assert cold["cached"] is False and len(decodes) == 1
         # The same problem with other whitespace: a hit through the
         # parse path, which decodes once.
-        _, parsed = _request(server.base_url, "POST", "/jobs", respaced)
+        _, parsed = _request(server.base_url, "POST", "/v1/jobs", respaced)
         assert parsed["cached"] is True and len(decodes) == 2
         # Byte-identical resubmissions, of a cold body and of a hit
         # body, never reach the decoder.
-        _, again = _request(server.base_url, "POST", "/jobs", body)
-        _, again_respaced = _request(server.base_url, "POST", "/jobs",
+        _, again = _request(server.base_url, "POST", "/v1/jobs", body)
+        _, again_respaced = _request(server.base_url, "POST", "/v1/jobs",
                                      respaced)
         assert len(decodes) == 2
         assert again["cached"] is True and again["attempts"] == 0
         assert _stable(again) == _stable(parsed)
         assert _stable(again_respaced) == _stable(parsed)
         results = [
-            _request(server.base_url, "GET", f"/jobs/{job['id']}/result")
+            _request(server.base_url, "GET", f"/v1/jobs/{job['id']}/result")
             for job in (parsed, again, again_respaced)
         ]
         assert all(status == 200 for status, _ in results)
         assert results[1][1] == results[0][1] == results[2][1]
         _, first = _request(server.base_url, "GET",
-                            f"/jobs/{cold['id']}/result")
+                            f"/v1/jobs/{cold['id']}/result")
         assert dict(first, cached=True) == results[0][1]
 
     def test_warm_body_resolves_its_parent_every_time(self, wire_problem):
         with serve_in_thread(ServeConfig(port=0, workers=1,
                                          warm_entries=1)) as srv:
-            _, cold = _request(srv.base_url, "POST", "/jobs?wait=1",
+            _, cold = _request(srv.base_url, "POST", "/v1/jobs?wait=1",
                                _submission(wire_problem))
             warm = json.dumps(_submission(
                 wire_problem, warm_from=cold["id"])).encode()
-            status, child = _request(srv.base_url, "POST", "/jobs?wait=1",
+            status, child = _request(srv.base_url, "POST", "/v1/jobs?wait=1",
                                      warm)
             assert status == 200 and child["warm_from"] == cold["id"]
             # The child's own warm state evicted its parent's (one
             # entry), so the same bytes now name an unusable parent.
-            status, doc = _request(srv.base_url, "POST", "/jobs", warm)
+            status, doc = _request(srv.base_url, "POST", "/v1/jobs", warm)
             assert status == 400
             assert doc["error"]["code"] == "warm_unavailable"
 
     def test_refused_body_is_refused_again(self, wire_problem):
         cfg = ServeConfig(port=0, workers=0, max_queue=1, max_edges_l=10)
         with serve_in_thread(cfg) as srv:
-            status, _ = _request(srv.base_url, "POST", "/jobs",
+            status, _ = _request(srv.base_url, "POST", "/v1/jobs",
                                  _submission(DEMO_PROBLEM))
             assert status == 202  # holds the one queue slot
             refused = {
@@ -457,8 +457,8 @@ class TestBodyMemo:
             }
             for expected, doc in refused.items():
                 body = json.dumps(doc).encode()
-                first = _request(srv.base_url, "POST", "/jobs", body)
-                second = _request(srv.base_url, "POST", "/jobs", body)
+                first = _request(srv.base_url, "POST", "/v1/jobs", body)
+                second = _request(srv.base_url, "POST", "/v1/jobs", body)
                 assert first[0] == expected, first
                 assert second == first
 
@@ -466,28 +466,28 @@ class TestBodyMemo:
         with serve_in_thread(ServeConfig(port=0, workers=1,
                                          cache_entries=1)) as srv:
             body = json.dumps(_submission(wire_problem)).encode()
-            _, cold = _request(srv.base_url, "POST", "/jobs?wait=1", body)
+            _, cold = _request(srv.base_url, "POST", "/v1/jobs?wait=1", body)
             assert cold["cached"] is False
             # A warm job's result takes the one cache entry; warm bodies
             # are not memoized, so the cold body's memo entry stays.
-            _, child = _request(srv.base_url, "POST", "/jobs?wait=1",
+            _, child = _request(srv.base_url, "POST", "/v1/jobs?wait=1",
                                 _submission(wire_problem,
                                             warm_from=cold["id"]))
             assert child["state"] == "done" and child["cached"] is False
             before = srv.store.cache.stats()
-            _, again = _request(srv.base_url, "POST", "/jobs?wait=1", body)
+            _, again = _request(srv.base_url, "POST", "/v1/jobs?wait=1", body)
             after = srv.store.cache.stats()
             assert again["state"] == "done" and again["cached"] is False
             assert again["attempts"] == 1
             # The memo's lookup and the parse path's: two misses.
             assert after["misses"] - before["misses"] == 2
             assert after["hits"] == before["hits"]
-            _, hit = _request(srv.base_url, "POST", "/jobs", body)
+            _, hit = _request(srv.base_url, "POST", "/v1/jobs", body)
             assert hit["cached"] is True
             _, served = _request(srv.base_url, "GET",
-                                 f"/jobs/{hit['id']}/result")
+                                 f"/v1/jobs/{hit['id']}/result")
             _, solved = _request(srv.base_url, "GET",
-                                 f"/jobs/{again['id']}/result")
+                                 f"/v1/jobs/{again['id']}/result")
             assert served == dict(solved, cached=True)
 
 
@@ -505,34 +505,34 @@ def drained():
 
 class TestDrainedServer:
     def test_cancel_queued_job(self, drained, wire_problem):
-        _, job = _request(drained.base_url, "POST", "/jobs",
+        _, job = _request(drained.base_url, "POST", "/v1/jobs",
                           body=_submission(wire_problem))
         assert job["state"] == "queued"
         status, doc = _request(drained.base_url, "GET",
-                               f"/jobs/{job['id']}/result")
+                               f"/v1/jobs/{job['id']}/result")
         assert status == 409 and doc["error"]["code"] == "conflict"
 
         status, doc = _request(drained.base_url, "DELETE",
-                               f"/jobs/{job['id']}")
+                               f"/v1/jobs/{job['id']}")
         assert status == 200 and doc["state"] == "cancelled"
         status, doc = _request(drained.base_url, "GET",
-                               f"/jobs/{job['id']}/result")
+                               f"/v1/jobs/{job['id']}/result")
         assert status == 410 and doc["error"]["code"] == "gone"
         # Cancelling again conflicts: the job is terminal now.
         status, doc = _request(drained.base_url, "DELETE",
-                               f"/jobs/{job['id']}")
+                               f"/v1/jobs/{job['id']}")
         assert status == 409 and doc["error"]["code"] == "conflict"
 
     def test_quota_and_queue_rejections(self, drained, wire_problem):
         held = []
         for n_iter in (11, 12):
             _, job = _request(
-                drained.base_url, "POST", "/jobs",
+                drained.base_url, "POST", "/v1/jobs",
                 body=_submission(wire_problem,
                                  config=dict(CONFIG, n_iter=n_iter)))
             held.append(job["id"])
         status, doc = _request(
-            drained.base_url, "POST", "/jobs",
+            drained.base_url, "POST", "/v1/jobs",
             body=_submission(wire_problem,
                              config=dict(CONFIG, n_iter=13)))
         assert status == 429
@@ -540,14 +540,14 @@ class TestDrainedServer:
 
         # Another tenant fits under the global bound (2 + 1 = 3) ...
         status, other = _request(
-            drained.base_url, "POST", "/jobs",
+            drained.base_url, "POST", "/v1/jobs",
             body=_submission(wire_problem,
                              config=dict(CONFIG, n_iter=13)),
             headers={"X-Tenant": "alice"})
         assert status == 202 and other["tenant"] == "alice"
         # ... and the next one breaches it.
         status, doc = _request(
-            drained.base_url, "POST", "/jobs",
+            drained.base_url, "POST", "/v1/jobs",
             body=_submission(wire_problem,
                              config=dict(CONFIG, n_iter=13)),
             headers={"X-Tenant": "bob"})
@@ -555,9 +555,9 @@ class TestDrainedServer:
         assert doc["error"]["code"] == "queue_full"
 
         # Cancelling a held job frees its slot for the same tenant.
-        _request(drained.base_url, "DELETE", f"/jobs/{held[0]}")
+        _request(drained.base_url, "DELETE", f"/v1/jobs/{held[0]}")
         status, _ = _request(
-            drained.base_url, "POST", "/jobs",
+            drained.base_url, "POST", "/v1/jobs",
             body=_submission(wire_problem,
                              config=dict(CONFIG, n_iter=14)))
         assert status == 202
@@ -581,7 +581,7 @@ class TestCheckpointedResume:
         with serve_in_thread(cfg) as srv:
             with fault_plan(plan):
                 status, job = _request(srv.base_url, "POST",
-                                       "/jobs?wait=1",
+                                       "/v1/jobs?wait=1",
                                        body=_submission(wire_problem))
             assert status == 200
             assert job["state"] == "done"
@@ -589,7 +589,7 @@ class TestCheckpointedResume:
             assert len(plan.fired()) == 1
 
             _, served = _request(srv.base_url, "GET",
-                                 f"/jobs/{job['id']}/result")
+                                 f"/v1/jobs/{job['id']}/result")
             served.pop("cached")
             served.pop("warm_from"), served.pop("parent_digest")
             assert served == baseline  # bit-identical to uninterrupted
@@ -621,7 +621,7 @@ class TestCheckpointedResume:
         with serve_in_thread(cfg) as srv:
             for method, config in jobs:
                 status, job = _request(
-                    srv.base_url, "POST", "/jobs?wait=1",
+                    srv.base_url, "POST", "/v1/jobs?wait=1",
                     body=_submission(wire_problem, method=method,
                                      config=config))
                 assert status == 200
@@ -629,7 +629,7 @@ class TestCheckpointedResume:
                 frames = _stream_frames(srv.base_url, job["id"])
                 assert "checkpoint" in [f["type"] for f in frames], method
                 _, served = _request(srv.base_url, "GET",
-                                     f"/jobs/{job['id']}/result")
+                                     f"/v1/jobs/{job['id']}/result")
                 for field in ("cached", "warm_from", "parent_digest"):
                     served.pop(field)
                 assert served == result_to_wire(
@@ -646,12 +646,12 @@ class TestCheckpointedResume:
         with serve_in_thread(cfg) as srv:
             with fault_plan(plan):
                 status, job = _request(srv.base_url, "POST",
-                                       "/jobs?wait=1",
+                                       "/v1/jobs?wait=1",
                                        body=_submission(wire_problem))
             assert status == 200 and job["state"] == "failed"
             assert job["error"]["code"] == "internal"
             status, doc = _request(srv.base_url, "GET",
-                                   f"/jobs/{job['id']}/result")
+                                   f"/v1/jobs/{job['id']}/result")
             assert status == 500
             assert doc["error"]["code"] == "internal"
             assert doc["error"]["detail"]["attempts"] == 2

@@ -7,10 +7,10 @@ Covers the observability half of the serving layer:
   (``backend_degraded`` → latched breaker gauge, ``task_retry`` →
   retry counter);
 * live-server tests over real sockets — the Prometheus scrape is
-  parsed back, the ``api="v1"`` / ``api="legacy"`` request labels and
-  the ``Deprecation: true`` header on unprefixed routes are asserted,
-  plus ``?format=otlp``, the enriched ``/v1/healthz`` document, and a
-  concurrent scrape-while-solving run;
+  parsed back with its ``method``/``route``/``status`` request labels,
+  unprefixed paths answer the 404 envelope, plus ``?format=otlp``, the
+  enriched ``/v1/healthz`` document, and a concurrent
+  scrape-while-solving run;
 * drift tests — the committed ``dashboards/*.json`` must equal the
   generated output byte-for-byte, and every metric-name constant must
   be documented in ``docs/observability.md``.
@@ -155,12 +155,12 @@ class TestTelemetrySink:
         tele.request_started()
         assert self._value(
             tele, telemetry_mod.METRIC_IN_FLIGHT) == 1.0
-        tele.request_finished("GET", "/jobs", 200, 0.004, "v1")
+        tele.request_finished("GET", "/jobs", 200, 0.004)
         assert self._value(
             tele, telemetry_mod.METRIC_IN_FLIGHT) == 0.0
         assert self._value(
             tele, telemetry_mod.METRIC_REQUESTS,
-            method="GET", route="/jobs", status="200", api="v1",
+            method="GET", route="/jobs", status="200",
         ) == 1.0
 
 
@@ -176,7 +176,6 @@ def server():
 
 class TestLiveMetrics:
     def test_scrape_parses_back_with_expected_series(self, server):
-        # Traffic on both API generations, so both labels appear.
         _request(server.base_url, "GET", "/healthz")
         _request(server.base_url, "GET", "/v1/healthz")
         status, headers, raw = _request(
@@ -190,33 +189,46 @@ class TestLiveMetrics:
         assert types["repro_serve_queue_depth"] == "gauge"
         assert types["repro_serve_cache_hit_ratio"] == "gauge"
         assert types["repro_serve_breaker_open"] == "gauge"
-        apis = {
-            dict(labels).get("api")
+        requests = [
+            dict(labels)
             for (name, labels) in samples
             if name == "repro_http_requests_total"
-        }
-        assert {"v1", "legacy"} <= apis
+        ]
+        assert requests
+        assert all(set(r) == {"method", "route", "status"}
+                   for r in requests)
+        assert {"method": "GET", "route": "/healthz",
+                "status": "200"} in requests
+        # The unprefixed probe is counted under the unmatched bucket.
+        assert {"method": "GET", "route": "(unmatched)",
+                "status": "404"} in requests
         # The pre-registered latency histogram is visible immediately.
         key = ("repro_http_request_seconds_count",
                frozenset({("route", "/metrics")}))
         assert key in samples
 
-    def test_legacy_routes_carry_deprecation_header(self, server):
-        status, headers, _ = _request(server.base_url, "GET", "/healthz")
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
-        status, headers, _ = _request(
-            server.base_url, "GET", "/v1/healthz")
-        assert status == 200
-        assert "Deprecation" not in headers
-
-    def test_error_envelope_carries_api_version(self, server):
-        status, headers, doc = _request(
-            server.base_url, "GET", "/jobs/j-missing")
+    @pytest.mark.parametrize("method,path", [
+        ("GET", "/healthz"), ("POST", "/jobs"), ("GET", "/metrics"),
+        ("GET", "/jobs/j-missing"),
+    ])
+    def test_unprefixed_routes_answer_404(self, server, method, path):
+        status, headers, doc = _request(server.base_url, method, path)
         assert status == 404
         assert doc["api_version"] == API_VERSION
         assert doc["error"]["code"] == "not_found"
-        assert headers.get("Deprecation") == "true"
+        assert "Deprecation" not in headers
+
+    def test_no_response_carries_deprecation(self, server):
+        for path in ("/v1/healthz", "/v1/metrics", "/v1/jobs/j-missing"):
+            _, headers, _ = _request(server.base_url, "GET", path)
+            assert "Deprecation" not in headers, path
+
+    def test_error_envelope_carries_api_version(self, server):
+        status, _, doc = _request(
+            server.base_url, "GET", "/v1/jobs/j-missing")
+        assert status == 404
+        assert doc["api_version"] == API_VERSION
+        assert doc["error"]["code"] == "not_found"
 
     def test_healthz_reports_occupancy(self, server):
         status, _, doc = _request(server.base_url, "GET", "/v1/healthz")

@@ -110,8 +110,7 @@ def _request(base_url, method, path, body=None, headers=None):
 
 
 def _sqlite_config(tmp_path, **overrides):
-    kwargs = dict(port=0, workers=1, store="sqlite",
-                  store_path=str(tmp_path / "store"))
+    kwargs = dict(port=0, workers=1, store_path=str(tmp_path / "store"))
     kwargs.update(overrides)
     return ServeConfig(**kwargs)
 
@@ -156,12 +155,17 @@ class TestFileCheckpointStore:
 
 class TestDurableConfig:
     def test_sqlite_requires_store_path(self):
-        with pytest.raises(ConfigurationError):
+        # No switch names the journal; only a store_path selects it.
+        with pytest.raises(TypeError):
             ServeConfig(store="sqlite")
         with pytest.raises(ConfigurationError):
-            ServeConfig(store="bogus")
-        with pytest.raises(ConfigurationError):
             ServeConfig(drain_timeout_s=0.0)
+
+    @pytest.mark.parametrize("field,value",
+                             [("store", "sqlite"), ("timeout_s", 5.0)])
+    def test_from_dict_refuses_removed_fields(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ServeConfig.from_dict({field: value})
 
     def test_round_trips_with_store_fields(self, tmp_path):
         cfg = _sqlite_config(tmp_path, drain_timeout_s=3.5)
@@ -793,7 +797,7 @@ class TestCrashRecovery:
         # Restart on the same journal: the interrupted job requeues and
         # resumes from its last on-disk checkpoint.
         cfg = ServeConfig(port=0, workers=1, checkpoint_every=10,
-                          store="sqlite", store_path=store_path)
+                          store_path=store_path)
         with serve_in_thread(cfg) as srv:
             assert srv.store.recovered["requeued"] == 1
             deadline = time.monotonic() + 120
