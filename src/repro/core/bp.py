@@ -219,9 +219,13 @@ def _bp_run(
     nnz = s_mat.nnz
     alpha, beta = problem.alpha, problem.beta
     w_vec = problem.weights
+    alpha_w = alpha * w_vec
     rows_nz = s_mat.row_of_nonzero()
 
-    # Messages and preallocated temporaries for the full sweep.
+    # Messages and preallocated temporaries for the full sweep: its own
+    # steps allocate nothing per iteration beyond the copies batched
+    # rounding keeps.  Its gathers take mode="clip" (the indices are in
+    # range; the default mode buffers ``out``).
     if init_messages is None:
         y = np.zeros(m)
         z = np.zeros(m)
@@ -461,7 +465,7 @@ def _bp_run(
                                 config.active_tol, scratch)
         else:
             # ---- Step 1: compute F = bound_{0,β}[βS + S^(k)ᵀ] ------
-            np.take(sk, perm, out=f_vals)
+            np.take(sk, perm, out=f_vals, mode="clip")
             f_vals += beta
             np.clip(f_vals, 0.0, beta, out=f_vals)
             if tracer is not None:
@@ -471,7 +475,7 @@ def _bp_run(
 
             # ---- Step 2: d = αw + Fe -------------------------------
             row_sums(f_mat, out=d_vec)
-            d_vec += alpha * w_vec
+            d_vec += alpha_w
             if tracer is not None:
                 tracer.uniform_loop("compute_d", n_items=m,
                                     cost_per_item=max(1.0, nnz / max(m, 1)),
@@ -479,7 +483,7 @@ def _bp_run(
                                     random_frac=0.1)
 
             # ---- Step 3: othermax ----------------------------------
-            othermax_col(ell, z, out=omax_col, scratch=scratch)
+            othermax_col(ell, z, out=omax_col)
             othermax_row(ell, y, out=omax_row)
             np.subtract(d_vec, omax_col, out=y_new)
             np.subtract(d_vec, omax_row, out=z_new)
@@ -495,7 +499,9 @@ def _bp_run(
                 )
 
             # ---- Step 4: update S^(k) ------------------------------
-            np.take(y_new + z_new - d_vec, rows_nz, out=sk_new)
+            np.add(y_new, z_new, out=scratch)
+            scratch -= d_vec
+            np.take(scratch, rows_nz, out=sk_new, mode="clip")
             sk_new -= f_vals
             if tracer is not None:
                 tracer.uniform_loop("update_s", n_items=nnz,
@@ -503,9 +509,12 @@ def _bp_run(
                                     random_frac=0.4)
 
             # ---- Step 5: damping -----------------------------------
-            for new, old in ((y_new, y), (z_new, z), (sk_new, sk)):
+            # F is dead until the next Step 1, so it holds S's share.
+            for new, old, buf in ((y_new, y, scratch), (z_new, z, scratch),
+                                  (sk_new, sk, f_vals)):
                 new *= gamma_k
-                new += (1.0 - gamma_k) * old
+                np.multiply(old, 1.0 - gamma_k, out=buf)
+                new += buf
             if incremental:
                 hot = np.flatnonzero(np.maximum(
                     np.abs(y_new - y), np.abs(z_new - z)

@@ -9,11 +9,23 @@ replaced by the row maximum — except the maximum itself, which is replaced
 by the second largest — then clipped below at 0.  ``othermaxcol`` is the
 same over columns (edges sharing a B-vertex).
 
-Vectorization: two segmented reductions.  The first finds each group's
-max; the second re-reduces with one occurrence of the max masked out,
-yielding the second max.  Columns reuse the row kernel through L's
-column permutation (the paper parallelizes these "over columns and rows,
-respectively" — here each is a handful of NumPy passes).
+Vectorization: the clip decides most of the answer.  An entry's output
+is the largest *positive* other entry of its group, or 0 when there is
+none, so the kernel reduces over the positive entries only: each
+group's largest positive value, how many entries reach it, and the
+largest positive value below it.  Every output is then the group's
+largest positive value (0 for a group without one), except at an entry
+that alone holds that maximum, which gets the value below it.  Max is
+exact and a positive value is never a signed zero, so the result is
+bit-for-bit the definition's, whatever order the entries come in.  From
+BP's second iteration on an iterate holds about one positive entry per
+group, so the kernel's full passes over the m entries are one
+comparison, one index scan and one gather of the group maxima.
+
+Group ids come from ``indptr`` (:func:`othermax_grouped`) or straight
+from L's endpoint arrays: ``edge_a`` is the row kernel's group of each
+edge, and ``edge_b`` lets the column kernel read **g** in edge order,
+with no pass through L's column permutation.
 """
 
 from __future__ import annotations
@@ -25,6 +37,32 @@ from repro.errors import DimensionError
 from repro.sparse.bipartite import BipartiteGraph
 
 __all__ = ["othermax_grouped", "othermax_row", "othermax_col"]
+
+
+def _othermax(
+    values: np.ndarray,
+    group_of: np.ndarray,
+    n_groups: int,
+    out: np.ndarray | None,
+) -> np.ndarray:
+    """othermax of ``values`` with ``group_of[e]`` the group of entry ``e``."""
+    if out is None:
+        out = np.empty(len(values), dtype=np.float64)
+    pos = np.flatnonzero(values > 0)
+    pos_vals = values[pos]
+    pos_groups = group_of[pos]
+    top = np.zeros(n_groups)
+    np.maximum.at(top, pos_groups, pos_vals)
+    at_top = pos_vals == top[pos_groups]
+    n_top = np.bincount(pos_groups[at_top], minlength=n_groups)
+    below = ~at_top
+    second = np.zeros(n_groups)
+    np.maximum.at(second, pos_groups[below], pos_vals[below])
+    np.take(top, group_of, out=out, mode="clip")  # ids are in range
+    alone = at_top
+    alone &= n_top[pos_groups] == 1
+    out[pos[alone]] = second[pos_groups[alone]]
+    return out
 
 
 def othermax_grouped(
@@ -40,36 +78,9 @@ def othermax_grouped(
     n_items = len(values)
     if int(indptr[-1]) != n_items or int(indptr[0]) != 0:
         raise DimensionError("indptr does not partition values")
-    if out is None:
-        out = np.empty(n_items, dtype=np.float64)
-    if n_items == 0:
-        return out
     n_groups = len(indptr) - 1
-    starts = indptr[:-1]
-    lengths = np.diff(indptr)
-    nonempty = lengths > 0
-    group_of = np.repeat(np.arange(n_groups, dtype=np.int64), lengths)
-
-    # First pass: per-group maximum.
-    gmax = np.full(n_groups, -np.inf)
-    gmax[nonempty] = np.maximum.reduceat(values, starts[nonempty])
-
-    # Identify the first position achieving each group's max.
-    pos = np.arange(n_items, dtype=np.int64)
-    at_max_pos = np.where(values == gmax[group_of], pos, n_items)
-    first_max = np.full(n_groups, n_items, dtype=np.int64)
-    first_max[nonempty] = np.minimum.reduceat(at_max_pos, starts[nonempty])
-
-    # Second pass: per-group max with that occurrence removed.
-    masked = values.copy()
-    masked[first_max[nonempty]] = -np.inf
-    gsecond = np.full(n_groups, -np.inf)
-    gsecond[nonempty] = np.maximum.reduceat(masked, starts[nonempty])
-
-    is_the_max = pos == first_max[group_of]
-    np.copyto(out, np.where(is_the_max, gsecond[group_of], gmax[group_of]))
-    np.maximum(out, 0.0, out=out)  # bound_{0,∞}
-    return out
+    group_of = np.repeat(np.arange(n_groups, dtype=np.int64), np.diff(indptr))
+    return _othermax(values, group_of, n_groups, out)
 
 
 def othermax_row(
@@ -79,7 +90,7 @@ def othermax_row(
     g = asarray_f64(g)
     if g.shape != (ell.n_edges,):
         raise DimensionError("g has wrong length")
-    return othermax_grouped(g, ell.row_ptr, out=out)
+    return _othermax(g, ell.edge_a, ell.n_a, out)
 
 
 def othermax_col(
@@ -90,18 +101,12 @@ def othermax_col(
 ) -> np.ndarray:
     """``othermaxcol``: groups are edges sharing a B-vertex.
 
-    Uses L's column permutation to reuse the row kernel ("we simply use
-    the permutation array to pull elements from appropriate memory
-    locations", §IV-A).  ``scratch`` may hold a preallocated temp of the
-    same length.
+    The paper pulls the column groups together through L's column
+    permutation (§IV-A); grouping by ``edge_b`` reads **g** in edge
+    order instead, so no permuted copy is made and ``scratch`` (an
+    optional preallocated temp of length ``m``) goes unused.
     """
     g = asarray_f64(g)
     if g.shape != (ell.n_edges,):
         raise DimensionError("g has wrong length")
-    perm = ell.col_perm
-    permuted = g[perm] if scratch is None else np.take(g, perm, out=scratch)
-    col_result = othermax_grouped(permuted, ell.col_ptr)
-    if out is None:
-        out = np.empty(ell.n_edges, dtype=np.float64)
-    out[perm] = col_result
-    return out
+    return _othermax(g, ell.edge_b, ell.n_b, out)

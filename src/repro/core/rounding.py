@@ -32,13 +32,17 @@ definition, and correctness checks recompute with it.
 
 ``RoundingWorkspace`` lets hot loops (BP's batched rounding) reuse the
 indicator buffer across calls instead of allocating ``O(|E_L|)`` per
-rounding.
+rounding, and remembers the last rounding of each source: near its
+fixed point BP often hands over an iterate bit-identical to the
+previous one of its source, and a matcher's answer is a function of L
+and the vector, so ``round_heuristic`` answers it again without
+running the matcher or the scorer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Protocol
+from dataclasses import dataclass, field
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -110,17 +114,35 @@ def make_matcher(kind: str) -> Matcher:
     return impl
 
 
+class _Rounded(NamedTuple):
+    """One remembered rounding: its inputs and the answer they gave."""
+
+    problem: NetworkAlignmentProblem
+    matcher: Matcher
+    vector: np.ndarray
+    answer: tuple[float, float, float, MatchingResult]
+
+
 @dataclass
 class RoundingWorkspace:
-    """Reusable buffer for :func:`round_heuristic`.
+    """Reusable state for :func:`round_heuristic` across one solver run.
 
     One workspace per solver run eliminates the ``O(|E_L|)`` allocation
     each rounding call otherwise pays for the 0/1 indicator ``x``.  The
     buffer is overwritten on every call; callers must not hold views
     across calls.
+
+    Per ``source`` it also keeps a copy of the last vector rounded, with
+    the problem, the matcher object and the answer: a call that hands
+    over the same bytes for the same problem and matcher object gets
+    that answer again without running the matcher or the scorer (and
+    leaves ``x`` as it was).
     """
 
     x: np.ndarray
+    _last: dict[str, _Rounded] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @classmethod
     def for_problem(
@@ -135,6 +157,37 @@ class RoundingWorkspace:
                 f"workspace buffer has shape {self.x.shape}, "
                 f"expected ({n_edges},)"
             )
+
+    def recall(
+        self,
+        problem: NetworkAlignmentProblem,
+        matcher: Matcher,
+        source: str,
+        g: np.ndarray,
+    ) -> tuple[float, float, float, MatchingResult] | None:
+        """The answer ``source``'s last rounding gave, if it rounded the
+        same bytes of ``g`` on ``problem`` with ``matcher``; else None."""
+        last = self._last.get(source)
+        if (
+            last is not None
+            and last.problem is problem
+            and last.matcher is matcher
+            and last.vector.shape == g.shape
+            and np.array_equal(last.vector.view(np.int64), g.view(np.int64))
+        ):
+            return last.answer
+        return None
+
+    def remember(
+        self,
+        problem: NetworkAlignmentProblem,
+        matcher: Matcher,
+        source: str,
+        g: np.ndarray,
+        answer: tuple[float, float, float, MatchingResult],
+    ) -> None:
+        """Keep a copy of ``g`` and its answer as ``source``'s last rounding."""
+        self._last[source] = _Rounded(problem, matcher, g.copy(), answer)
 
 
 def score_matching(
@@ -192,7 +245,10 @@ def round_heuristic(
     offers the result to it (keeping "track of which g produced the
     largest objective", Table I).  A :class:`RoundingWorkspace` saves
     the indicator allocation (hot loops round thousands of times on one
-    problem).
+    problem) and answers a vector whose bytes equal the last one rounded
+    for the same ``source``, problem and matcher object from memory: the
+    tracker is still offered the result and the ``rounding`` event still
+    fires, but no matcher runs, so no ``matching`` event does.
     """
     if matcher is None:
         raise ConfigurationError(
@@ -201,14 +257,18 @@ def round_heuristic(
         )
     if isinstance(matcher, str):
         matcher = make_matcher(matcher)
-    matching = matcher(problem.ell, np.asarray(g, dtype=np.float64))
-    x = None
+    g64 = np.asarray(g, dtype=np.float64)
+    answer = x = None
     if workspace is not None:
         workspace.check(problem.n_edges_l)
+        answer = workspace.recall(problem, matcher, source, g64)
         x = workspace.x
-    objective, weight_part, overlap_part = score_matching(
-        problem, matching, x
-    )
+    if answer is None:
+        matching = matcher(problem.ell, g64)
+        answer = (*score_matching(problem, matching, x), matching)
+        if workspace is not None:
+            workspace.remember(problem, matcher, source, g64, answer)
+    objective, weight_part, overlap_part, matching = answer
     if tracker is not None:
         tracker.offer(
             objective, weight_part, overlap_part, matching, g, source, iteration

@@ -55,6 +55,7 @@ import time
 from pathlib import Path
 from typing import Any
 
+from repro.errors import ConfigurationError
 from repro.observe import get_bus
 from repro.serve.cache import ResultCache
 from repro.serve.config import ServeConfig
@@ -128,12 +129,22 @@ class SqliteJobStore(JobStore):
             store directory (created if missing).
         cache: Optional externally owned result cache, as for the base
             class; recovered ``done`` results are folded back into it.
+
+    Raises:
+        ConfigurationError: ``config.store_path`` is empty (``Path("")``
+            is the current directory, which would silently become the
+            journal).
     """
 
     def __init__(self, config: ServeConfig,
                  cache: ResultCache | None = None) -> None:
         from repro.resilience import FileCheckpointStore
 
+        if not config.store_path:
+            raise ConfigurationError(
+                "SqliteJobStore needs a store_path (the store directory); "
+                "an empty one would journal into the current directory"
+            )
         root = Path(config.store_path)
         root.mkdir(parents=True, exist_ok=True)
         self._db_lock = threading.Lock()

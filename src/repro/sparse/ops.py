@@ -66,21 +66,16 @@ def row_sums(mat: CSRMatrix, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _segment_sum(values: np.ndarray, indptr: np.ndarray, out: np.ndarray) -> None:
-    """Sum ``values`` into ``out`` per CSR row, tolerating empty rows.
+    """Sum ``values`` into ``out`` per CSR row, leaving empty rows alone.
 
     ``np.add.reduceat`` mishandles empty segments (it returns the *next*
-    element instead of 0), so we mask them explicitly.
+    element instead of 0), so it runs over the starts of the non-empty
+    rows only; a start equal to ``len(values)`` would be illegal but
+    cannot occur for a non-empty row.
     """
-    n_rows = len(out)
-    starts = indptr[:-1]
-    nonempty = indptr[1:] > starts
-    if not nonempty.any():
-        return
-    # reduceat over only the nonempty segment starts; a start equal to
-    # len(values) would be illegal but cannot occur for a nonempty segment.
-    seg_starts = starts[nonempty]
-    sums = np.add.reduceat(values, seg_starts)
-    out[np.arange(n_rows)[nonempty]] = sums
+    rows = np.flatnonzero(indptr[1:] != indptr[:-1])
+    if len(rows):
+        out[rows] = np.add.reduceat(values, indptr[rows])
 
 
 def row_scale(

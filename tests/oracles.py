@@ -23,6 +23,13 @@ same arithmetic in the same order.
 ``int()``, every weight, ``alpha`` and ``beta`` through ``float()``.
 It coerces more than the vectorized decoder accepts; on what both
 accept, they must build the same problem.
+
+:func:`othermax_grouped_full` and :func:`segment_sum_masked` are the
+kernels :func:`repro.core.othermax.othermax_grouped` and
+:func:`repro.sparse.ops._segment_sum` replaced.  The first reduces over
+every entry (the group max, its first occurrence, the max without it,
+then the clip); the second masks the empty rows out.  Both kernels
+must return their bits exactly.
 """
 
 from __future__ import annotations
@@ -40,7 +47,9 @@ from repro.sparse.bipartite import BipartiteGraph
 __all__ = [
     "count_squares_bruteforce",
     "locally_dominant_rounds_python",
+    "othermax_grouped_full",
     "problem_from_wire_loops",
+    "segment_sum_masked",
     "squares_coo_cartesian",
     "warm_start_loops",
 ]
@@ -299,3 +308,61 @@ def problem_from_wire_loops(doc) -> NetworkAlignmentProblem:
     return NetworkAlignmentProblem(
         a, b, ell, alpha=float(doc.get("alpha", 1.0)),
         beta=float(doc.get("beta", 2.0)), name=str(doc.get("name", "wire")))
+
+
+def othermax_grouped_full(
+    values: np.ndarray, indptr: np.ndarray
+) -> np.ndarray:
+    """othermax within each CSR-style group, reducing over every entry.
+
+    Per group: the max, the first position holding it, the max with
+    that position masked out; every entry takes the group max except
+    that position, which takes the second; then ``bound_{0,∞}``.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n_items = len(values)
+    if int(indptr[-1]) != n_items or int(indptr[0]) != 0:
+        raise DimensionError("indptr does not partition values")
+    out = np.empty(n_items, dtype=np.float64)
+    if n_items == 0:
+        return out
+    n_groups = len(indptr) - 1
+    starts = indptr[:-1]
+    lengths = np.diff(indptr)
+    nonempty = lengths > 0
+    group_of = np.repeat(np.arange(n_groups, dtype=np.int64), lengths)
+
+    gmax = np.full(n_groups, -np.inf)
+    gmax[nonempty] = np.maximum.reduceat(values, starts[nonempty])
+
+    pos = np.arange(n_items, dtype=np.int64)
+    at_max_pos = np.where(values == gmax[group_of], pos, n_items)
+    first_max = np.full(n_groups, n_items, dtype=np.int64)
+    first_max[nonempty] = np.minimum.reduceat(at_max_pos, starts[nonempty])
+
+    masked = values.copy()
+    masked[first_max[nonempty]] = -np.inf
+    gsecond = np.full(n_groups, -np.inf)
+    gsecond[nonempty] = np.maximum.reduceat(masked, starts[nonempty])
+
+    is_the_max = pos == first_max[group_of]
+    np.copyto(out, np.where(is_the_max, gsecond[group_of], gmax[group_of]))
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
+def segment_sum_masked(
+    values: np.ndarray, indptr: np.ndarray, out: np.ndarray
+) -> None:
+    """Sum ``values`` into ``out`` per CSR row through a non-empty mask.
+
+    ``np.add.reduceat`` returns the next element for an empty segment,
+    so it runs over the masked starts and scatters through the mask.
+    """
+    n_rows = len(out)
+    starts = indptr[:-1]
+    nonempty = indptr[1:] > starts
+    if not nonempty.any():
+        return
+    sums = np.add.reduceat(values, starts[nonempty])
+    out[np.arange(n_rows)[nonempty]] = sums

@@ -152,3 +152,53 @@ class TestTracedBatches:
             or len(y.rounds) != len(z.rounds)
             for y, z in pairs
         ), "every y/z task pair is identical — batch replay is collapsing"
+
+
+
+class TestRepeatedIterates:
+    """Near a fixed point BP hands the rounding step iterates equal to
+    the previous one of their source; the workspace answers those from
+    memory, and nothing but the ``matching`` events changes."""
+
+    @staticmethod
+    def run(problem):
+        from repro.observe import capture
+
+        config = BPConfig(n_iter=30, batch=2, damping="none")
+        with capture() as sink:
+            result = belief_propagation_align(problem, config)
+        # repr: the events' NaN upper bounds then compare equal.
+        events = [
+            repr((e.type, {k: v for k, v in e.fields.items()
+                           if k not in ("span", "parent", "seconds")}))
+            for e in sink.events if e.type != "matching"
+        ]
+        return result, events, len(sink.of_type("matching"))
+
+    def test_same_run_with_fewer_matcher_runs(self, monkeypatch):
+        import repro
+        from repro.core import bp
+
+        problem = repro.powerlaw_alignment_instance(
+            n=30, expected_degree=3, seed=5).problem
+        remembered, events, matchings = self.run(problem)
+
+        round_heuristic = bp.round_heuristic
+
+        def no_workspace(*args, workspace=None, **kwargs):
+            return round_heuristic(*args, **kwargs)
+
+        monkeypatch.setattr(bp, "round_heuristic", no_workspace)
+        plain, plain_events, plain_matchings = self.run(problem)
+
+        assert np.array_equal(remembered.matching.mate_a,
+                              plain.matching.mate_a)
+        assert (remembered.objective, remembered.weight_part,
+                remembered.overlap_part) == (
+                    plain.objective, plain.weight_part, plain.overlap_part)
+        assert repr(remembered.history) == repr(plain.history)
+        assert events == plain_events
+        # 30 iterations × (y, z) + the final exact rounding.
+        assert sum(e.startswith("('rounding',") for e in events) == 61
+        assert plain_matchings == 61
+        assert matchings == 61 - 35

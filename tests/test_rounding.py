@@ -18,8 +18,12 @@ from repro.generators.bio import dmela_scere
 from repro.generators.ontology import lcsh_wiki
 from repro.graph import Graph
 from repro.matching import hopcroft_karp, max_weight_matching
+from repro.matching.locally_dominant import (
+    locally_dominant_matching_vectorized,
+)
 from repro.matching.result import MatchingResult
 from repro.multilevel import coarsen_graph, project_ell, project_squares
+from repro.observe import capture
 
 from tests.helpers import random_bipartite
 
@@ -177,6 +181,110 @@ class TestRoundHeuristic:
         assert not tracker.offer(0.5, 0.5, 0.0, dummy, np.zeros(1), "b", 2)
         assert tracker.best_source == "a"
         assert tracker.best_iteration == 1
+
+
+class CountingMatcher:
+    """The ``approx`` matcher, counting its runs."""
+
+    kind = "approx"
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def __call__(self, ell, weights):
+        self.calls += 1
+        return locally_dominant_matching_vectorized(ell, weights)
+
+
+class RecordingTracker(BestTracker):
+    """A tracker that records every offer."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.offers: list[tuple[str, int]] = []
+
+    def offer(self, objective, weight_part, overlap_part, matching, vector,
+              source, iteration):
+        self.offers.append((source, iteration))
+        return super().offer(objective, weight_part, overlap_part, matching,
+                             vector, source, iteration)
+
+
+class TestRepeatedVector:
+    """A workspace answers the same bytes of the same source, problem and
+    matcher object without running the matcher again."""
+
+    @staticmethod
+    def call(p, g, matcher, workspace, source="y", tracker=None,
+             iteration=1):
+        return round_heuristic(p, g, matcher=matcher, tracker=tracker,
+                               source=source, iteration=iteration,
+                               workspace=workspace)
+
+    def test_equal_vector_is_answered_from_memory(self, small_instance):
+        p = small_instance.problem
+        matcher, workspace = CountingMatcher(), RoundingWorkspace.for_problem(p)
+        tracker = RecordingTracker()
+        g = p.weights + np.linspace(0.0, 1.0, p.n_edges_l)
+        with capture() as sink:
+            first = self.call(p, g, matcher, workspace, tracker=tracker)
+            second = self.call(p, g.copy(), matcher, workspace,
+                               tracker=tracker, iteration=2)
+        assert matcher.calls == 1
+        assert second[:3] == first[:3] and second[3] is first[3]
+        assert tracker.offers == [("y", 1), ("y", 2)]
+        roundings = sink.of_type("rounding")
+        assert [e.fields["iteration"] for e in roundings] == [1, 2]
+        assert roundings[0].fields["objective"] == first[0]
+        assert roundings[1].fields["objective"] == first[0]
+        assert len(sink.of_type("matching")) == 1  # only the matcher's run
+
+    def test_the_vector_is_copied(self, small_instance):
+        p = small_instance.problem
+        matcher, workspace = CountingMatcher(), RoundingWorkspace.for_problem(p)
+        g = p.weights.copy()
+        self.call(p, g, matcher, workspace)
+        g[0] += 1.0  # the caller reuses its buffer
+        self.call(p, g, matcher, workspace)
+        assert matcher.calls == 2
+
+    @pytest.mark.parametrize("change", [
+        "next_ulp", "negative_zero", "other_source", "other_problem",
+        "other_matcher",
+    ])
+    def test_anything_else_runs_the_matcher(self, small_instance, change):
+        p = small_instance.problem
+        matcher, workspace = CountingMatcher(), RoundingWorkspace.for_problem(p)
+        g = p.weights.copy()
+        g[1] = 0.0
+        self.call(p, g, matcher, workspace)
+        h, q, m2, source = g.copy(), p, matcher, "y"
+        if change == "next_ulp":
+            h[0] = np.nextafter(h[0], np.inf)
+        elif change == "negative_zero":
+            h[1] = -0.0
+        elif change == "other_source":
+            source = "z"
+        elif change == "other_problem":
+            # The same L and weights in another problem object.
+            q = NetworkAlignmentProblem(p.a_graph, p.b_graph, p.ell,
+                                        p.alpha, p.beta)
+        else:
+            m2 = CountingMatcher()
+        self.call(q, h, m2, workspace, source=source)
+        assert matcher.calls + (m2.calls if m2 is not matcher else 0) == 2
+        # ... and what ran is remembered in its turn.
+        self.call(q, h, m2, workspace, source=source)
+        assert matcher.calls + (m2.calls if m2 is not matcher else 0) == 2
+
+    def test_sources_are_remembered_apart(self, small_instance):
+        p = small_instance.problem
+        matcher, workspace = CountingMatcher(), RoundingWorkspace.for_problem(p)
+        y, z = p.weights.copy(), p.weights * 2.0
+        for _ in range(3):
+            self.call(p, y, matcher, workspace, source="y")
+            self.call(p, z, matcher, workspace, source="z")
+        assert matcher.calls == 2
 
 
 class TestScoreMatching:

@@ -171,6 +171,14 @@ class TestDurableConfig:
         cfg = _sqlite_config(tmp_path, drain_timeout_s=3.5)
         assert ServeConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_empty_store_path_refused(self, tmp_path, monkeypatch):
+        """``Path("")`` is the current directory: an empty store_path
+        must not journal there."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigurationError, match="store_path"):
+            SqliteJobStore(ServeConfig(port=0, workers=0))
+        assert list(tmp_path.iterdir()) == []
+
     def test_make_store_selects_backend(self, tmp_path):
         memory = make_store(ServeConfig(port=0, workers=0))
         try:

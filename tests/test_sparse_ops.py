@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.errors import DimensionError
 from repro.sparse.build import coo_to_csr
 from repro.sparse.ops import (
+    _segment_sum,
     bound,
     daxpy,
     quadratic_form,
@@ -16,6 +17,8 @@ from repro.sparse.ops import (
     row_sums,
     spmv,
 )
+
+from tests.oracles import segment_sum_masked
 
 
 def _random_csr(rng, n_rows, n_cols, density=0.4):
@@ -93,6 +96,54 @@ class TestRowSums:
         rng = np.random.default_rng(seed)
         dense, m = _random_csr(rng, n, n)
         assert np.allclose(row_sums(m), dense.sum(axis=1))
+
+
+@st.composite
+def csr_segments(draw):
+    """Values and a row pointer whose first, middle or last rows (or
+    several of them) are empty."""
+    lengths = draw(st.lists(st.integers(0, 5), min_size=1, max_size=10))
+    for where in draw(st.sets(st.sampled_from(["first", "middle", "last"]))):
+        lengths[{"first": 0, "middle": len(lengths) // 2,
+                 "last": -1}[where]] = 0
+    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    n = int(indptr[-1])
+    vals = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1e16, -1e16]),
+                  st.floats(-1e3, 1e3, allow_nan=False)),
+        min_size=n, max_size=n))
+    return np.array(vals, dtype=np.float64), indptr
+
+
+class TestSegmentSum:
+    """The kernel returns the masked reference's bits exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(csr_segments())
+    def test_matches_masked_reference(self, drawn):
+        vals, indptr = drawn
+        got = np.full(len(indptr) - 1, 7.0)  # empty rows are left alone
+        want = got.copy()
+        _segment_sum(vals, indptr, got)
+        segment_sum_masked(vals, indptr, want)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @settings(max_examples=50, deadline=None)
+    @given(csr_segments(), st.integers(0, 10_000))
+    def test_row_sums_and_spmv(self, drawn, seed):
+        vals, indptr = drawn
+        n_rows, nnz = len(indptr) - 1, len(vals)
+        rng = np.random.default_rng(seed)
+        rows = np.repeat(np.arange(n_rows), np.diff(indptr))
+        mat = coo_to_csr(rows, np.arange(nnz), vals, (n_rows, max(nnz, 1)))
+        want = np.zeros(n_rows)
+        segment_sum_masked(mat.data, mat.indptr, want)
+        assert np.array_equal(row_sums(mat), want)
+        x = rng.normal(size=mat.n_cols)
+        want = np.zeros(n_rows)
+        segment_sum_masked(mat.data * x[mat.indices], mat.indptr, want)
+        assert np.array_equal(spmv(mat, x), want)
 
 
 class TestRowScale:
