@@ -1,5 +1,9 @@
 """Resilience benchmarks: supervision overhead and chaos recovery.
 
+Every ``solve_many`` batch runs on the supervisor; the baseline here is
+its no-policy form (no ``ResilienceConfig``: each task runs once), and
+the overhead is what a default ``ResilienceConfig`` adds to it.
+
 Run with ``pytest benchmarks/bench_resilience.py -m bench -s``;
 ``benchmarks/run_bench.py --group resilience`` times the same
 workloads into ``BENCH_5.json``.
@@ -63,7 +67,8 @@ def _timed(fn, repeats=3):
 
 
 def test_supervision_overhead(problems):
-    """Supervised serial solve_many: identical results, bounded tax."""
+    """A default ResilienceConfig against the no-policy supervisor:
+    identical results, bounded tax."""
     base_t, base = _timed(
         lambda: solve_many(problems, "bp", config=CFG,
                            parallel=ParallelConfig(backend="serial"))

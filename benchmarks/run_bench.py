@@ -226,12 +226,14 @@ def resilience_benchmarks(
 ) -> tuple[list[dict], dict]:
     """Supervision overhead and chaos recovery (``BENCH_5.json``).
 
-    The fault-free rows run the same ``solve_many`` batch bare and
-    under a default ``ResilienceConfig`` (serial backend, observe off)
-    — the ratio is the supervision tax, contracted in
-    ``docs/resilience.md`` to stay under 2%.  The chaos row re-runs the
-    supervised batch with a deterministic crash plan and asserts the
-    recovered objectives are bit-identical to the fault-free run.
+    The fault-free rows run the same ``solve_many`` batch on the
+    supervisor twice (serial backend, observe off): ``baseline`` with
+    no policy, where each task runs once, and ``supervised`` under a
+    default ``ResilienceConfig`` — the ratio is the supervision tax,
+    contracted in ``docs/resilience.md`` to stay under 2%.  The chaos
+    row re-runs the supervised batch with a deterministic crash plan and
+    asserts the recovered objectives are bit-identical to the
+    fault-free run.
     """
     from repro.accel import ParallelConfig
     from repro.accel.serve import solve_many
@@ -263,6 +265,7 @@ def resilience_benchmarks(
     results: dict[str, list[float]] = {}
     medians: dict[str, float] = {}
     for label, parallel in (
+        # No ResilienceConfig: the supervisor's run-once policy.
         ("baseline", ParallelConfig(backend="serial")),
         ("supervised", ParallelConfig(
             backend="serial", resilience=ResilienceConfig())),

@@ -13,7 +13,12 @@ __all__ = [
     "check_same_length",
     "concat_ranges",
     "counting_sort_pairs",
+    "numeric_rows",
+    "vertex_ids",
 ]
+
+#: float64 holds every integer of magnitude below 2**53 exactly.
+_EXACT_FLOAT_INT = 2.0 ** 53
 
 
 def as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -79,3 +84,46 @@ def counting_sort_pairs(
     return order_secondary[
         np.argsort(primary[order_secondary], kind="stable")
     ]
+
+
+def numeric_rows(rows: list, width: int) -> np.ndarray | None:
+    """Decode a JSON list of fixed-width number rows with one ``np.asarray``.
+
+    The row check of every JSON edge list the package reads: the wire
+    problem's graphs and L (:mod:`repro.serve.wire`) and an edit
+    script's fields (:meth:`repro.incremental.ProblemDelta.from_dict`).
+
+    Args:
+        rows: The JSON list of rows.
+        width: The row length (2 for ``[u, v]``, 3 for ``[a, b, w]``).
+
+    Returns:
+        An ``(m, width)`` array of bools, ints or floats, or ``None``
+        when the rows are ragged, of another width, or hold anything
+        but numbers (``null``, strings, nested lists, objects, ints
+        beyond int64).
+    """
+    if not rows:
+        return np.zeros((0, width))
+    try:
+        arr = np.asarray(rows)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if arr.ndim != 2 or arr.shape[1] != width or \
+            arr.dtype.kind not in "bif":
+        return None
+    return arr
+
+
+def vertex_ids(columns: np.ndarray) -> np.ndarray | None:
+    """Numeric id columns as int64, or ``None`` if one is not an integer.
+
+    A float id counts when it has an integral value below 2**53 (``1.0``
+    is vertex 1); ``0.7``, NaN and ±inf do not.
+    """
+    if columns.dtype.kind == "f" and not (
+        np.all(np.abs(columns) < _EXACT_FLOAT_INT)
+        and np.all(np.floor(columns) == columns)
+    ):
+        return None
+    return columns.astype(np.int64)

@@ -1,7 +1,8 @@
 """Execution-backend configuration for :mod:`repro.accel`.
 
 One frozen dataclass names the two backends the library can run
-independent work units on:
+independent work units on, and the supervision policy every batch runs
+under (:func:`repro.resilience.supervised_map` executes them all):
 
 ``"serial"``
     In-process loop.  The reference semantics — the process backend is
@@ -39,10 +40,6 @@ class ParallelConfig(ConfigBase):
     n_workers:
         Worker count for the process backend; ``0`` means "one per CPU"
         (``os.cpu_count()``).  Ignored by ``"serial"``.
-    chunk:
-        Tasks handed to a worker per dispatch (``chunksize`` of
-        ``Pool.map``).  Larger chunks amortize IPC overhead at the cost
-        of tail imbalance.
     start_method:
         ``multiprocessing`` start method for the process backend.
         ``"fork"`` (default on Linux) inherits the parent's read-only
@@ -51,13 +48,12 @@ class ParallelConfig(ConfigBase):
         Optional :class:`repro.resilience.ResilienceConfig` putting
         every fanned-out task under supervision (timeouts, retries with
         backoff, circuit breaker, degradation ladder).  ``None``
-        (default) keeps the historical unsupervised fast paths with
-        zero added overhead.
+        (default) runs each task exactly once on ``backend``, with no
+        retry, no timeout and no step down.
     """
 
     backend: str = "serial"
     n_workers: int = 0
-    chunk: int = 1
     start_method: str = "fork"
     resilience: ResilienceConfig | None = None
     #: Accepted on every public config (common surface, round-tripped by
@@ -73,8 +69,6 @@ class ParallelConfig(ConfigBase):
             )
         if self.n_workers < 0:
             raise ConfigurationError("n_workers must be >= 0")
-        if self.chunk < 1:
-            raise ConfigurationError("chunk must be >= 1")
         if self.start_method not in ("fork", "spawn", "forkserver"):
             raise ConfigurationError(
                 f"unknown start_method {self.start_method!r}"

@@ -8,22 +8,26 @@ the :mod:`repro.registry` facade (the same dispatch as
 only decides *where* the runs execute.  Results come back in input
 order.
 
-Failure isolation: every task runs in a per-task outcome envelope, so
-one poisoned problem no longer aborts the whole batch.  By default the
-first failure raises :class:`~repro.errors.TaskFailedError` (carrying
-the task index and the remote traceback) *after* every other task has
-run; with ``return_errors=True`` the failure comes back in-band — the
-result list holds the :class:`TaskFailedError` at the failed task's
-position instead of raising.
+Every batch runs on :func:`repro.resilience.supervised_map`, and every
+task — here and in the job server (:mod:`repro.serve.jobs`) — runs
+:func:`solve_task`.
+
+Failure isolation: one poisoned problem does not abort the batch.  By
+default the first failure raises :class:`~repro.errors.TaskFailedError`
+(carrying the task index and the remote traceback) *after* every other
+task has run; with ``return_errors=True`` the failure comes back
+in-band — the result list holds the :class:`TaskFailedError` at the
+failed task's position instead of raising.
 
 Supervision: a :class:`~repro.resilience.ResilienceConfig` on
 ``parallel`` adds per-task timeouts, retries with backoff, dead-worker
-requeue, and the ``process → serial`` degradation ladder.  When
+requeue, and the ``process → serial`` degradation ladder.  When its
 ``checkpoint_every`` is set, each solve snapshots its iterate state into
 the process-default :class:`~repro.resilience.CheckpointStore` under a
-per-task key, so a supervised retry that runs in the same process (the
-serial rung) warm-resumes from the last snapshot instead of recomputing
-from iteration 1.
+key scoped to the call, so a supervised retry that runs in the same
+process (the serial rung) warm-resumes from the last snapshot instead
+of recomputing from iteration 1.  The batch discards its keys when it
+returns, so no later batch resumes from them.
 
 The process backend ships each problem to a worker by pickle.  Lazily
 derived structures (the squares matrix) are built in the worker if the
@@ -32,62 +36,79 @@ caller has not forced them, so the parent does not pay for them twice.
 
 from __future__ import annotations
 
-import traceback
-from typing import Sequence
+import secrets
+from typing import Any, Sequence
 
+from repro import registry
 from repro.accel.config import ParallelConfig
-from repro.accel.pool import parallel_map
 from repro.core.problem import NetworkAlignmentProblem
 from repro.core.result import AlignmentResult
 from repro.errors import TaskFailedError
 from repro.observe import get_bus
-from repro.registry import align, get_solver
+from repro.resilience.checkpoint import get_checkpoint_store
+from repro.resilience.supervise import supervised_map
 
-__all__ = ["solve_many"]
+__all__ = ["solve_many", "solve_task"]
 
 
-def _solve_one_strict(task: tuple) -> AlignmentResult:
-    """Module-level task body: solve, raising on failure.
+def solve_task(task: tuple) -> AlignmentResult:
+    """The one task body: align one problem, raising on failure.
 
-    The optional trailing checkpoint fields wire supervised retries to
-    the process-default store: the solve snapshots under ``ckpt_key``
-    every ``ckpt_every`` iterations and resumes from any snapshot a
-    crashed earlier attempt left there; a clean finish discards the key.
+    ``task`` is ``(problem, method, config, checkpoint_every,
+    checkpoint_key, checkpoint_store=None, warm_state=None,
+    keep_state=False)``; :func:`solve_many` sends the first five fields,
+    the job server all eight.
+
+    When the method supports checkpointing, the solve snapshots every
+    ``checkpoint_every`` iterations (``0``: never) under
+    ``checkpoint_key`` in ``checkpoint_store`` (``None``: the
+    process-default store of the process the task runs in), and
+    ``resume=True`` warm-resumes from whatever an earlier crashed
+    attempt — or a crashed *process*, for a
+    :class:`~repro.resilience.FileCheckpointStore` — left there; a clean
+    finish discards the key.  A ``warm_state``
+    (:class:`~repro.incremental.WarmState`) seeds the solve
+    incrementally via ``warm_from``; an incremental snapshot under the
+    key takes precedence over it, and resumes the warm solve even after
+    a restart lost the warm state.  ``keep_state`` asks the solver to
+    attach its converged messages so the result can itself become a
+    warm parent.
+
+    Raises:
+        Exception: Whatever the solver raises — the supervisor owns the
+            retry decision.
     """
-    problem, method, config = task[:3]
-    ckpt_every = task[3] if len(task) > 3 else 0
-    ckpt_key = task[4] if len(task) > 4 else ""
-    kwargs = {}
-    if ckpt_every > 0:
-        from repro.resilience import get_checkpoint_store
+    return _solve(*task)
 
-        kwargs = {
-            "checkpoint_every": ckpt_every,
-            "checkpoint_store": get_checkpoint_store(),
-            "checkpoint_key": ckpt_key,
-            "resume": True,
-        }
-    result = align(problem, method, config, **kwargs)
-    if ckpt_every > 0:
-        from repro.resilience import get_checkpoint_store
 
-        get_checkpoint_store().discard(ckpt_key)
+def _solve(
+    problem: NetworkAlignmentProblem,
+    method: str,
+    config: Any,
+    checkpoint_every: int,
+    checkpoint_key: str,
+    checkpoint_store: Any = None,
+    warm_state: Any = None,
+    keep_state: bool = False,
+) -> AlignmentResult:
+    kwargs: dict[str, Any] = {}
+    if warm_state is not None:
+        kwargs["warm_from"] = warm_state
+    if keep_state:
+        kwargs["keep_state"] = True
+    checkpointing = registry.get_solver(method).supports_checkpoint
+    if checkpointing:
+        if checkpoint_store is None:
+            checkpoint_store = get_checkpoint_store()
+        kwargs.update(checkpoint_every=checkpoint_every,
+                      checkpoint_store=checkpoint_store,
+                      checkpoint_key=checkpoint_key, resume=True)
+    # Looked up on the module per call, so a wrapper installed on
+    # ``repro.registry.align`` sees every solve.
+    result = registry.align(problem, method, config, **kwargs)
+    if checkpointing:
+        checkpoint_store.discard(checkpoint_key)
     return result
-
-
-def _solve_one(task: tuple):
-    """The unsupervised task body: an outcome envelope, never raises.
-
-    Returns ``("ok", result, "")`` or ``("err", repr, traceback)`` so
-    one poisoned problem yields a per-task error in the parent rather
-    than aborting the batch.  (The supervised path uses
-    :func:`_solve_one_strict` instead — there the *supervisor* owns the
-    envelope, and a raised failure is what triggers retry.)
-    """
-    try:
-        return ("ok", _solve_one_strict(task), "")
-    except BaseException as exc:  # noqa: BLE001 - envelope boundary
-        return ("err", repr(exc), traceback.format_exc())
 
 
 def solve_many(
@@ -122,55 +143,31 @@ def solve_many(
         run.  ``True``: never raise per-task — failed positions hold
         their ``TaskFailedError`` in the returned list.
     """
-    spec = get_solver(method)  # raises ConfigurationError when unknown
+    spec = registry.get_solver(method)  # ConfigurationError when unknown
     parallel = parallel or ParallelConfig()
     res = parallel.resilience
-    ckpt_every = 0
-    if (res is not None and res.checkpoint_every > 0
-            and spec.supports_checkpoint):
-        ckpt_every = res.checkpoint_every
-    from repro.resilience import active_fault_plan
-
-    supervised = res is not None or active_fault_plan() is not None
-    bus = get_bus()
-    with bus.trace(
-        "accel.solve_many", method=spec.name, backend=parallel.backend,
-        n_problems=len(problems),
-    ):
-        if ckpt_every > 0:
-            tasks = [
-                (p, spec.name, config, ckpt_every,
-                 f"solve_many:{spec.name}:{i}")
-                for i, p in enumerate(problems)
-            ]
-        else:
-            tasks = [(p, spec.name, config) for p in problems]
-        if supervised:
-            from repro.resilience import supervised_map
-
-            outcomes = supervised_map(_solve_one_strict, tasks, parallel)
-            envelopes = [
-                ("ok", o.value, "") if o.ok
-                else ("err", str(o.error), o.error.remote_traceback)
-                for o in outcomes
-            ]
-        else:
-            envelopes = parallel_map(_solve_one, tasks, parallel)
-    results: list[AlignmentResult | TaskFailedError] = []
-    first_error: TaskFailedError | None = None
-    for index, envelope in enumerate(envelopes):
-        status, payload, remote_tb = envelope
-        if status == "ok":
-            results.append(payload)
-            continue
-        error = TaskFailedError(
-            f"solve_many task {index} ({spec.name}) failed: {payload}",
-            task_index=index,
-            remote_traceback=remote_tb,
-        )
-        results.append(error)
-        if first_error is None:
-            first_error = error
-    if first_error is not None and not return_errors:
-        raise first_error
-    return results
+    ckpt_every = res.checkpoint_every if res is not None else 0
+    # A random batch token keeps this call's keys apart from every
+    # other call's, earlier, concurrent or later.
+    batch = secrets.token_hex(4)
+    keys = [f"solve_many:{spec.name}:{batch}:{i}"
+            for i in range(len(problems))]
+    tasks = [
+        (p, spec.name, config, ckpt_every, key)
+        for p, key in zip(problems, keys)
+    ]
+    try:
+        with get_bus().trace(
+            "accel.solve_many", method=spec.name, backend=parallel.backend,
+            n_problems=len(problems),
+        ):
+            outcomes = supervised_map(solve_task, tasks, parallel)
+    finally:
+        if spec.supports_checkpoint:
+            store = get_checkpoint_store()
+            for key in keys:
+                store.discard(key)
+    if not return_errors:
+        for outcome in outcomes:
+            outcome.unwrap()
+    return [o.value if o.ok else o.error for o in outcomes]

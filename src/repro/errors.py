@@ -58,26 +58,22 @@ class ResilienceError(ReproError, RuntimeError):
 class FaultInjectedError(ResilienceError):
     """A deterministic fault from a :class:`repro.resilience.FaultPlan` fired.
 
-    Carries ``site``, ``task_index`` and ``worker_id`` so supervision
-    layers (and tests) can attribute the failure to the injection point.
+    Carries ``site`` and ``task_index`` so supervision layers (and
+    tests) can attribute the failure to the injection point.
     """
 
-    def __init__(
-        self, site: str, task_index: int = -1, worker_id: int = -1
-    ) -> None:
+    def __init__(self, site: str, task_index: int = -1) -> None:
         super().__init__(
-            f"injected crash fault at site {site!r} "
-            f"(task={task_index}, worker={worker_id})"
+            f"injected crash fault at site {site!r} (task={task_index})"
         )
         self.site = site
         self.task_index = task_index
-        self.worker_id = worker_id
 
     def __reduce__(self):
         # Default exception pickling replays ``args`` (the formatted
         # message) into ``__init__``; rebuild from the real fields so
         # the error survives a trip through a process pool.
-        return (type(self), (self.site, self.task_index, self.worker_id))
+        return (type(self), (self.site, self.task_index))
 
 
 class TaskFailedError(ResilienceError):

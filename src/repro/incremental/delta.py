@@ -27,6 +27,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro._util import numeric_rows, vertex_ids
 from repro.core.problem import NetworkAlignmentProblem
 from repro.core.squares import squares_coo
 from repro.errors import ValidationError
@@ -37,6 +38,11 @@ from repro.sparse.build import coo_to_csr
 from repro.sparse.csr import CSRMatrix
 
 __all__ = ["DeltaReport", "ProblemDelta", "apply_delta"]
+
+
+#: The JSON fields of a delta and their row widths (``from_dict``).
+_FIELD_WIDTHS = {"l_add": 3, "l_drop": 2, "l_reweight": 3, "a_add": 2,
+                 "a_drop": 2, "b_add": 2, "b_drop": 2}
 
 
 def _empty_pairs() -> np.ndarray:
@@ -180,26 +186,43 @@ class ProblemDelta:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "ProblemDelta":
-        """Decode the JSON form produced by :meth:`to_dict`."""
+        """Decode the JSON form produced by :meth:`to_dict`.
+
+        Every field is a list of rows, ``[a, b, weight]`` for ``l_add``
+        and ``l_reweight`` and ``[u, v]`` for the rest, checked the way
+        the wire decoder checks an edge list
+        (:func:`repro._util.numeric_rows`): ids are integers (a float
+        with an integral value such as ``1.0`` counts) and weights are
+        numbers.
+
+        Raises:
+            ValidationError: On an unknown field, or a field that is not
+                such a list; the message names the field.
+        """
         if not isinstance(doc, Mapping):
             raise ValidationError("delta document must be a JSON object")
-        known = {"l_add", "l_drop", "l_reweight", "a_add", "a_drop",
-                 "b_add", "b_drop"}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(_FIELD_WIDTHS)
         if unknown:
             raise ValidationError(
                 f"unknown delta fields {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
+                f"expected a subset of {sorted(_FIELD_WIDTHS)}"
             )
-        return cls.build(
-            l_add=doc.get("l_add", ()),
-            l_drop=doc.get("l_drop", ()),
-            l_reweight=doc.get("l_reweight", ()),
-            a_add=doc.get("a_add", ()),
-            a_drop=doc.get("a_drop", ()),
-            b_add=doc.get("b_add", ()),
-            b_drop=doc.get("b_drop", ()),
-        )
+        fields: dict[str, np.ndarray] = {}
+        for name, width in _FIELD_WIDTHS.items():
+            value = doc.get(name, [])
+            rows = (numeric_rows(value, width)
+                    if isinstance(value, (list, tuple)) else None)
+            ids = None if rows is None else vertex_ids(rows[:, :2])
+            if ids is None:
+                shape = "[a, b, weight]" if width == 3 else "[u, v]"
+                raise ValidationError(
+                    f"delta field {name!r} must be a list of {shape} rows "
+                    f"of numbers with integer vertex ids"
+                )
+            fields[name] = ids
+            if width == 3:
+                fields[f"{name}_w"] = rows[:, 2].astype(np.float64)
+        return cls(**fields)
 
     def summary(self) -> str:
         """One-line human-readable description of the edit volume."""

@@ -100,7 +100,7 @@ EVENT_TYPES: dict[str, tuple[str, ...]] = {
     "barrier": ("step", "n_threads", "seconds"),
     "metric": ("metric", "metric_kind", "labels", "value"),
     "multilevel_level": ("level", "action", "n_a", "n_b", "n_edges_l"),
-    "fault_injected": ("site", "kind", "task_index", "worker_id"),
+    "fault_injected": ("site", "kind", "task_index"),
     "task_retry": (
         "site", "task_index", "attempt", "backend", "reason", "backoff_s",
     ),

@@ -5,14 +5,15 @@ in four pieces (see ``docs/resilience.md`` for the full story):
 
 * :mod:`~repro.resilience.faults` — a deterministic fault-injection
   harness (:class:`FaultPlan`: seeded crash/hang/slow faults
-  addressable by call site, task index, or worker id) with hooks in
-  ``parallel_map``, the solver iterations, the job server, and — via
+  addressable by call site and task index) with hooks in the
+  supervisor, the solver iterations, the job server, and — via
   :class:`MachineFaults` — simulated core failures and stragglers in
   the machine simulator;
-* :mod:`~repro.resilience.supervise` — :func:`supervised_map`:
+* :mod:`~repro.resilience.supervise` — :func:`supervised_map`, the one
+  executor ``parallel_map``, ``solve_many`` and the job server run on:
   per-task timeouts, bounded retries with exponential backoff + jitter,
-  dead-worker detection with task requeue, and a per-backend
-  :class:`CircuitBreaker`;
+  dead-worker detection with task requeue, and a
+  :class:`CircuitBreaker` on the process rung;
 * :mod:`~repro.resilience.degrade` — the graceful-degradation ladder
   (``process → serial`` execution), bit-identical by the backend
   contract;
@@ -20,10 +21,11 @@ in four pieces (see ``docs/resilience.md`` for the full story):
   :class:`CheckpointStore` so supervised retries of BP and Klau
   warm-resume instead of restarting.
 
-Everything is off by default and zero-cost when off: no
-:class:`FaultPlan` armed means every hook is one global read; no
-:class:`ResilienceConfig` on the :class:`~repro.accel.ParallelConfig`
-means the historical fast paths run unchanged.
+Everything is off by default: no :class:`FaultPlan` armed means every
+hook is one global read, and no :class:`ResilienceConfig` on the
+:class:`~repro.accel.ParallelConfig` means the supervisor runs each task
+exactly once on its configured backend, with no retry, no timeout and
+no step down.
 """
 
 from repro.resilience.checkpoint import (

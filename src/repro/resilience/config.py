@@ -2,13 +2,14 @@
 
 Attach one to :class:`repro.accel.ParallelConfig` (its ``resilience``
 field) to put every fanned-out task under supervision: a per-task
-timeout, a bounded retry budget with exponential backoff + jitter, a
-per-backend circuit breaker, and — when ``fallback`` is on — the
-graceful-degradation ladder (``process → serial``).
+timeout, a bounded retry budget with exponential backoff + jitter, and
+— when ``fallback`` is on — a circuit breaker on the process rung that
+steps the batch down the graceful-degradation ladder
+(``process → serial``).
 
-Leaving ``resilience`` unset keeps the historical fast paths: no
-supervision wrapper, no timeouts, zero overhead (the acceptance
-criterion for the fault-free path).
+Every batch runs on :func:`repro.resilience.supervised_map` either way;
+leaving ``resilience`` unset runs each task exactly once on its
+configured backend, with no retry, no timeout and no step down.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ class ResilienceConfig(ConfigBase):
         timeout.  On the process backend an expired timeout also covers
         dead-worker detection: the pool is terminated (killing hung
         workers) and the remaining tasks are requeued on a fresh pool.
-        The serial rung cannot preempt a running task, so timeouts are
-        best-effort there (checked between tasks only).
+        The serial rung cannot preempt a running task, so a timeout
+        there fires only for an injected ``hang``, which the supervisor
+        simulates; a genuinely stuck serial task blocks.
     max_retries:
         Additional attempts per task after the first (``0`` = fail
         fast).  Retries of a crashed solver warm-resume from its latest
@@ -48,23 +50,27 @@ class ResilienceConfig(ConfigBase):
         from ``seed`` so chaos runs replay exactly: the sleep becomes
         ``backoff * (1 + u)`` with ``u`` uniform in ``[-jitter, +jitter]``.
     fallback:
-        Arm the degradation ladder.  When the circuit breaker opens on a
-        backend (or a pool cannot even be built), execution steps down
-        ``process → serial`` and re-runs the outstanding
-        tasks there.  The serial rung is the reference semantics, so
-        results after any number of degradations are bit-identical to a
-        fault-free serial run.
+        Arm the degradation ladder.  When the circuit breaker opens on
+        the process backend, execution steps down ``process → serial``
+        and re-runs the outstanding tasks there.  The serial rung is the
+        reference semantics, so results after a degradation are
+        bit-identical to a fault-free serial run.  A pool that cannot be
+        built is not a task failure: its error propagates to the caller.
     breaker_threshold:
-        Consecutive task failures on one backend before its circuit
-        breaker opens and the ladder steps down (``fallback`` permitting;
-        with ``fallback=False`` an open breaker fails the batch).
+        Consecutive task failures on the process backend before its
+        circuit breaker opens and the ladder steps down.  Only a rung
+        with a rung below it and ``fallback`` on has a breaker; on the
+        serial floor, or with ``fallback=False``, each task runs until
+        it succeeds or spends its own retry budget.
     checkpoint_every:
         Snapshot solver iterate state every this many iterations
         (``0`` = checkpointing off).  Forwarded to BP/Klau through
         ``solve_many``/``align``.
     seed:
         Seeds the jitter stream (and is recorded in benchmark
-        provenance like every other config seed).
+        provenance like every other config seed).  ``None`` is hashed
+        as the literal ``None``: it does not default from a fault
+        plan's seed.
     """
 
     timeout_s: float = math.inf

@@ -5,12 +5,11 @@ to inject into a run: each :class:`FaultSpec` names a fault ``kind``
 (``crash`` | ``hang`` | ``slow``), the call ``site`` it arms (one of
 :data:`FAULT_SITES`: ``"parallel_map"``, ``"solver.iteration"``,
 ``"serve.job"``, or ``"*"`` for every site), and an optional
-``task_index`` / ``worker_id`` address.  Whether a given
-consultation fires is a pure function of ``(plan.seed, spec position,
-site, task_index, worker_id, attempt)`` — **not** of wall clock or
-thread interleaving — so a seeded plan reproduces the identical fault
-sequence on every run (the chaos-determinism property tests assert
-this).
+``task_index`` address.  Whether a given consultation fires is a pure
+function of ``(plan.seed, spec position, site, task_index, attempt)``
+— **not** of wall clock or thread interleaving — so a seeded plan
+reproduces the identical fault sequence on every run (the
+chaos-determinism property tests assert this).
 
 Fault semantics at a consultation point (:func:`maybe_inject`):
 
@@ -24,12 +23,11 @@ Fault semantics at a consultation point (:func:`maybe_inject`):
 ``slow``
     Sleep ``delay_s`` (a straggler) and continue normally.
 
-Fault injection is **off by default and zero-cost when off**: no plan
-installed means :func:`maybe_inject` is one global read and a ``None``
-comparison.  Install with :func:`install_fault_plan` /
-:func:`clear_fault_plan` or the :func:`fault_plan` context manager;
-the CLI's ``--chaos PLAN.json`` does the same from a JSON file
-(:meth:`FaultPlan.from_dict`).
+Fault injection is **off by default**: no plan installed means
+:func:`maybe_inject` is one global read and a ``None`` comparison.
+Install with :func:`install_fault_plan` / :func:`clear_fault_plan` or
+the :func:`fault_plan` context manager; the CLI's ``--chaos PLAN.json``
+does the same from a JSON file (:meth:`FaultPlan.from_dict`).
 
 The machine-simulator side of chaos lives in :class:`MachineFaults`:
 simulated *core failures* (threads that drop out; survivors absorb
@@ -86,8 +84,6 @@ class FaultSpec:
         (``"*"`` arms every site).
     task_index:
         Only fire for this task index (``None`` = any task).
-    worker_id:
-        Only fire for this worker id (``None`` = any worker).
     probability:
         Per-consultation firing probability; decided deterministically
         from the plan seed (``1.0`` = always fire while budget lasts).
@@ -101,7 +97,6 @@ class FaultSpec:
     kind: str
     site: str = "*"
     task_index: int | None = None
-    worker_id: int | None = None
     probability: float = 1.0
     max_fires: int = 1
     delay_s: float = 30.0
@@ -124,20 +119,16 @@ class FaultSpec:
         if self.delay_s < 0:
             raise ConfigurationError("delay_s must be non-negative")
 
-    def matches(self, site: str, task_index: int, worker_id: int) -> bool:
+    def matches(self, site: str, task_index: int) -> bool:
         """Does this spec address the given consultation point?"""
         if self.site != "*" and self.site != site:
             return False
-        if self.task_index is not None and self.task_index != task_index:
-            return False
-        if self.worker_id is not None and self.worker_id != worker_id:
-            return False
-        return True
+        return self.task_index is None or self.task_index == task_index
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "kind": self.kind, "site": self.site,
-            "task_index": self.task_index, "worker_id": self.worker_id,
+            "task_index": self.task_index,
             "probability": self.probability, "max_fires": self.max_fires,
             "delay_s": self.delay_s,
         }
@@ -150,27 +141,26 @@ class FaultRecord:
     site: str
     kind: str
     task_index: int
-    worker_id: int
     attempt: int
 
 
 def _decides_to_fire(
     seed: int, spec_index: int, site: str, task_index: int,
-    worker_id: int, attempt: int, probability: float,
+    attempt: int, probability: float,
 ) -> bool:
     """Pure firing decision: a hash of the full consultation address.
 
     ``zlib.crc32`` over the address bytes gives a stable uniform-ish
     32-bit value on every platform and run — no RNG stream whose
-    consumption order could depend on thread scheduling.
+    consumption order could depend on thread scheduling.  The ``-1``
+    fills the slot a retired worker id held, so a seeded plan fires at
+    the same addresses it always did.
     """
     if probability >= 1.0:
         return True
     if probability <= 0.0:
         return False
-    key = (
-        f"{seed}|{spec_index}|{site}|{task_index}|{worker_id}|{attempt}"
-    ).encode()
+    key = f"{seed}|{spec_index}|{site}|{task_index}|-1|{attempt}".encode()
     draw = zlib.crc32(key) / 0xFFFFFFFF
     return draw < probability
 
@@ -199,30 +189,27 @@ class FaultPlan:
         self._fired: list[FaultRecord] = []
 
     # ------------------------------------------------------------------
-    def consult(
-        self, site: str, task_index: int = -1, worker_id: int = -1
-    ) -> FaultSpec | None:
+    def consult(self, site: str, task_index: int = -1) -> FaultSpec | None:
         """Return the first matching spec that fires here, spending budget."""
         with self._lock:
             for idx, spec in enumerate(self.faults):
-                if not spec.matches(site, task_index, worker_id):
+                if not spec.matches(site, task_index):
                     continue
                 left = self._fires_left[idx]
                 if left is not None and left <= 0:
                     continue
-                key = (idx, site, task_index, worker_id)
+                key = (idx, site, task_index)
                 attempt = self._attempts.get(key, 0)
                 self._attempts[key] = attempt + 1
                 if not _decides_to_fire(
-                    self.seed, idx, site, task_index, worker_id, attempt,
+                    self.seed, idx, site, task_index, attempt,
                     spec.probability,
                 ):
                     continue
                 if left is not None:
                     self._fires_left[idx] = left - 1
                 self._fired.append(
-                    FaultRecord(site, spec.kind, task_index, worker_id,
-                                attempt)
+                    FaultRecord(site, spec.kind, task_index, attempt)
                 )
                 return spec
         return None
@@ -263,8 +250,8 @@ class FaultPlan:
         for row in mapping.get("faults", []):
             row = dict(row)
             bad = sorted(set(row) - {
-                "kind", "site", "task_index", "worker_id", "probability",
-                "max_fires", "delay_s",
+                "kind", "site", "task_index", "probability", "max_fires",
+                "delay_s",
             })
             if bad:
                 raise ConfigurationError(f"unknown FaultSpec keys {bad}")
@@ -310,9 +297,7 @@ def fault_plan(plan: FaultPlan) -> Iterator[FaultPlan]:
         _PLAN = previous
 
 
-def consult(
-    site: str, task_index: int = -1, worker_id: int = -1
-) -> FaultSpec | None:
+def consult(site: str, task_index: int = -1) -> FaultSpec | None:
     """Consult the armed plan at a call site *without acting on it*.
 
     Emits the ``fault_injected`` event / counter for any fired fault and
@@ -326,14 +311,14 @@ def consult(
     plan = _PLAN
     if plan is None:
         return None
-    spec = plan.consult(site, task_index, worker_id)
+    spec = plan.consult(site, task_index)
     if spec is None:
         return None
     bus = get_bus()
     if bus.active:
         bus.emit(
             "fault_injected", site=site, kind=spec.kind,
-            task_index=task_index, worker_id=worker_id,
+            task_index=task_index,
         )
         bus.metrics.counter(
             "repro_faults_injected_total", site=site, kind=spec.kind
@@ -341,19 +326,17 @@ def consult(
     return spec
 
 
-def maybe_inject(
-    site: str, task_index: int = -1, worker_id: int = -1
-) -> None:
+def maybe_inject(site: str, task_index: int = -1) -> None:
     """Consult the armed plan at a call site; act on any fired fault.
 
     Raises on ``crash`` and sleeps on ``hang``/``slow``.  Costs one
     global read when no plan is armed.
     """
-    spec = consult(site, task_index, worker_id)
+    spec = consult(site, task_index)
     if spec is None:
         return
     if spec.kind == "crash":
-        raise FaultInjectedError(site, task_index, worker_id)
+        raise FaultInjectedError(site, task_index)
     time.sleep(spec.delay_s)
 
 

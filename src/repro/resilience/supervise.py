@@ -1,8 +1,13 @@
-"""Supervised task execution: timeouts, retries, breakers, the ladder.
+"""Supervised task execution: the one executor every fan-out runs on.
 
-:func:`supervised_map` is the resilient twin of
-:func:`repro.accel.parallel_map`: it fans ``fn`` out over ``items`` on
-the configured backend, but every task runs under supervision —
+:func:`supervised_map` runs ``fn`` over ``items`` on the configured
+backend and returns one :class:`TaskOutcome` per item, in order.
+:func:`repro.accel.parallel_map` is its raising form, and
+:func:`repro.accel.solve_many` and the job server call it directly.
+
+Without a :class:`~repro.resilience.ResilienceConfig` on the config,
+every task runs exactly once on its configured backend: no retry, no
+timeout, no step down.  With one, every task runs under supervision —
 
 * a per-task **timeout** (``ResilienceConfig.timeout_s``).  On the
   process backend an expired timeout doubles as **dead-worker
@@ -11,12 +16,15 @@ the configured backend, but every task runs under supervision —
   *without* being charged a retry (they were casualties, not failures);
 * bounded **retries** with exponential backoff + deterministic jitter
   (``task_retry`` events, ``repro_retries_total``);
-* a per-backend **circuit breaker** — ``breaker_threshold`` consecutive
-  failures opens it, at which point the **degradation ladder** steps
-  the whole remaining batch down ``process → serial``
-  (``backend_degraded`` events, ``repro_degradations_total``).  The
-  serial rung is the bit-identical reference, so results survive any
-  number of degradations unchanged;
+* a **circuit breaker** on the process rung when ``fallback`` is on —
+  ``breaker_threshold`` consecutive failures open it, and the
+  **degradation ladder** steps the rest of the batch down
+  ``process → serial`` (``backend_degraded`` events,
+  ``repro_degradations_total``).  The serial rung is the bit-identical
+  reference, so results survive a degradation unchanged.  A rung with
+  nowhere to step down to (the serial floor, or any rung with
+  ``fallback`` off) has no breaker: each task there runs until it
+  succeeds or spends its own retry budget;
 * parent-side **fault-plan consultation** per dispatch (site
   ``"parallel_map"`` by default): ``crash`` fails the attempt before
   dispatch, ``hang`` dispatches a sleeper in ``fn``'s place so the real
@@ -25,18 +33,23 @@ the configured backend, but every task runs under supervision —
   process backend (worker-side budget counters would fork into
   independent copies).
 
-Results come back as per-task :class:`TaskOutcome` envelopes — one
-poisoned task cannot take down its batch — and the worker-side wrapper
-(:func:`_guarded_call`) captures the formatted remote traceback so a
-failure that happened three processes away is still debuggable.
+One poisoned task cannot take down its batch: the worker-side wrapper
+(:func:`_guarded_call`) envelopes each outcome with its formatted
+remote traceback, so a failure that happened three processes away is
+still debuggable.  Every pool's workers detach the sinks they inherit
+(:func:`_silence_worker_bus`), so only the parent writes to the
+caller's sinks, and every batch counts its tasks in
+``repro_backend_tasks_total`` and times itself in
+``repro_backend_dispatch_seconds``.
 
 The serial rung cannot preempt a running task, so timeouts there are
 simulated only for injected hangs; a genuinely stuck serial task
-blocks (documented limitation — there is nothing below serial to kill).
+blocks (there is nothing below serial to kill).
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import time
 import traceback
@@ -45,7 +58,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.errors import (
-    BackendUnavailableError,
     FaultInjectedError,
     TaskFailedError,
     TimeoutExceededError,
@@ -60,6 +72,11 @@ from repro.resilience.degrade import (
 from repro.resilience.faults import consult
 
 __all__ = ["CircuitBreaker", "TaskOutcome", "supervised_map"]
+
+#: The policy when the config carries no :class:`ResilienceConfig`:
+#: every task runs exactly once on its configured backend — no retry,
+#: no timeout (``timeout_s`` stays ``inf``) and no step down.
+_RUN_ONCE = ResilienceConfig(max_retries=0, fallback=False)
 
 
 @dataclass
@@ -88,9 +105,12 @@ class TaskOutcome:
 
 
 class CircuitBreaker:
-    """Opens after ``threshold`` *consecutive* failures; success resets."""
+    """Opens after ``threshold`` *consecutive* failures; success resets.
 
-    def __init__(self, threshold: int) -> None:
+    ``threshold=math.inf`` gives a breaker that never opens.
+    """
+
+    def __init__(self, threshold: float) -> None:
         self.threshold = threshold
         self.consecutive = 0
         self.open = False
@@ -102,6 +122,17 @@ class CircuitBreaker:
         self.consecutive += 1
         if self.consecutive >= self.threshold:
             self.open = True
+
+
+def _silence_worker_bus() -> None:
+    """Pool initializer: detach inherited sinks in a forked worker.
+
+    A forked child inherits the parent's bus *and its sinks* (open file
+    descriptors included); letting workers write would interleave
+    garbage into the parent's stream.  Workers compute, the parent
+    narrates.
+    """
+    get_bus().clear_sinks()
 
 
 def _guarded_call(
@@ -162,7 +193,8 @@ class _ProcessRunner:
 
     ``reset`` is the dead-worker answer: ``terminate()`` kills hung or
     wedged workers outright and a fresh pool takes over the requeued
-    remainder of the batch.
+    remainder of the batch.  Every pool it builds silences its workers'
+    buses.
     """
 
     backend = "process"
@@ -170,7 +202,12 @@ class _ProcessRunner:
     def __init__(self, config: Any) -> None:
         self._workers = config.resolve_workers()
         self._ctx = mp.get_context(config.start_method)
-        self._pool = self._ctx.Pool(processes=self._workers)
+        self._pool = self._new_pool()
+
+    def _new_pool(self):
+        return self._ctx.Pool(
+            processes=self._workers, initializer=_silence_worker_bus
+        )
 
     def submit(self, fn, item, hang_s):
         return self._pool.apply_async(_guarded_call, (fn, item, hang_s))
@@ -188,7 +225,7 @@ class _ProcessRunner:
     def reset(self) -> None:
         self._pool.terminate()
         self._pool.join()
-        self._pool = self._ctx.Pool(processes=self._workers)
+        self._pool = self._new_pool()
 
     def close(self) -> None:
         self._pool.terminate()
@@ -238,15 +275,18 @@ def _run_rung(
 
     Fills ``outcomes`` for tasks that finish (either way) on this rung;
     returns the tasks to hand to the next rung (non-empty only when the
-    circuit breaker opened with fallback armed).
+    circuit breaker opened).  Only a rung with a rung below it and
+    ``fallback`` on has a breaker that can open.
     """
     runner = _RUNNERS[backend](config)
-    breaker = CircuitBreaker(res.breaker_threshold)
+    steps_down = res.fallback and backend != EXECUTION_LADDER[-1]
+    breaker = CircuitBreaker(
+        res.breaker_threshold if steps_down else math.inf
+    )
     queue: deque[tuple[int, Any, int]] = deque(
         (idx, item, 0) for idx, item in pending
     )
     items_by_index = dict(pending)
-    tripped = False
 
     def fail_attempt(idx: int, attempt: int, reason: str,
                      err_repr: str, remote_tb: str) -> None:
@@ -272,7 +312,7 @@ def _run_rung(
         )
 
     try:
-        while queue and not tripped:
+        while queue and not breaker.open:
             wave = list(queue)
             queue.clear()
             handles: deque[tuple[int, int, Any]] = deque()
@@ -321,11 +361,12 @@ def _run_rung(
                     fail_attempt(idx, attempt, "error", payload, remote_tb)
                 if breaker.open:
                     break
-            if breaker.open:
-                tripped = True
     finally:
         runner.close()
 
+    if not breaker.open:
+        # Rung completed normally: failures are final on this rung.
+        return []
     # Whatever has no outcome yet (queued, uncollected, or skipped when
     # the breaker opened) moves down the ladder — and failed tasks get a
     # second life on the next rung too, carrying their attempt counts.
@@ -333,9 +374,6 @@ def _run_rung(
         idx for idx, _ in pending
         if idx not in outcomes or not outcomes[idx].ok
     ]
-    if not tripped:
-        # Rung completed normally: failures are final on this rung.
-        return []
     for idx, _ in pending:
         if idx in outcomes:
             prior_attempts[idx] = outcomes[idx].attempts
@@ -349,70 +387,42 @@ def supervised_map(
     fn: Callable[[Any], Any],
     items: Sequence[Any],
     config: Any,
-    resilience: ResilienceConfig | None = None,
     site: str = "parallel_map",
 ) -> list[TaskOutcome]:
     """Map ``fn`` over ``items`` under supervision; never raises per-task.
 
     ``config`` is a :class:`repro.accel.ParallelConfig` naming the
-    starting backend; ``resilience`` defaults to ``config.resilience``
-    or a default-constructed :class:`ResilienceConfig`.  Returns one
-    :class:`TaskOutcome` per item, in order.  Batch-level errors
-    (ladder exhausted with ``fallback=False`` is *not* one — failed
-    tasks simply carry their errors) do not exist by construction:
-    the serial rung always terminates the ladder.
+    starting backend and, in its ``resilience`` field, the policy (see
+    the module docstring; ``None`` runs every task once).  ``fn`` must
+    be picklable (module-level) for the process backend.  Returns one
+    :class:`TaskOutcome` per item, in input order; a task that fails
+    for good carries its :class:`TaskFailedError`.  Only a batch-level
+    error, such as a pool that cannot be built, raises.
     """
-    res = resilience
-    if res is None:
-        res = getattr(config, "resilience", None) or ResilienceConfig()
+    res = config.resilience if config.resilience is not None else _RUN_ONCE
+    t0 = time.perf_counter()
     backend = config.backend
     pending = list(enumerate(items))
     outcomes: dict[int, TaskOutcome] = {}
     prior_attempts: dict[int, int] = {}
     while pending:
-        remaining = _run_rung(
+        pending = _run_rung(
             fn, pending, backend, config, res, site, outcomes,
             prior_attempts,
         )
-        if not remaining:
-            break
-        if not res.fallback:
-            # Breaker open, ladder disarmed: finalize everything left
-            # as failed-fast.
-            for idx, _ in remaining:
-                if idx not in outcomes:
-                    outcomes[idx] = TaskOutcome(
-                        task_index=idx, ok=False,
-                        error=TaskFailedError(
-                            f"task {idx} abandoned: circuit breaker open "
-                            f"on backend {backend!r} and fallback disabled",
-                            task_index=idx,
-                        ),
-                        attempts=prior_attempts.get(idx, 0),
-                        backend=backend,
-                    )
-            break
-        try:
+        if pending:
             lower = next_step(EXECUTION_LADDER, backend)
-        except BackendUnavailableError:
-            # Already on the serial floor; failures there are final.
-            for idx, _ in remaining:
-                if idx not in outcomes:
-                    outcomes[idx] = TaskOutcome(
-                        task_index=idx, ok=False,
-                        error=TaskFailedError(
-                            f"task {idx} failed on the serial rung with "
-                            "the degradation ladder exhausted",
-                            task_index=idx,
-                        ),
-                        attempts=prior_attempts.get(idx, 0),
-                        backend=backend,
-                    )
-            break
-        emit_degradation(
-            site, backend, lower,
-            reason="circuit breaker open after consecutive failures",
+            emit_degradation(
+                site, backend, lower,
+                reason="circuit breaker open after consecutive failures",
+            )
+            backend = lower
+    bus = get_bus()
+    if bus.active:
+        bus.metrics.counter(
+            "repro_backend_tasks_total", backend=config.backend
+        ).inc(len(items))
+        bus.metrics.histogram("repro_backend_dispatch_seconds").observe(
+            time.perf_counter() - t0
         )
-        backend = lower
-        pending = remaining
     return [outcomes[idx] for idx in range(len(items))]

@@ -8,8 +8,10 @@ requested against a running solve).  The store owns:
   control (:mod:`repro.serve.quotas`), the content-addressed cache
   lookup (:mod:`repro.serve.cache`), and job creation;
 * the **worker pool** — plain threads draining a deque.  Each job
-  executes through :func:`repro.resilience.supervised_map` at site
-  ``"serve.job"`` on the serial rung, which (a) runs the solver on the
+  runs :func:`repro.accel.serve.solve_task`, the task body
+  ``solve_many`` uses too, through
+  :func:`repro.resilience.supervised_map` at site ``"serve.job"`` on
+  the serial rung, which (a) runs the solver on the
   worker's own thread so progress events can be attributed to the job,
   (b) gives every job the retry/backoff machinery, and (c) — with
   ``checkpoint_every`` set — lets a crashed attempt *warm-resume* from
@@ -75,6 +77,7 @@ from collections import deque
 from typing import Any, Mapping, NamedTuple
 
 from repro.accel.config import ParallelConfig
+from repro.accel.serve import solve_task
 from repro.errors import ValidationError
 from repro.observe import get_bus
 from repro.resilience.config import ResilienceConfig
@@ -353,55 +356,6 @@ class _JobProgressSink:
 
     def close(self) -> None:
         """Nothing to release (frames live on the job)."""
-
-
-def _execute_job_task(task: tuple) -> Any:
-    """Supervised task body: one alignment solve with checkpoint wiring.
-
-    Args:
-        task: ``(problem, method, config, checkpoint_every, key,
-            ckpt_store, warm_state, keep_state)``.  When the method
-            supports checkpointing, the solve snapshots every
-            ``checkpoint_every`` iterations (``0``: never) under
-            ``key`` in ``ckpt_store`` (the job store's checkpoint store
-            — the process-default one, or a
-            :class:`~repro.resilience.FileCheckpointStore` under a
-            persistent job store) and ``resume=True`` warm-resumes from
-            whatever an earlier crashed attempt — or a crashed
-            *process*, for the file-backed store — left there; a clean
-            finish discards the key.  A ``warm_state``
-            (:class:`~repro.incremental.WarmState`) seeds the solve
-            incrementally via ``warm_from``; an incremental snapshot
-            under ``key`` takes precedence over it, and resumes the
-            warm solve even after a restart lost the warm state.
-            ``keep_state`` asks the solver to attach its converged
-            messages so the job can itself become a warm parent.
-
-    Returns:
-        The :class:`~repro.core.result.AlignmentResult`.
-
-    Raises:
-        Exception: Whatever the solver raises — the supervisor owns the
-            retry decision.
-    """
-    (problem, method, config, ckpt_every, ckpt_key, ckpt_store,
-     warm_state, keep) = task
-    from repro.registry import align, get_solver
-
-    checkpointing = get_solver(method).supports_checkpoint
-    kwargs: dict[str, Any] = {}
-    if warm_state is not None:
-        kwargs["warm_from"] = warm_state
-    if checkpointing:
-        kwargs.update(checkpoint_every=ckpt_every,
-                      checkpoint_store=ckpt_store,
-                      checkpoint_key=ckpt_key, resume=True)
-    if keep:
-        kwargs["keep_state"] = True
-    result = align(problem, method, config, **kwargs)
-    if checkpointing:
-        ckpt_store.discard(ckpt_key)
-    return result
 
 
 class JobStore:
@@ -831,6 +785,8 @@ class JobStore:
 
         keep = (self.config.warm_entries > 0
                 and get_solver(job.method).supports_warm)
+        # solve_task's layout.  The checkpoint key at task[4] names the
+        # job, and tracing reads the job id from it.
         task = (job.problem, job.method, job.config,
                 self.config.checkpoint_every, f"serve:{job.id}",
                 self.checkpoints, job.warm_state, keep)
@@ -841,7 +797,7 @@ class JobStore:
             from repro.resilience import supervised_map
 
             outcome = supervised_map(
-                _execute_job_task, [task], parallel, site="serve.job"
+                solve_task, [task], parallel, site="serve.job"
             )[0]
         finally:
             bus.remove_sink(sink)

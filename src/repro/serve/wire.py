@@ -33,6 +33,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from repro._util import numeric_rows, vertex_ids
 from repro.core.problem import NetworkAlignmentProblem
 from repro.core.result import AlignmentResult
 from repro.errors import ValidationError
@@ -76,49 +77,6 @@ def _require(mapping: Mapping[str, Any], key: str, where: str) -> Any:
 #: Largest accepted vertex count: the graph constructors pack an edge
 #: ``(u, v)`` into one int64 key ``u·n + v``, so ``n·n`` must fit in int64.
 _MAX_VERTICES = math.isqrt(np.iinfo(np.int64).max)
-#: float64 holds every integer of magnitude below 2**53 exactly.
-_EXACT_FLOAT_INT = 2.0 ** 53
-
-
-def _numeric_rows(edges: list, width: int) -> np.ndarray | None:
-    """Decode an edge list with one ``np.asarray``.
-
-    Args:
-        edges: The JSON list of edge rows.
-        width: The row length (2 for a graph, 3 for L).
-
-    Returns:
-        An ``(m, width)`` array of bools, ints or floats, or ``None``
-        when the rows are ragged, of another width, or hold anything
-        but numbers (``null``, strings, nested lists, objects, ints
-        beyond int64).
-    """
-    if not edges:
-        return np.zeros((0, width))
-    try:
-        rows = np.asarray(edges)
-    except (ValueError, TypeError, OverflowError):
-        return None
-    if rows.ndim != 2 or rows.shape[1] != width or \
-            rows.dtype.kind not in "bif":
-        return None
-    return rows
-
-
-def _vertex_ids(columns: np.ndarray) -> np.ndarray | None:
-    """Numeric id columns as int64, or ``None`` if one is not an integer.
-
-    A float id counts when it has an integral value below 2**53 (``1.0``
-    is vertex 1); ``0.7``, NaN and ±inf do not.
-    """
-    if columns.dtype.kind == "f" and not (
-        np.all(np.abs(columns) < _EXACT_FLOAT_INT)
-        and np.all(np.floor(columns) == columns)
-    ):
-        return None
-    return columns.astype(np.int64)
-
-
 def _is_vertex_id(value: Any, n: int) -> bool:
     """Whether one wire value is an integer vertex id in ``[0, n)``."""
     if isinstance(value, float):
@@ -194,8 +152,8 @@ def _graph_from_wire(doc: Any, where: str) -> Graph:
         )
     if not isinstance(edges, list):
         raise ValidationError(f"{where}.edges must be a list of [u, v] pairs")
-    rows = _numeric_rows(edges, 2)
-    ids = None if rows is None else _vertex_ids(rows)
+    rows = numeric_rows(edges, 2)
+    ids = None if rows is None else vertex_ids(rows)
     if ids is None:
         raise _row_error(edges, where, "a [u, v] pair", (n, n), False)
     return Graph.from_edges(n, ids[:, 0], ids[:, 1])
@@ -224,8 +182,8 @@ def _bipartite_from_wire(doc: Any, n_a: int, n_b: int) -> BipartiteGraph:
         raise ValidationError(
             "problem.l.edges must be a list of [a, b, weight] triplets"
         )
-    rows = _numeric_rows(edges, 3)
-    ids = None if rows is None else _vertex_ids(rows[:, :2])
+    rows = numeric_rows(edges, 3)
+    ids = None if rows is None else vertex_ids(rows[:, :2])
     if ids is None:
         raise _row_error(edges, "problem.l", "an [a, b, weight] triplet",
                          (n_a, n_b), True)

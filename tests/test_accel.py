@@ -14,8 +14,9 @@ import pytest
 
 from repro.accel import BACKENDS, ParallelConfig, parallel_map, solve_many
 from repro.core import BPConfig, KlauConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TaskFailedError
 from repro.observe import EventBus, capture, set_bus
+from repro.resilience import ResilienceConfig
 
 
 class TestParallelConfig:
@@ -33,13 +34,17 @@ class TestParallelConfig:
         [
             dict(backend="gpu"),
             dict(n_workers=-1),
-            dict(chunk=0),
+            dict(backend="threaded"),
             dict(start_method="teleport"),
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigurationError):
             ParallelConfig(**kwargs)
+
+    def test_chunk_removed(self):
+        with pytest.raises(ConfigurationError, match="chunk"):
+            ParallelConfig.from_dict({"chunk": 1})
 
     def test_resolve_workers_zero_means_per_cpu(self):
         cfg = ParallelConfig(backend="process", n_workers=0)
@@ -51,6 +56,12 @@ class TestParallelConfig:
 
 def _square(x):  # module-level: picklable for the process backend
     return x * x
+
+
+def _touch_or_fail(path):
+    if not path:
+        raise ValueError("no path")
+    open(path, "w").close()
 
 
 class TestParallelMap:
@@ -65,17 +76,30 @@ class TestParallelMap:
         assert parallel_map(_square, [], ParallelConfig()) == []
 
     def test_emits_metrics(self):
-        bus = EventBus()
-        previous = set_bus(bus)
-        try:
-            with capture(bus=bus):
-                parallel_map(_square, [1, 2, 3], ParallelConfig())
-                counter = bus.metrics.counter(
-                    "repro_backend_tasks_total", backend="serial"
-                )
-                assert counter.value == 3.0
-        finally:
-            set_bus(previous)
+        for backend in BACKENDS:
+            for resilience in (None, ResilienceConfig()):
+                bus = EventBus()
+                previous = set_bus(bus)
+                try:
+                    with capture(bus=bus):
+                        parallel_map(_square, [1, 2, 3], ParallelConfig(
+                            backend=backend, n_workers=2,
+                            resilience=resilience))
+                        counter = bus.metrics.counter(
+                            "repro_backend_tasks_total", backend=backend
+                        )
+                        assert counter.value == 3.0
+                        assert bus.metrics.histogram(
+                            "repro_backend_dispatch_seconds").count == 1
+                finally:
+                    set_bus(previous)
+
+    def test_failure_raises_after_every_task_ran(self, tmp_path):
+        with pytest.raises(TaskFailedError) as exc_info:
+            parallel_map(_touch_or_fail, [
+                str(tmp_path / "a"), "", str(tmp_path / "b")])
+        assert exc_info.value.task_index == 1
+        assert (tmp_path / "a").exists() and (tmp_path / "b").exists()
 
 
 class TestSolveMany:

@@ -29,7 +29,9 @@ from repro.errors import (
     TimeoutExceededError,
     ValidationError,
 )
+from repro.generators import powerlaw_alignment_instance
 from repro.observe.bus import EventBus, capture, set_bus
+from repro.observe.sinks import JSONLSink
 from repro.registry import align
 from repro.resilience import (
     EXECUTION_LADDER,
@@ -42,6 +44,7 @@ from repro.resilience import (
     SolverCheckpoint,
     active_fault_plan,
     fault_plan,
+    get_checkpoint_store,
     maybe_inject,
     next_step,
     supervised_map,
@@ -79,6 +82,12 @@ def _fail_on_three(x):
     return x * 10
 
 
+def _fail_below_three(x):
+    if x < 3:
+        raise ValueError(f"task {x} is poisoned")
+    return x * 10
+
+
 # ----------------------------------------------------------------------
 # FaultPlan determinism
 # ----------------------------------------------------------------------
@@ -86,11 +95,11 @@ def _fail_on_three(x):
 
 @pytest.mark.chaos
 class TestFaultPlanDeterminism:
-    ADDRESSES = [("parallel_map", t, w) for t in range(20) for w in (-1, 0)]
+    ADDRESSES = [("parallel_map", t) for t in range(40)]
 
     def _fire_all(self, plan: FaultPlan):
-        for site, task, worker in self.ADDRESSES:
-            plan.consult(site, task, worker)
+        for site, task in self.ADDRESSES:
+            plan.consult(site, task)
         return plan.fired()
 
     def test_same_seed_same_sequence(self):
@@ -112,22 +121,30 @@ class TestFaultPlanDeterminism:
         spec = FaultSpec("crash", probability=0.5, max_fires=0)
         forward = FaultPlan([spec], seed=4)
         backward = FaultPlan([spec], seed=4)
-        for site, task, worker in self.ADDRESSES:
-            forward.consult(site, task, worker)
-        for site, task, worker in reversed(self.ADDRESSES):
-            backward.consult(site, task, worker)
+        for site, task in self.ADDRESSES:
+            forward.consult(site, task)
+        for site, task in reversed(self.ADDRESSES):
+            backward.consult(site, task)
         assert set(
-            (r.site, r.task_index, r.worker_id) for r in forward.fired()
+            (r.site, r.task_index) for r in forward.fired()
         ) == set(
-            (r.site, r.task_index, r.worker_id) for r in backward.fired()
+            (r.site, r.task_index) for r in backward.fired()
         )
 
     def test_different_seeds_differ(self):
         spec = FaultSpec("crash", probability=0.5, max_fires=0)
         a = self._fire_all(FaultPlan([spec], seed=0))
         b = self._fire_all(FaultPlan([spec], seed=1))
-        assert [(r.task_index, r.worker_id) for r in a] != [
-            (r.task_index, r.worker_id) for r in b
+        assert [r.task_index for r in a] != [r.task_index for r in b]
+
+    def test_firing_addresses_unchanged(self):
+        """The firing hash still reads -1 where a worker id used to be,
+        so a seeded plan fires where it always did."""
+        spec = FaultSpec("crash", probability=0.4, max_fires=0)
+        fired = self._fire_all(FaultPlan([spec], seed=9))
+        assert [r.task_index for r in fired] == [
+            0, 2, 5, 7, 9, 10, 12, 15, 17, 19, 20, 25, 27, 29, 31, 33, 34,
+            36,
         ]
 
     def test_max_fires_budget(self):
@@ -142,14 +159,12 @@ class TestFaultPlanDeterminism:
 
     def test_addressing(self):
         plan = FaultPlan(
-            [FaultSpec("crash", site="solver.iteration", task_index=2,
-                       worker_id=1)],
+            [FaultSpec("crash", site="solver.iteration", task_index=2)],
             seed=0,
         )
-        assert plan.consult("matching", 2, 1) is None
-        assert plan.consult("solver.iteration", 3, 1) is None
-        assert plan.consult("solver.iteration", 2, 0) is None
-        assert plan.consult("solver.iteration", 2, 1) is not None
+        assert plan.consult("matching", 2) is None
+        assert plan.consult("solver.iteration", 3) is None
+        assert plan.consult("solver.iteration", 2) is not None
 
 
 @pytest.mark.chaos
@@ -171,6 +186,13 @@ class TestFaultPlanSerialization:
     def test_unknown_spec_key_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown FaultSpec"):
             FaultPlan.from_dict({"faults": [{"kind": "crash", "prob": 1}]})
+
+    def test_worker_id_rejected(self):
+        """No consultation names a worker, so a worker address could
+        never fire."""
+        with pytest.raises(ConfigurationError, match="worker_id"):
+            FaultPlan.from_dict(
+                {"faults": [{"kind": "crash", "worker_id": 0}]})
 
     def test_bad_kind_rejected(self):
         for kind in ("explode", "corrupt"):
@@ -373,6 +395,20 @@ class TestSupervisedMap:
         )
         assert not outcomes[0].ok
 
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_serial_floor_runs_every_task(self, backend):
+        """The floor has no breaker: three failures in a row open the
+        process rung's breaker, but every task still runs on serial."""
+        outcomes = supervised_map(
+            _fail_below_three, list(range(6)),
+            ParallelConfig(backend=backend, n_workers=2,
+                           resilience=ResilienceConfig(max_retries=0)),
+        )
+        assert [o.unwrap() for o in outcomes[3:]] == [30, 40, 50]
+        for index, outcome in enumerate(outcomes[:3]):
+            assert not outcome.ok
+            assert f"task {index} is poisoned" in str(outcome.error)
+
 
 class TestLadder:
     def test_next_step(self):
@@ -427,7 +463,7 @@ class TestResilienceConfig:
 
 class TestErrorPickling:
     @pytest.mark.parametrize("err", [
-        FaultInjectedError("solver.iteration", 3, 1),
+        FaultInjectedError("solver.iteration", 3),
         TaskFailedError("boom", task_index=2, remote_traceback="tb..."),
         TimeoutExceededError("parallel_map", 4, 1.5),
     ])
@@ -484,6 +520,23 @@ class TestSolveManyIsolation:
         assert results[2].objective == baseline.objective
 
     @pytest.mark.chaos
+    def test_poisoned_run_does_not_fail_healthy_tasks(self, small_instance):
+        good = small_instance.problem
+        bad = _poisoned_problem(good)
+        results = solve_many(
+            [bad, bad, bad, good, good], "bp", config=self.CFG,
+            parallel=ParallelConfig(resilience=ResilienceConfig()),
+            return_errors=True,
+        )
+        assert all(isinstance(r, TaskFailedError) for r in results[:3])
+        for result, base in zip(
+            results[3:], solve_many([good, good], "bp", config=self.CFG)
+        ):
+            assert result.objective == base.objective
+            assert np.array_equal(result.matching.mate_a,
+                                  base.matching.mate_a)
+
+    @pytest.mark.chaos
     def test_supervised_retry_bit_identical(self, small_instance):
         good = small_instance.problem
         baseline = solve_many([good, good], "bp", config=self.CFG)
@@ -502,6 +555,68 @@ class TestSolveManyIsolation:
         for b, c in zip(baseline, chaos):
             assert b.objective == c.objective
             assert np.array_equal(b.matching.mate_a, c.matching.mate_a)
+
+
+class TestWorkerSinks:
+    """Process workers compute; only the parent writes to the caller's
+    sinks, whatever pool the supervisor builds."""
+
+    def _events(self, tmp_path, resilience):
+        problems = [
+            powerlaw_alignment_instance(n=120, seed=seed).problem
+            for seed in range(3)
+        ]
+        path = tmp_path / "events.jsonl"
+        fresh = EventBus()
+        previous = set_bus(fresh)
+        sink = fresh.add_sink(JSONLSink(str(path)))
+        try:
+            solve_many(
+                problems, "bp", {"n_iter": 5},
+                ParallelConfig(backend="process", n_workers=2,
+                               resilience=resilience),
+            )
+        finally:
+            fresh.remove_sink(sink)
+            sink.close()
+            set_bus(previous)
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+    @staticmethod
+    def _spans(events):
+        return [
+            (e["type"], e["name"]) for e in events
+            if e["type"] in ("span_start", "span_end")
+        ]
+
+    def test_supervised_process_batch_writes_only_its_span(self, tmp_path):
+        events = self._events(tmp_path, ResilienceConfig())
+        assert self._spans(events) == [
+            ("span_start", "accel.solve_many"),
+            ("span_end", "accel.solve_many"),
+        ]
+        assert len(events) == 2
+
+    @pytest.mark.chaos
+    def test_rebuilt_pool_stays_silent(self, tmp_path):
+        plan = FaultPlan(
+            [FaultSpec("hang", site="parallel_map", task_index=0,
+                       delay_s=30.0)],
+            seed=0,
+        )
+        res = ResilienceConfig(timeout_s=1.5, max_retries=1,
+                               backoff_base_s=0.001)
+        with fault_plan(plan):
+            events = self._events(tmp_path, res)
+        assert self._spans(events) == [
+            ("span_start", "accel.solve_many"),
+            ("span_end", "accel.solve_many"),
+        ]
+        # Besides its span, the parent narrates the fault and the retry.
+        assert sorted(
+            e["type"] for e in events
+            if e["type"] not in ("span_start", "span_end")
+        ) == ["fault_injected", "task_retry"]
 
 
 # ----------------------------------------------------------------------
@@ -612,6 +727,37 @@ class TestCheckpointResume:
                 [res] = solve_many([problem], method, cfg, parallel)
             assert sink.of_type("checkpoint"), method
             assert res.objective == align(problem, method, cfg).objective
+
+    def test_failed_solve_many_leaves_no_checkpoint(self, medium_instance):
+        """A batch discards its checkpoint keys however its tasks end, so
+        a later batch never resumes a dead one's snapshot."""
+        problem = medium_instance.problem
+        parallel = ParallelConfig(resilience=ResilienceConfig(
+            checkpoint_every=2, max_retries=0))
+        store = get_checkpoint_store()
+        store.save("sentinel", SolverCheckpoint("bp", 1, {}))
+        before = len(store)
+        plan = FaultPlan(
+            [FaultSpec("crash", site="solver.iteration", task_index=9)],
+            seed=0,
+        )
+        try:
+            with fault_plan(plan):
+                [failed] = solve_many([problem], "bp", {"n_iter": 12},
+                                      parallel, return_errors=True)
+            assert isinstance(failed, TaskFailedError)
+            assert len(store) == before
+            assert store.load("sentinel") is not None
+        finally:
+            store.discard("sentinel")
+        cfg = {"n_iter": 12, "gamma": 0.5}
+        [later] = solve_many([problem], "bp", cfg, parallel)
+        fresh = align(problem, "bp", cfg)
+        assert later.objective == fresh.objective
+        assert np.array_equal(later.matching.mate_a, fresh.matching.mate_a)
+        assert [h.objective for h in later.history] == [
+            h.objective for h in fresh.history
+        ]
 
     def test_unsupported_method_rejected(self, small_instance):
         with pytest.raises(ConfigurationError, match="checkpoint"):

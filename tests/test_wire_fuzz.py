@@ -15,7 +15,13 @@ JSON a client sends, it must either build a problem or raise
 * the same equality on problems shaped like the ``serve_mix``
   benchmark's (power-law n=2000 and a 1% perturbation of it);
 * a live-server test posts the bodies that used to answer 500 (or were
-  admitted and then failed in the solver) and expects 400 envelopes.
+  admitted and then failed in the solver) and expects 400 envelopes;
+* the same Hypothesis values go into each slot of a small valid edit
+  script for :meth:`~repro.incremental.ProblemDelta.from_dict` (what
+  ``realign --delta`` reads): it builds a delta or raises
+  ``ValidationError``, whatever it accepts the per-row
+  :meth:`~repro.incremental.ProblemDelta.build` builds the same, and
+  applying it raises nothing else.
 
 Huge ints here lie outside ``[0, 3037000499]``, the range ``n`` may
 take.  A vertex count inside it but far above the body's size still
@@ -36,6 +42,7 @@ import repro
 from repro.core.problem import NetworkAlignmentProblem
 from repro.errors import ValidationError
 from repro.generators.perturb import edit_script
+from repro.incremental import ProblemDelta
 from repro.serve import (
     ServeConfig,
     problem_digest,
@@ -186,3 +193,59 @@ def test_hostile_body_answers_400(server, case):
     assert doc["api_version"] == "v1"
     assert doc["error"]["code"] == "bad_request"
     assert doc["error"]["message"].startswith("problem.")
+
+
+#: A valid edit script against BASE.
+DELTA = {
+    "l_add": [[1, 0, 0.75]], "l_drop": [[2, 2]], "l_reweight": [[0, 0, 3.0]],
+    "a_add": [[0, 2]], "a_drop": [[0, 1]], "b_add": [], "b_drop": [[0, 2]],
+}
+
+#: Paths into DELTA: whole fields, a row, an id and a weight.
+DELTA_SLOTS = [
+    ("l_add",), ("l_drop",), ("b_add",),
+    ("l_add", 0), ("a_drop", 0), ("b_drop", 0),
+    ("l_add", 0, 0), ("l_add", 0, 1), ("l_drop", 0, 1), ("a_add", 0, 0),
+    ("l_add", 0, 2), ("l_reweight", 0, 2),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(DELTA_SLOTS), json_values),
+                      min_size=1, max_size=2))
+def test_delta_decoder_builds_a_delta_or_raises_validation_error(edits):
+    doc = copy.deepcopy(DELTA)
+    for path, value in edits:
+        try:
+            _put(doc, path, value)
+        except (TypeError, KeyError, IndexError):
+            pass  # an earlier edit replaced this slot's parent
+    try:
+        delta = ProblemDelta.from_dict(doc)
+    except ValidationError:
+        return
+    assert delta.to_dict() == ProblemDelta.build(**doc).to_dict()
+    try:
+        problem_from_wire(BASE).apply_delta(delta)
+    except ValidationError:
+        pass
+
+
+#: Edit scripts ``from_dict`` once truncated (1.5 → 1, 0.7 → 0) or let
+#: escape as ValueError, TypeError or OverflowError.
+HOSTILE_DELTAS = {
+    "fractional id": {"l_add": [[1.5, 2, 3.0]]},
+    "fractional drop": {"l_drop": [[0.7, 1]]},
+    "string id": {"a_add": [["x", 2]]},
+    "non-list member": {"b_drop": [3]},
+    "non-list field": {"l_reweight": 7},
+    "id past int64": {"a_drop": [[2**63, 1]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_DELTAS))
+def test_hostile_delta_raises_validation_error(case):
+    doc = HOSTILE_DELTAS[case]
+    [field] = doc
+    with pytest.raises(ValidationError, match=field):
+        ProblemDelta.from_dict(doc)
