@@ -29,8 +29,7 @@ def test_othermax_row_kernel(benchmark, problem):
 def test_othermax_col_kernel(benchmark, problem):
     g_vec = np.random.default_rng(0).normal(size=problem.n_edges_l)
     out = np.empty(problem.n_edges_l)
-    scratch = np.empty(problem.n_edges_l)
-    benchmark(othermax_col, problem.ell, g_vec, out, scratch)
+    benchmark(othermax_col, problem.ell, g_vec, out)
 
 
 @pytest.mark.benchmark(group="kernels")

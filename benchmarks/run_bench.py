@@ -105,13 +105,11 @@ def kernel_benchmarks(problem, repeats: int) -> list[dict]:
     g_vec = rng.normal(size=problem.n_edges_l)
     x = np.random.default_rng(1).random(problem.n_edges_l)
     out = np.empty(problem.n_edges_l)
-    scratch = np.empty(problem.n_edges_l)
     s = problem.squares
     rows = []
     for name, fn in (
         ("othermax_row", lambda: othermax_row(problem.ell, g_vec, out)),
-        ("othermax_col",
-         lambda: othermax_col(problem.ell, g_vec, out, scratch)),
+        ("othermax_col", lambda: othermax_col(problem.ell, g_vec, out)),
         ("spmv_squares", lambda: spmv(s, x, out)),
         ("row_sums_squares", lambda: row_sums(s, out)),
     ):

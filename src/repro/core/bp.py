@@ -28,7 +28,12 @@ from repro._util import concat_ranges
 from repro.configtools import ConfigBase
 from repro.core.othermax import othermax_col, othermax_grouped, othermax_row
 from repro.core.problem import NetworkAlignmentProblem
-from repro.core.result import AlignmentResult, BestTracker, IterationRecord
+from repro.core.result import (
+    AlignmentResult,
+    BestTracker,
+    IterationRecord,
+    record_iteration,
+)
 from repro.core.rounding import (
     Matcher,
     RoundingWorkspace,
@@ -38,7 +43,7 @@ from repro.core.rounding import (
 )
 from repro.errors import ConfigurationError
 from repro.observe import get_bus
-from repro.resilience.checkpoint import SolverCheckpoint
+from repro.resilience.checkpoint import SolverSnapshots
 from repro.resilience.faults import maybe_inject
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import row_sums
@@ -279,23 +284,11 @@ def _bp_run(
                                    "sk": sk.copy()}
         return result
 
-    start_k = 1
-    ckpt = None
-    if resume and checkpoint_store is not None:
-        ckpt = checkpoint_store.load(checkpoint_key)
-    if ckpt is not None:
-        if ckpt.method != "bp":
-            raise ConfigurationError(
-                f"checkpoint {checkpoint_key!r} was written by "
-                f"method {ckpt.method!r}, not 'bp'; resuming from it "
-                "would silently restart the solve"
-            )
-        state = ckpt.state
-        if state["y"].shape != (m,) or state["sk"].shape != (nnz,):
-            raise ConfigurationError(
-                f"checkpoint {checkpoint_key!r} does not match this "
-                "problem's dimensions"
-            )
+    snapshots = SolverSnapshots(checkpoint_store, checkpoint_key,
+                                checkpoint_every, "bp")
+    state = snapshots.resume(tracker, history, y=m, sk=nnz) \
+        if resume else None
+    if state is not None:
         if warm is not None and "active" not in state:
             raise ConfigurationError(
                 f"checkpoint {checkpoint_key!r} was written by a cold "
@@ -304,9 +297,6 @@ def _bp_run(
         y[:] = state["y"]
         z[:] = state["z"]
         sk[:] = state["sk"]
-        SolverCheckpoint.restore_tracker(tracker, state["tracker"])
-        history.extend(state["history"])
-        start_k = ckpt.iteration + 1
         if "active" in state:
             active = state["active"].copy()
             counters.update(state["warm"])
@@ -322,19 +312,17 @@ def _bp_run(
         prior = seed.prior
         x_prior = np.empty(m)
         obj_p, wp_p, op_p = score_matching(problem, prior, x_prior)
+        tracker.offer(obj_p, wp_p, op_p, prior, x_prior, "warm", 0)
         if seed.unchanged:
             # Nothing moved: the converged messages are still a fixed
             # point and the prior matching is returned bit-identically.
             if bus.active:
                 bus.emit("active_set_size", iteration=0, active=0,
                          total=m, full_sweep=False)
-            return finish(AlignmentResult(
-                matching=prior, objective=obj_p, weight_part=wp_p,
-                overlap_part=op_p, best_upper_bound=float("inf"),
-                history=[], method=f"bp-warm[{config.matcher}]",
-                params=warm_params(0),
+            return finish(tracker.result(
+                None, history, float("inf"), f"bp-warm[{config.matcher}]",
+                warm_params(0),
             ))
-        tracker.offer(obj_p, wp_p, op_p, prior, x_prior, "warm", 0)
         history.append(IterationRecord(
             iteration=0, objective=obj_p, weight_part=wp_p,
             overlap_part=op_p, upper_bound=float("nan"), source="warm",
@@ -347,33 +335,7 @@ def _bp_run(
     # flushes keep each iteration's events together.
     flush_every = 1 if incremental else max(1, config.batch // 2)
     round_every = config.round_every if incremental else 1
-    last_ckpt = last_rounded = k_done = start_k - 1
-
-    def maybe_checkpoint(k: int) -> None:
-        """Snapshot at a flush boundary (``pending`` is empty here)."""
-        nonlocal last_ckpt
-        if (
-            checkpoint_store is None
-            or checkpoint_every <= 0
-            or k - last_ckpt < checkpoint_every
-        ):
-            return
-        state = {
-            "y": y.copy(),
-            "z": z.copy(),
-            "sk": sk.copy(),
-            "tracker": SolverCheckpoint.snapshot_tracker(tracker),
-            "history": list(history),
-        }
-        if incremental:
-            # F and d are rewritten before they are read, so the active
-            # set and the counters complete an incremental snapshot.
-            state.update(active=active.copy(), warm=dict(counters))
-        checkpoint_store.save(
-            checkpoint_key,
-            SolverCheckpoint(method="bp", iteration=k, state=state),
-        )
-        last_ckpt = k
+    last_rounded = k_done = snapshots.last
 
     def flush_batch() -> None:
         """Round all stored iterates (the paper's batched rounding).
@@ -408,38 +370,14 @@ def _bp_run(
                 ell,
             )
         for it, obj, wp, op, src, _, _ in batch_records:
-            history.append(
-                IterationRecord(
-                    iteration=it,
-                    objective=obj,
-                    weight_part=wp,
-                    overlap_part=op,
-                    upper_bound=float("nan"),
-                    source=src,
-                    gamma=config.gamma,
-                )
-            )
-            if bus.active:
-                bus.emit(
-                    "iteration",
-                    method=method,
-                    iteration=it,
-                    objective=obj,
-                    weight_part=wp,
-                    overlap_part=op,
-                    upper_bound=float("nan"),
-                    source=src,
-                    gamma=config.gamma,
-                )
-                bus.metrics.counter(
-                    "repro_solver_iterations_total", method=method
-                ).inc()
-                bus.metrics.gauge(
-                    "repro_best_objective", method=method
-                ).set(tracker.best_objective)
+            record_iteration(history, IterationRecord(
+                iteration=it, objective=obj, weight_part=wp,
+                overlap_part=op, upper_bound=float("nan"), source=src,
+                gamma=config.gamma,
+            ), method, bus, tracker.best_objective)
         pending.clear()
 
-    for k in range(start_k, config.n_iter + 1):
+    for k in range(k_done + 1, config.n_iter + 1):
         if incremental and len(active) == 0:
             break  # converged: every remaining update is a no-op
         # Chaos consultation point: lets a FaultPlan crash a solve
@@ -535,7 +473,14 @@ def _bp_run(
             last_rounded = k
         if len(pending) >= flush_every or k == config.n_iter:
             flush_batch()
-            maybe_checkpoint(k)
+            # A flush boundary: no pending rounding work is lost.  F and
+            # d are rewritten before they are read, so the active set
+            # and the counters complete an incremental snapshot.
+            snapshots.maybe_save(
+                k, tracker, history, y=y, z=z, sk=sk,
+                **(dict(active=active, warm=counters) if incremental
+                   else {}),
+            )
         if tracer is not None:
             tracer.end_iteration()
 
@@ -642,27 +587,14 @@ def _finalize(
 ) -> AlignmentResult:
     """Apply the final exact rounding and package the result."""
     history.sort(key=lambda r: r.iteration)
-    objective = tracker.best_objective
-    weight_part = tracker.best_weight_part
-    overlap_part = tracker.best_overlap_part
-    matching = tracker.best_matching
+    polished = None
     if config.final_exact and tracker.best_vector is not None:
-        obj_e, wp_e, op_e, match_e = round_heuristic(
-            problem, tracker.best_vector, matcher="exact"
-        )
-        if obj_e >= objective:
-            objective, weight_part, overlap_part, matching = (
-                obj_e, wp_e, op_e, match_e,
-            )
-    return AlignmentResult(
-        matching=matching,
-        objective=objective,
-        weight_part=weight_part,
-        overlap_part=overlap_part,
-        best_upper_bound=float("inf"),
-        history=history,
-        method=f"bp[batch={config.batch},{config.matcher}]",
-        params={
+        polished = round_heuristic(problem, tracker.best_vector,
+                                   matcher="exact")
+    return tracker.result(
+        polished, history, float("inf"),
+        f"bp[batch={config.batch},{config.matcher}]",
+        {
             "n_iter": config.n_iter,
             "gamma": config.gamma,
             "batch": config.batch,

@@ -23,7 +23,11 @@ import numpy as np
 
 from repro.configtools import ConfigBase
 from repro.core.problem import NetworkAlignmentProblem
-from repro.core.result import AlignmentResult, IterationRecord
+from repro.core.result import (
+    AlignmentResult,
+    IterationRecord,
+    record_iteration,
+)
 from repro.core.rounding import round_heuristic
 from repro.errors import ConfigurationError
 from repro.observe import get_bus
@@ -114,37 +118,19 @@ def isorank_align(
         obj, weight_part, overlap_part, matching = round_heuristic(
             problem, scores, matcher=config.matcher
         )
-    record = IterationRecord(
-        iteration=iterations,
-        objective=obj,
-        weight_part=weight_part,
-        overlap_part=overlap_part,
-        upper_bound=float("nan"),
-        source="isorank",
-        gamma=float("nan"),
-    )
-    if bus.active:
-        bus.emit(
-            "iteration",
-            method="isorank",
-            iteration=iterations,
-            objective=obj,
-            weight_part=weight_part,
-            overlap_part=overlap_part,
-            upper_bound=float("nan"),
-            source="isorank",
-            gamma=float("nan"),
-        )
-        bus.metrics.counter(
-            "repro_solver_iterations_total", method="isorank"
-        ).inc(iterations)
+    history: list[IterationRecord] = []
+    record_iteration(history, IterationRecord(
+        iteration=iterations, objective=obj, weight_part=weight_part,
+        overlap_part=overlap_part, upper_bound=float("nan"),
+        source="isorank", gamma=float("nan"),
+    ), "isorank", bus, count=iterations)
     return AlignmentResult(
         matching=matching,
         objective=obj,
         weight_part=weight_part,
         overlap_part=overlap_part,
         best_upper_bound=float("inf"),
-        history=[record],
+        history=history,
         method=f"isorank[{config.matcher}]",
         params={
             "mu": config.mu,

@@ -17,14 +17,19 @@ subproblems are solved exactly (the paper never approximates Step 1,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from repro.configtools import ConfigBase
 from repro.core.problem import NetworkAlignmentProblem
-from repro.core.result import AlignmentResult, BestTracker, IterationRecord
+from repro.core.result import (
+    AlignmentResult,
+    BestTracker,
+    IterationRecord,
+    record_iteration,
+)
 from repro.core.rounding import (
     Matcher,
     make_matcher,
@@ -34,6 +39,7 @@ from repro.core.rounding import (
 from repro.core.row_match import RowMatcher
 from repro.errors import ConfigurationError
 from repro.observe import get_bus
+from repro.resilience.checkpoint import SolverSnapshots
 from repro.resilience.faults import maybe_inject
 
 __all__ = ["KlauConfig", "klau_align"]
@@ -182,62 +188,17 @@ def _klau_run(
     best_upper = np.inf
     stall = 0
 
-    start_k = 1
-    if resume and checkpoint_store is not None:
-        ckpt = checkpoint_store.load(checkpoint_key)
-        if ckpt is not None:
-            from repro.resilience.checkpoint import SolverCheckpoint
+    snapshots = SolverSnapshots(checkpoint_store, checkpoint_key,
+                                checkpoint_every, "klau-mr")
+    state = snapshots.resume(tracker, history, u_vals=nnz) \
+        if resume else None
+    if state is not None:
+        u_vals[:] = state["u_vals"]
+        gamma = state["gamma"]
+        best_upper = state["best_upper"]
+        stall = state["stall"]
 
-            if ckpt.method != "klau-mr":
-                raise ConfigurationError(
-                    f"checkpoint {checkpoint_key!r} was written by "
-                    f"method {ckpt.method!r}, not 'klau-mr'; resuming "
-                    "from it would silently restart the solve"
-                )
-
-            state = ckpt.state
-            if state["u_vals"].shape != (nnz,):
-                raise ConfigurationError(
-                    f"checkpoint {checkpoint_key!r} does not match this "
-                    "problem's dimensions"
-                )
-            u_vals[:] = state["u_vals"]
-            gamma = state["gamma"]
-            best_upper = state["best_upper"]
-            stall = state["stall"]
-            SolverCheckpoint.restore_tracker(tracker, state["tracker"])
-            history.extend(state["history"])
-            start_k = ckpt.iteration + 1
-    last_ckpt = start_k - 1
-
-    def maybe_checkpoint(k: int) -> None:
-        nonlocal last_ckpt
-        if (
-            checkpoint_store is None
-            or checkpoint_every <= 0
-            or k - last_ckpt < checkpoint_every
-        ):
-            return
-        from repro.resilience.checkpoint import SolverCheckpoint
-
-        checkpoint_store.save(
-            checkpoint_key,
-            SolverCheckpoint(
-                method="klau-mr",
-                iteration=k,
-                state={
-                    "u_vals": u_vals.copy(),
-                    "gamma": gamma,
-                    "best_upper": best_upper,
-                    "stall": stall,
-                    "tracker": SolverCheckpoint.snapshot_tracker(tracker),
-                    "history": list(history),
-                },
-            ),
-        )
-        last_ckpt = k
-
-    for k in range(start_k, config.n_iter + 1):
+    for k in range(snapshots.last + 1, config.n_iter + 1):
         # Chaos consultation point (see repro.resilience): lets a
         # FaultPlan crash a solve mid-iteration so supervised retries
         # exercise warm-resume.
@@ -308,41 +269,19 @@ def _klau_run(
                 gamma /= 2.0
                 stall = 0
 
-        history.append(
-            IterationRecord(
-                iteration=k,
-                objective=obj,
-                weight_part=weight_part,
-                overlap_part=overlap_part,
-                upper_bound=upper,
-                source="wbar",
-                gamma=gamma,
-            )
-        )
+        record_iteration(history, IterationRecord(
+            iteration=k, objective=obj, weight_part=weight_part,
+            overlap_part=overlap_part, upper_bound=upper, source="wbar",
+            gamma=gamma,
+        ), "klau-mr", bus, tracker.best_objective)
         if bus.active:
-            bus.emit(
-                "iteration",
-                method="klau-mr",
-                iteration=k,
-                objective=obj,
-                weight_part=weight_part,
-                overlap_part=overlap_part,
-                upper_bound=upper,
-                source="wbar",
-                gamma=gamma,
-            )
-            bus.metrics.counter(
-                "repro_solver_iterations_total", method="klau-mr"
-            ).inc()
-            bus.metrics.gauge(
-                "repro_best_objective", method="klau-mr"
-            ).set(tracker.best_objective)
             bus.metrics.gauge(
                 "repro_best_upper_bound", method="klau-mr"
             ).set(best_upper)
         if tracer is not None:
             tracer.end_iteration()
-        maybe_checkpoint(k)
+        snapshots.maybe_save(k, tracker, history, u_vals=u_vals,
+                             gamma=gamma, best_upper=best_upper, stall=stall)
         if best_upper - tracker.best_objective <= config.gap_tolerance:
             break  # provably optimal (§III-A)
 
@@ -362,28 +301,15 @@ def _finalize(
     When Step 3 is exact, its matcher does the final rounding too: the
     best ``wbar`` is one of the vectors it has warm-started through.
     """
-    objective = tracker.best_objective
-    weight_part = tracker.best_weight_part
-    overlap_part = tracker.best_overlap_part
-    matching = tracker.best_matching
+    polished = None
     if config.final_exact and tracker.best_vector is not None:
-        obj_e, wp_e, op_e, match_e = round_heuristic(
+        polished = round_heuristic(
             problem, tracker.best_vector,
             matcher=matcher if config.matcher == "exact" else "exact",
         )
-        if obj_e >= objective:
-            objective, weight_part, overlap_part, matching = (
-                obj_e, wp_e, op_e, match_e,
-            )
-    return AlignmentResult(
-        matching=matching,
-        objective=objective,
-        weight_part=weight_part,
-        overlap_part=overlap_part,
-        best_upper_bound=best_upper,
-        history=history,
-        method=f"klau-mr[{config.matcher}]",
-        params={
+    return tracker.result(
+        polished, history, best_upper, f"klau-mr[{config.matcher}]",
+        {
             "n_iter": config.n_iter,
             "gamma": config.gamma,
             "mstep": config.mstep,

@@ -97,14 +97,12 @@ def othermax_col(
     ell: BipartiteGraph,
     g: np.ndarray,
     out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """``othermaxcol``: groups are edges sharing a B-vertex.
 
     The paper pulls the column groups together through L's column
     permutation (§IV-A); grouping by ``edge_b`` reads **g** in edge
-    order instead, so no permuted copy is made and ``scratch`` (an
-    optional preallocated temp of length ``m``) goes unused.
+    order instead, so no permuted copy is made.
     """
     g = asarray_f64(g)
     if g.shape != (ell.n_edges,):

@@ -9,7 +9,9 @@ import numpy as np
 
 from repro.matching.result import MatchingResult
 
-__all__ = ["IterationRecord", "AlignmentResult", "BestTracker"]
+__all__ = [
+    "IterationRecord", "AlignmentResult", "BestTracker", "record_iteration",
+]
 
 
 @dataclass(frozen=True)
@@ -29,6 +31,34 @@ class IterationRecord:
     upper_bound: float
     source: str
     gamma: float
+
+
+def record_iteration(
+    history: list[IterationRecord],
+    record: IterationRecord,
+    method: str,
+    bus: Any,
+    best_objective: float | None = None,
+    count: int = 1,
+) -> None:
+    """Append ``record`` to ``history`` and publish it.
+
+    The one emitter of ``iteration`` events (for BP, Klau and IsoRank):
+    each event is ``method`` plus the record's fields, so the event
+    schema and the record cannot drift apart.  With sinks attached it
+    also adds ``count`` iterations to ``repro_solver_iterations_total``
+    and, when given, sets the ``repro_best_objective`` gauge.
+    """
+    history.append(record)
+    if bus.active:
+        bus.emit("iteration", method=method, **vars(record))
+        bus.metrics.counter(
+            "repro_solver_iterations_total", method=method
+        ).inc(count)
+        if best_objective is not None:
+            bus.metrics.gauge(
+                "repro_best_objective", method=method
+            ).set(best_objective)
 
 
 @dataclass
@@ -69,6 +99,32 @@ class BestTracker:
             self.best_iteration = iteration
             return True
         return False
+
+    def result(
+        self,
+        polished: tuple[float, float, float, MatchingResult] | None,
+        history: list[IterationRecord],
+        best_upper_bound: float,
+        method: str,
+        params: dict[str, Any],
+    ) -> "AlignmentResult":
+        """Package the run around the best rounded solution.
+
+        ``polished`` is the final exact rounding of :attr:`best_vector`
+        as ``(objective, weight_part, overlap_part, matching)``, or
+        ``None`` when the run skips it; it replaces the best solution
+        when it scores at least as well.
+        """
+        best = (self.best_objective, self.best_weight_part,
+                self.best_overlap_part, self.best_matching)
+        if polished is not None and polished[0] >= best[0]:
+            best = polished
+        objective, weight_part, overlap_part, matching = best
+        return AlignmentResult(
+            matching=matching, objective=objective, weight_part=weight_part,
+            overlap_part=overlap_part, best_upper_bound=best_upper_bound,
+            history=history, method=method, params=params,
+        )
 
 
 @dataclass

@@ -23,7 +23,7 @@ under randomized edit scripts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -116,42 +116,24 @@ class ProblemDelta:
     def build(
         cls,
         *,
-        l_add: Iterable[Sequence[float]] = (),
-        l_drop: Iterable[Sequence[int]] = (),
-        l_reweight: Iterable[Sequence[float]] = (),
-        a_add: Iterable[Sequence[int]] = (),
-        a_drop: Iterable[Sequence[int]] = (),
-        b_add: Iterable[Sequence[int]] = (),
-        b_drop: Iterable[Sequence[int]] = (),
+        l_add: Sequence[Sequence[float]] = (),
+        l_drop: Sequence[Sequence[int]] = (),
+        l_reweight: Sequence[Sequence[float]] = (),
+        a_add: Sequence[Sequence[int]] = (),
+        a_drop: Sequence[Sequence[int]] = (),
+        b_add: Sequence[Sequence[int]] = (),
+        b_drop: Sequence[Sequence[int]] = (),
     ) -> "ProblemDelta":
         """Build a delta from plain triples/pairs.
 
         ``l_add`` and ``l_reweight`` take ``(a, b, weight)`` triples;
-        everything else takes ``(u, v)`` pairs.
+        everything else takes ``(u, v)`` pairs.  Each field is a list or
+        tuple, decoded and checked exactly as :meth:`from_dict` does.
         """
-        def split(rows: Iterable[Sequence[float]], what: str):
-            rows = [tuple(r) for r in rows]
-            if any(len(r) != 3 for r in rows):
-                raise ValidationError(
-                    f"{what} entries must be (a, b, weight) triples"
-                )
-            pairs = [(int(r[0]), int(r[1])) for r in rows]
-            ws = [float(r[2]) for r in rows]
-            return pairs, ws
-
-        add_pairs, add_w = split(l_add, "l_add")
-        rw_pairs, rw_w = split(l_reweight, "l_reweight")
-        return cls(
-            l_add=_as_pairs(add_pairs, "l_add"),
-            l_add_w=np.asarray(add_w, dtype=np.float64),
-            l_drop=_as_pairs(list(l_drop), "l_drop"),
-            l_reweight=_as_pairs(rw_pairs, "l_reweight"),
-            l_reweight_w=np.asarray(rw_w, dtype=np.float64),
-            a_add=_as_pairs(list(a_add), "a_add"),
-            a_drop=_as_pairs(list(a_drop), "a_drop"),
-            b_add=_as_pairs(list(b_add), "b_add"),
-            b_drop=_as_pairs(list(b_drop), "b_drop"),
-        )
+        return cls.from_dict(dict(
+            l_add=l_add, l_drop=l_drop, l_reweight=l_reweight,
+            a_add=a_add, a_drop=a_drop, b_add=b_add, b_drop=b_drop,
+        ))
 
     @property
     def structural(self) -> bool:
@@ -214,9 +196,10 @@ class ProblemDelta:
                     if isinstance(value, (list, tuple)) else None)
             ids = None if rows is None else vertex_ids(rows[:, :2])
             if ids is None:
-                shape = "[a, b, weight]" if width == 3 else "[u, v]"
+                shape = "[a, b, weight] triples" if width == 3 \
+                    else "[u, v] pairs"
                 raise ValidationError(
-                    f"delta field {name!r} must be a list of {shape} rows "
+                    f"delta field {name!r} must be a list of {shape} "
                     f"of numbers with integer vertex ids"
                 )
             fields[name] = ids

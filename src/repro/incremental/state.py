@@ -101,23 +101,8 @@ class WarmState:
                 "result carries no solver state; run align() with "
                 "keep_state=True to capture one"
             )
-        s_mat = problem.squares
-        return cls(
-            n_a=problem.ell.n_a,
-            n_b=problem.ell.n_b,
-            edge_a=problem.ell.edge_a.copy(),
-            edge_b=problem.ell.edge_b.copy(),
-            weights=problem.ell.weights.copy(),
-            y=np.asarray(state["y"], dtype=np.float64).copy(),
-            z=np.asarray(state["z"], dtype=np.float64).copy(),
-            sk=np.asarray(state["sk"], dtype=np.float64).copy(),
-            s_indptr=s_mat.indptr.copy(),
-            s_indices=s_mat.indices.copy(),
-            mate_a=result.matching.mate_a.copy(),
-            objective=float(result.objective),
-            method="bp",
-            digest=digest,
-        )
+        return cls._capture(problem, state, result.matching,
+                            result.objective, digest)
 
     @classmethod
     def from_checkpoint(
@@ -140,22 +125,38 @@ class WarmState:
             raise ValidationError(
                 "checkpoint has no rounded matching to warm-start from"
             )
-        s_mat = problem.squares
+        return cls._capture(
+            problem, state, matching,
+            tracker.get("best_objective", float("-inf")), None,
+        )
+
+    @classmethod
+    def _capture(
+        cls,
+        problem: NetworkAlignmentProblem,
+        state: Any,
+        matching: MatchingResult,
+        objective: float,
+        digest: str | None,
+    ) -> "WarmState":
+        """Copy BP's ``y``/``z``/``sk`` out of ``state``, keyed by
+        ``problem``'s L edges and **S** structure."""
+        ell, s_mat = problem.ell, problem.squares
         return cls(
-            n_a=problem.ell.n_a,
-            n_b=problem.ell.n_b,
-            edge_a=problem.ell.edge_a.copy(),
-            edge_b=problem.ell.edge_b.copy(),
-            weights=problem.ell.weights.copy(),
+            n_a=ell.n_a,
+            n_b=ell.n_b,
+            edge_a=ell.edge_a.copy(),
+            edge_b=ell.edge_b.copy(),
+            weights=ell.weights.copy(),
             y=np.asarray(state["y"], dtype=np.float64).copy(),
             z=np.asarray(state["z"], dtype=np.float64).copy(),
             sk=np.asarray(state["sk"], dtype=np.float64).copy(),
             s_indptr=s_mat.indptr.copy(),
             s_indices=s_mat.indices.copy(),
             mate_a=matching.mate_a.copy(),
-            objective=float(tracker.get("best_objective", float("-inf"))),
+            objective=float(objective),
             method="bp",
-            digest=None,
+            digest=digest,
         )
 
     def save(self, path: str) -> None:

@@ -16,7 +16,9 @@ Event types
     the begin/end of a named region (an alignment run, a simulation).
 ``iteration``
     One solver iteration — the event-stream twin of
-    :class:`repro.core.result.IterationRecord`; emitted by
+    :class:`repro.core.result.IterationRecord` (``method`` plus the
+    record's fields); emitted by
+    :func:`repro.core.result.record_iteration` on behalf of
     ``core/bp.py``, ``core/klau.py`` and ``core/isorank.py``.
 ``rounding``
     One rounding call (heuristic vector → matching → objective);

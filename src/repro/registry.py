@@ -252,27 +252,11 @@ def align(
     return spec.solve(problem, cfg, **kwargs)
 
 
-def _bp_solve(problem, config, tracer=None, **extra):
-    return belief_propagation_align(problem, config, tracer, **extra)
-
-
-def _klau_solve(problem, config, tracer=None, **checkpointing):
-    return klau_align(problem, config, tracer, **checkpointing)
-
-
-def _isorank_solve(problem, config):
-    return isorank_align(problem, config)
-
-
-def _multilevel_solve(problem, config, tracer=None):
-    return multilevel_align(problem, config, tracer)
-
-
 register_solver(
     SolverSpec(
         name="bp",
         config_cls=BPConfig,
-        solve=_bp_solve,
+        solve=belief_propagation_align,
         supports_trace=True,
         supports_checkpoint=True,
         supports_warm=True,
@@ -282,20 +266,20 @@ register_solver(
     SolverSpec(
         name="klau",
         config_cls=KlauConfig,
-        solve=_klau_solve,
+        solve=klau_align,
         aliases=("mr",),
         supports_trace=True,
         supports_checkpoint=True,
     )
 )
 register_solver(
-    SolverSpec(name="isorank", config_cls=IsoRankConfig, solve=_isorank_solve)
+    SolverSpec(name="isorank", config_cls=IsoRankConfig, solve=isorank_align)
 )
 register_solver(
     SolverSpec(
         name="multilevel",
         config_cls=MultilevelConfig,
-        solve=_multilevel_solve,
+        solve=multilevel_align,
         supports_trace=True,
     )
 )

@@ -11,7 +11,9 @@ snapshot instead of recomputing from iteration 1.  Resume is
 bit-identical to the uninterrupted run: BP checkpoints only at batch
 flush boundaries (no pending rounding work is ever lost), damping uses
 the absolute iteration number, and Klau's step-control scalars
-(``gamma``, ``best_upper``, ``stall``) ride along.
+(``gamma``, ``best_upper``, ``stall``) ride along.  Both loops go
+through one :class:`SolverSnapshots`, which checks a snapshot's method
+and dimensions before resuming it and decides when the next is due.
 
 :class:`CheckpointStore` is an in-memory, thread-safe keyed store.  The
 process-default store (:func:`get_checkpoint_store`) is what
@@ -36,12 +38,14 @@ from typing import Any
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.observe import get_bus
 
 __all__ = [
     "CheckpointStore",
     "FileCheckpointStore",
     "SolverCheckpoint",
+    "SolverSnapshots",
     "get_checkpoint_store",
 ]
 
@@ -89,6 +93,85 @@ class SolverCheckpoint:
         )
         tracker.best_source = state["best_source"]
         tracker.best_iteration = state["best_iteration"]
+
+
+class SolverSnapshots:
+    """The snapshot bookkeeping an iterative solver's loop shares.
+
+    BP and Klau name only their own arrays and scalars; this checks a
+    snapshot against the run resuming it, restores the best tracker and
+    the history, and decides when the next snapshot is due.
+
+    Args:
+        store: The :class:`CheckpointStore`, or ``None`` for no
+            snapshots.
+        key: The store key.
+        every: Save every this many iterations (``<= 0`` = never).
+        method: The method name each snapshot carries and a resume
+            requires (``"bp"``, ``"klau-mr"``).
+    """
+
+    def __init__(self, store: Any | None, key: str, every: int,
+                 method: str) -> None:
+        self.store = store
+        self.key = key
+        self.every = every
+        self.method = method
+        #: The iteration the save cadence counts from: the resumed
+        #: snapshot's, else 0.  A run continues at ``last + 1``.
+        self.last = 0
+
+    def resume(self, tracker: Any, history: list,
+               **shapes: int) -> dict[str, Any] | None:
+        """Pick up the stored snapshot; return its state, or ``None``.
+
+        ``shapes`` names the state arrays to check and their lengths on
+        this problem.  The tracker and the history are restored in place.
+
+        Raises:
+            ConfigurationError: The snapshot was written by another
+                method, or for another problem's dimensions.
+        """
+        ckpt = None if self.store is None else self.store.load(self.key)
+        if ckpt is None:
+            return None
+        if ckpt.method != self.method:
+            raise ConfigurationError(
+                f"checkpoint {self.key!r} was written by method "
+                f"{ckpt.method!r}, not {self.method!r}; resuming from it "
+                "would silently restart the solve"
+            )
+        state = ckpt.state
+        if any(state[name].shape != (n,) for name, n in shapes.items()):
+            raise ConfigurationError(
+                f"checkpoint {self.key!r} does not match this problem's "
+                "dimensions"
+            )
+        SolverCheckpoint.restore_tracker(tracker, state["tracker"])
+        history.extend(state["history"])
+        self.last = ckpt.iteration
+        return state
+
+    def maybe_save(self, k: int, tracker: Any, history: list,
+                   **state: Any) -> None:
+        """Snapshot iteration ``k`` if one is due.
+
+        ``state`` holds the solver's own arrays and scalars; arrays and
+        dicts are copied only when a snapshot is taken.
+        """
+        if self.store is None or self.every <= 0 \
+                or k - self.last < self.every:
+            return
+        state = {
+            name: value.copy() if isinstance(value, (np.ndarray, dict))
+            else value
+            for name, value in state.items()
+        }
+        state.update(tracker=SolverCheckpoint.snapshot_tracker(tracker),
+                     history=list(history))
+        self.store.save(self.key, SolverCheckpoint(
+            method=self.method, iteration=k, state=state))
+        self.last = k
 
 
 class CheckpointStore:

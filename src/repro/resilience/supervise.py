@@ -172,13 +172,13 @@ class _SerialRunner:
     def submit(self, fn, item, hang_s):
         return (fn, item, hang_s)
 
-    def collect(self, handle, timeout_s, task_index):
+    def collect(self, handle, timeout_s, site, task_index):
         fn, item, hang_s = handle
         if hang_s > 0.0 and timeout_s != float("inf"):
             # Serial cannot preempt; simulate the detection for injected
             # hangs by waiting out the shorter of hang and timeout.
             time.sleep(min(hang_s, timeout_s))
-            raise TimeoutExceededError("parallel_map", task_index, timeout_s)
+            raise TimeoutExceededError(site, task_index, timeout_s)
         return _guarded_call(fn, item, hang_s)
 
     def reset(self) -> None:
@@ -212,15 +212,13 @@ class _ProcessRunner:
     def submit(self, fn, item, hang_s):
         return self._pool.apply_async(_guarded_call, (fn, item, hang_s))
 
-    def collect(self, handle, timeout_s, task_index):
+    def collect(self, handle, timeout_s, site, task_index):
         try:
             if timeout_s == float("inf"):
                 return handle.get()
             return handle.get(timeout=timeout_s)
         except mp.TimeoutError:
-            raise TimeoutExceededError(
-                "parallel_map", task_index, timeout_s
-            ) from None
+            raise TimeoutExceededError(site, task_index, timeout_s) from None
 
     def reset(self) -> None:
         self._pool.terminate()
@@ -339,7 +337,7 @@ def _run_rung(
                 idx, attempt, handle = handles.popleft()
                 try:
                     status, payload, remote_tb = runner.collect(
-                        handle, res.timeout_s, idx
+                        handle, res.timeout_s, site, idx
                     )
                 except TimeoutExceededError as exc:
                     fail_attempt(idx, attempt, "timeout", repr(exc), "")

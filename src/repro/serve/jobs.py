@@ -363,16 +363,11 @@ class JobStore:
 
     Args:
         config: The serving policy (worker count, bounds, supervision).
-        cache: Optional externally owned :class:`ResultCache` (the
-            server shares one across its lifetime); built from
-            ``config.cache_entries`` when omitted.
     """
 
-    def __init__(self, config: ServeConfig,
-                 cache: ResultCache | None = None) -> None:
+    def __init__(self, config: ServeConfig) -> None:
         self.config = config
-        self.cache = cache if cache is not None else ResultCache(
-            config.cache_entries)
+        self.cache = ResultCache(config.cache_entries)
         self.quotas = TenantQuotas(config.max_queue,
                                    config.max_active_per_tenant)
         self.warm = _Lru(config.warm_entries)

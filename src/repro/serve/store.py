@@ -57,7 +57,6 @@ from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.observe import get_bus
-from repro.serve.cache import ResultCache
 from repro.serve.config import ServeConfig
 from repro.serve.jobs import TERMINAL_STATES, Job, JobStore
 from repro.serve.wire import error_envelope, problem_from_wire, \
@@ -126,9 +125,8 @@ class SqliteJobStore(JobStore):
 
     Args:
         config: The serving policy; ``config.store_path`` names the
-            store directory (created if missing).
-        cache: Optional externally owned result cache, as for the base
-            class; recovered ``done`` results are folded back into it.
+            store directory (created if missing).  Recovered ``done``
+            results are folded back into the result cache.
 
     Raises:
         ConfigurationError: ``config.store_path`` is empty (``Path("")``
@@ -136,8 +134,7 @@ class SqliteJobStore(JobStore):
             journal).
     """
 
-    def __init__(self, config: ServeConfig,
-                 cache: ResultCache | None = None) -> None:
+    def __init__(self, config: ServeConfig) -> None:
         from repro.resilience import FileCheckpointStore
 
         if not config.store_path:
@@ -150,7 +147,7 @@ class SqliteJobStore(JobStore):
         self._db_lock = threading.Lock()
         self._db = _connect(root / "jobs.db")
         self._root = root
-        super().__init__(config, cache)
+        super().__init__(config)
         self.checkpoints = FileCheckpointStore(root / "checkpoints")
         self.recovered: dict[str, int] = {}
         self._recover()
@@ -389,22 +386,20 @@ class SqliteJobStore(JobStore):
             self._db.close()
 
 
-def make_store(config: ServeConfig,
-               cache: ResultCache | None = None) -> JobStore:
+def make_store(config: ServeConfig) -> JobStore:
     """Build the job store ``config.store_path`` selects.
 
     Args:
         config: The serving policy; a ``store_path`` builds the
             persistent :class:`SqliteJobStore` rooted there, an empty
             one the plain in-memory :class:`~repro.serve.jobs.JobStore`.
-        cache: Optional externally owned result cache.
 
     Returns:
         The constructed store (recovery already replayed for sqlite).
     """
     if config.store_path:
-        return SqliteJobStore(config, cache)
-    return JobStore(config, cache)
+        return SqliteJobStore(config)
+    return JobStore(config)
 
 
 def list_jobs(store_path: str) -> list[dict[str, Any]]:

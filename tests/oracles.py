@@ -22,7 +22,10 @@ same arithmetic in the same order.
 :func:`repro.serve.wire.problem_from_wire` replaced: every id through
 ``int()``, every weight, ``alpha`` and ``beta`` through ``float()``.
 It coerces more than the vectorized decoder accepts; on what both
-accept, they must build the same problem.
+accept, they must build the same problem.  :func:`delta_build_loops` is
+the same kind of per-row decoder for an edit script, the one
+:meth:`repro.incremental.ProblemDelta.build` replaced with
+:meth:`~repro.incremental.ProblemDelta.from_dict`'s row checks.
 
 :func:`othermax_grouped_full` and :func:`segment_sum_masked` are the
 kernels :func:`repro.core.othermax.othermax_grouped` and
@@ -37,8 +40,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.problem import NetworkAlignmentProblem
-from repro.errors import DimensionError
+from repro.errors import DimensionError, ValidationError
 from repro.graph.graph import Graph
+from repro.incremental import ProblemDelta
 from repro.matching.exact import _augment_row
 from repro.matching.kernels import GroupPlan
 from repro.matching.result import RoundStats
@@ -46,6 +50,7 @@ from repro.sparse.bipartite import BipartiteGraph
 
 __all__ = [
     "count_squares_bruteforce",
+    "delta_build_loops",
     "locally_dominant_rounds_python",
     "othermax_grouped_full",
     "problem_from_wire_loops",
@@ -308,6 +313,35 @@ def problem_from_wire_loops(doc) -> NetworkAlignmentProblem:
     return NetworkAlignmentProblem(
         a, b, ell, alpha=float(doc.get("alpha", 1.0)),
         beta=float(doc.get("beta", 2.0)), name=str(doc.get("name", "wire")))
+
+
+def delta_build_loops(
+    *, l_add=(), l_drop=(), l_reweight=(), a_add=(), a_drop=(), b_add=(),
+    b_drop=(),
+) -> ProblemDelta:
+    """Build an edit script one row at a time, as ``build`` once did.
+
+    ``l_add`` and ``l_reweight`` rows are ``(a, b, weight)`` triples with
+    ids through ``int()`` and weights through ``float()``; the pair
+    fields go to the :class:`~repro.incremental.ProblemDelta`
+    constructor as they are.
+    """
+    def split(rows, what):
+        rows = [tuple(r) for r in rows]
+        if any(len(r) != 3 for r in rows):
+            raise ValidationError(
+                f"{what} entries must be (a, b, weight) triples"
+            )
+        return ([(int(r[0]), int(r[1])) for r in rows],
+                [float(r[2]) for r in rows])
+
+    add_pairs, add_w = split(l_add, "l_add")
+    rw_pairs, rw_w = split(l_reweight, "l_reweight")
+    return ProblemDelta(
+        l_add=add_pairs, l_add_w=add_w, l_drop=list(l_drop),
+        l_reweight=rw_pairs, l_reweight_w=rw_w, a_add=list(a_add),
+        a_drop=list(a_drop), b_add=list(b_add), b_drop=list(b_drop),
+    )
 
 
 def othermax_grouped_full(

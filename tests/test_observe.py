@@ -8,6 +8,7 @@ contract — BP and Klau runs captured as events rebuild the *exact*
 counters.
 """
 
+import dataclasses
 import io
 import math
 
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import BPConfig, KlauConfig, belief_propagation_align, klau_align
+from repro.core.result import IterationRecord
 from repro.errors import ObservabilityError
 from repro.machine.runtime import SimulatedRuntime
 from repro.machine.topology import xeon_e7_8870
@@ -102,6 +104,11 @@ class TestSchema:
         assert len(EVENT_TYPES) == 15
         for fields in EVENT_TYPES.values():
             assert fields
+
+    def test_iteration_event_is_method_plus_the_record(self):
+        """``record_iteration`` builds each event from the record."""
+        record_fields = [f.name for f in dataclasses.fields(IterationRecord)]
+        assert list(EVENT_TYPES["iteration"]) == ["method", *record_fields]
 
 
 class TestOrderingAndSpans:

@@ -187,12 +187,11 @@ class TestRowCol:
             want = brute_othermax(vals, g.edge_b.tolist())
             assert np.array_equal(got, want)
 
-    def test_col_scratch_buffer(self, rng):
+    def test_col_out_buffer(self, rng):
         g = random_bipartite(rng)
         vals = rng.normal(size=g.n_edges)
-        scratch = np.empty(g.n_edges)
         out = np.empty(g.n_edges)
-        got = othermax_col(g, vals, out=out, scratch=scratch)
+        got = othermax_col(g, vals, out=out)
         assert got is out
         assert np.array_equal(got, brute_othermax(vals, g.edge_b.tolist()))
 

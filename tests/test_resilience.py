@@ -331,6 +331,25 @@ class TestSupervisedMap:
         names = {m["metric"] for m in bus.metrics.snapshot()}
         assert "repro_timeouts_total" in names
 
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_timeout_names_its_site(self, backend):
+        plan = FaultPlan(
+            [FaultSpec("hang", site="serve.job", task_index=0,
+                       delay_s=2.0)],
+            seed=0,
+        )
+        res = ResilienceConfig(timeout_s=0.1, max_retries=0)
+        with fault_plan(plan):
+            [outcome] = supervised_map(
+                abs, [-1],
+                ParallelConfig(backend=backend, n_workers=1,
+                               resilience=res),
+                site="serve.job",
+            )
+        assert not outcome.ok
+        assert "task 0 at site 'serve.job' exceeded its 0.1s timeout" \
+            in str(outcome.error)
+
     def test_timeout_requeue_does_not_charge_other_tasks(self):
         """Tasks killed by a pool reset keep their full retry budget."""
         plan = FaultPlan(
@@ -771,6 +790,40 @@ class TestCheckpointResume:
             align(small_instance.problem, "bp",
                   {"n_iter": 4, "matcher": "approx"},
                   checkpoint_store=store, checkpoint_key="t", resume=True)
+
+    #: Per method: the name its snapshots carry, and a config that
+    #: snapshots at iteration 2 (Klau's default gap stop ends this
+    #: instance before then).
+    _SNAPSHOTTING = {
+        "bp": ("bp", {"n_iter": 4, "matcher": "approx"}),
+        "klau": ("klau-mr", {"n_iter": 4, "matcher": "approx",
+                             "gap_tolerance": float("-inf")}),
+    }
+
+    @pytest.mark.parametrize("writer", ["other_method", "other_size"])
+    @pytest.mark.parametrize("method", ["bp", "klau"])
+    def test_resume_refuses_a_foreign_snapshot(
+            self, small_instance, medium_instance, method, writer):
+        label, cfg = self._SNAPSHOTTING[method]
+        store = CheckpointStore()
+        if writer == "other_method":
+            other = "klau" if method == "bp" else "bp"
+            other_label, other_cfg = self._SNAPSHOTTING[other]
+            align(small_instance.problem, other, other_cfg,
+                  checkpoint_every=2, checkpoint_store=store,
+                  checkpoint_key="t")
+            text = (f"checkpoint 't' was written by method "
+                    f"{other_label!r}, not {label!r}; resuming from it "
+                    "would silently restart the solve")
+        else:
+            align(medium_instance.problem, method, cfg, checkpoint_every=2,
+                  checkpoint_store=store, checkpoint_key="t")
+            text = "checkpoint 't' does not match this problem's dimensions"
+        assert store.load("t") is not None
+        with pytest.raises(ConfigurationError) as info:
+            align(small_instance.problem, method, cfg,
+                  checkpoint_store=store, checkpoint_key="t", resume=True)
+        assert str(info.value) == text
 
 
 # ----------------------------------------------------------------------

@@ -19,9 +19,11 @@ JSON a client sends, it must either build a problem or raise
 * the same Hypothesis values go into each slot of a small valid edit
   script for :meth:`~repro.incremental.ProblemDelta.from_dict` (what
   ``realign --delta`` reads): it builds a delta or raises
-  ``ValidationError``, whatever it accepts the per-row
-  :meth:`~repro.incremental.ProblemDelta.build` builds the same, and
-  applying it raises nothing else.
+  ``ValidationError``, whatever it accepts the per-row decoder that
+  :meth:`~repro.incremental.ProblemDelta.build` once was
+  (:func:`tests.oracles.delta_build_loops`) builds the same, and
+  applying it raises nothing else; ``build`` itself decodes through
+  ``from_dict`` and refuses the same hostile scripts.
 
 Huge ints here lie outside ``[0, 3037000499]``, the range ``n`` may
 take.  A vertex count inside it but far above the body's size still
@@ -50,7 +52,7 @@ from repro.serve import (
     problem_to_wire,
     serve_in_thread,
 )
-from tests.oracles import problem_from_wire_loops
+from tests.oracles import delta_build_loops, problem_from_wire_loops
 
 BASE = {
     "a": {"n": 3, "edges": [[0, 1], [1, 2]]},
@@ -224,15 +226,15 @@ def test_delta_decoder_builds_a_delta_or_raises_validation_error(edits):
         delta = ProblemDelta.from_dict(doc)
     except ValidationError:
         return
-    assert delta.to_dict() == ProblemDelta.build(**doc).to_dict()
+    assert delta.to_dict() == delta_build_loops(**doc).to_dict()
     try:
         problem_from_wire(BASE).apply_delta(delta)
     except ValidationError:
         pass
 
 
-#: Edit scripts ``from_dict`` once truncated (1.5 → 1, 0.7 → 0) or let
-#: escape as ValueError, TypeError or OverflowError.
+#: Edit scripts ``from_dict`` and ``build`` once truncated (1.5 → 1,
+#: 0.7 → 0) or let escape as ValueError, TypeError or OverflowError.
 HOSTILE_DELTAS = {
     "fractional id": {"l_add": [[1.5, 2, 3.0]]},
     "fractional drop": {"l_drop": [[0.7, 1]]},
@@ -249,3 +251,5 @@ def test_hostile_delta_raises_validation_error(case):
     [field] = doc
     with pytest.raises(ValidationError, match=field):
         ProblemDelta.from_dict(doc)
+    with pytest.raises(ValidationError, match=field):
+        ProblemDelta.build(**doc)
