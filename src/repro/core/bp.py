@@ -285,7 +285,7 @@ def _bp_run(
         return result
 
     snapshots = SolverSnapshots(checkpoint_store, checkpoint_key,
-                                checkpoint_every, "bp")
+                                checkpoint_every, "bp", config)
     state = snapshots.resume(tracker, history, y=m, sk=nnz) \
         if resume else None
     if state is not None:

@@ -189,7 +189,7 @@ def _klau_run(
     stall = 0
 
     snapshots = SolverSnapshots(checkpoint_store, checkpoint_key,
-                                checkpoint_every, "klau-mr")
+                                checkpoint_every, "klau-mr", config)
     state = snapshots.resume(tracker, history, u_vals=nnz) \
         if resume else None
     if state is not None:

@@ -33,16 +33,16 @@ __all__ = ["DASHBOARD_NAMES", "render_dashboards", "write_dashboards"]
 DASHBOARD_NAMES = (
     "serve_latency.json",
     "serve_throughput.json",
-    "degradation.json",
-    "breaker.json",
     "warm_vs_cold.json",
 )
 
 #: Bus-side counters referenced by panels (emitted by ``repro.serve``
-#: via the observe bus; names asserted against the source at test time).
+#: and the supervisor via the observe bus; names asserted against the
+#: source at test time).
 _JOBS_TOTAL = "repro_serve_jobs_total"
 _CACHE_HITS = "repro_serve_cache_hits_total"
 _CACHE_INSERTIONS = "repro_serve_cache_insertions_total"
+_RETRIES = "repro_retries_total"
 
 
 def _require_events(*types: str) -> None:
@@ -113,7 +113,7 @@ def render_dashboards() -> dict[str, str]:
     # repro.observe — a module-level import here would be circular.
     from repro.serve import telemetry as t
 
-    _require_events("backend_degraded", "task_retry", "metric")
+    _require_events("task_retry", "metric")
     lat = t.METRIC_LATENCY
     req = t.METRIC_REQUESTS
 
@@ -168,48 +168,15 @@ def render_dashboards() -> dict[str, str]:
                 description="Terminal job states per second "
                             "(done / failed / cancelled).",
             ),
-        ], ["serve", "throughput"])
-
-    degradation = _dashboard(
-        "repro-degradation", "Resilience · Degradation ladder", [
-            _panel(
-                "Degradation steps", [
-                    ("{{site}} → {{to_backend}}",
-                     f"sum by (site, to_backend) "
-                     f"(rate({t.METRIC_DEGRADED}[5m]))"),
-                ],
-                description="backend_degraded events folded into the "
-                            "telemetry registry: each step walks the "
-                            "backend ladder at a dispatch site.",
-            ),
             _panel(
                 "Supervised retries", [
                     ("{{site}}",
-                     f"sum by (site) "
-                     f"(rate({t.METRIC_RETRY_EVENTS}[5m]))"),
+                     f"sum by (site) (rate({_RETRIES}[5m]))"),
                 ],
-                description="task_retry events observed while serving.",
+                description="Retries the supervisor ran, per dispatch "
+                            "site (one per task_retry event).",
             ),
-        ], ["resilience"])
-
-    breaker = _dashboard(
-        "repro-breaker", "Resilience · Circuit breaker", [
-            _panel(
-                "Breaker opened (latched)",
-                [("{{site}}", t.METRIC_BREAKER_OPEN)],
-                kind="stat",
-                description="1 once a breaker opened at the site since "
-                            "server start; latched on purpose — the "
-                            "question a wallboard answers is whether "
-                            "the ladder was ever walked.",
-            ),
-            _panel(
-                "Total degradations",
-                [("{{site}} → {{to_backend}}", t.METRIC_DEGRADED)],
-                kind="stat",
-                description="Lifetime degradation count by site.",
-            ),
-        ], ["resilience"])
+        ], ["serve", "throughput"])
 
     warm_vs_cold = _dashboard(
         "repro-warm-vs-cold", "Serve · Warm vs cold", [
@@ -241,8 +208,6 @@ def render_dashboards() -> dict[str, str]:
     docs = {
         "serve_latency.json": latency,
         "serve_throughput.json": throughput,
-        "degradation.json": degradation,
-        "breaker.json": breaker,
         "warm_vs_cold.json": warm_vs_cold,
     }
     assert tuple(docs) == DASHBOARD_NAMES

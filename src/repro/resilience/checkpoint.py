@@ -12,8 +12,9 @@ bit-identical to the uninterrupted run: BP checkpoints only at batch
 flush boundaries (no pending rounding work is ever lost), damping uses
 the absolute iteration number, and Klau's step-control scalars
 (``gamma``, ``best_upper``, ``stall``) ride along.  Both loops go
-through one :class:`SolverSnapshots`, which checks a snapshot's method
-and dimensions before resuming it and decides when the next is due.
+through one :class:`SolverSnapshots`, which checks a snapshot's
+method, config and dimensions before resuming it and decides when the
+next is due.
 
 :class:`CheckpointStore` is an in-memory, thread-safe keyed store.  The
 process-default store (:func:`get_checkpoint_store`) is what
@@ -57,12 +58,15 @@ class SolverCheckpoint:
     ``state`` maps state names to copies of the solver's arrays and
     scalars (the contract per method is documented in
     ``docs/resilience.md``); ``iteration`` is the last *completed*
-    iteration, so resume starts at ``iteration + 1``.
+    iteration, so resume starts at ``iteration + 1``.  ``config`` is
+    the writing run's ``config.to_dict()`` (``None`` on snapshots that
+    predate it, which any config may resume).
     """
 
     method: str
     iteration: int
     state: dict[str, Any] = field(default_factory=dict)
+    config: dict[str, Any] | None = None
 
     @staticmethod
     def snapshot_tracker(tracker: Any) -> dict[str, Any]:
@@ -109,14 +113,17 @@ class SolverSnapshots:
         every: Save every this many iterations (``<= 0`` = never).
         method: The method name each snapshot carries and a resume
             requires (``"bp"``, ``"klau-mr"``).
+        config: The run's config; its ``to_dict()`` is what each
+            snapshot carries and a resume requires.
     """
 
     def __init__(self, store: Any | None, key: str, every: int,
-                 method: str) -> None:
+                 method: str, config: Any) -> None:
         self.store = store
         self.key = key
         self.every = every
         self.method = method
+        self.config = None if store is None else config.to_dict()
         #: The iteration the save cadence counts from: the resumed
         #: snapshot's, else 0.  A run continues at ``last + 1``.
         self.last = 0
@@ -130,7 +137,8 @@ class SolverSnapshots:
 
         Raises:
             ConfigurationError: The snapshot was written by another
-                method, or for another problem's dimensions.
+                method, under another config, or for another problem's
+                dimensions.
         """
         ckpt = None if self.store is None else self.store.load(self.key)
         if ckpt is None:
@@ -140,6 +148,11 @@ class SolverSnapshots:
                 f"checkpoint {self.key!r} was written by method "
                 f"{ckpt.method!r}, not {self.method!r}; resuming from it "
                 "would silently restart the solve"
+            )
+        if ckpt.config is not None and ckpt.config != self.config:
+            raise ConfigurationError(
+                f"checkpoint {self.key!r} was written under another "
+                "config; resuming from it would continue a different run"
             )
         state = ckpt.state
         if any(state[name].shape != (n,) for name, n in shapes.items()):
@@ -170,7 +183,8 @@ class SolverSnapshots:
         state.update(tracker=SolverCheckpoint.snapshot_tracker(tracker),
                      history=list(history))
         self.store.save(self.key, SolverCheckpoint(
-            method=self.method, iteration=k, state=state))
+            method=self.method, iteration=k, state=state,
+            config=self.config))
         self.last = k
 
 

@@ -31,7 +31,7 @@ bit-identically from their last checkpoint (docs/serving.md,
 "Durability & operations").
 
 Module map: :mod:`~repro.serve.wire` (JSON schemas, hashing, the error
-envelope), :mod:`~repro.serve.cache` (content-addressed LRU),
+envelope), :mod:`~repro.serve.cache` (the bounded LRU and the result cache),
 :mod:`~repro.serve.quotas` (admission control), :mod:`~repro.serve.jobs`
 (job store + worker pool), :mod:`~repro.serve.store` (the persistent
 SQLite job store), :mod:`~repro.serve.telemetry` (the request metrics

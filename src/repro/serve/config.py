@@ -35,8 +35,9 @@ class ServeConfig(ConfigBase):
             unbounded); breaches reject with ``queue_full``.
         max_active_per_tenant: Per-tenant active-job bound (``0`` =
             unbounded); breaches reject with ``quota_exceeded``.
-        max_edges_l: Largest |E_L| accepted per submitted problem
-            (``0`` = unbounded); breaches reject with ``too_large``.
+        max_edges_l: Largest |E_L| accepted per submitted problem,
+            and largest vertex count either graph may declare (``0`` =
+            unbounded); breaches reject with ``too_large``.
         warm_entries: Bound on the LRU store of per-job solver states
             kept for incremental realignment (``POST /v1/jobs`` with
             ``warm_from``); ``0`` disables warm submissions entirely

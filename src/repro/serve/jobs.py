@@ -81,7 +81,7 @@ from repro.accel.serve import solve_task
 from repro.errors import ValidationError
 from repro.observe import get_bus
 from repro.resilience.config import ResilienceConfig
-from repro.serve.cache import ResultCache
+from repro.serve.cache import Lru, ResultCache
 from repro.serve.config import ServeConfig
 from repro.serve.quotas import AdmissionError, TenantQuotas
 from repro.serve.wire import (
@@ -124,49 +124,6 @@ class WarmUnavailableError(ValidationError):
     state's vertex sets do not match the submitted problem.  The server
     maps this to HTTP 400 with error code ``warm_unavailable``.
     """
-
-
-class _Lru:
-    """A bounded, thread-safe LRU map; ``capacity=0`` disables it.
-
-    The store keeps two.  The warm store maps a job id to the
-    ``(WarmState, cache key)`` its solve converged to: every
-    successfully *executed* (not cache-answered) job of a warm-capable
-    method deposits one, so any recent job can be the parent of an
-    incremental realignment.  The body memo maps a request body's
-    SHA-256 to the :class:`_Admitted` fields of its accepted
-    submission.  Eviction is least-recently-used over both reads and
-    writes.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: dict[Any, Any] = {}
-
-    def put(self, key: Any, value: Any) -> None:
-        """Store ``value`` under ``key``, evicting the oldest entry."""
-        if self.capacity <= 0:
-            return
-        with self._lock:
-            self._entries.pop(key, None)
-            self._entries[key] = value
-            while len(self._entries) > self.capacity:
-                self._entries.pop(next(iter(self._entries)))
-
-    def get(self, key: Any) -> Any | None:
-        """Fetch the value under ``key``; refreshes LRU order."""
-        with self._lock:
-            hit = self._entries.pop(key, None)
-            if hit is not None:
-                self._entries[key] = hit
-            return hit
-
-    def stats(self) -> dict[str, int]:
-        """Occupancy report for ``/v1/healthz``."""
-        with self._lock:
-            return {"entries": len(self._entries),
-                    "capacity": self.capacity}
 
 
 class _Admitted(NamedTuple):
@@ -257,22 +214,51 @@ class Job:
         """Block until terminal; ``False`` if ``timeout`` expired first."""
         return self._terminal.wait(timeout)
 
+    def end(self, state: str, finished_s: float | None = None) -> bool:
+        """Move to the terminal ``state``; ``False`` if already ended.
+
+        The closing ``state`` frame is appended *before* the terminal
+        event is set, so a client streaming ``/jobs/{id}/events`` that
+        observes :attr:`terminal` finds it on its last drain.  The
+        problem arrays and warm state are dropped; the wire result
+        remains.  ``finished_s`` defaults to now (recovery passes the
+        journaled time).
+        """
+        with self._lock:
+            if self._finished:
+                return False
+            self._finished = True
+            self.state = state
+            self.finished_s = time.time() if finished_s is None \
+                else finished_s
+            self.problem = None
+            self.warm_state = None
+            self._frames.append({"type": "state", "state": state})
+        self._terminal.set()
+        return True
+
     # -- documents -----------------------------------------------------
+    @property
+    def reported_state(self) -> str:
+        """The state the status document and the journal show.
+
+        That is :attr:`state`, except the virtual ``"cancelling"``
+        while a running job has cancellation pending.
+        """
+        if self.state == "running" and self.cancel_requested:
+            return "cancelling"
+        return self.state
+
     def snapshot(self) -> dict[str, Any]:
         """The status document ``GET /v1/jobs/{id}`` returns.
 
         Returns:
-            A JSON-ready dict; ``state`` reports the virtual
-            ``"cancelling"`` while a running job has cancellation
-            pending.
+            A JSON-ready dict; ``state`` is :attr:`reported_state`.
         """
         with self._lock:
-            state = self.state
-            if state == "running" and self.cancel_requested:
-                state = "cancelling"
             doc: dict[str, Any] = {
                 "id": self.id,
-                "state": state,
+                "state": self.reported_state,
                 "method": self.method,
                 "config": self.config,
                 "tenant": self.tenant,
@@ -370,8 +356,10 @@ class JobStore:
         self.cache = ResultCache(config.cache_entries)
         self.quotas = TenantQuotas(config.max_queue,
                                    config.max_active_per_tenant)
-        self.warm = _Lru(config.warm_entries)
-        self._bodies = _Lru(config.cache_entries)
+        # Job id -> (WarmState, cache key): warm_from's parents.
+        self.warm = Lru(config.warm_entries)
+        # Body SHA-256 -> _Admitted: the body memo of submit_body.
+        self._bodies = Lru(config.cache_entries)
         from repro.resilience import get_checkpoint_store
 
         self.checkpoints = get_checkpoint_store()
@@ -486,8 +474,10 @@ class JobStore:
             WarmUnavailableError: ``warm_from`` names no usable state.
             ValidationError: Malformed problem document.
             AdmissionError: Queue full, tenant over quota, problem over
-                the ``max_edges_l`` size gate, or the store is draining
-                (``code="draining"``, mapped to HTTP 503).
+                the ``max_edges_l`` size gate (in candidate edges, or in
+                either graph's declared vertex count, checked before
+                decoding), or the store is draining (``code="draining"``,
+                mapped to HTTP 503).
         """
         if not isinstance(doc, Mapping):
             raise ValidationError("request body must be a JSON object")
@@ -501,12 +491,25 @@ class JobStore:
         config = canonical_config(method, doc.get("config"))
         if "problem" not in doc:
             raise ValidationError("request body is missing 'problem'")
-        problem = problem_from_wire(doc["problem"])
-        if 0 < self.config.max_edges_l < problem.n_edges_l:
+        wire, limit = doc["problem"], self.config.max_edges_l
+        # A vertex count past the size gate is refused before the
+        # decoder allocates arrays of that length.
+        for side in ("a", "b"):
+            graph = wire.get(side) if isinstance(wire, Mapping) else None
+            n = graph.get("n") if isinstance(graph, Mapping) else None
+            if type(n) is int and 0 < limit < n:
+                raise AdmissionError(
+                    "too_large",
+                    f"problem.{side} has {n} vertices; this server "
+                    f"accepts at most {limit}",
+                    tenant,
+                )
+        problem = problem_from_wire(wire)
+        if 0 < limit < problem.n_edges_l:
             raise AdmissionError(
                 "too_large",
                 f"problem has {problem.n_edges_l} candidate edges; this "
-                f"server accepts at most {self.config.max_edges_l}",
+                f"server accepts at most {limit}",
                 tenant,
             )
         digest = problem_digest(problem)
@@ -536,7 +539,7 @@ class JobStore:
 
         self.quotas.acquire(tenant)
         job.add_frame({"type": "state", "state": "queued"})
-        job._wire_problem = doc["problem"]
+        job._wire_problem = wire
         with self._lock:
             self._jobs[job.id] = job
         # Journal before the job becomes runnable: a worker must never
@@ -734,7 +737,7 @@ class JobStore:
         with self._lock:
             jobs = list(self._jobs.values())
         for job in jobs:
-            out[job.snapshot()["state"]] += 1
+            out[job.reported_state] += 1
         return out
 
     # -- execution -----------------------------------------------------
@@ -833,31 +836,20 @@ class JobStore:
         self._finish(job, "done")
 
     def _finish(self, job: Job, state: str) -> None:
-        """Move ``job`` to a terminal state exactly once.
+        """End ``job`` (:meth:`Job.end`) and settle the store's books.
 
-        The final ``state`` frame is appended *before* the terminal
-        event is set: a client streaming ``/jobs/{id}/events`` that
-        observes ``job.terminal`` is therefore guaranteed to find the
-        closing frame on its last drain instead of a truncated stream.
         A cache hit (``job.cached``) holds no quota slot and has no
         journal row yet — :meth:`_answer_from_cache` inserts it whole —
         so it releases nothing and journals no transition here.
         """
-        with self._lock:
-            if job._finished:
-                return
-            job._finished = True
-            job.state = state
-            job.finished_s = time.time()
-            if job.started_s is not None:
-                span = job.finished_s - job.started_s
+        if not job.end(state):
+            return
+        if job.started_s is not None:
+            span = job.finished_s - job.started_s
+            with self._lock:
                 self._ewma_s = span if self._ewma_s is None else (
                     0.7 * self._ewma_s + 0.3 * span
                 )
-            job.problem = None  # free the arrays; the wire result remains
-            job.warm_state = None
-        job.add_frame({"type": "state", "state": state})
-        job._terminal.set()
         if not job.cached:
             self._persist_transition(job)
             self.quotas.release(job.tenant)
@@ -875,7 +867,7 @@ class JobStore:
         ``timeout`` per thread), so shutdown latency is bounded no
         matter how many workers are configured, and every worker that
         exits in time has flushed its job's final NDJSON frames —
-        ``_finish`` appends them before the terminal event, so no
+        :meth:`Job.end` appends them before the terminal event, so no
         stream observed through the store truncates mid-drain.
 
         Args:

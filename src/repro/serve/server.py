@@ -44,6 +44,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.errors import ConfigurationError, ValidationError
 from repro.observe.bus import get_bus
 from repro.observe.export import otlp_json, prometheus_text
+from repro.observe.sinks import NullSink
 from repro.serve.config import ServeConfig
 from repro.serve.jobs import Job, JobStore, WarmUnavailableError
 from repro.serve.quotas import AdmissionError
@@ -190,6 +191,8 @@ class AlignmentServer:
         self.telemetry: ServeTelemetry | None = (
             ServeTelemetry() if self.config.telemetry else None
         )
+        # Keeps the process bus active, so its counters accumulate.
+        self._bus_sink = NullSink()
         self.port: int | None = None
         self._server: asyncio.base_events.Server | None = None
 
@@ -202,12 +205,13 @@ class AlignmentServer:
     async def start(self) -> None:
         """Bind the listener and begin accepting connections.
 
-        With telemetry enabled this also attaches the telemetry sink to
-        the process observe bus (activating it), so solver and serve
-        counters accumulate for the merged ``/v1/metrics`` snapshot.
+        With telemetry enabled this also attaches a
+        :class:`~repro.observe.sinks.NullSink` to the process observe
+        bus (activating it), so solver and serve counters accumulate for
+        the merged ``/v1/metrics`` snapshot.
         """
         if self.telemetry is not None:
-            get_bus().add_sink(self.telemetry)
+            get_bus().add_sink(self._bus_sink)
         self._server = await asyncio.start_server(
             self._handle, self.config.host, self.config.port
         )
@@ -224,7 +228,7 @@ class AlignmentServer:
     async def stop(self) -> None:
         """Close the listener (worker shutdown is the store's job)."""
         if self.telemetry is not None:
-            get_bus().remove_sink(self.telemetry)
+            get_bus().remove_sink(self._bus_sink)
         if self._server is not None:
             self._server.close()
             with contextlib.suppress(asyncio.TimeoutError):
@@ -327,8 +331,9 @@ class AlignmentServer:
         """Build the ``GET /v1/healthz`` payload.
 
         Beyond liveness, the document reports the occupancy numbers a
-        dashboard's cheap probe needs: queue depth, cache entries (with
-        hit/miss counters), and warm-store size.
+        dashboard's cheap probe needs: queue depth, and the result cache
+        and warm store as ``{entries, capacity}`` (the cache also with
+        its ``hits`` and ``misses``).
         """
         import repro
 
@@ -474,7 +479,7 @@ class AlignmentServer:
         Frames already recorded are flushed immediately; new ones are
         polled every 20 ms until the job is terminal and fully drained.
         The terminal frame is appended before the terminal event is
-        set (see ``JobStore._finish``), so a stream never closes with
+        set (see :meth:`Job.end`), so a stream never closes with
         the final ``state`` frame missing; a store shutdown ends the
         stream after one last drain instead of polling forever.
         """

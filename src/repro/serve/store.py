@@ -113,11 +113,11 @@ def _connect(path: Path) -> sqlite3.Connection:
     return conn
 
 
-def _journal_state(job: Job) -> str:
-    """The state string to journal for ``job`` (virtual states kept)."""
-    if job.state == "running" and job.cancel_requested:
-        return "cancelling"
-    return job.state
+def _json(value: Any) -> str | None:
+    """One journal column: compact, key-sorted JSON (``None`` → NULL)."""
+    if value is None:
+        return None
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 class SqliteJobStore(JobStore):
@@ -166,30 +166,18 @@ class SqliteJobStore(JobStore):
             problem = job.problem
             wire_doc = job._wire_problem
             row = (
-                job.id, job.tenant, job.method,
-                json.dumps(job.config, sort_keys=True,
-                           separators=(",", ":")),
-                job.digest,
-                job.key, job.warm_from, job.parent_digest, job.state,
-                int(job.cached), job.created_s, job.started_s,
+                job.id, job.tenant, job.method, _json(job.config),
+                job.digest, job.key, job.warm_from, job.parent_digest,
+                job.state, int(job.cached), job.created_s, job.started_s,
                 job.finished_s, job.attempts, job.deadline_s,
-                None if job.result is None
-                else json.dumps(job.result, sort_keys=True,
-                                separators=(",", ":")),
-                None if job.error is None
-                else json.dumps(job.error, sort_keys=True,
-                               separators=(",", ":")),
+                _json(job.result), _json(job.error),
             )
-        if problem is None:
-            wire = None
-        else:
+        if problem is not None and wire_doc is None:
             # The submit path stashes the client's wire dict so the
             # journal write skips rebuilding it from the parsed arrays
             # (which costs more than the insert itself on big problems).
-            if wire_doc is None:
-                wire_doc = problem_to_wire(problem)
-            wire = json.dumps(wire_doc, sort_keys=True,
-                              separators=(",", ":"))
+            wire_doc = problem_to_wire(problem)
+        wire = None if problem is None else _json(wire_doc)
         with self._db_lock:
             self._db.execute(
                 "INSERT OR REPLACE INTO jobs (id, tenant, method, config,"
@@ -209,17 +197,10 @@ class SqliteJobStore(JobStore):
     def _persist_transition(self, job: Job) -> None:
         """Update the job's row and append one transition record."""
         with job._lock:
-            state = _journal_state(job)
+            state = job.reported_state
             terminal = job._finished
-            row = (
-                state, job.started_s, job.finished_s, job.attempts,
-                None if job.result is None
-                else json.dumps(job.result, sort_keys=True,
-                                separators=(",", ":")),
-                None if job.error is None
-                else json.dumps(job.error, sort_keys=True,
-                               separators=(",", ":")),
-            )
+            row = (state, job.started_s, job.finished_s, job.attempts,
+                   _json(job.result), _json(job.error))
         with self._db_lock:
             if terminal:
                 # The wire problem is dead weight once a result or
@@ -286,13 +267,9 @@ class SqliteJobStore(JobStore):
             job.cached = bool(cached)
             job.recovered = True
             if state in TERMINAL_STATES:
-                job.state = state
-                job.finished_s = finished
                 job.result = None if result is None else json.loads(result)
                 job.error = None if error is None else json.loads(error)
-                job._frames.append({"type": "state", "state": state})
-                job._finished = True
-                job._terminal.set()
+                job.end(state, finished)
                 if state == "done" and job.result is not None:
                     self.cache.put(job.key, job.result)
                 counts["terminal"] += 1
@@ -309,39 +286,27 @@ class SqliteJobStore(JobStore):
                     f"the warm state of its parent {warm_from!r} did "
                     f"not survive the process; resubmit cold",
                 )
-                job.state = "failed"
-                job.finished_s = time.time()
-                job._frames.append({"type": "state", "state": "failed"})
-                job._finished = True
-                job._terminal.set()
+                job.end("failed")
                 self._persist_transition(job)
                 counts["failed"] += 1
+            elif state == "cancelling":
+                # Honor the pre-crash cancellation instead of finishing
+                # the solve nobody wants anymore.
+                job.end("cancelled")
+                self._persist_transition(job)
+                counts["terminal"] += 1
             else:
                 if problem is not None:
                     job.problem = problem_from_wire(json.loads(problem))
-                if state == "cancelling":
-                    # Honor the pre-crash cancellation instead of
-                    # finishing the solve nobody wants anymore.
-                    job.state = "cancelled"
-                    job.finished_s = time.time()
-                    job._frames.append(
-                        {"type": "state", "state": "cancelled"})
-                    job._finished = True
-                    job._terminal.set()
-                    job.problem = None
-                    self._persist_transition(job)
-                    counts["terminal"] += 1
-                elif state == "running":
+                job._frames.append({"type": "state", "state": "queued"})
+                self.quotas.restore(tenant)
+                if state == "running":
                     job.state = "queued"
                     job.started_s = None
-                    job._frames.append({"type": "state", "state": "queued"})
-                    self.quotas.restore(tenant)
                     requeue.append(job_id)
                     self._persist_transition(job)
                     counts["requeued"] += 1
                 else:
-                    job._frames.append({"type": "state", "state": "queued"})
-                    self.quotas.restore(tenant)
                     enqueue.append(job_id)
                     counts["queued"] += 1
             with self._lock:

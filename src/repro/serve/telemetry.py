@@ -4,23 +4,21 @@ The observe bus is off by default and that stays true — solver
 instrumentation costs nothing unless a sink is attached.  A *server*,
 though, should be scrapeable out of the box, so
 :class:`ServeTelemetry` owns its own
-:class:`~repro.observe.metrics.MetricsRegistry`, fed from three places:
+:class:`~repro.observe.metrics.MetricsRegistry`, fed from two places:
 
 * **per-request HTTP metrics** — the server's connection handler calls
   :meth:`ServeTelemetry.request_started` /
   :meth:`ServeTelemetry.request_finished` around every request
   (latency histogram per route template, status-code counters, an
   in-flight gauge);
-* **resilience events** — the telemetry object doubles as an observe
-  bus sink; while the server runs it is attached to the process bus and
-  folds ``backend_degraded`` / ``task_retry`` events into degradation
-  counters and the circuit-breaker gauge (the gauge *latches*: once a
-  breaker opened at a site, it reads 1 until the server restarts —
-  breakers themselves are per-dispatch, so the latch is the meaningful
-  "has the ladder been walked" signal for dashboards);
 * **scrape-time gauges** — :meth:`ServeTelemetry.refresh` samples the
   job store (queue depth, cache entries and hit ratio, warm-store and
   active-job occupancy) immediately before a snapshot is rendered.
+
+Everything else the scrape shows — job outcomes, cache traffic, journal
+writes, supervised retries (``repro_retries_total``) — is counted once,
+in the process observe-bus registry the server merges in; while a
+server with telemetry runs, it keeps the bus active.
 
 Route labels are *templates* (``/jobs/{id}/result``, never a concrete
 job id) so metric cardinality stays bounded.  The metric-name constants
@@ -37,16 +35,13 @@ from repro.observe.metrics import MetricsRegistry
 
 __all__ = [
     "HTTP_LATENCY_BUCKETS",
-    "METRIC_BREAKER_OPEN",
     "METRIC_CACHE_ENTRIES",
     "METRIC_CACHE_HIT_RATIO",
-    "METRIC_DEGRADED",
     "METRIC_DRAINING",
     "METRIC_IN_FLIGHT",
     "METRIC_LATENCY",
     "METRIC_QUEUE_DEPTH",
     "METRIC_REQUESTS",
-    "METRIC_RETRY_EVENTS",
     "METRIC_ACTIVE_JOBS",
     "METRIC_WARM_ENTRIES",
     "ServeTelemetry",
@@ -69,12 +64,6 @@ METRIC_CACHE_ENTRIES = "repro_serve_cache_entries"
 METRIC_CACHE_HIT_RATIO = "repro_serve_cache_hit_ratio"
 #: Resident warm-store entries (gauge).
 METRIC_WARM_ENTRIES = "repro_serve_warm_entries"
-#: Latched circuit-breaker indicator per ``site`` (gauge, 0 or 1).
-METRIC_BREAKER_OPEN = "repro_serve_breaker_open"
-#: Degradation-ladder steps observed, labeled ``site``/``to_backend``.
-METRIC_DEGRADED = "repro_serve_degraded_total"
-#: Supervised retry events observed while serving, labeled ``site``.
-METRIC_RETRY_EVENTS = "repro_serve_retry_events_total"
 #: Whether the store has stopped admitting jobs (gauge, 0 or 1).
 METRIC_DRAINING = "repro_serve_draining"
 
@@ -115,14 +104,13 @@ def route_template(path: str) -> str:
 
 
 class ServeTelemetry:
-    """Always-on server metrics registry plus observe-bus watcher.
+    """Always-on server metrics: request hooks and scrape-time gauges.
 
-    The instance is attached to the process-default observe bus for the
-    server's lifetime (it satisfies the sink protocol), which also
-    switches the bus active — so solver counters
-    (``repro_serve_jobs_total``, cache hit/insertion counters,
-    ``repro_degradations_total``, …) accumulate in ``get_bus().metrics``
-    and ride along in the merged ``/v1/metrics`` snapshot.
+    The server keeps the process-default observe bus active while it
+    runs, so solver and serve counters (``repro_serve_jobs_total``,
+    cache hit/insertion counters, ``repro_retries_total``, …)
+    accumulate in ``get_bus().metrics`` and ride along in the merged
+    ``/v1/metrics`` snapshot.
     """
 
     def __init__(self) -> None:
@@ -138,7 +126,6 @@ class ServeTelemetry:
         self.registry.gauge(METRIC_CACHE_HIT_RATIO)
         self.registry.gauge(METRIC_WARM_ENTRIES)
         self.registry.gauge(METRIC_DRAINING)
-        self.registry.gauge(METRIC_BREAKER_OPEN, site="serve.job")
         for route in ("/jobs", "/metrics"):
             self.registry.histogram(
                 METRIC_LATENCY, buckets=HTTP_LATENCY_BUCKETS, route=route
@@ -169,28 +156,6 @@ class ServeTelemetry:
             self.registry.histogram(
                 METRIC_LATENCY, buckets=HTTP_LATENCY_BUCKETS, route=route
             ).observe(seconds)
-
-    # -- observe-bus sink protocol ------------------------------------
-    def write(self, event: Any) -> None:
-        """Fold one bus event into the resilience metrics (or drop it)."""
-        if event.type == "backend_degraded":
-            f = event.fields
-            with self._lock:
-                self.registry.counter(
-                    METRIC_DEGRADED, site=f["site"],
-                    to_backend=f["to_backend"],
-                ).inc()
-                self.registry.gauge(
-                    METRIC_BREAKER_OPEN, site=f["site"]
-                ).set(1.0)
-        elif event.type == "task_retry":
-            with self._lock:
-                self.registry.counter(
-                    METRIC_RETRY_EVENTS, site=event.fields["site"]
-                ).inc()
-
-    def close(self) -> None:
-        """Nothing to release (the registry lives on)."""
 
     # -- scrape support -----------------------------------------------
     def refresh(self, store: Any) -> None:

@@ -691,7 +691,7 @@ class TestCheckpointResume:
             {"n_iter": 8, "matcher": "approx"}, crash_at=3,
         )
 
-    def test_checkpoint_discarded_on_clean_finish(self, small_instance):
+    def test_checkpoint_outlives_a_clean_finish(self, small_instance):
         store = CheckpointStore()
         baseline = align(small_instance.problem, "bp",
                          {"n_iter": 6, "matcher": "approx"})
@@ -700,6 +700,7 @@ class TestCheckpointResume:
                     checkpoint_every=2, checkpoint_store=store,
                     checkpoint_key="clean")
         assert res.objective == baseline.objective
+        assert store.load("clean").iteration == 6
 
     def test_checkpoint_events_emitted(self, bus, small_instance):
         store = CheckpointStore()
@@ -824,6 +825,23 @@ class TestCheckpointResume:
             align(small_instance.problem, method, cfg,
                   checkpoint_store=store, checkpoint_key="t", resume=True)
         assert str(info.value) == text
+
+    @pytest.mark.parametrize("method", ["bp", "klau"])
+    def test_resume_refuses_a_snapshot_of_another_config(
+            self, small_instance, method):
+        _, cfg = self._SNAPSHOTTING[method]
+        store = CheckpointStore()
+        align(small_instance.problem, method, cfg, checkpoint_every=2,
+              checkpoint_store=store, checkpoint_key="t")
+        with pytest.raises(ConfigurationError) as info:
+            align(small_instance.problem, method, dict(cfg, gamma=0.5),
+                  checkpoint_store=store, checkpoint_key="t", resume=True)
+        assert str(info.value) == (
+            "checkpoint 't' was written under another config; resuming "
+            "from it would continue a different run")
+        # The same config still resumes it.
+        align(small_instance.problem, method, cfg, checkpoint_store=store,
+              checkpoint_key="t", resume=True)
 
 
 # ----------------------------------------------------------------------

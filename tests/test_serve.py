@@ -22,6 +22,12 @@ Three layers of coverage:
 
 import http.client
 import json
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +200,32 @@ class TestResultCache:
         assert cache.get("a") is None
         assert cache.stats()["misses"] == 1
 
+    def test_concurrent_lookups_lose_no_count(self):
+        cache = ResultCache(max_entries=4)
+        n_threads, n_ops = 8, 2000
+
+        def work(t):
+            for i in range(n_ops):
+                key = str((t + i) % 8)
+                if cache.get(key) is None:
+                    cache.put(key, {"v": i})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,))
+                       for t in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = cache.stats()
+        assert stats["hits"] + stats["misses"] == n_threads * n_ops
+        assert stats["entries"] == len(cache) <= stats["capacity"] == 4
+
 
 class TestTenantQuotas:
     def test_per_tenant_bound(self):
@@ -357,6 +389,54 @@ class TestHttpApi:
                                    body=_submission(wire_problem))
         assert status == 413
         assert doc["error"]["code"] == "too_large"
+
+    @pytest.mark.parametrize("n_b,edges,message", [
+        (4, [[0, 0, 1.0]], "problem.b has 4 vertices"),
+        (3, [[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [0, 1, 0.5]],
+         "problem has 4 candidate edges"),
+    ], ids=["vertices", "edges"])
+    def test_size_gate_answers_413(self, n_b, edges, message):
+        problem = {"a": {"n": 3, "edges": []}, "b": {"n": n_b, "edges": []},
+                   "l": {"edges": edges}}
+        with serve_in_thread(ServeConfig(port=0, workers=0,
+                                         max_edges_l=3)) as srv:
+            status, doc = _request(srv.base_url, "POST", "/v1/jobs",
+                                   body={"problem": problem})
+        assert status == 413
+        assert doc["error"] == {
+            "code": "too_large",
+            "message": f"{message}; this server accepts at most 3",
+        }
+
+    def test_hostile_vertex_count_answers_413_not_500(self):
+        # Under a 3 GiB address-space limit, decoding n = 3e9 would ask
+        # for a 24 GB index array and answer 500 with a MemoryError.
+        pytest.importorskip("resource")
+        script = textwrap.dedent("""
+            import http.client, json, resource
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+            from repro.serve import ServeConfig, serve_in_thread
+            body = json.dumps({"problem": {
+                "a": {"n": 3000000000, "edges": []},
+                "b": {"n": 3, "edges": []}, "l": {"edges": []}}})
+            with serve_in_thread(ServeConfig(port=0, workers=0)) as srv:
+                conn = http.client.HTTPConnection("127.0.0.1", srv.port)
+                conn.request("POST", "/v1/jobs", body=body)
+                resp = conn.getresponse()
+                print(resp.status, resp.read().decode())
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        status, _, body = run.stdout.strip().partition(" ")
+        assert int(status) == 413, body
+        assert json.loads(body)["error"] == {
+            "code": "too_large",
+            "message": "problem.a has 3000000000 vertices; this server "
+                       "accepts at most 2000000",
+        }
 
 
 # --------------------------------------------------------------------

@@ -3,14 +3,12 @@
 Covers the observability half of the serving layer:
 
 * unit tests for :func:`repro.serve.route_template` (bounded label
-  cardinality) and the :class:`ServeTelemetry` bus-sink folding
-  (``backend_degraded`` → latched breaker gauge, ``task_retry`` →
-  retry counter);
+  cardinality) and the :class:`ServeTelemetry` request hooks;
 * live-server tests over real sockets — the Prometheus scrape is
   parsed back with its ``method``/``route``/``status`` request labels,
   unprefixed paths answer the 404 envelope, plus ``?format=otlp``, the
-  enriched ``/v1/healthz`` document, and a concurrent
-  scrape-while-solving run;
+  enriched ``/v1/healthz`` document, a concurrent scrape-while-solving
+  run, and a retried job counted once (by the supervisor);
 * drift tests — the committed ``dashboards/*.json`` must equal the
   generated output byte-for-byte, and every metric-name constant must
   be documented in ``docs/observability.md``.
@@ -24,9 +22,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.observe import get_bus, render_dashboards
+from repro.observe import EventBus, get_bus, render_dashboards, set_bus
 from repro.observe.dashboards import DASHBOARD_NAMES
-from repro.observe.events import Event
+from repro.resilience import FaultPlan, FaultSpec, fault_plan
 from repro.serve import (
     API_VERSION,
     ServeConfig,
@@ -78,7 +76,7 @@ def _submission(wire_problem, **overrides):
 
 
 # --------------------------------------------------------------------
-# unit: route templates and bus-event folding
+# unit: route templates and request hooks
 # --------------------------------------------------------------------
 
 class TestRouteTemplate:
@@ -98,13 +96,6 @@ class TestRouteTemplate:
         assert route_template(path) == template
 
 
-def _degraded(site="serve.job", to="numpy"):
-    return Event("backend_degraded", 1, 0.0, {
-        "site": site, "from_backend": "process", "to_backend": to,
-        "reason": "boom",
-    })
-
-
 class TestTelemetrySink:
     def _value(self, tele, metric, **labels):
         rows = tele.registry.snapshot()
@@ -112,43 +103,6 @@ class TestTelemetrySink:
             if row["metric"] == metric and row["labels"] == labels:
                 return row["value"]
         raise AssertionError(f"{metric}{labels} not in snapshot")
-
-    def test_degradation_events_latch_the_breaker_gauge(self):
-        tele = ServeTelemetry()
-        assert self._value(
-            tele, telemetry_mod.METRIC_BREAKER_OPEN, site="serve.job"
-        ) == 0.0
-        tele.write(_degraded())
-        tele.write(_degraded(to="python"))
-        assert self._value(
-            tele, telemetry_mod.METRIC_BREAKER_OPEN, site="serve.job"
-        ) == 1.0
-        assert self._value(
-            tele, telemetry_mod.METRIC_DEGRADED,
-            site="serve.job", to_backend="numpy",
-        ) == 1.0
-        assert self._value(
-            tele, telemetry_mod.METRIC_DEGRADED,
-            site="serve.job", to_backend="python",
-        ) == 1.0
-
-    def test_retry_events_counted_per_site(self):
-        tele = ServeTelemetry()
-        event = Event("task_retry", 1, 0.0, {
-            "site": "serve.job", "task_index": 0, "attempt": 1,
-            "backend": "process", "reason": "timeout", "backoff_s": 0.1,
-        })
-        tele.write(event)
-        tele.write(event)
-        assert self._value(
-            tele, telemetry_mod.METRIC_RETRY_EVENTS, site="serve.job"
-        ) == 2.0
-
-    def test_unrelated_events_are_dropped(self):
-        tele = ServeTelemetry()
-        before = len(tele.registry.snapshot())
-        tele.write(Event("span_start", 1, 0.0, {"name": "x"}))
-        assert len(tele.registry.snapshot()) == before
 
     def test_request_hooks_feed_counter_histogram_and_gauge(self):
         tele = ServeTelemetry()
@@ -188,7 +142,6 @@ class TestLiveMetrics:
         assert types["repro_http_request_seconds"] == "histogram"
         assert types["repro_serve_queue_depth"] == "gauge"
         assert types["repro_serve_cache_hit_ratio"] == "gauge"
-        assert types["repro_serve_breaker_open"] == "gauge"
         requests = [
             dict(labels)
             for (name, labels) in samples
@@ -235,8 +188,15 @@ class TestLiveMetrics:
         assert status == 200
         assert doc["api_version"] == API_VERSION
         assert doc["queue_depth"] == 0
-        assert "entries" in doc["warm"]
-        assert "entries" in doc["cache"]
+        assert set(doc) == {"status", "api_version", "version", "jobs",
+                            "queue_depth", "cache", "warm", "quotas",
+                            "store", "draining"}
+        # One LRU shape: occupancy and bound; the cache adds its counts.
+        assert set(doc["warm"]) == {"entries", "capacity"}
+        assert set(doc["cache"]) == {"entries", "capacity", "hits",
+                                     "misses"}
+        assert doc["cache"]["capacity"] == ServeConfig().cache_entries
+        assert doc["warm"]["capacity"] == ServeConfig().warm_entries
 
     def test_otlp_format_and_unknown_format(self, server):
         status, _, doc = _request(
@@ -308,6 +268,37 @@ class TestLiveMetrics:
         assert status == 200 and done["state"] == "done"
 
 
+@pytest.mark.chaos
+class TestRetriedJob:
+    def test_a_retried_job_moves_exactly_one_counter(self, wire_problem):
+        # A fresh bus, so the scrape holds only this server's counters.
+        previous = set_bus(EventBus())
+        plan = FaultPlan([FaultSpec("crash", site="serve.job")], seed=0)
+        try:
+            with serve_in_thread(ServeConfig(port=0, workers=1,
+                                             max_retries=1)) as srv:
+                with fault_plan(plan):
+                    status, _, job = _request(
+                        srv.base_url, "POST", "/v1/jobs?wait=1",
+                        _submission(wire_problem))
+                _, _, raw = _request(srv.base_url, "GET", "/v1/metrics")
+        finally:
+            set_bus(previous)
+        assert status == 200 and job["state"] == "done"
+        assert job["attempts"] == 2 and len(plan.fired()) == 1
+        text = raw.decode("utf-8")
+        _, samples = parse_prometheus_text(text)
+        retries = {labels: value for (name, labels), value in samples.items()
+                   if name == "repro_retries_total"}
+        assert retries == {
+            frozenset({("backend", "serial"), ("site", "serve.job")}): 1.0,
+        }
+        for name in ("repro_serve_retry_events_total",
+                     "repro_serve_degraded_total",
+                     "repro_serve_breaker_open"):
+            assert name not in text
+
+
 class TestTelemetryDisabled:
     def test_scrape_still_answers_bus_registry_only(self, wire_problem):
         cfg = ServeConfig(port=0, workers=1, telemetry=False)
@@ -358,7 +349,7 @@ class TestDashboardsDrift:
         }
         known |= {
             "repro_serve_jobs_total", "repro_serve_cache_hits_total",
-            "repro_serve_cache_insertions_total",
+            "repro_serve_cache_insertions_total", "repro_retries_total",
         }
         for name, text in render_dashboards().items():
             doc = json.loads(text)
@@ -371,8 +362,9 @@ class TestDashboardsDrift:
                     )
 
     def test_bus_side_names_match_serve_emitters(self):
-        # dashboards.py hard-codes three bus-side counter names; they
-        # must still be the strings the serving layer emits.
+        # dashboards.py hard-codes four bus-side counter names; they
+        # must still be the strings the serving layer and the
+        # supervisor emit.
         source = "".join(
             p.read_text(encoding="utf-8")
             for p in (REPO / "src" / "repro" / "serve").glob("*.py")
@@ -381,6 +373,9 @@ class TestDashboardsDrift:
                      "repro_serve_cache_hits_total",
                      "repro_serve_cache_insertions_total"):
             assert name in source
+        supervise = REPO / "src" / "repro" / "resilience" / "supervise.py"
+        assert '"repro_retries_total"' in supervise.read_text(
+            encoding="utf-8")
 
 
 class TestMetricConstantsDocumented:
