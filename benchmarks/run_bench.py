@@ -507,7 +507,7 @@ def incremental_benchmarks(
 
         samples = timeit(warm_run, reps)
         warm_median = summarize(samples)["median_s"]
-        _, warm_res, report = warm_box
+        _, warm_res, _ = warm_box
         ratio = warm_res.objective / cold_res.objective
         rows.append({
             "group": "incremental", "name": f"realign_warm_{label}",
@@ -519,7 +519,6 @@ def incremental_benchmarks(
                 "speedup_vs_cold": cold_median / warm_median,
                 "iterations_run": warm_res.params["iterations_run"],
                 "full_sweeps": warm_res.params["full_sweeps"],
-                "touched_edges": int(len(report.touched_edges)),
             },
         })
         print(f"  incremental/realign_warm_{label}: {warm_median:.3f} s "

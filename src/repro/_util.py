@@ -14,6 +14,8 @@ __all__ = [
     "concat_ranges",
     "counting_sort_pairs",
     "numeric_rows",
+    "sorted_lookup",
+    "sorted_union",
     "vertex_ids",
 ]
 
@@ -69,6 +71,34 @@ def concat_ranges(
     return np.repeat(starts - (ends - lens), lens) + np.arange(
         total, dtype=np.int64
     ), lens
+
+
+def sorted_lookup(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Positions of ``probe`` in the strictly increasing ``keys``.
+
+    Returns an ``int64`` array shaped like ``probe``: the index of each
+    probe in ``keys``, or ``-1`` where the key is absent.  It joins
+    packed edge keys (``a·n_b + b``, behind
+    :meth:`~repro.sparse.bipartite.BipartiteGraph.lookup_edges`) and the
+    warm seed's square keys (``row·m + col``).
+    """
+    probe = np.asarray(probe, dtype=np.int64)
+    if len(keys) == 0:
+        return np.full(probe.shape, -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+    return np.where(keys[pos] == probe, pos, -1).astype(np.int64, copy=False)
+
+
+def sorted_union(n: int, *index_arrays: np.ndarray) -> np.ndarray:
+    """The distinct values of ``index_arrays`` (all in ``[0, n)``), sorted.
+
+    A mark array and ``flatnonzero``: what ``np.unique`` of their
+    concatenation returns, without its sort.
+    """
+    mark = np.zeros(n, dtype=bool)
+    for idx in index_arrays:
+        mark[idx] = True
+    return np.flatnonzero(mark)
 
 
 def counting_sort_pairs(

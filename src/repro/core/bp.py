@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from repro._util import concat_ranges
+from repro._util import concat_ranges, sorted_union
 from repro.configtools import ConfigBase
 from repro.core.othermax import othermax_col, othermax_grouped, othermax_row
 from repro.core.problem import NetworkAlignmentProblem
@@ -495,24 +495,12 @@ def _bp_run(
     return finish(result)
 
 
-def _sorted_union(n: int, *index_arrays: np.ndarray) -> np.ndarray:
-    """The distinct values of ``index_arrays`` (all in ``[0, n)``), sorted.
-
-    A mark array and ``flatnonzero``: what ``np.unique`` of their
-    concatenation returns, without its sort.
-    """
-    mark = np.zeros(n, dtype=bool)
-    for idx in index_arrays:
-        mark[idx] = True
-    return np.flatnonzero(mark)
-
-
 def _groups_of(
     ptr: np.ndarray, vertices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The positions in the othermax groups of ``vertices`` (``ptr`` is
     L's row or column pointer), and those groups' boundaries."""
-    groups = _sorted_union(len(ptr) - 1, vertices)
+    groups = sorted_union(len(ptr) - 1, vertices)
     pos, lens = concat_ranges(ptr[groups], ptr[groups + 1])
     return pos, np.concatenate([[0], np.cumsum(lens)])
 
@@ -572,11 +560,11 @@ def _frontier(problem: NetworkAlignmentProblem, hot: np.ndarray) -> np.ndarray:
     if not len(hot):
         return np.empty(0, dtype=np.int64)
     ell, s_mat = problem.ell, problem.squares
-    e_rows, _ = _groups_of(ell.row_ptr, ell.edge_a[hot])
-    pos_cols, _ = _groups_of(ell.col_ptr, ell.edge_b[hot])
     s_pos, _ = concat_ranges(s_mat.indptr[hot], s_mat.indptr[hot + 1])
-    return _sorted_union(ell.n_edges, hot, e_rows, ell.col_perm[pos_cols],
-                         s_mat.indices[s_pos])
+    return sorted_union(
+        ell.n_edges, ell.incident_edges(ell.edge_a[hot], ell.edge_b[hot]),
+        s_mat.indices[s_pos],
+    )
 
 
 def _finalize(

@@ -5,10 +5,13 @@ problems.  This package makes re-solving after a small edit cheap:
 
 * :class:`ProblemDelta` / :func:`apply_delta` — validated edit scripts
   (L-edge and graph-edge insert/delete, weight changes) that return a
-  perturbed problem plus a :class:`DeltaReport` of what was touched,
+  perturbed problem plus a :class:`DeltaReport` of the edge renumbering,
   maintaining the cached squares matrix incrementally.
 * :class:`WarmState` — a converged solver state keyed by L edges, so it
-  survives edge renumbering across edits.
+  survives edge renumbering across edits.  :func:`seed_from_warm` maps
+  it onto an edited problem and is the one place that decides which L
+  edges the edit touched: BP's initial active set, reported by the
+  first ``active_set_size`` event.
 * :func:`realign` — apply a delta and re-run BP with ``warm_from=``,
   restricting per-iteration work to the perturbed neighborhood.
 

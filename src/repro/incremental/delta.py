@@ -6,8 +6,9 @@ problems.  :class:`ProblemDelta` is a validated edit script against a
 :class:`~repro.core.problem.NetworkAlignmentProblem` (L-edge inserts /
 deletes / reweights plus edge edits on the underlying graphs A and B),
 and :func:`apply_delta` applies one, returning the perturbed problem
-together with a :class:`DeltaReport` describing exactly which L edges
-and L vertices the edit touched.
+together with a :class:`DeltaReport` of the edge renumbering and the
+squares work.  Which L edges the edit touched is BP's warm seed
+(:func:`repro.incremental.state.seed_from_warm`).
 
 The expensive derived structure — the squares matrix **S** — is
 maintained *incrementally*: rows whose square set cannot have changed
@@ -27,7 +28,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro._util import numeric_rows, vertex_ids
+from repro._util import numeric_rows, sorted_union, vertex_ids
 from repro.core.problem import NetworkAlignmentProblem
 from repro.core.squares import squares_coo
 from repro.errors import ValidationError
@@ -219,19 +220,17 @@ class ProblemDelta:
 
 @dataclass(frozen=True)
 class DeltaReport:
-    """What one :func:`apply_delta` touched.
+    """What one :func:`apply_delta` did.
+
+    Which L edges the edit touched is not here: BP's warm seed
+    (:func:`repro.incremental.state.seed_from_warm`) decides that, and
+    the first ``active_set_size`` event of a warm run reports it.
 
     Attributes:
         structural: Whether L or A/B structure changed (vs. weights only).
         n_edges_old, n_edges_new: |E_L| before and after the edit.
         old_to_new: Length ``n_edges_old`` map from old edge ids to new
             (``-1`` where the edge was deleted; monotone on survivors).
-        touched_edges: Sorted new edge ids whose objective context
-            changed — inserted edges, partners gaining or losing a
-            square, reweighted edges.  This is the seed of incremental
-            BP's active set.
-        touched_a, touched_b: The L vertices (A side / B side) incident
-            on ``touched_edges``.
         rows_recomputed: Squares rows re-expanded (0 when **S** was not
             cached or the delta was weights-only).
         squares_maintained: Whether the cached **S** was carried over
@@ -242,18 +241,13 @@ class DeltaReport:
     n_edges_old: int
     n_edges_new: int
     old_to_new: np.ndarray
-    touched_edges: np.ndarray
-    touched_a: np.ndarray
-    touched_b: np.ndarray
     rows_recomputed: int
     squares_maintained: bool
 
     def summary(self) -> str:
         """One-line human-readable description."""
         return (
-            f"delta touched {len(self.touched_edges)} of "
-            f"{self.n_edges_new} L edges "
-            f"({len(self.touched_a)}+{len(self.touched_b)} vertices); "
+            f"delta: {self.n_edges_old} -> {self.n_edges_new} L edges; "
             f"recomputed {self.rows_recomputed} squares rows"
         )
 
@@ -301,10 +295,10 @@ def _edit_graph(graph: Graph, add: np.ndarray, drop: np.ndarray,
 
 def _edit_l(
     ell: BipartiteGraph, delta: ProblemDelta
-) -> tuple[BipartiteGraph, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[BipartiteGraph, np.ndarray, np.ndarray]:
     """Apply the L edits; returns the new L and the id maps.
 
-    Returns ``(ell_new, old_to_new, added_new_ids, reweighted_new_ids)``.
+    Returns ``(ell_new, old_to_new, added_new_ids)``.
     """
     n_a, n_b = ell.n_a, ell.n_b
     keys = ell.edge_a * n_b + ell.edge_b
@@ -351,9 +345,7 @@ def _edit_l(
     old_to_new = np.full(m_old, -1, dtype=np.int64)
     old_to_new[keep] = np.searchsorted(new_keys, keys[keep])
     added_new = np.searchsorted(new_keys, np.sort(add_k))
-    rw_new = (np.searchsorted(new_keys, np.sort(rw_k))
-              if len(rw_k) else np.empty(0, dtype=np.int64))
-    return ell_new, old_to_new, added_new, rw_new
+    return ell_new, old_to_new, added_new
 
 
 def _update_squares(
@@ -410,12 +402,11 @@ def apply_delta(
             duplicate or conflicting edits, absent/present mismatches).
     """
     ell = problem.ell
-    m_old = ell.n_edges
-
+    rows_recomputed = 0
     if not delta.structural:
         # Weights-only: all structure (graphs, L sort order, S) is
         # shared; only the weight vector is replaced.
-        ell_new, _, _, rw_new = _edit_l(ell, delta)
+        ell_new, old_to_new, _ = _edit_l(ell, delta)
         new_problem = NetworkAlignmentProblem(
             problem.a_graph, problem.b_graph,
             ell.with_weights(ell_new.weights),
@@ -423,76 +414,37 @@ def apply_delta(
         )
         new_problem._squares = problem._squares
         new_problem._strans = problem._strans
-        report = DeltaReport(
-            structural=False,
-            n_edges_old=m_old,
-            n_edges_new=m_old,
-            old_to_new=np.arange(m_old, dtype=np.int64),
-            touched_edges=rw_new,
-            touched_a=np.unique(ell.edge_a[rw_new]),
-            touched_b=np.unique(ell.edge_b[rw_new]),
-            rows_recomputed=0,
-            squares_maintained=problem._squares is not None,
+    else:
+        a_new = _edit_graph(problem.a_graph, delta.a_add, delta.a_drop, "a")
+        b_new = _edit_graph(problem.b_graph, delta.b_add, delta.b_drop, "b")
+        ell_new, old_to_new, added_new = _edit_l(ell, delta)
+        new_problem = NetworkAlignmentProblem(
+            a_new, b_new, ell_new, problem.alpha, problem.beta, problem.name
         )
-        _emit_delta(delta, report)
-        return new_problem, report
-
-    a_new = _edit_graph(problem.a_graph, delta.a_add, delta.a_drop, "a")
-    b_new = _edit_graph(problem.b_graph, delta.b_add, delta.b_drop, "b")
-    ell_new, old_to_new, added_new, rw_new = _edit_l(ell, delta)
-
-    # Dirty rows: rows that can gain entries or whose expansion basis
-    # changed.  (Rows that merely *lose* a deleted partner are handled
-    # by the clean-row remap, which drops -1 columns.)
-    marks = [added_new]
-    if len(added_new):
-        _, partners = squares_coo(a_new, b_new, ell_new, added_new)
-        marks.append(partners)
-    for graph, edge_a_or_b, adds, drops in (
-        (a_new, ell_new.edge_a, delta.a_add, delta.a_drop),
-        (b_new, ell_new.edge_b, delta.b_add, delta.b_drop),
-    ):
-        if len(adds) or len(drops):
-            verts = np.unique(np.concatenate(
-                [adds.ravel(), drops.ravel()]
-            ).astype(np.int64))
-            marks.append(np.flatnonzero(np.isin(edge_a_or_b, verts)))
-    dirty = np.unique(np.concatenate(marks).astype(np.int64)) if marks \
-        else np.empty(0, dtype=np.int64)
-
-    new_problem = NetworkAlignmentProblem(
-        a_new, b_new, ell_new, problem.alpha, problem.beta, problem.name
-    )
-    rows_recomputed = 0
-    maintained = False
-    if problem._squares is not None:
-        new_problem._squares = _update_squares(
-            problem._squares, old_to_new, dirty, a_new, b_new, ell_new
-        )
-        rows_recomputed = len(dirty)
-        maintained = True
-
-    # Touched edges (BP active seed): dirty rows, reweighted edges, and
-    # surviving partners of deleted edges (their rows lost an entry).
-    touched = [dirty, rw_new]
-    dropped_old = np.flatnonzero(old_to_new < 0)
-    if len(dropped_old):
-        _, old_partners = squares_coo(
-            problem.a_graph, problem.b_graph, ell, dropped_old
-        )
-        mapped = old_to_new[old_partners]
-        touched.append(mapped[mapped >= 0])
-    touched_edges = np.unique(np.concatenate(touched).astype(np.int64))
+        if problem._squares is not None:
+            # Dirty rows: inserted edges and their square partners can
+            # gain entries, and edges on an edited A or B endpoint have a
+            # new expansion basis.  (Rows that merely *lose* a deleted
+            # partner are handled by the clean-row remap, which drops -1
+            # columns.)
+            _, partners = squares_coo(a_new, b_new, ell_new, added_new)
+            rebased = ell_new.incident_edges(
+                np.concatenate([delta.a_add.ravel(), delta.a_drop.ravel()]),
+                np.concatenate([delta.b_add.ravel(), delta.b_drop.ravel()]),
+            )
+            dirty = sorted_union(ell_new.n_edges, added_new, partners,
+                                 rebased)
+            new_problem._squares = _update_squares(
+                problem._squares, old_to_new, dirty, a_new, b_new, ell_new
+            )
+            rows_recomputed = len(dirty)
     report = DeltaReport(
-        structural=True,
-        n_edges_old=m_old,
+        structural=delta.structural,
+        n_edges_old=ell.n_edges,
         n_edges_new=ell_new.n_edges,
         old_to_new=old_to_new,
-        touched_edges=touched_edges,
-        touched_a=np.unique(ell_new.edge_a[touched_edges]),
-        touched_b=np.unique(ell_new.edge_b[touched_edges]),
         rows_recomputed=rows_recomputed,
-        squares_maintained=maintained,
+        squares_maintained=problem._squares is not None,
     )
     _emit_delta(delta, report)
     return new_problem, report
@@ -511,7 +463,6 @@ def _emit_delta(delta: ProblemDelta, report: DeltaReport) -> None:
         l_reweighted=len(delta.l_reweight),
         graph_edited=(len(delta.a_add) + len(delta.a_drop)
                       + len(delta.b_add) + len(delta.b_drop)),
-        touched_edges=len(report.touched_edges),
         rows_recomputed=report.rows_recomputed,
         n_edges_old=report.n_edges_old,
         n_edges_new=report.n_edges_new,

@@ -43,7 +43,7 @@ def realign(
 
     Returns:
         ``(new_problem, result, report)`` — the edited problem, the
-        warm alignment result, and the delta's touch report.
+        warm alignment result, and the :func:`apply_delta` report.
     """
     from repro.registry import align
 

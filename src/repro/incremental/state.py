@@ -22,6 +22,7 @@ from typing import Any
 
 import numpy as np
 
+from repro._util import sorted_lookup, sorted_union
 from repro.core.problem import NetworkAlignmentProblem
 from repro.errors import ValidationError
 from repro.matching.result import MatchingResult
@@ -48,6 +49,9 @@ class WarmState:
         objective: The returned objective (provenance only).
         method: Solver that produced the state (``"bp"``).
         digest: Optional problem digest for lineage bookkeeping.
+        alpha, beta: The objective weights (α, β) the state converged
+            under; NaN when unknown (a file saved before they were
+            recorded), which the seed treats as changed.
     """
 
     n_a: int
@@ -64,6 +68,8 @@ class WarmState:
     objective: float
     method: str = "bp"
     digest: str | None = None
+    alpha: float = float("nan")
+    beta: float = float("nan")
 
     def __post_init__(self) -> None:
         m = len(self.edge_a)
@@ -157,6 +163,8 @@ class WarmState:
             objective=float(objective),
             method="bp",
             digest=digest,
+            alpha=problem.alpha,
+            beta=problem.beta,
         )
 
     def save(self, path: str) -> None:
@@ -171,6 +179,7 @@ class WarmState:
             objective=self.objective,
             method=np.array(self.method),
             digest=np.array(self.digest if self.digest is not None else ""),
+            alpha=self.alpha, beta=self.beta,
         )
 
     @classmethod
@@ -178,6 +187,8 @@ class WarmState:
         """Load a state persisted by :meth:`save`."""
         with np.load(path) as npz:
             digest = str(npz["digest"])
+            alpha_beta = {k: float(npz[k]) for k in ("alpha", "beta")
+                          if k in npz.files}
             return cls(
                 n_a=int(npz["n_a"]), n_b=int(npz["n_b"]),
                 edge_a=npz["edge_a"], edge_b=npz["edge_b"],
@@ -188,6 +199,7 @@ class WarmState:
                 objective=float(npz["objective"]),
                 method=str(npz["method"]),
                 digest=digest or None,
+                **alpha_beta,
             )
 
 
@@ -215,10 +227,15 @@ def seed_from_warm(
     Messages transfer by L-edge key (surviving edges keep their values,
     new edges start at zero) and square messages by square key; the
     prior matching keeps every pair whose L edge survived.  The
-    returned active set contains every L edge whose next-iteration
-    computation differs from the converged fixed point: inserted or
-    reweighted edges, edges sharing an othermax group with an inserted
-    or deleted edge, and edges whose **S** row gained or lost squares.
+    returned active set is the only account of what an edit touched:
+    every L edge whose next-iteration computation differs from the
+    converged fixed point.  BP updates an edge from its weight, its row
+    of **S** and the othermax groups of its two ends, so these are the
+    inserted or reweighted edges, the edges sharing an A- or B-vertex
+    with an inserted or deleted edge, and the edges whose **S** row
+    gained or lost a square (also to a deleted partner).  Under another
+    objective (α, β) than the state's, it is every edge.  The first
+    ``active_set_size`` event of a warm run reports its size.
 
     Args:
         problem: The (edited) problem to seed.
@@ -238,16 +255,10 @@ def seed_from_warm(
             f"({warm.n_a}/{ell.n_a}, {warm.n_b}/{ell.n_b})"
         )
     m_new = ell.n_edges
-    m_old = warm.n_edges
-    new_keys = ell.edge_a * ell.n_b + ell.edge_b
-    old_keys = warm.edge_a * ell.n_b + warm.edge_b
 
     # --- edge-level transfer -----------------------------------------
-    pos = np.searchsorted(new_keys, old_keys)
-    pos_c = np.minimum(pos, max(m_new - 1, 0))
-    hit = ((pos < m_new) & (new_keys[pos_c] == old_keys)) if m_new \
-        else np.zeros(m_old, dtype=bool)
-    old_to_new = np.where(hit, pos_c, -1).astype(np.int64)
+    old_to_new = ell.lookup_edges(warm.edge_a, warm.edge_b)
+    hit = old_to_new >= 0
     y0 = np.zeros(m_new)
     z0 = np.zeros(m_new)
     surviving_new = old_to_new[hit]
@@ -263,64 +274,51 @@ def seed_from_warm(
     ]
 
     # --- square-level transfer ---------------------------------------
-    nnz_new = s_mat.nnz
-    sk0 = np.zeros(nnz_new)
-    rows_old = np.repeat(
-        np.arange(m_old, dtype=np.int64), np.diff(warm.s_indptr)
-    )
-    old_r = old_to_new[rows_old]
+    rows_new = s_mat.row_of_nonzero()
+    old_r = old_to_new[np.repeat(np.arange(warm.n_edges, dtype=np.int64),
+                                 np.diff(warm.s_indptr))]
     old_c = old_to_new[warm.s_indices]
     valid = (old_r >= 0) & (old_c >= 0)
     # CSR with sorted columns ⇒ (row, col) keys are strictly increasing,
-    # so square values join by searchsorted just like edge values.
-    new_sq_keys = s_mat.row_of_nonzero() * m_new + s_mat.indices
-    probe = old_r[valid] * m_new + old_c[valid]
-    spos = np.searchsorted(new_sq_keys, probe)
-    spos_c = np.minimum(spos, max(nnz_new - 1, 0))
-    shit = ((spos < nnz_new) & (new_sq_keys[spos_c] == probe)) if nnz_new \
-        else np.zeros(len(probe), dtype=bool)
-    sk0[spos_c[shit]] = warm.sk[valid][shit]
-    sk_seeded = np.zeros(nnz_new, dtype=bool)
-    sk_seeded[spos_c[shit]] = True
+    # so square values join like edge values.
+    sq = sorted_lookup(rows_new * m_new + s_mat.indices,
+                       old_r[valid] * m_new + old_c[valid])
+    shit = sq >= 0
+    sk0 = np.zeros(s_mat.nnz)
+    sk0[sq[shit]] = warm.sk[valid][shit]
+    sk_seeded = np.zeros(s_mat.nnz, dtype=bool)
+    sk_seeded[sq[shit]] = True
 
     # --- active seed --------------------------------------------------
-    marks = [inserted, reweighted]
-    # Rows with unseeded squares (gained a square) and surviving rows of
-    # vanished squares (lost one): their F-row sums change.
-    if nnz_new:
-        marks.append(np.unique(s_mat.row_of_nonzero()[~sk_seeded]))
-    lost = valid.copy()
-    lost[valid] = ~shit
-    if lost.any():
-        marks.append(np.unique(old_r[lost]))
-    # Othermax groups touched by an inserted or deleted edge: every edge
-    # sharing an A- or B-vertex with one sees a different competition.
-    touched_a: list[np.ndarray] = []
-    touched_b: list[np.ndarray] = []
-    if len(inserted):
-        touched_a.append(ell.edge_a[inserted])
-        touched_b.append(ell.edge_b[inserted])
-    if len(deleted_old):
-        touched_a.append(warm.edge_a[deleted_old])
-        touched_b.append(warm.edge_b[deleted_old])
-    if touched_a:
-        verts_a = np.unique(np.concatenate(touched_a))
-        verts_b = np.unique(np.concatenate(touched_b))
-        marks.append(np.flatnonzero(np.isin(ell.edge_a, verts_a)))
-        marks.append(np.flatnonzero(np.isin(ell.edge_b, verts_b)))
-    active = np.unique(np.concatenate(marks).astype(np.int64)) \
-        if marks else np.empty(0, dtype=np.int64)
+    if (warm.alpha, warm.beta) != (problem.alpha, problem.beta):
+        # Another objective (α, β) changes every edge's update.
+        active = np.arange(m_new, dtype=np.int64)
+    else:
+        # Rows with unseeded squares (gained a square) and surviving rows
+        # of vanished squares (lost one, also to a deleted partner):
+        # their F-row sums change.
+        lost = old_r >= 0
+        lost[valid] = ~shit
+        # Othermax groups touched by an inserted or deleted edge: every
+        # edge sharing an A- or B-vertex with one sees another
+        # competition.
+        regrouped = ell.incident_edges(
+            np.concatenate([ell.edge_a[inserted],
+                            warm.edge_a[deleted_old]]),
+            np.concatenate([ell.edge_b[inserted],
+                            warm.edge_b[deleted_old]]),
+        )
+        active = sorted_union(m_new, inserted, reweighted,
+                              rows_new[~sk_seeded], old_r[lost], regrouped)
 
     # --- prior matching: pairs whose L edge vanished go unmatched -----
     mate_a = warm.mate_a.copy()
     matched = np.flatnonzero(mate_a >= 0)
-    if len(matched):
-        eids = ell.lookup_edges(matched, mate_a[matched])
-        mate_a[matched[eids < 0]] = -1
+    mate_a[matched[ell.lookup_edges(matched, mate_a[matched]) < 0]] = -1
 
     unchanged = (
-        m_new == m_old and len(active) == 0 and bool(hit.all())
-        and bool(sk_seeded.all()) and nnz_new == len(warm.sk)
+        m_new == warm.n_edges and len(active) == 0 and bool(hit.all())
+        and bool(sk_seeded.all()) and s_mat.nnz == len(warm.sk)
     )
     return _Seed(
         y=y0,

@@ -20,7 +20,8 @@ waits, remote-traffic estimates).  The pieces:
   :class:`PrometheusExporter` / :class:`OTLPExporter` push sinks;
 * :mod:`~repro.observe.dashboards` — dashboard panel JSON generated
   from the event schema and serve metric names (the committed
-  ``dashboards/`` files);
+  ``dashboards/`` files); import it from its module, which is also the
+  regenerate command (``python -m repro.observe.dashboards DIR``);
 * :mod:`~repro.observe.reconstruct` — rebuild
   :class:`~repro.core.result.IterationRecord` history and per-socket
   simulator counters from a captured stream.
@@ -35,11 +36,6 @@ full schema and worked examples.
 """
 
 from repro.observe.bus import EventBus, capture, get_bus, set_bus
-from repro.observe.dashboards import (
-    DASHBOARD_NAMES,
-    render_dashboards,
-    write_dashboards,
-)
 from repro.observe.events import EVENT_TYPES, Event, validate_event
 from repro.observe.export import (
     OTLPExporter,
@@ -74,7 +70,6 @@ from repro.observe.sinks import (
 )
 
 __all__ = [
-    "DASHBOARD_NAMES",
     "EVENT_TYPES",
     "SINK_NAMES",
     "ConsoleSink",
@@ -101,10 +96,8 @@ __all__ = [
     "otlp_json",
     "prometheus_text",
     "read_jsonl",
-    "render_dashboards",
     "set_bus",
     "socket_counters_from_events",
     "text_summary",
     "validate_event",
-    "write_dashboards",
 ]

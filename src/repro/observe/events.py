@@ -60,7 +60,9 @@ Event types
 ``active_set_size``
     One incremental-BP iteration's active-set restriction (how many of
     the ``m`` L edges were updated, and whether the iteration fell back
-    to a full sweep); emitted by the warm path in ``core/bp.py``.
+    to a full sweep); emitted by the warm path in ``core/bp.py``.  The
+    first one of a warm run reports the edit's footprint: the seed
+    :func:`repro.incremental.state.seed_from_warm` computed.
 
 >>> validate_event("iteration", {
 ...     "method": "bp", "iteration": 1, "objective": 2.0,
@@ -110,8 +112,7 @@ EVENT_TYPES: dict[str, tuple[str, ...]] = {
     "checkpoint": ("method", "iteration", "key"),
     "delta_applied": (
         "structural", "l_added", "l_dropped", "l_reweighted",
-        "graph_edited", "touched_edges", "rows_recomputed",
-        "n_edges_old", "n_edges_new",
+        "graph_edited", "rows_recomputed", "n_edges_old", "n_edges_new",
     ),
     "active_set_size": ("iteration", "active", "total", "full_sweep"),
 }

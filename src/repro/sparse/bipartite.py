@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._util import asarray_f64, asarray_i64, check_same_length
+from repro._util import (
+    asarray_f64,
+    asarray_i64,
+    check_same_length,
+    concat_ranges,
+    sorted_lookup,
+    sorted_union,
+)
 from repro.errors import DimensionError, ValidationError
 
 __all__ = ["BipartiteGraph"]
@@ -186,17 +193,22 @@ class BipartiteGraph:
         The edge keys ``a·n_b + b`` are already sorted, so a
         ``searchsorted`` suffices.
         """
-        a = asarray_i64(a)
-        b = asarray_i64(b)
-        probe = a * self.n_b + b
-        if self.n_edges == 0:
-            return np.full(len(probe), -1, dtype=np.int64)
-        keys = self.edge_a * self.n_b + self.edge_b
-        pos = np.searchsorted(keys, probe)
-        pos_clipped = np.minimum(pos, len(keys) - 1)
-        found = (pos < len(keys)) & (keys[pos_clipped] == probe)
-        result = np.where(found, pos_clipped, -1)
-        return result.astype(np.int64)
+        return sorted_lookup(self.edge_a * self.n_b + self.edge_b,
+                             asarray_i64(a) * self.n_b + asarray_i64(b))
+
+    def incident_edges(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Sorted ids of the edges with an A end in ``a`` or a B end in ``b``.
+
+        These are the othermax groups of those vertices (BP's row and
+        column competitions), gathered from the row and column views'
+        ranges.  Either side may be empty, unsorted or repeat ids.
+        """
+        rows = sorted_union(self.n_a, a)
+        cols = sorted_union(self.n_b, b)
+        e_rows, _ = concat_ranges(self._row_ptr[rows], self._row_ptr[rows + 1])
+        pos_cols, _ = concat_ranges(self._col_ptr[cols],
+                                    self._col_ptr[cols + 1])
+        return sorted_union(self.n_edges, e_rows, self._col_perm[pos_cols])
 
     # ------------------------------------------------------------------
     # Views for the matching substrate

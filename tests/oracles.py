@@ -33,6 +33,11 @@ kernels :func:`repro.core.othermax.othermax_grouped` and
 every entry (the group max, its first occurrence, the max without it,
 then the clip); the second masks the empty rows out.  Both kernels
 must return their bits exactly.
+
+:func:`edit_footprint` is the definition of what an edit touched, the
+reference for the warm seed's active set
+(:func:`repro.incremental.state.seed_from_warm`), written with Python
+sets over edge keys.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from repro.sparse.bipartite import BipartiteGraph
 __all__ = [
     "count_squares_bruteforce",
     "delta_build_loops",
+    "edit_footprint",
     "locally_dominant_rounds_python",
     "othermax_grouped_full",
     "problem_from_wire_loops",
@@ -400,3 +406,42 @@ def segment_sum_masked(
         return
     sums = np.add.reduceat(values, starts[nonempty])
     out[np.arange(n_rows)[nonempty]] = sums
+
+
+def edit_footprint(
+    old: NetworkAlignmentProblem, new: NetworkAlignmentProblem
+) -> np.ndarray:
+    """The L edges (new ids) whose BP update an edit changed.
+
+    BP updates an edge from its weight, its row of **S** and the
+    othermax groups of its two ends.  So the footprint is every edge of
+    ``new`` that is inserted, is reweighted, has a set of square
+    partners (by edge key) other than in ``old``, or shares an A- or
+    B-vertex with an inserted or dropped edge.
+    """
+    def edges(p):
+        return {(a, b): w for a, b, w in zip(
+            p.ell.edge_a.tolist(), p.ell.edge_b.tolist(),
+            p.ell.weights.tolist())}
+
+    def partners(p, keys):
+        nbr_a = {v: set(p.a_graph.neighbors(v).tolist())
+                 for v in range(p.a_graph.n)}
+        nbr_b = {v: set(p.b_graph.neighbors(v).tolist())
+                 for v in range(p.b_graph.n)}
+        return {(i, ip): {(j, jp) for (j, jp) in keys
+                          if j in nbr_a[i] and jp in nbr_b[ip]}
+                for (i, ip) in keys}
+
+    w_old, w_new = edges(old), edges(new)
+    s_old, s_new = partners(old, w_old), partners(new, w_new)
+    churned = (w_new.keys() - w_old.keys()) | (w_old.keys() - w_new.keys())
+    ends_a = {a for a, _ in churned}
+    ends_b = {b for _, b in churned}
+    touched = {
+        key for key in w_new
+        if key not in w_old or w_new[key] != w_old[key]
+        or s_new[key] != s_old[key] or key[0] in ends_a or key[1] in ends_b
+    }
+    return np.array([e for e, key in enumerate(sorted(w_new))
+                     if key in touched], dtype=np.int64)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DimensionError, ValidationError
@@ -172,3 +172,36 @@ def test_views_consistent_random(seed):
     assert np.array_equal(np.sort(seen), np.arange(g.n_edges))
     seen_b = np.concatenate([g.edges_of_b(j) for j in range(n_b)]) if g.n_edges else np.array([])
     assert np.array_equal(np.sort(seen_b), np.arange(g.n_edges))
+
+
+@st.composite
+def graphs_and_vertex_sets(draw):
+    """A random L (isolated vertices likely) and two vertex lists that
+    may be empty, unsorted or repeat ids."""
+    n_a, n_b = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n_a - 1),
+                                    st.integers(0, n_b - 1)), max_size=30))
+    g = BipartiteGraph.from_edges(
+        n_a, n_b, [p[0] for p in pairs], [p[1] for p in pairs],
+        np.ones(len(pairs)),
+    )
+    a = draw(st.lists(st.integers(0, n_a - 1), max_size=12))
+    b = draw(st.lists(st.integers(0, n_b - 1), max_size=12))
+    return g, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+
+
+_TWO_EDGES = BipartiteGraph.from_edges(4, 4, [0, 1], [1, 0], 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_and_vertex_sets())
+@example((_TWO_EDGES, np.array([2, 3]), np.array([3, 2, 2])))  # isolated
+@example((_TWO_EDGES, np.empty(0, dtype=np.int64), np.array([1])))
+def test_incident_edges_matches_isin(case):
+    """Property: the range gathers find exactly the edges an ``isin``
+    scan over every edge finds, sorted and distinct."""
+    g, a, b = case
+    got = g.incident_edges(a, b)
+    want = np.flatnonzero(np.isin(g.edge_a, a) | np.isin(g.edge_b, b))
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)

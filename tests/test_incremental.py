@@ -8,7 +8,9 @@ Four layers of coverage:
   ``apply_delta`` yields a problem digest-identical to building the
   perturbed problem from scratch, with a squares matrix that is
   array-identical to a fresh ``build_squares``;
-* warm BP — rate-0 realignment reproduces the prior result (and a
+* warm BP — the warm seed is exactly the set-based edit footprint
+  (``tests.oracles.edit_footprint``), and every edge under another
+  (α, β); rate-0 realignment reproduces the prior result (and a
   mid-run checkpoint, via ``WarmState.from_checkpoint``) bit-identically
   in zero iterations; perturbed realignment emits ``active_set_size``
   events and matches the two-step apply+align sequence exactly; a warm
@@ -53,6 +55,7 @@ from repro.resilience import (
 )
 from repro.serve import problem_digest, problem_to_wire
 from tests.helpers import SnapshotLog
+from tests.oracles import edit_footprint
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +71,13 @@ def problem(instance):
 
 
 CFG = BPConfig(n_iter=12, matcher="approx", batch=2)
+
+
+@pytest.fixture(scope="module")
+def base_warm(problem):
+    """The warm state of a cold ``CFG`` solve of ``problem``."""
+    return WarmState.from_result(
+        problem, align(problem, "bp", CFG, keep_state=True))
 
 
 def _rebuilt(edited: NetworkAlignmentProblem) -> NetworkAlignmentProblem:
@@ -174,20 +184,19 @@ class TestApplyDelta:
         assert report.squares_maintained
         assert report.n_edges_new == edited.n_edges_l
 
-    def test_report_names_the_blast_radius(self, problem):
+    def test_report_maps_old_ids_to_new(self, problem):
         delta = edit_script(problem, l_edge_rate=0.2, seed=11)
         edited, report = apply_delta(problem, delta)
         assert isinstance(report, DeltaReport)
         assert len(report.old_to_new) == report.n_edges_old
         survivors = report.old_to_new[report.old_to_new >= 0]
         assert np.all(np.diff(survivors) > 0)  # monotone on survivors
-        assert np.all(report.touched_edges < report.n_edges_new)
-        np.testing.assert_array_equal(
-            report.touched_a,
-            np.unique(edited.ell.edge_a[report.touched_edges]))
-        assert "delta touched" in report.summary()
+        assert len(survivors) == report.n_edges_old - len(delta.l_drop)
+        assert report.n_edges_new == edited.n_edges_l
+        assert "recomputed" in report.summary()
 
-    def test_weights_only_delta_shares_structure(self, problem):
+    def test_weights_only_delta_shares_structure(self, problem,
+                                                 base_warm):
         w = perturb_weights(problem.ell, 0.3, seed=5)
         changed = np.flatnonzero(w != problem.ell.weights)
         delta = ProblemDelta.build(l_reweight=[
@@ -198,13 +207,16 @@ class TestApplyDelta:
         assert not report.structural
         assert report.rows_recomputed == 0
         assert edited._squares is problem._squares  # shared, not rebuilt
-        np.testing.assert_array_equal(report.touched_edges, changed)
         np.testing.assert_array_equal(edited.ell.weights, w)
+        # The seed of a weights-only edit is exactly the reweighted edges.
+        seed = seed_from_warm(edited, base_warm, edited.squares)
+        np.testing.assert_array_equal(seed.active, changed)
 
-    def test_empty_delta_is_identity(self, problem):
+    def test_empty_delta_is_identity(self, problem, base_warm):
         edited, report = apply_delta(problem, ProblemDelta.build())
         assert problem_digest(edited) == problem_digest(problem)
-        assert len(report.touched_edges) == 0
+        seed = seed_from_warm(edited, base_warm, edited.squares)
+        assert len(seed.active) == 0 and seed.unchanged
 
     def test_uncached_squares_are_not_built(self, problem):
         cold = _rebuilt(problem)  # no cached S
@@ -221,7 +233,7 @@ class TestApplyDelta:
             _, report = apply_delta(problem, delta)
         (event,) = sink.of_type("delta_applied")
         assert event.fields["structural"] is True
-        assert event.fields["touched_edges"] == len(report.touched_edges)
+        assert event.fields["rows_recomputed"] == report.rows_recomputed
         assert event.fields["n_edges_new"] == report.n_edges_new
         assert event.fields["l_added"] == len(delta.l_add)
 
@@ -245,10 +257,28 @@ class TestWarmState:
         assert (back.n_a, back.n_b) == (warm.n_a, warm.n_b)
         assert back.digest == "abc123"
         assert back.objective == warm.objective
+        assert (back.alpha, back.beta) == (problem.alpha, problem.beta)
         for name in ("edge_a", "edge_b", "weights", "y", "z", "sk",
                      "s_indptr", "s_indices", "mate_a"):
             np.testing.assert_array_equal(getattr(back, name),
                                           getattr(warm, name))
+
+    def test_file_without_objective_loads_as_changed(self, problem,
+                                                     base_warm, tmp_path):
+        """A state file saved before α and β were recorded still loads;
+        its seed cannot tell the objective apart, so it seeds every
+        edge."""
+        path = str(tmp_path / "old.npz")
+        base_warm.save(path)
+        with np.load(path) as npz:
+            fields = {k: npz[k] for k in npz.files
+                      if k not in ("alpha", "beta")}
+        np.savez_compressed(path, **fields)
+        old = WarmState.load(path)
+        seed = seed_from_warm(problem, old, problem.squares)
+        np.testing.assert_array_equal(seed.active,
+                                      np.arange(problem.n_edges_l))
+        assert not seed.unchanged
 
     def test_seed_rejects_foreign_problem(self, problem):
         res = align(problem, "bp", CFG, keep_state=True)
@@ -257,6 +287,42 @@ class TestWarmState:
             n=40, expected_degree=4, seed=9).problem
         with pytest.raises(ValidationError, match="vertex sets"):
             seed_from_warm(other, warm, other.squares)
+
+
+class TestSeedFootprint:
+    """The warm seed is exactly what the edit touched (the set-based
+    :func:`tests.oracles.edit_footprint`)."""
+
+    @pytest.fixture(scope="class")
+    def bases(self):
+        # The solves cache S, so apply_delta maintains it.
+        out = []
+        for seed in range(4):
+            p = repro.powerlaw_alignment_instance(
+                n=60, expected_degree=4, seed=seed).problem
+            res = align(p, "bp", BPConfig(n_iter=3), keep_state=True)
+            out.append((p, WarmState.from_result(p, res)))
+        return out
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seed_equals_edit_footprint(self, bases, seed):
+        base, warm = bases[seed % 4]
+        delta = edit_script(base, l_edge_rate=0.1, weight_rate=0.1,
+                            graph_edge_rate=0.05, seed=200 + seed)
+        edited, _ = apply_delta(base, delta)
+        got = seed_from_warm(edited, warm, edited.squares).active
+        np.testing.assert_array_equal(got, edit_footprint(base, edited))
+
+    def test_dropped_square_partners_are_seeded(self, problem, base_warm):
+        """A survivor whose square partner was dropped lost an S entry."""
+        s_mat = problem.squares
+        partners = s_mat.indices[s_mat.indptr[0]:s_mat.indptr[1]]
+        assert len(partners)
+        a, b = int(problem.ell.edge_a[0]), int(problem.ell.edge_b[0])
+        edited, report = apply_delta(problem,
+                                     ProblemDelta.build(l_drop=[(a, b)]))
+        seed = seed_from_warm(edited, base_warm, edited.squares)
+        assert set(report.old_to_new[partners]) <= set(seed.active)
 
 
 class TestWarmAlign:
@@ -301,12 +367,24 @@ class TestWarmAlign:
         assert res.objective == two_step.objective
         np.testing.assert_array_equal(res.matching.mate_a,
                                       two_step.matching.mate_a)
-        np.testing.assert_array_equal(report.touched_edges,
-                                      two_step_report.touched_edges)
+        np.testing.assert_array_equal(report.old_to_new,
+                                      two_step_report.old_to_new)
         assert res.params["iterations_run"] >= 1
         # keep_state=True (the default) lets realignments chain.
         next_state = WarmState.from_result(new_problem, res)
         assert next_state.n_edges == new_problem.n_edges_l
+
+    def test_objective_change_reseeds_every_edge(self, problem,
+                                                 base_warm):
+        """Realigning the same graphs under another (α, β) is not an
+        unchanged problem: every edge's update differs."""
+        other = problem.with_objective(1.0, 0.0)
+        seed = seed_from_warm(other, base_warm, other.squares)
+        np.testing.assert_array_equal(seed.active,
+                                      np.arange(other.n_edges_l))
+        assert not seed.unchanged
+        res = align(other, "bp", CFG, warm_from=base_warm)
+        assert res.params["iterations_run"] >= 1
 
     def test_warm_emits_active_set_events(self, problem):
         cold = align(problem, "bp", CFG, keep_state=True)
@@ -571,6 +649,25 @@ class TestServeWarmPath:
         assert status == 200
         assert cold["cached"] is False  # lineage key kept them apart
         assert cold["warm_from"] is None
+
+    def test_objective_change_iterates_over_http(self, warm_server,
+                                                 problem):
+        """A warm job under another (α, β) than its parent's iterates
+        instead of returning the parent's matching."""
+        base = warm_server.base_url
+        cfg = {"n_iter": 7, "matcher": "approx", "batch": 2}
+        wire = problem_to_wire(problem)
+        _, parent = _request(base, "POST", "/v1/jobs?wait=1",
+                             body=_submission(wire, config=cfg))
+        assert parent["cached"] is False
+        _, warm = _request(
+            base, "POST", "/v1/jobs?wait=1",
+            body=_submission(dict(wire, alpha=1.0, beta=0.0), config=cfg,
+                             warm_from=parent["id"]))
+        assert warm["state"] == "done"
+        _, res = _request(base, "GET", f"/v1/jobs/{warm['id']}/result")
+        assert res["method"].startswith("bp-warm")
+        assert res["iterations"] >= 1
 
     def test_unusable_warm_from_rejected(self, warm_server,
                                          perturbed_wire):

@@ -16,14 +16,17 @@ Covers the observability half of the serving layer:
 
 import http.client
 import json
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.observe import EventBus, get_bus, render_dashboards, set_bus
-from repro.observe.dashboards import DASHBOARD_NAMES
+from repro.observe import EventBus, get_bus, set_bus
+from repro.observe.dashboards import DASHBOARD_NAMES, render_dashboards
 from repro.resilience import FaultPlan, FaultSpec, fault_plan
 from repro.serve import (
     API_VERSION,
@@ -334,6 +337,24 @@ class TestDashboardsDrift:
                 f"dashboards/{name} drifted from the generated output — "
                 f"run: python -m repro.observe.dashboards dashboards/"
             )
+
+    def test_regenerate_command_runs_without_warnings(self, tmp_path):
+        """The documented regenerate command, with RuntimeWarnings as
+        errors (runpy warns when the package imported the module before
+        running it as ``__main__``), writes the committed files."""
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.observe.dashboards", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted(DASHBOARD_NAMES)
+        for name in DASHBOARD_NAMES:
+            assert (tmp_path / name).read_bytes() == \
+                (REPO / "dashboards" / name).read_bytes()
 
     def test_no_stray_dashboard_files(self):
         on_disk = {

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro._util import (
     as_rng,
@@ -9,6 +11,8 @@ from repro._util import (
     asarray_i64,
     check_same_length,
     counting_sort_pairs,
+    sorted_lookup,
+    sorted_union,
 )
 from repro.errors import (
     ConfigurationError,
@@ -71,6 +75,43 @@ class TestCountingSort:
         secondary = np.array([0, 0, 0])
         order = counting_sort_pairs(primary, secondary, 2)
         assert list(order) == [0, 1, 2]
+
+
+class TestSortedUnion:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_unique_of_concatenation(self, data):
+        n = data.draw(st.integers(1, 40))
+        arrays = [np.array(x, dtype=np.int64) for x in data.draw(
+            st.lists(st.lists(st.integers(0, n - 1), max_size=15),
+                     max_size=5))]
+        got = sorted_union(n, *arrays)
+        want = (np.unique(np.concatenate(arrays)) if arrays
+                else np.empty(0, dtype=np.int64))
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+    def test_empty_inputs(self):
+        assert sorted_union(0).dtype == np.int64
+        assert len(sorted_union(5)) == 0
+        empty = np.empty(0, dtype=np.int64)
+        assert len(sorted_union(5, empty, empty)) == 0
+
+
+class TestSortedLookup:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.integers(-50, 50), max_size=20),
+           st.lists(st.integers(-60, 60), max_size=30))
+    @example({3, 7, 11}, [0, 5, 12, 7, 3, 11])  # absent below/between/above
+    @example(set(), [0, 1])  # no keys
+    def test_matches_dict(self, key_set, probe):
+        """Probes below, between and above the keys, and into no keys,
+        find their position or -1."""
+        keys = np.array(sorted(key_set), dtype=np.int64)
+        where = {k: i for i, k in enumerate(keys.tolist())}
+        got = sorted_lookup(keys, np.array(probe, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.tolist() == [where.get(p, -1) for p in probe]
 
 
 class TestErrorHierarchy:
