@@ -141,42 +141,34 @@ def _cmd_fig5(args: argparse.Namespace) -> None:
     _print_scaling(result, "Figure 5 — strong scaling, lcsh-rameau (simulated)")
 
 
-def _cmd_fig6(args: argparse.Namespace) -> None:
-    from repro.bench.figures import fig6_steps_mr
+def _print_steps(curves: dict, title: str) -> None:
     from repro.bench.report import format_table
 
-    curves = fig6_steps_mr(scale=args.scale, seed=args.seed)
     threads = next(iter(curves.values())).thread_counts
     rows = [
         [name] + [f"{c.baseline / t:.1f}" if t > 0 else "-" for t in c.times]
         for name, c in curves.items()
     ]
     print(
-        format_table(
-            ["step"] + [f"p={t}" for t in threads],
-            rows,
-            title="Figure 6 — per-step strong scaling, Klau/lcsh-wiki",
-        )
+        format_table(["step"] + [f"p={t}" for t in threads], rows,
+                     title=title)
     )
+
+
+def _cmd_fig6(args: argparse.Namespace) -> None:
+    from repro.bench.figures import fig6_steps_mr
+
+    curves = fig6_steps_mr(scale=args.scale, seed=args.seed)
+    _print_steps(curves,
+                 "Figure 6 — per-step strong scaling, Klau/lcsh-wiki")
 
 
 def _cmd_fig7(args: argparse.Namespace) -> None:
     from repro.bench.figures import fig7_steps_bp
-    from repro.bench.report import format_table
 
     curves = fig7_steps_bp(scale=args.scale, seed=args.seed)
-    threads = next(iter(curves.values())).thread_counts
-    rows = [
-        [name] + [f"{c.baseline / t:.1f}" if t > 0 else "-" for t in c.times]
-        for name, c in curves.items()
-    ]
-    print(
-        format_table(
-            ["step"] + [f"p={t}" for t in threads],
-            rows,
-            title="Figure 7 — per-step strong scaling, BP(batch=20)/lcsh-wiki",
-        )
-    )
+    _print_steps(curves,
+                 "Figure 7 — per-step strong scaling, BP(batch=20)/lcsh-wiki")
 
 
 def _cmd_headline(args: argparse.Namespace) -> None:
@@ -222,6 +214,16 @@ def _solve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _write_matching(path: str | None, mate_a: np.ndarray) -> None:
+    """Write the matched ``a b`` pairs, one per line, when ``path`` is set."""
+    if not path:
+        return
+    with open(path, "w") as fh:
+        for a in np.flatnonzero(mate_a >= 0).tolist():
+            fh.write(f"{a} {mate_a[a]}\n")
+    print(f"matching written to {path}")
+
+
 def _cmd_solve(args: argparse.Namespace) -> None:
     import json
 
@@ -254,12 +256,7 @@ def _cmd_solve(args: argparse.Namespace) -> None:
         from repro.analysis import alignment_report
 
         print(alignment_report(problem, res.matching).as_text())
-    if args.output:
-        matched = np.flatnonzero(res.matching.mate_a >= 0)
-        with open(args.output, "w") as fh:
-            for a in matched.tolist():
-                fh.write(f"{a} {res.matching.mate_a[a]}\n")
-        print(f"matching written to {args.output}")
+    _write_matching(args.output, res.matching.mate_a)
 
 
 def _cmd_realign(args: argparse.Namespace) -> None:
@@ -297,12 +294,7 @@ def _cmd_realign(args: argparse.Namespace) -> None:
     if args.save_state:
         WarmState.from_result(new_problem, res).save(args.save_state)
         print(f"warm state written to {args.save_state}")
-    if args.output:
-        matched = np.flatnonzero(res.matching.mate_a >= 0)
-        with open(args.output, "w") as fh:
-            for a in matched.tolist():
-                fh.write(f"{a} {res.matching.mate_a[a]}\n")
-        print(f"matching written to {args.output}")
+    _write_matching(args.output, res.matching.mate_a)
 
 
 def _cmd_serve(args: argparse.Namespace) -> None:
@@ -537,7 +529,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=3)
         p.set_defaults(func=func)
 
-    p = sub.add_parser("solve", help="solve an SMAT problem directory")
+    # The solver flags ``solve`` and ``realign`` share.
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument(
+        "--config", default=None, metavar="PATH",
+        help="JSON file fed through the method config's from_dict(); "
+             "explicit flags override its entries",
+    )
+    solver.add_argument(
+        "--matcher", choices=MATCHER_KINDS, default=None,
+        help="rounding matcher (multilevel: the coarsest-solve matcher); "
+             "default approx for bp/mr",
+    )
+    solver.add_argument("--iters", type=int, default=None,
+                        help="solver iterations (multilevel: "
+                             "coarsest_iters); default 100 for bp/mr")
+    solver.add_argument("--batch", type=int, default=None)
+    solver.add_argument("--alpha", type=float, default=1.0)
+    solver.add_argument("--beta", type=float, default=2.0)
+    solver.add_argument("--output", default=None)
+
+    p = sub.add_parser("solve", parents=[solver],
+                       help="solve an SMAT problem directory")
     p.add_argument("directory")
     p.add_argument(
         "--method", choices=["bp", "mr", "isorank", "multilevel"],
@@ -545,33 +558,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="any repro.align() method (mr = Klau's matching relaxation)",
     )
     p.add_argument(
-        "--config", default=None, metavar="PATH",
-        help="JSON file fed through the method config's from_dict(); "
-             "explicit flags below override its entries",
-    )
-    p.add_argument(
-        "--matcher", choices=MATCHER_KINDS, default=None,
-        help="rounding matcher (multilevel: the coarsest-solve matcher); "
-             "default approx for bp/mr",
-    )
-    p.add_argument("--iters", type=int, default=None,
-                   help="solver iterations (multilevel: coarsest_iters); "
-                        "default 100 for bp/mr")
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument(
         "--chaos", default=None, metavar="PLAN.json",
         help="install a deterministic FaultPlan (JSON, see "
              "docs/resilience.md) for the duration of the solve",
     )
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--output", default=None)
     p.add_argument("--report", action="store_true",
                    help="print the full alignment metrics report")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser(
-        "realign",
+        "realign", parents=[solver],
         help="incrementally re-align an edited problem from a warm "
              "state (docs/incremental.md)",
     )
@@ -595,15 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=["bp"], default="bp",
         help="warm-capable method (bp only for now)",
     )
-    p.add_argument("--config", default=None, metavar="PATH",
-                   help="JSON fed through the method config's from_dict()")
-    p.add_argument("--matcher", default=None, choices=MATCHER_KINDS,
-                   help="rounding matcher")
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_realign)
 
     p = sub.add_parser(

@@ -11,15 +11,19 @@ module provides exactly that workflow:
 * :class:`SteeringSession` — an iterative wrapper: solve → inspect →
   pin/forbid → re-solve, tracking the constraint history.
 
-Pinning is implemented by *restricting* L rather than by weight tricks,
-so any matcher and either method can be used unchanged, and pinned pairs
-are guaranteed to be matchable (they have no competitors left).
+Both edits are :class:`~repro.incremental.ProblemDelta` edit scripts
+applied by :func:`~repro.incremental.apply_delta`, so a cached squares
+matrix **S** is maintained rather than rebuilt, and each edit emits a
+``delta_applied`` event.  Pinning *restricts* L rather than playing
+weight tricks, so any matcher and either method can be used unchanged,
+and pinned pairs are guaranteed to be matchable (they have no
+competitors left).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,19 +32,30 @@ from repro.core.klau import KlauConfig, klau_align
 from repro.core.problem import NetworkAlignmentProblem
 from repro.core.result import AlignmentResult
 from repro.errors import ConfigurationError, ValidationError
+from repro.incremental.delta import ProblemDelta, apply_delta
 from repro.sparse.bipartite import BipartiteGraph
 
 __all__ = ["forbid_pairs", "pin_pairs", "SteeringSession"]
 
 
-def _pairs_to_arrays(
-    pairs: Iterable[tuple[int, int]]
-) -> tuple[np.ndarray, np.ndarray]:
+def _edge_ids(
+    problem: NetworkAlignmentProblem, pairs: Iterable[tuple[int, int]],
+    verb: str,
+) -> np.ndarray:
+    """L edge ids of ``(a, b)`` pairs; a pair that is not a candidate
+    edge raises (a typo'd pin or forbid should not pass silently)."""
     pairs = list(pairs)
-    if not pairs:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    a, b = zip(*pairs)
-    return np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    ab = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
+    eids = problem.ell.lookup_edges(ab[:, 0], ab[:, 1])
+    if (eids < 0).any():
+        bad = [tuple(p) for p in ab[eids < 0].tolist()]
+        raise ValidationError(f"cannot {verb} non-candidate pairs {bad[:5]}")
+    return eids
+
+
+def _edges(ell: BipartiteGraph, eids: np.ndarray) -> np.ndarray:
+    """The ``(a, b)`` rows of L edges ``eids``."""
+    return np.column_stack([ell.edge_a[eids], ell.edge_b[eids]])
 
 
 def forbid_pairs(
@@ -48,19 +63,13 @@ def forbid_pairs(
 ) -> NetworkAlignmentProblem:
     """Return a problem with the given ``(a, b)`` candidate edges removed.
 
-    Unknown pairs are rejected loudly (a typo'd forbid should not pass
-    silently).
+    Unknown pairs are rejected loudly; a pair named twice is removed once.
     """
-    a, b = _pairs_to_arrays(pairs)
-    if len(a) == 0:
+    eids = np.unique(_edge_ids(problem, pairs, "forbid"))
+    if not len(eids):
         return problem
-    eids = problem.ell.lookup_edges(a, b)
-    if (eids < 0).any():
-        bad = [(int(x), int(y)) for x, y in zip(a[eids < 0], b[eids < 0])]
-        raise ValidationError(f"cannot forbid non-candidate pairs {bad[:5]}")
-    mask = np.ones(problem.n_edges_l, dtype=bool)
-    mask[eids] = False
-    return _with_l(problem, problem.ell.subgraph(mask))
+    delta = ProblemDelta(l_drop=_edges(problem.ell, eids))
+    return apply_delta(problem, delta)[0]
 
 
 def pin_pairs(
@@ -70,48 +79,23 @@ def pin_pairs(
 
     All other candidates incident on a pinned vertex (on either side) are
     removed; the pinned edge remains the unique, strictly positive choice
-    for its endpoints, so every matcher selects it.
+    for its endpoints (a weight below ``1e-6`` is lifted to ``1e-6``), so
+    every matcher selects it.
     """
-    a, b = _pairs_to_arrays(pairs)
-    if len(a) == 0:
+    eids = _edge_ids(problem, pairs, "pin")
+    if not len(eids):
         return problem
-    eids = problem.ell.lookup_edges(a, b)
-    if (eids < 0).any():
-        bad = [(int(x), int(y)) for x, y in zip(a[eids < 0], b[eids < 0])]
-        raise ValidationError(f"cannot pin non-candidate pairs {bad[:5]}")
+    ell = problem.ell
+    a, b = ell.edge_a[eids], ell.edge_b[eids]
     if len(np.unique(a)) != len(a) or len(np.unique(b)) != len(b):
         raise ConfigurationError("pinned pairs must be vertex-disjoint")
-    ell = problem.ell
-    pinned_a = np.zeros(ell.n_a, dtype=bool)
-    pinned_b = np.zeros(ell.n_b, dtype=bool)
-    pinned_a[a] = True
-    pinned_b[b] = True
-    pinned_edge = np.zeros(ell.n_edges, dtype=bool)
-    pinned_edge[eids] = True
-    keep = pinned_edge | (
-        ~pinned_a[ell.edge_a] & ~pinned_b[ell.edge_b]
+    lift = eids[ell.weights[eids] < 1e-6]
+    delta = ProblemDelta(
+        l_drop=_edges(ell, np.setdiff1d(ell.incident_edges(a, b), eids)),
+        l_reweight=_edges(ell, lift),
+        l_reweight_w=np.full(len(lift), 1e-6),
     )
-    sub = ell.subgraph(keep)
-    # Guarantee the pinned edges carry positive weight so no matcher
-    # drops them.
-    new_w = sub.weights.copy()
-    sub_eids = sub.lookup_edges(a, b)
-    new_w[sub_eids] = np.maximum(new_w[sub_eids], 1e-6)
-    return _with_l(problem, sub.with_weights(new_w))
-
-
-def _with_l(
-    problem: NetworkAlignmentProblem, ell: BipartiteGraph
-) -> NetworkAlignmentProblem:
-    """Rebuild the problem around a restricted L (S must be rebuilt)."""
-    return NetworkAlignmentProblem(
-        problem.a_graph,
-        problem.b_graph,
-        ell,
-        alpha=problem.alpha,
-        beta=problem.beta,
-        name=problem.name,
-    )
+    return apply_delta(problem, delta)[0]
 
 
 @dataclass

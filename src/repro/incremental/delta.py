@@ -28,7 +28,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro._util import numeric_rows, sorted_union, vertex_ids
+from repro._util import numeric_rows, sorted_lookup, sorted_union, vertex_ids
 from repro.core.problem import NetworkAlignmentProblem
 from repro.core.squares import squares_coo
 from repro.errors import ValidationError
@@ -252,9 +252,56 @@ class DeltaReport:
         )
 
 
-def _check_unique(keys: np.ndarray, what: str) -> None:
+def _pair_keys(pairs: np.ndarray, shape: tuple[int, int], what: str,
+               out_of_range: str) -> np.ndarray:
+    """Pack ``(u, v)`` rows as keys ``u·shape[1] + v``, rejecting ids
+    outside ``shape`` and repeated pairs."""
+    if not len(pairs):
+        return np.empty(0, dtype=np.int64)
+    if (pairs < 0).any() or (pairs >= shape).any():
+        raise ValidationError(f"{what}: {out_of_range}")
+    keys = pairs[:, 0] * shape[1] + pairs[:, 1]
     if len(np.unique(keys)) != len(keys):
         raise ValidationError(f"{what} contains duplicate edges")
+    return keys
+
+
+#: The messages of :func:`_edit_key_set` for L.
+_L_ERRORS = ("endpoint out of range", "l_drop names edges not in L",
+             "l_add names edges already in L (use l_reweight)",
+             "the same L edge is added and dropped")
+
+
+def _edit_key_set(
+    keys: np.ndarray,
+    shape: tuple[int, int],
+    add: np.ndarray,
+    drop: np.ndarray,
+    names: tuple[str, str],
+    errors: tuple[str, str, str, str],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The strict edit of the sorted key set ``keys`` (L's, A's or B's).
+
+    Packs the ``add`` and ``drop`` rows (called ``names``) with
+    :func:`_pair_keys`, then requires drop ⊆ keys, add ∩ keys = ∅ and
+    add ∩ drop = ∅.  ``errors`` holds the out-of-range message, then one
+    per requirement.  Returns the mask of surviving ``keys``, the edited
+    key set, and the order that sorts ``concat(keys[keep], add)`` into it.
+    """
+    add_k = _pair_keys(add, shape, names[0], errors[0])
+    drop_k = _pair_keys(drop, shape, names[1], errors[0])
+    drop_pos = sorted_lookup(keys, drop_k)
+    if (drop_pos < 0).any():
+        raise ValidationError(errors[1])
+    if (sorted_lookup(keys, add_k) >= 0).any():
+        raise ValidationError(errors[2])
+    if np.isin(add_k, drop_k).any():
+        raise ValidationError(errors[3])
+    keep = np.ones(len(keys), dtype=bool)
+    keep[drop_pos] = False
+    merged = np.concatenate([keys[keep], add_k])
+    order = np.argsort(merged, kind="stable")
+    return keep, merged[order], order
 
 
 def _edit_graph(graph: Graph, add: np.ndarray, drop: np.ndarray,
@@ -262,90 +309,65 @@ def _edit_graph(graph: Graph, add: np.ndarray, drop: np.ndarray,
     """Apply edge inserts/deletes to one undirected graph (strict)."""
     if not len(add) and not len(drop):
         return graph
-    n = graph.n
-
-    def norm_keys(pairs: np.ndarray, what: str) -> np.ndarray:
-        if not len(pairs):
-            return np.empty(0, dtype=np.int64)
-        if pairs.min() < 0 or pairs.max() >= n:
-            raise ValidationError(f"{what}: vertex id out of range")
-        u = np.minimum(pairs[:, 0], pairs[:, 1])
-        v = np.maximum(pairs[:, 0], pairs[:, 1])
-        if np.any(u == v):
+    n, names = graph.n, (f"{label}.add", f"{label}.drop")
+    # Undirected: (u, v) and (v, u) name one edge, stored as u < v.
+    add, drop = np.sort(add, axis=1), np.sort(drop, axis=1)
+    for pairs, what in zip((add, drop), names):
+        if (pairs[:, 0] == pairs[:, 1]).any():
             raise ValidationError(f"{what}: self-loops are not allowed")
-        keys = u * n + v
-        _check_unique(keys, what)
-        return keys
-
-    keys = graph.edge_u * n + graph.edge_v
-    add_k = norm_keys(add, f"{label}.add")
-    drop_k = norm_keys(drop, f"{label}.drop")
-    if len(drop_k) and not np.isin(drop_k, keys).all():
-        raise ValidationError(f"{label}.drop names edges not in the graph")
-    if len(add_k) and np.isin(add_k, keys).any():
-        raise ValidationError(f"{label}.add names edges already present")
-    if len(add_k) and len(drop_k) and np.isin(add_k, drop_k).any():
-        raise ValidationError(
-            f"{label}: the same edge is both added and dropped"
-        )
-    kept = keys[~np.isin(keys, drop_k)]
-    merged = np.sort(np.concatenate([kept, add_k]))
+    _, merged, _ = _edit_key_set(
+        graph.edge_u * n + graph.edge_v, (n, n), add, drop, names,
+        ("vertex id out of range",
+         f"{label}.drop names edges not in the graph",
+         f"{label}.add names edges already present",
+         f"{label}: the same edge is both added and dropped"))
     return Graph(n, merged // n, merged % n)
 
 
 def _edit_l(
     ell: BipartiteGraph, delta: ProblemDelta
 ) -> tuple[BipartiteGraph, np.ndarray, np.ndarray]:
-    """Apply the L edits; returns the new L and the id maps.
+    """Apply the L edits; returns ``(ell_new, old_to_new, added_new_ids)``.
 
-    Returns ``(ell_new, old_to_new, added_new_ids)``.
+    An edit that inserts and deletes no L edge builds no graph:
+    ``ell_new`` is ``ell`` carrying the new weights.
     """
-    n_a, n_b = ell.n_a, ell.n_b
-    keys = ell.edge_a * n_b + ell.edge_b
-    m_old = ell.n_edges
-
-    def pair_keys(pairs: np.ndarray, what: str) -> np.ndarray:
-        if not len(pairs):
-            return np.empty(0, dtype=np.int64)
-        a, b = pairs[:, 0], pairs[:, 1]
-        if a.min() < 0 or a.max() >= n_a or b.min() < 0 or b.max() >= n_b:
-            raise ValidationError(f"{what}: endpoint out of range")
-        k = a * n_b + b
-        _check_unique(k, what)
-        return k
-
-    add_k = pair_keys(delta.l_add, "l_add")
-    drop_k = pair_keys(delta.l_drop, "l_drop")
-    rw_k = pair_keys(delta.l_reweight, "l_reweight")
-    for k_arr, what in ((drop_k, "l_drop"), (rw_k, "l_reweight")):
-        if len(k_arr) and not np.isin(k_arr, keys).all():
-            raise ValidationError(f"{what} names edges not in L")
-    if len(add_k) and np.isin(add_k, keys).any():
-        raise ValidationError(
-            "l_add names edges already in L (use l_reweight)"
-        )
-    if len(rw_k) and len(drop_k) and np.isin(rw_k, drop_k).any():
-        raise ValidationError("the same L edge is reweighted and dropped")
-    if len(add_k) and len(drop_k) and np.isin(add_k, drop_k).any():
-        raise ValidationError("the same L edge is added and dropped")
-
+    shape = (ell.n_a, ell.n_b)
+    keys = ell.edge_a * ell.n_b + ell.edge_b
+    rw = sorted_lookup(keys, _pair_keys(delta.l_reweight, shape,
+                                        "l_reweight", _L_ERRORS[0]))
+    if (rw < 0).any():
+        raise ValidationError("l_reweight names edges not in L")
     w = ell.weights.copy()
-    if len(rw_k):
-        w[np.searchsorted(keys, rw_k)] = delta.l_reweight_w
-    keep = np.ones(m_old, dtype=bool)
-    if len(drop_k):
-        keep[np.searchsorted(keys, drop_k)] = False
-    merged_keys = np.concatenate([keys[keep], add_k])
-    merged_w = np.concatenate([w[keep], delta.l_add_w])
-    order = np.argsort(merged_keys, kind="stable")
-    new_keys = merged_keys[order]
-    new_w = merged_w[order]
-    ell_new = BipartiteGraph(n_a, n_b, new_keys // n_b, new_keys % n_b,
-                             new_w)
-    old_to_new = np.full(m_old, -1, dtype=np.int64)
-    old_to_new[keep] = np.searchsorted(new_keys, keys[keep])
-    added_new = np.searchsorted(new_keys, np.sort(add_k))
-    return ell_new, old_to_new, added_new
+    w[rw] = delta.l_reweight_w
+    if not len(delta.l_add) and not len(delta.l_drop):
+        return (ell.with_weights(w), np.arange(ell.n_edges, dtype=np.int64),
+                np.empty(0, dtype=np.int64))
+    keep, new_keys, order = _edit_key_set(
+        keys, shape, delta.l_add, delta.l_drop, ("l_add", "l_drop"),
+        _L_ERRORS)
+    if not keep[rw].all():
+        raise ValidationError("the same L edge is reweighted and dropped")
+    ell_new = BipartiteGraph(
+        ell.n_a, ell.n_b, new_keys // ell.n_b, new_keys % ell.n_b,
+        np.concatenate([w[keep], delta.l_add_w])[order])
+    # ``order`` takes the survivors, in their old order, from the first
+    # ``keep.sum()`` merged slots and the inserts from the rest.
+    survived = order < np.count_nonzero(keep)
+    old_to_new = np.full(ell.n_edges, -1, dtype=np.int64)
+    old_to_new[keep] = np.flatnonzero(survived)
+    return ell_new, old_to_new, np.flatnonzero(~survived)
+
+
+def _remap_squares(
+    indptr: np.ndarray, indices: np.ndarray, old_to_new: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Map an **S** structure's entries through an old→new L-edge map:
+    their new rows and columns (``-1`` where the L edge was deleted) and
+    whether both survive."""
+    rows = old_to_new[np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))]
+    cols = old_to_new[indices]
+    return rows, cols, (rows >= 0) & (cols >= 0)
 
 
 def _update_squares(
@@ -366,10 +388,9 @@ def _update_squares(
     m_new = ell_new.n_edges
     dirty_mask = np.zeros(m_new, dtype=bool)
     dirty_mask[dirty] = True
-    rows_old = s_old.row_of_nonzero()
-    new_r = old_to_new[rows_old]
-    new_c = old_to_new[s_old.indices]
-    idx = np.flatnonzero((new_r >= 0) & (new_c >= 0))
+    new_r, new_c, kept = _remap_squares(s_old.indptr, s_old.indices,
+                                        old_to_new)
+    idx = np.flatnonzero(kept)
     idx = idx[~dirty_mask[new_r[idx]]]
     d_rows, d_cols = squares_coo(a_new, b_new, ell_new, dirty)
     rows = np.concatenate([new_r[idx], d_rows])
@@ -403,41 +424,32 @@ def apply_delta(
     """
     ell = problem.ell
     rows_recomputed = 0
+    a_new = _edit_graph(problem.a_graph, delta.a_add, delta.a_drop, "a")
+    b_new = _edit_graph(problem.b_graph, delta.b_add, delta.b_drop, "b")
+    ell_new, old_to_new, added_new = _edit_l(ell, delta)
+    new_problem = NetworkAlignmentProblem(
+        a_new, b_new, ell_new, problem.alpha, problem.beta, problem.name
+    )
     if not delta.structural:
         # Weights-only: all structure (graphs, L sort order, S) is
         # shared; only the weight vector is replaced.
-        ell_new, old_to_new, _ = _edit_l(ell, delta)
-        new_problem = NetworkAlignmentProblem(
-            problem.a_graph, problem.b_graph,
-            ell.with_weights(ell_new.weights),
-            problem.alpha, problem.beta, problem.name,
-        )
         new_problem._squares = problem._squares
         new_problem._strans = problem._strans
-    else:
-        a_new = _edit_graph(problem.a_graph, delta.a_add, delta.a_drop, "a")
-        b_new = _edit_graph(problem.b_graph, delta.b_add, delta.b_drop, "b")
-        ell_new, old_to_new, added_new = _edit_l(ell, delta)
-        new_problem = NetworkAlignmentProblem(
-            a_new, b_new, ell_new, problem.alpha, problem.beta, problem.name
+    elif problem._squares is not None:
+        # Dirty rows: inserted edges and their square partners can gain
+        # entries, and edges on an edited A or B endpoint have a new
+        # expansion basis.  (Rows that merely *lose* a deleted partner
+        # are handled by the clean-row remap, which drops -1 columns.)
+        _, partners = squares_coo(a_new, b_new, ell_new, added_new)
+        rebased = ell_new.incident_edges(
+            np.concatenate([delta.a_add.ravel(), delta.a_drop.ravel()]),
+            np.concatenate([delta.b_add.ravel(), delta.b_drop.ravel()]),
         )
-        if problem._squares is not None:
-            # Dirty rows: inserted edges and their square partners can
-            # gain entries, and edges on an edited A or B endpoint have a
-            # new expansion basis.  (Rows that merely *lose* a deleted
-            # partner are handled by the clean-row remap, which drops -1
-            # columns.)
-            _, partners = squares_coo(a_new, b_new, ell_new, added_new)
-            rebased = ell_new.incident_edges(
-                np.concatenate([delta.a_add.ravel(), delta.a_drop.ravel()]),
-                np.concatenate([delta.b_add.ravel(), delta.b_drop.ravel()]),
-            )
-            dirty = sorted_union(ell_new.n_edges, added_new, partners,
-                                 rebased)
-            new_problem._squares = _update_squares(
-                problem._squares, old_to_new, dirty, a_new, b_new, ell_new
-            )
-            rows_recomputed = len(dirty)
+        dirty = sorted_union(ell_new.n_edges, added_new, partners, rebased)
+        new_problem._squares = _update_squares(
+            problem._squares, old_to_new, dirty, a_new, b_new, ell_new
+        )
+        rows_recomputed = len(dirty)
     report = DeltaReport(
         structural=delta.structural,
         n_edges_old=ell.n_edges,

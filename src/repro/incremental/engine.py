@@ -3,8 +3,10 @@
 :func:`realign` strings the incremental pieces together — apply a
 :class:`~repro.incremental.delta.ProblemDelta`, then run the registered
 solver with ``warm_from=`` so BP re-propagates only around the
-perturbation.  The CLI ``realign`` subcommand and the serving layer's
-``warm_from=<job_id>`` path are thin wrappers over the same sequence.
+perturbation.  The CLI ``realign`` subcommand is a thin wrapper over it.
+The serving layer's ``warm_from=<job_id>`` path is not: a warm job
+receives the whole edited problem, decodes it and builds its **S** from
+scratch, then runs the solver with ``warm_from=`` the parent's state.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ import numpy as np
 from repro._util import sorted_lookup, sorted_union
 from repro.core.problem import NetworkAlignmentProblem
 from repro.errors import ValidationError
+from repro.incremental.delta import _remap_squares
 from repro.matching.result import MatchingResult
 from repro.sparse.csr import CSRMatrix
 
@@ -275,10 +276,8 @@ def seed_from_warm(
 
     # --- square-level transfer ---------------------------------------
     rows_new = s_mat.row_of_nonzero()
-    old_r = old_to_new[np.repeat(np.arange(warm.n_edges, dtype=np.int64),
-                                 np.diff(warm.s_indptr))]
-    old_c = old_to_new[warm.s_indices]
-    valid = (old_r >= 0) & (old_c >= 0)
+    old_r, old_c, valid = _remap_squares(warm.s_indptr, warm.s_indices,
+                                         old_to_new)
     # CSR with sorted columns ⇒ (row, col) keys are strictly increasing,
     # so square values join like edge values.
     sq = sorted_lookup(rows_new * m_new + s_mat.indices,

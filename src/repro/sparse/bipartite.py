@@ -191,10 +191,13 @@ class BipartiteGraph:
         """Vectorized ``(a, b) -> edge id`` lookup; ``-1`` where absent.
 
         The edge keys ``a·n_b + b`` are already sorted, so a
-        ``searchsorted`` suffices.
+        ``searchsorted`` suffices.  A pair outside ``[0, n_a) × [0, n_b)``
+        is absent too: its packed key could equal another edge's.
         """
+        a, b = asarray_i64(a), asarray_i64(b)
+        inside = (a >= 0) & (a < self.n_a) & (b >= 0) & (b < self.n_b)
         return sorted_lookup(self.edge_a * self.n_b + self.edge_b,
-                             asarray_i64(a) * self.n_b + asarray_i64(b))
+                             np.where(inside, a * self.n_b + b, -1))
 
     def incident_edges(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Sorted ids of the edges with an A end in ``a`` or a B end in ``b``.

@@ -38,6 +38,12 @@ must return their bits exactly.
 reference for the warm seed's active set
 (:func:`repro.incremental.state.seed_from_warm`), written with Python
 sets over edge keys.
+
+:func:`restrict_l` is the mask-based restriction of L that steering's
+:func:`~repro.core.steering.pin_pairs` and
+:func:`~repro.core.steering.forbid_pairs` replaced with edit scripts: a
+keep mask over L's edges, ``subgraph`` and a fresh problem whose **S**
+is rebuilt from scratch.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ __all__ = [
     "locally_dominant_rounds_python",
     "othermax_grouped_full",
     "problem_from_wire_loops",
+    "restrict_l",
     "segment_sum_masked",
     "squares_coo_cartesian",
     "warm_start_loops",
@@ -445,3 +452,37 @@ def edit_footprint(
     }
     return np.array([e for e, key in enumerate(sorted(w_new))
                      if key in touched], dtype=np.int64)
+
+
+def restrict_l(
+    problem: NetworkAlignmentProblem, pairs, *, pin: bool
+) -> NetworkAlignmentProblem:
+    """``problem`` with candidate pairs forbidden, or pinned (``pin``).
+
+    Forbidding removes the pairs' L edges.  Pinning removes every other
+    edge on a pinned vertex and lifts a pinned weight below ``1e-6`` to
+    ``1e-6``.  Every pair must be a candidate edge.
+    """
+    ell = problem.ell
+    a = np.array([p[0] for p in pairs], dtype=np.int64)
+    b = np.array([p[1] for p in pairs], dtype=np.int64)
+    eids = ell.lookup_edges(a, b)
+    if (eids < 0).any():
+        raise ValidationError("restrict_l: non-candidate pair")
+    keep = np.ones(ell.n_edges, dtype=bool)
+    keep[eids] = False
+    if pin:
+        pinned_a = np.zeros(ell.n_a, dtype=bool)
+        pinned_b = np.zeros(ell.n_b, dtype=bool)
+        pinned_a[a] = True
+        pinned_b[b] = True
+        keep = ~keep | (~pinned_a[ell.edge_a] & ~pinned_b[ell.edge_b])
+    sub = ell.subgraph(keep)
+    if pin:
+        w = sub.weights.copy()
+        sub_eids = sub.lookup_edges(a, b)
+        w[sub_eids] = np.maximum(w[sub_eids], 1e-6)
+        sub = sub.with_weights(w)
+    return NetworkAlignmentProblem(problem.a_graph, problem.b_graph, sub,
+                                   alpha=problem.alpha, beta=problem.beta,
+                                   name=problem.name)

@@ -205,3 +205,34 @@ def test_incident_edges_matches_isin(case):
     want = np.flatnonzero(np.isin(g.edge_a, a) | np.isin(g.edge_b, b))
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, want)
+
+
+@st.composite
+def graphs_and_probes(draw):
+    """A random L and ``(a, b)`` probes that may be negative, out of
+    range or absent."""
+    n_a, n_b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n_a - 1),
+                                    st.integers(0, n_b - 1)), max_size=20))
+    g = BipartiteGraph.from_edges(
+        n_a, n_b, [p[0] for p in pairs], [p[1] for p in pairs],
+        np.ones(len(pairs)),
+    )
+    probes = draw(st.lists(st.tuples(st.integers(-n_a - 2, 2 * n_a + 2),
+                                     st.integers(-n_b - 2, 2 * n_b + 2)),
+                           max_size=20))
+    return g, probes
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_and_probes())
+# (0, 3) packs to 3 = 1·2 + 1, the key of edge (1, 1); (2, -1) also.
+@example((BipartiteGraph.from_edges(2, 2, [1], [1], 1.0), [(0, 3), (2, -1)]))
+def test_lookup_edges_matches_dict(case):
+    """Property: the key lookup answers what a dict over the edges
+    answers, ``-1`` for any pair that is not an edge."""
+    g, probes = case
+    ids = {(a, b): e for e, (a, b) in enumerate(
+        zip(g.edge_a.tolist(), g.edge_b.tolist()))}
+    got = g.lookup_edges([p[0] for p in probes], [p[1] for p in probes])
+    assert got.tolist() == [ids.get(p, -1) for p in probes]

@@ -54,6 +54,7 @@ from repro.resilience import (
     supervised_map,
 )
 from repro.serve import problem_digest, problem_to_wire
+from repro.sparse.bipartite import BipartiteGraph
 from tests.helpers import SnapshotLog
 from tests.oracles import edit_footprint
 
@@ -211,6 +212,25 @@ class TestApplyDelta:
         # The seed of a weights-only edit is exactly the reweighted edges.
         seed = seed_from_warm(edited, base_warm, edited.squares)
         np.testing.assert_array_equal(seed.active, changed)
+
+    def test_weights_only_delta_builds_no_graph(self, problem,
+                                                monkeypatch):
+        """A reweight keeps L's structure: the new L carries the new
+        weight vector over the old arrays, and no graph is built."""
+        built = []
+        post_init = BipartiteGraph.__post_init__
+
+        def counting(graph):
+            built.append(graph)
+            post_init(graph)
+
+        monkeypatch.setattr(BipartiteGraph, "__post_init__", counting)
+        a, b = int(problem.ell.edge_a[0]), int(problem.ell.edge_b[0])
+        edited, _ = apply_delta(problem, ProblemDelta.build(
+            l_reweight=[(a, b, 0.5)]))
+        assert built == []
+        assert edited.ell.row_ptr is problem.ell.row_ptr
+        assert edited.ell.weights[0] == 0.5
 
     def test_empty_delta_is_identity(self, problem, base_warm):
         edited, report = apply_delta(problem, ProblemDelta.build())

@@ -1,4 +1,10 @@
-"""Tests for the computational-steering workflow (repro.core.steering)."""
+"""Tests for the computational-steering workflow (repro.core.steering).
+
+Pins and forbids are edit scripts applied by ``apply_delta``; on seeded
+instances they must give the L arrays of the mask-based restriction
+they replaced (``tests.oracles.restrict_l``) and an **S** equal to a
+fresh ``build_squares``, whether or not **S** was cached.
+"""
 
 import numpy as np
 import pytest
@@ -6,11 +12,15 @@ import pytest
 from repro.core import (
     BPConfig,
     SteeringSession,
+    belief_propagation_align,
     forbid_pairs,
     pin_pairs,
 )
+from repro.core.squares import build_squares
 from repro.errors import ConfigurationError, ValidationError
 from repro.generators import powerlaw_alignment_instance
+from repro.incremental import ProblemDelta, apply_delta
+from tests.oracles import restrict_l
 
 
 @pytest.fixture()
@@ -161,3 +171,109 @@ class TestSession:
                     (session.latest.matching.mate_a == ref).mean()
                 )
                 assert after >= before - 0.05
+
+
+class TestOutOfRangePairs:
+    """A pair outside the vertex sets is no candidate: with n_b = 50,
+    (0, 51) packs to the key of edge (1, 1) and must not find it."""
+
+    @pytest.mark.parametrize("steer", [forbid_pairs, pin_pairs])
+    @pytest.mark.parametrize("pair", [(0, 51), (0, -1), (-1, 0), (50, 0)])
+    def test_rejected_and_l_unchanged(self, instance, steer, pair):
+        p = instance.problem
+        assert p.ell.n_b == 50 and p.ell.lookup_edges([1], [1])[0] >= 0
+        before = (p.ell.edge_a.copy(), p.ell.edge_b.copy(),
+                  p.ell.weights.copy())
+        with pytest.raises(ValidationError, match="non-candidate"):
+            steer(p, [pair])
+        for got, want in zip((p.ell.edge_a, p.ell.edge_b, p.ell.weights),
+                             before):
+            np.testing.assert_array_equal(got, want)
+
+
+def _assert_same_l(got, want):
+    np.testing.assert_array_equal(got.ell.edge_a, want.ell.edge_a)
+    np.testing.assert_array_equal(got.ell.edge_b, want.ell.edge_b)
+    assert got.ell.weights.tobytes() == want.ell.weights.tobytes()
+
+
+def _assert_fresh_squares(problem):
+    ref = build_squares(problem.a_graph, problem.b_graph, problem.ell)
+    got = problem.squares
+    np.testing.assert_array_equal(got.indptr, ref.indptr)
+    np.testing.assert_array_equal(got.indices, ref.indices)
+    np.testing.assert_array_equal(got.data, ref.data)
+
+
+def _disjoint_pairs(problem, rng, k):
+    """Up to ``k`` vertex-disjoint candidate pairs, drawn at random."""
+    ell, used_a, used_b, pairs = problem.ell, set(), set(), []
+    for e in rng.permutation(ell.n_edges).tolist():
+        a, b = int(ell.edge_a[e]), int(ell.edge_b[e])
+        if a not in used_a and b not in used_b:
+            pairs.append((a, b))
+            used_a.add(a)
+            used_b.add(b)
+        if len(pairs) == k:
+            break
+    return pairs
+
+
+class TestAgainstMaskReference:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pin_then_forbid(self, seed):
+        rng = np.random.default_rng(seed)
+        p = powerlaw_alignment_instance(n=80, expected_degree=5,
+                                        seed=seed).problem
+        pins = _disjoint_pairs(p, rng, 3)
+        # The first pinned edge weighs less than 1e-6, so it is lifted.
+        p = apply_delta(p, ProblemDelta.build(
+            l_reweight=[(*pins[0], 1e-9 if seed % 3 else 0.0)]))[0]
+        cached = seed % 2 == 0
+        if cached:
+            p.squares
+        pinned = pin_pairs(p, pins)
+        want = restrict_l(p, pins, pin=True)
+        _assert_same_l(pinned, want)
+        assert pinned.ell.weights[pinned.ell.lookup_edges(
+            [pins[0][0]], [pins[0][1]])[0]] == 1e-6
+        assert (pinned._squares is not None) == cached
+        _assert_fresh_squares(pinned)
+
+        forbids = _disjoint_pairs(pinned, rng, 4)
+        forbids += forbids[:2]  # a pair named twice is forbidden once
+        edited = forbid_pairs(pinned, forbids)
+        _assert_same_l(edited, restrict_l(pinned, forbids, pin=False))
+        assert edited._squares is not None  # S was built just above
+        _assert_fresh_squares(edited)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_forbid_without_cached_squares(self, seed):
+        p = powerlaw_alignment_instance(n=80, expected_degree=5,
+                                        seed=seed).problem
+        forbids = _disjoint_pairs(p, np.random.default_rng(seed), 5)
+        edited = forbid_pairs(p, forbids)
+        assert edited._squares is None
+        _assert_same_l(edited, restrict_l(p, forbids, pin=False))
+
+    def test_session_history_matches_reference(self, instance):
+        p = instance.problem
+        cfg = BPConfig(n_iter=10)
+        rng = np.random.default_rng(5)
+        pins = _disjoint_pairs(p, rng, 2)
+        session = SteeringSession(p, config=cfg)
+        session.solve()
+        session.pin(pins)
+        forbids = _disjoint_pairs(session.problem, rng, 3)
+        session.forbid(forbids)
+        session.solve()
+        ref = restrict_l(restrict_l(p, pins, pin=True), forbids, pin=False)
+        want = [belief_propagation_align(q, cfg) for q in (p, ref)]
+        assert session.pinned == pins and session.forbidden == forbids
+        for got, exp in zip(session.history, want, strict=True):
+            np.testing.assert_array_equal(got.matching.mate_a,
+                                          exp.matching.mate_a)
+            assert got.objective == exp.objective
+            # assert_equal, not ==: BP records a NaN upper bound.
+            np.testing.assert_equal([vars(r) for r in got.history],
+                                    [vars(r) for r in exp.history])
