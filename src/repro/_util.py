@@ -121,7 +121,8 @@ def numeric_rows(rows: list, width: int) -> np.ndarray | None:
 
     The row check of every JSON edge list the package reads: the wire
     problem's graphs and L (:mod:`repro.serve.wire`) and an edit
-    script's fields (:meth:`repro.incremental.ProblemDelta.from_dict`).
+    script's fields (:meth:`repro.incremental.ProblemDelta.from_dict`),
+    and of steering's pairs (:mod:`repro.core.steering`).
 
     Args:
         rows: The JSON list of rows.

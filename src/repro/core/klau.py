@@ -13,6 +13,13 @@ the one-time transpose permutation), the row-matching weights
 ``(β/2)S + U − Uᵀ`` are a single fused vector expression, and the row
 subproblems are solved exactly (the paper never approximates Step 1,
 "because the problems in each row tend to be small").
+
+The Lagrangian bound at **U** is the *maximum* of ``wbar·x`` over
+matchings (El-Kebir–Heringa–Klau), so Step 3's own ``wbar·x`` certifies
+a bound only as far as its matcher does: the run steers its step size
+by the raw value, but reports and gap-tests ``wbar·x`` for ``exact``,
+``2·wbar·x`` for the ½-approximate kinds (paper §V) and ``inf`` for
+``auction``.
 """
 
 from __future__ import annotations
@@ -44,6 +51,16 @@ from repro.resilience.faults import maybe_inject
 
 __all__ = ["KlauConfig", "klau_align"]
 
+#: What Step 3's ``wbar·x`` certifies per matcher kind: the maximum
+#: weight matching weighs at most this factor times it.
+_BOUND_FACTOR = {"exact": 1.0, "approx": 2.0, "approx-queue": 2.0,
+                 "greedy": 2.0, "suitor": 2.0, "auction": np.inf}
+
+
+def _certified(upper: float, factor: float) -> float:
+    """The bound that a Step-3 value ``upper`` certifies."""
+    return upper * factor if factor < np.inf else np.inf
+
 
 @dataclass(frozen=True)
 class KlauConfig(ConfigBase):
@@ -60,7 +77,9 @@ class KlauConfig(ConfigBase):
     studies.  With ``"exact"``, one warm-started
     :class:`~repro.matching.warm.ExactMatcher` serves the whole run:
     ``wbar`` drifts by one subgradient step on a fixed L, and every
-    answer still equals a cold solve's.
+    answer still equals a cold solve's.  Only an ``"exact"`` Step 3
+    reports the Lagrangian bound itself; the others report what their
+    guarantee certifies (see the module notes).
     """
 
     n_iter: int = 500
@@ -74,9 +93,9 @@ class KlauConfig(ConfigBase):
     #: the relaxation factor θ (the netalign reference behaviour);
     #: "fixed" uses γ directly as in the printed pseudocode.
     step_rule: str = "polyak"
-    #: Stop early when best upper bound − best objective ≤ gap_tolerance:
-    #: the method "can actually detect when it has reached the optimal
-    #: point" (§III-A).
+    #: Stop early when the best certified upper bound − best objective
+    #: ≤ gap_tolerance: the method "can actually detect when it has
+    #: reached the optimal point" (§III-A).
     gap_tolerance: float = 1e-9
     #: Accepted on every public config (common surface, round-tripped by
     #: ``to_dict``/``from_dict``); Klau's method is deterministic and
@@ -154,6 +173,7 @@ def _klau_run(
 ) -> AlignmentResult:
     """The MR iteration body (Listing 1)."""
     matcher: Matcher = make_matcher(config.matcher)
+    factor = _BOUND_FACTOR[config.matcher]
     ell = problem.ell
     s_mat = problem.squares
     perm = problem.squares_transpose_perm
@@ -271,28 +291,31 @@ def _klau_run(
 
         record_iteration(history, IterationRecord(
             iteration=k, objective=obj, weight_part=weight_part,
-            overlap_part=overlap_part, upper_bound=upper, source="wbar",
+            overlap_part=overlap_part,
+            upper_bound=_certified(upper, factor), source="wbar",
             gamma=gamma,
         ), "klau-mr", bus, tracker.best_objective)
+        bound = _certified(best_upper, factor)
         if bus.active:
             bus.metrics.gauge(
                 "repro_best_upper_bound", method="klau-mr"
-            ).set(best_upper)
+            ).set(bound)
         if tracer is not None:
             tracer.end_iteration()
         snapshots.maybe_save(k, tracker, history, u_vals=u_vals,
                              gamma=gamma, best_upper=best_upper, stall=stall)
-        if best_upper - tracker.best_objective <= config.gap_tolerance:
+        if bound - tracker.best_objective <= config.gap_tolerance:
             break  # provably optimal (§III-A)
 
-    return _finalize(problem, tracker, history, best_upper, config, matcher)
+    return _finalize(problem, tracker, history,
+                     _certified(best_upper, factor), config, matcher)
 
 
 def _finalize(
     problem: NetworkAlignmentProblem,
     tracker: BestTracker,
     history: list[IterationRecord],
-    best_upper: float,
+    best_bound: float,
     config: KlauConfig,
     matcher: Matcher,
 ) -> AlignmentResult:
@@ -308,7 +331,7 @@ def _finalize(
             matcher=matcher if config.matcher == "exact" else "exact",
         )
     return tracker.result(
-        polished, history, best_upper, f"klau-mr[{config.matcher}]",
+        polished, history, best_bound, f"klau-mr[{config.matcher}]",
         {
             "n_iter": config.n_iter,
             "gamma": config.gamma,

@@ -27,6 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro._util import numeric_rows, vertex_ids
 from repro.core.bp import BPConfig, belief_propagation_align
 from repro.core.klau import KlauConfig, klau_align
 from repro.core.problem import NetworkAlignmentProblem
@@ -42,10 +43,14 @@ def _edge_ids(
     problem: NetworkAlignmentProblem, pairs: Iterable[tuple[int, int]],
     verb: str,
 ) -> np.ndarray:
-    """L edge ids of ``(a, b)`` pairs; a pair that is not a candidate
-    edge raises (a typo'd pin or forbid should not pass silently)."""
-    pairs = list(pairs)
-    ab = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
+    """L edge ids of ``(a, b)`` pairs; a pair with a non-integer id or
+    that is not a candidate edge raises (a typo'd pin or forbid should
+    not pass silently, nor truncate ``2.7`` to vertex 2)."""
+    rows = numeric_rows(list(pairs), 2)
+    ab = None if rows is None else vertex_ids(rows)
+    if ab is None:
+        raise ValidationError(
+            f"cannot {verb} pairs that are not (a, b) integer vertex ids")
     eids = problem.ell.lookup_edges(ab[:, 0], ab[:, 1])
     if (eids < 0).any():
         bad = [tuple(p) for p in ab[eids < 0].tolist()]

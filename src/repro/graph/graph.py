@@ -3,7 +3,8 @@
 The alignment inputs A and B are simple undirected graphs; the only
 operations the algorithms need are neighbor iteration (for building the
 squares matrix **S**) and membership tests, so the representation is a
-sorted CSR adjacency plus an edge list.
+sorted CSR adjacency plus an edge list, whose packed keys ``u·n + v``
+are kept for edge-set edits.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ class Graph:
     edge_v: np.ndarray
     _indptr: np.ndarray = field(default=None, repr=False, compare=False)
     _adj: np.ndarray = field(default=None, repr=False, compare=False)
+    _keys: np.ndarray = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_edges(
@@ -64,13 +66,13 @@ class Graph:
         self.edge_u = asarray_i64(self.edge_u)
         self.edge_v = asarray_i64(self.edge_v)
         check_same_length(self.edge_u, self.edge_v)
+        self._keys = self.edge_u * self.n + self.edge_v
         if len(self.edge_u):
             if np.any(self.edge_u >= self.edge_v):
                 raise ValidationError(
                     "edges must satisfy u < v; use from_edges() for raw input"
                 )
-            keys = self.edge_u * self.n + self.edge_v
-            if np.any(np.diff(keys) <= 0):
+            if np.any(np.diff(self._keys) <= 0):
                 raise ValidationError(
                     "edges must be sorted and unique; use from_edges()"
                 )
@@ -97,6 +99,11 @@ class Graph:
     def indptr(self) -> np.ndarray:
         """CSR adjacency row pointer (length ``n + 1``)."""
         return self._indptr
+
+    @property
+    def edge_keys(self) -> np.ndarray:
+        """The strictly increasing edge keys ``edge_u·n + edge_v``."""
+        return self._keys
 
     @property
     def adj(self) -> np.ndarray:

@@ -316,7 +316,7 @@ def _edit_graph(graph: Graph, add: np.ndarray, drop: np.ndarray,
         if (pairs[:, 0] == pairs[:, 1]).any():
             raise ValidationError(f"{what}: self-loops are not allowed")
     _, merged, _ = _edit_key_set(
-        graph.edge_u * n + graph.edge_v, (n, n), add, drop, names,
+        graph.edge_keys, (n, n), add, drop, names,
         ("vertex id out of range",
          f"{label}.drop names edges not in the graph",
          f"{label}.add names edges already present",
@@ -333,7 +333,7 @@ def _edit_l(
     ``ell_new`` is ``ell`` carrying the new weights.
     """
     shape = (ell.n_a, ell.n_b)
-    keys = ell.edge_a * ell.n_b + ell.edge_b
+    keys = ell.edge_keys
     rw = sorted_lookup(keys, _pair_keys(delta.l_reweight, shape,
                                         "l_reweight", _L_ERRORS[0]))
     if (rw < 0).any():

@@ -16,9 +16,11 @@ with non-positive weight can never increase a matching's weight), return a
 :class:`~repro.matching.result.MatchingResult`, and break weight ties by
 vertex id exactly as §V prescribes.
 
-The vectorized rounds form runs on :mod:`repro.matching.kernels`, which
-caches each L structure's group plan across calls, so iterative solvers
-that round the same L every iteration build it once.
+The general-graph matchers (locally-dominant, Suitor, Karp–Sipser) read
+L's general-graph view, which the graph builds once and shares with its
+``with_weights`` views, so iterative solvers that round the same L every
+iteration convert it once.  The vectorized rounds form runs on
+:mod:`repro.matching.kernels`.
 """
 
 from repro.matching.auction import auction_matching
@@ -26,12 +28,7 @@ from repro.matching.cardinality import hopcroft_karp, karp_sipser_matching
 from repro.matching.dense import max_weight_matching_dense
 from repro.matching.exact import max_weight_matching
 from repro.matching.greedy import greedy_matching
-from repro.matching.kernels import (
-    GroupPlan,
-    clear_plan_cache,
-    get_plan,
-    plan_cache_stats,
-)
+from repro.matching.kernels import GroupPlan
 from repro.matching.locally_dominant import (
     locally_dominant_matching,
     locally_dominant_matching_vectorized,
@@ -49,8 +46,6 @@ __all__ = [
     "MatchingResult",
     "auction_matching",
     "check_matching",
-    "clear_plan_cache",
-    "get_plan",
     "greedy_matching",
     "hopcroft_karp",
     "is_maximal_matching",
@@ -60,6 +55,5 @@ __all__ = [
     "matching_weight",
     "max_weight_matching",
     "max_weight_matching_dense",
-    "plan_cache_stats",
     "suitor_matching",
 ]

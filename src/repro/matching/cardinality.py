@@ -93,7 +93,7 @@ def karp_sipser_matching(
     rng = as_rng(seed)
     n_a, n_b = graph.n_a, graph.n_b
     n = n_a + n_b
-    indptr, neighbors, _, _ = graph.as_general_graph()
+    indptr, neighbors, _ = graph.general_view
     adj = [neighbors[indptr[v] : indptr[v + 1]].tolist() for v in range(n)]
     degree = [len(a) for a in adj]
     mate = [-1] * n

@@ -1,4 +1,4 @@
-"""The locally-dominant rounds kernel and its cached group plans.
+"""The locally-dominant rounds kernel and its group plans.
 
 The paper's §V matcher is already a *round* algorithm — every round, each
 still-active vertex does local work against the state left by the
@@ -28,25 +28,15 @@ full adjacency of the vertices the previous round matched, which the
 stats need.  The :class:`~repro.matching.result.RoundStats` are
 unchanged: they model the paper's full-adjacency FindMate scans.
 
-Group plans
------------
-
-Feeding L to a general-graph matcher costs an ``as_general_graph()``
-conversion plus the segmented-reduction index arrays — pure structure,
-independent of the weights.  Iterative solvers round the *same* L with
-drifting weights every iteration (BP rounds ``2×batch`` vectors per
-flush; Klau rounds twice per step), so :func:`get_plan` memoizes that
-structure in a small LRU keyed by the identity of the endpoint arrays
-(the :class:`~repro.matching.warm.ExactMatcher` idiom — ``with_weights``
-views share endpoint arrays and therefore share the plan).  Unlike the
-warm matcher's key, the cached plan holds strong references to the
-arrays it is keyed on, so an entry can never alias a collected graph
-whose ``id()`` was reused.
+A :class:`GroupPlan` is the kernel's view of a general graph: for L it
+wraps :attr:`~repro.sparse.bipartite.BipartiteGraph.general_view`, which
+the graph builds once and shares with its ``with_weights`` views, so
+iterative solvers that round the same L every iteration convert it once
+and per-call weights are one gather.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,16 +44,9 @@ import numpy as np
 from repro._util import asarray_f64, asarray_i64, concat_ranges
 from repro.errors import DimensionError
 from repro.matching.result import RoundStats
-from repro.observe import get_bus
 from repro.sparse.bipartite import BipartiteGraph
 
-__all__ = [
-    "GroupPlan",
-    "get_plan",
-    "clear_plan_cache",
-    "plan_cache_stats",
-    "locally_dominant_rounds",
-]
+__all__ = ["GroupPlan", "locally_dominant_rounds"]
 
 
 # ----------------------------------------------------------------------
@@ -79,8 +62,7 @@ class GroupPlan:
     tie-break relies on it), and ``degrees`` its row lengths.  For plans
     built from a :class:`BipartiteGraph` the first ``n_a`` vertices are
     the A side and ``half_eid`` maps half-edges back to L edge ids (so
-    per-call weights are one gather).  Building them once per L
-    structure instead of once per call is the plan's whole point.
+    per-call weights are one gather).
     """
 
     n: int
@@ -88,9 +70,6 @@ class GroupPlan:
     neighbors: np.ndarray
     degrees: np.ndarray
     half_eid: np.ndarray | None = None
-    #: Strong references pinning the structure key (see module docs).
-    edge_a: np.ndarray | None = None
-    edge_b: np.ndarray | None = None
 
     @property
     def n_half(self) -> int:
@@ -125,77 +104,11 @@ class GroupPlan:
 
     @classmethod
     def from_graph(cls, graph: BipartiteGraph) -> "GroupPlan":
-        """Build the general-graph plan of a bipartite L.
-
-        ``as_general_graph`` lists every row's neighbors in increasing
-        order already.
-        """
-        indptr, neighbors, half_eid, _ = graph.as_general_graph()
-        return cls(
-            n=len(indptr) - 1,
-            indptr=indptr,
-            neighbors=neighbors,
-            degrees=np.diff(indptr),
-            half_eid=half_eid,
-            edge_a=graph.edge_a,
-            edge_b=graph.edge_b,
-        )
-
-
-#: LRU of structure key -> plan.  Small: solvers touch one or two L
-#: structures at a time (the fine problem plus perhaps a coarse level).
-_PLAN_CACHE: "OrderedDict[tuple, GroupPlan]" = OrderedDict()
-_PLAN_CACHE_CAPACITY = 8
-_plan_builds = 0
-_plan_hits = 0
-
-
-def _structure_key(graph: BipartiteGraph) -> tuple:
-    return (
-        id(graph.edge_a), id(graph.edge_b),
-        graph.n_a, graph.n_b, graph.n_edges,
-    )
-
-
-def get_plan(graph: BipartiteGraph) -> GroupPlan:
-    """Return the (cached) :class:`GroupPlan` for ``graph``'s structure.
-
-    ``with_weights`` views share endpoint arrays and hit the same entry,
-    which is the warm-rounding case iterative solvers exercise on every
-    iteration.
-    """
-    global _plan_builds, _plan_hits
-    key = _structure_key(graph)
-    plan = _PLAN_CACHE.get(key)
-    bus = get_bus()
-    if plan is not None:
-        _PLAN_CACHE.move_to_end(key)
-        _plan_hits += 1
-        if bus.active:
-            bus.metrics.counter("repro_matching_plan_hits_total").inc()
-        return plan
-    plan = GroupPlan.from_graph(graph)
-    _PLAN_CACHE[key] = plan
-    while len(_PLAN_CACHE) > _PLAN_CACHE_CAPACITY:
-        _PLAN_CACHE.popitem(last=False)
-    _plan_builds += 1
-    if bus.active:
-        bus.metrics.counter("repro_matching_plan_builds_total").inc()
-    return plan
-
-
-def clear_plan_cache() -> None:
-    """Drop all cached plans (tests; long-lived processes between jobs)."""
-    _PLAN_CACHE.clear()
-
-
-def plan_cache_stats() -> dict:
-    """Cache counters: ``{"builds", "hits", "size"}`` (process-wide)."""
-    return {
-        "builds": _plan_builds,
-        "hits": _plan_hits,
-        "size": len(_PLAN_CACHE),
-    }
+        """The plan of a bipartite L: its held general-graph view, whose
+        rows already list their neighbors in increasing order."""
+        indptr, neighbors, half_eid = graph.general_view
+        return cls(n=len(indptr) - 1, indptr=indptr, neighbors=neighbors,
+                   degrees=np.diff(indptr), half_eid=half_eid)
 
 
 def _check_half_weights(plan: GroupPlan, hw: np.ndarray) -> np.ndarray:

@@ -31,11 +31,7 @@ import numpy as np
 from repro._util import asarray_f64
 from repro.errors import ConfigurationError, DimensionError
 from repro.matching.instrument import observed_matcher
-from repro.matching.kernels import (
-    GroupPlan,
-    get_plan,
-    locally_dominant_rounds,
-)
+from repro.matching.kernels import GroupPlan, locally_dominant_rounds
 from repro.matching.result import MatchingResult, RoundStats
 from repro.sparse.bipartite import BipartiteGraph
 
@@ -53,7 +49,7 @@ def _general_graph_arrays(
     w_vec = graph.weights if weights is None else asarray_f64(weights)
     if w_vec.shape != (graph.n_edges,):
         raise DimensionError("weights has wrong length")
-    indptr, neighbors, half_eid, _ = graph.as_general_graph()
+    indptr, neighbors, half_eid = graph.general_view
     return indptr, neighbors, w_vec[half_eid]
 
 
@@ -210,16 +206,16 @@ def locally_dominant_matching_vectorized(
     Phase-2 ``while`` iterations.
 
     The rounds core is :func:`repro.matching.kernels
-    .locally_dominant_rounds` running on the graph's cached
-    :class:`~repro.matching.kernels.GroupPlan`, so repeated rounding of
-    the same L structure skips the ``as_general_graph()`` conversion.
-    The kernel reports the half-edge each vertex took, so the matched
+    .locally_dominant_rounds` running on the
+    :class:`~repro.matching.kernels.GroupPlan` of the graph's held
+    general-graph view, so repeated rounding of the same L converts it
+    once.  The kernel reports the half-edge each vertex took, so the matched
     edge ids are one gather through the plan's ``half_eid``.
     """
     w_vec = graph.weights if weights is None else asarray_f64(weights)
     if w_vec.shape != (graph.n_edges,):
         raise DimensionError("weights has wrong length")
-    plan = get_plan(graph)
+    plan = GroupPlan.from_graph(graph)
     mate, took, rounds = locally_dominant_rounds(
         plan, w_vec[plan.half_eid], collect_rounds=collect_rounds
     )
@@ -257,10 +253,9 @@ def locally_dominant_mates(
     neighbor id.
 
     The implementation is :func:`repro.matching.kernels
-    .locally_dominant_rounds` on an uncached one-shot plan;
-    callers that repeatedly match the same structure should build a
-    :class:`~repro.matching.kernels.GroupPlan` once (or go through the
-    bipartite entry points, which cache plans per L structure).
+    .locally_dominant_rounds` on a plan built per call from the CSR
+    (:meth:`~repro.matching.kernels.GroupPlan.from_csr`); the bipartite
+    entry points instead wrap L's held general-graph view.
     """
     plan = GroupPlan.from_csr(indptr, neighbors)
     half_weights = asarray_f64(half_weights)

@@ -39,7 +39,7 @@ def suitor_matching(
     w_vec = graph.weights if weights is None else asarray_f64(weights)
     if w_vec.shape != (graph.n_edges,):
         raise DimensionError("weights has wrong length")
-    indptr_np, neighbors_np, half_eid, _ = graph.as_general_graph()
+    indptr_np, neighbors_np, half_eid = graph.general_view
     hw_np = w_vec[half_eid]
     n = graph.n_a + graph.n_b
     indptr = indptr_np.tolist()

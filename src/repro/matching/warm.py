@@ -138,8 +138,8 @@ class ExactMatcher:
     :func:`~repro.matching.exact.max_weight_matching` (a fresh instance
     per call).  Every call returns the cold solver's answer; the state
     carried between calls only makes it cheaper.  State is kept per L
-    structure (the identity of its endpoint arrays), so ``with_weights``
-    views of one graph warm-start each other.
+    structure, the identity of the graph's edge-key array, so
+    ``with_weights`` views of one graph warm-start each other.
     """
 
     kind = "exact"
@@ -154,21 +154,10 @@ class ExactMatcher:
         if self.tol < 0.0:
             raise ConfigurationError("tol must be non-negative")
         self.last_stats: WarmStartStats | None = None
-        self._key: tuple | None = None
+        self._keys: np.ndarray | None = None
         self._u: np.ndarray | None = None
         self._v: np.ndarray | None = None
         self._match_row: np.ndarray | None = None
-
-    @staticmethod
-    def _structure_key(graph: BipartiteGraph) -> tuple:
-        # Endpoint arrays are treated as immutable; identity of both plus
-        # the sizes pins down "the same L structure" without hashing the
-        # arrays.  A stale key can only cost time: no answer depends on
-        # the state.
-        return (
-            id(graph.edge_a), id(graph.edge_b),
-            graph.n_a, graph.n_b, graph.n_edges,
-        )
 
     def __call__(
         self,
@@ -224,10 +213,9 @@ class ExactMatcher:
         n_a, n_b = graph.n_a, graph.n_b
         sp = _Sparse(graph, w_vec)
         rows_total = len(sp.rows)
-        key = self._structure_key(graph)
         path, reused, searched, depth = "cold", 0, 0, 0
         solved = None
-        if self._key == key and rows_total:
+        if self._keys is graph.edge_keys and rows_total:
             solved, reused, searched, depth = self._warm(graph, sp)
             if solved is None:
                 path = "low_reuse"
@@ -239,7 +227,7 @@ class ExactMatcher:
             solved, depth_cold = _solve_cold(sp, n_a, n_b)
             searched += rows_total
             depth += depth_cold
-        self._key = key
+        self._keys = graph.edge_keys
         self._u, self._v, self._match_row = solved
         self.last_stats = WarmStartStats(
             path, rows_total, reused, searched, depth
@@ -263,7 +251,7 @@ class ExactMatcher:
         # Seeds: each matchable row's previous column, if it survives.
         prev = self._match_row[rows]
         probe = rows * n_b + prev
-        keys = sp.a * n_b + sp.b
+        keys = graph.edge_keys[sp.keep]
         pos = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
         on_edge = (prev >= 0) & (prev < n_b) & (keys[pos] == probe)
         on_dummy = prev == n_b + rows

@@ -78,7 +78,7 @@ def threaded_locally_dominant_matching(
     only the wall-clock (GIL-bound) differs.
     """
     w_vec = graph.weights if weights is None else asarray_f64(weights)
-    indptr_np, neighbors_np, half_eid, _ = graph.as_general_graph()
+    indptr_np, neighbors_np, half_eid = graph.general_view
     hw_np = w_vec[half_eid]
     n = graph.n_a + graph.n_b
     indptr = indptr_np.tolist()

@@ -2,7 +2,7 @@
 
 Every heuristic weight vector in the paper (w, y, z, d, ...) is indexed by
 the edges of L, so the central design decision is a single canonical edge-id
-space shared by all of them:
+space shared by all of them, and four views of L over it:
 
 * Edge ids ``0..m-1`` are assigned in row-major order (sorted by
   ``(a, b)``), so the *row view* (grouping by A-vertex) is just an
@@ -10,8 +10,14 @@ space shared by all of them:
 * The *column view* (grouping by B-vertex) is a precomputed permutation of
   edge ids plus its own ``indptr`` — this is the same permutation trick the
   paper uses for transposes, applied to L.
+* The *edge keys* ``a·n_b + b`` are therefore strictly increasing, so an
+  ``(a, b)`` lookup or a key-set edit is a ``searchsorted`` against them.
+* The *general-graph view* lists L over ``n_a + n_b`` vertices "by not
+  making a distinction between the two sets of vertices" (paper §V), the
+  form the general-graph matchers take.  It is built on first use.
 
-Both views are built once; per-iteration work only gathers through them.
+Each view is built once per graph, and :meth:`BipartiteGraph.with_weights`
+views share all four; per-iteration work only gathers through them.
 """
 
 from __future__ import annotations
@@ -58,6 +64,9 @@ class BipartiteGraph:
     _row_ptr: np.ndarray = field(default=None, repr=False, compare=False)
     _col_ptr: np.ndarray = field(default=None, repr=False, compare=False)
     _col_perm: np.ndarray = field(default=None, repr=False, compare=False)
+    _keys: np.ndarray = field(default=None, repr=False, compare=False)
+    #: Views built on first use; ``with_weights`` views share the dict.
+    _lazy: dict = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Construction
@@ -118,13 +127,14 @@ class BipartiteGraph:
         self.edge_b = asarray_i64(self.edge_b)
         self.weights = asarray_f64(self.weights)
         m = check_same_length(self.edge_a, self.edge_b, self.weights)
+        self._keys = self.edge_a * self.n_b + self.edge_b
+        self._lazy = {}
         if m:
             if self.edge_a.min() < 0 or self.edge_a.max() >= self.n_a:
                 raise ValidationError("A-side endpoint out of range")
             if self.edge_b.min() < 0 or self.edge_b.max() >= self.n_b:
                 raise ValidationError("B-side endpoint out of range")
-            keys = self.edge_a * self.n_b + self.edge_b
-            if np.any(np.diff(keys) <= 0):
+            if np.any(np.diff(self._keys) <= 0):
                 raise ValidationError(
                     "edges must be strictly sorted by (a, b); "
                     "use from_edges() for arbitrary input"
@@ -171,6 +181,11 @@ class BipartiteGraph:
         """Edge-id permutation grouping edges by B-vertex (sorted by ``(b, a)``)."""
         return self._col_perm
 
+    @property
+    def edge_keys(self) -> np.ndarray:
+        """The strictly increasing edge keys ``edge_a·n_b + edge_b``."""
+        return self._keys
+
     def degrees_a(self) -> np.ndarray:
         """Per-A-vertex edge counts."""
         return np.diff(self._row_ptr)
@@ -196,8 +211,7 @@ class BipartiteGraph:
         """
         a, b = asarray_i64(a), asarray_i64(b)
         inside = (a >= 0) & (a < self.n_a) & (b >= 0) & (b < self.n_b)
-        return sorted_lookup(self.edge_a * self.n_b + self.edge_b,
-                             np.where(inside, a * self.n_b + b, -1))
+        return sorted_lookup(self._keys, np.where(inside, a * self.n_b + b, -1))
 
     def incident_edges(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Sorted ids of the edges with an A end in ``a`` or a B end in ``b``.
@@ -216,30 +230,38 @@ class BipartiteGraph:
     # ------------------------------------------------------------------
     # Views for the matching substrate
     # ------------------------------------------------------------------
+    @property
+    def general_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """L as a general undirected graph over ``n_a + n_b`` vertices.
+
+        Returns ``(indptr, neighbors, half_eid)``: vertices ``0..n_a-1``
+        are the A side and ``n_a..n_a+n_b-1`` the B side, and each L edge
+        appears as two half-edges carrying its edge id.  Every vertex
+        lists its neighbors in increasing order.  Built on first use.
+        """
+        view = self._lazy.get("general")
+        if view is None:
+            # A-side half-edges are the row view in order, B-side ones the
+            # column view, so every vertex lists its neighbors sorted.
+            m = self.n_edges
+            view = self._lazy["general"] = (
+                np.concatenate([self._row_ptr, m + self._col_ptr[1:]]),
+                np.concatenate([self.n_a + self.edge_b,
+                                self.edge_a[self._col_perm]]),
+                np.concatenate([np.arange(m, dtype=np.int64), self._col_perm]),
+            )
+        return view
+
     def as_general_graph(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Return L as a general undirected graph over ``n_a + n_b`` vertices.
+        """Return L as a general undirected graph, with half-edge weights.
 
         The paper feeds L to the locally-dominant matcher "by not making a
         distinction between the two sets of vertices".  Returns
-        ``(indptr, neighbors, half_edge_eid, half_edge_weight)`` where
-        vertices ``0..n_a-1`` are the A side and ``n_a..n_a+n_b-1`` the B
-        side; each L edge appears as two half-edges carrying its edge id.
+        ``(indptr, neighbors, half_edge_eid, half_edge_weight)``: the
+        :attr:`general_view` plus this graph's weights gathered onto its
+        half-edges.
         """
-        n = self.n_a + self.n_b
-        m = self.n_edges
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, self.edge_a + 1, 1)
-        np.add.at(indptr, self.n_a + self.edge_b + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        neighbors = np.empty(2 * m, dtype=np.int64)
-        half_eid = np.empty(2 * m, dtype=np.int64)
-        # A-side half-edges are the row view in order; B-side come from the
-        # column permutation.  Both are therefore sorted within each vertex.
-        neighbors[: indptr[self.n_a]] = self.n_a + self.edge_b
-        half_eid[: indptr[self.n_a]] = np.arange(m, dtype=np.int64)
-        b_slice = slice(int(indptr[self.n_a]), 2 * m)
-        neighbors[b_slice] = self.edge_a[self._col_perm]
-        half_eid[b_slice] = self._col_perm
+        indptr, neighbors, half_eid = self.general_view
         return indptr, neighbors, half_eid, self.weights[half_eid]
 
     def subgraph(self, edge_mask: np.ndarray) -> "BipartiteGraph":
@@ -271,4 +293,6 @@ class BipartiteGraph:
         g._row_ptr = self._row_ptr
         g._col_ptr = self._col_ptr
         g._col_perm = self._col_perm
+        g._keys = self._keys
+        g._lazy = self._lazy
         return g

@@ -236,3 +236,63 @@ def test_lookup_edges_matches_dict(case):
         zip(g.edge_a.tolist(), g.edge_b.tolist()))}
     got = g.lookup_edges([p[0] for p in probes], [p[1] for p in probes])
     assert got.tolist() == [ids.get(p, -1) for p in probes]
+
+
+def _general_view_reference(g: BipartiteGraph):
+    """L as a general graph, vertex by vertex: A vertex ``a`` lists
+    ``n_a + b`` over its edges, B vertex ``b`` lists ``a``, each in
+    increasing order with the edge id of every half-edge."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(g.n_a + g.n_b)]
+    for e, (a, b) in enumerate(zip(g.edge_a.tolist(), g.edge_b.tolist())):
+        rows[a].append((g.n_a + b, e))
+        rows[g.n_a + b].append((a, e))
+    half = [h for row in rows for h in sorted(row)]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    return (indptr, np.array([h[0] for h in half], dtype=np.int64),
+            np.array([h[1] for h in half], dtype=np.int64))
+
+
+@st.composite
+def weight_chains(draw):
+    """A random L, a chain of ``with_weights`` views of it, and the
+    member of the chain that asks for the general-graph view first."""
+    n_a, n_b = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n_a - 1),
+                                    st.integers(0, n_b - 1)),
+                          max_size=25, unique=True))
+    chain = [BipartiteGraph.from_edges(
+        n_a, n_b, [p[0] for p in pairs], [p[1] for p in pairs],
+        np.arange(1.0, len(pairs) + 1))]
+    weights = st.lists(st.floats(-5, 5), min_size=len(pairs),
+                       max_size=len(pairs))
+    for _ in range(draw(st.integers(1, 4))):
+        chain.append(chain[-1].with_weights(np.array(draw(weights))))
+    return chain, draw(st.integers(0, len(chain) - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(weight_chains())
+def test_held_views_equal_a_fresh_build_and_are_shared(case):
+    """Property: every view of a ``with_weights`` chain holds the base
+    graph's own key and general-graph arrays, whichever view built them,
+    and they equal a fresh build and a vertex-by-vertex reference."""
+    chain, first = case
+    chain[first].general_view  # whichever view asks first builds it
+    base = chain[0]
+    fresh = BipartiteGraph(base.n_a, base.n_b, base.edge_a.copy(),
+                           base.edge_b.copy(), base.weights.copy())
+    want_keys = base.edge_a * base.n_b + base.edge_b
+    reference = _general_view_reference(base)
+    for g in chain:
+        assert g.edge_keys is base.edge_keys
+        np.testing.assert_array_equal(g.edge_keys, fresh.edge_keys)
+        np.testing.assert_array_equal(g.edge_keys, want_keys)
+        for got, shared, built, want in zip(
+                g.general_view, base.general_view, fresh.general_view,
+                reference):
+            assert got is shared
+            np.testing.assert_array_equal(got, built)
+            np.testing.assert_array_equal(got, want)
+        *view, half_w = g.as_general_graph()
+        assert all(x is y for x, y in zip(view, base.general_view))
+        np.testing.assert_array_equal(half_w, g.weights[view[2]])

@@ -38,6 +38,12 @@ class TestFromEdges:
     def test_direct_ctor_requires_canonical(self):
         with pytest.raises(ValidationError):
             Graph(3, [1], [0])  # u must be < v
+
+    def test_edge_keys_kept(self):
+        g = Graph.from_edges(5, [3, 0, 4, 1], [1, 2, 0, 2])
+        np.testing.assert_array_equal(g.edge_keys, g.edge_u * 5 + g.edge_v)
+        assert np.all(np.diff(g.edge_keys) > 0)
+        assert Graph.from_edges(5, [], []).edge_keys.shape == (0,)
         with pytest.raises(ValidationError):
             Graph(3, [0, 0], [2, 1])  # sorted
 

@@ -1,11 +1,16 @@
 """Tests for Klau's matching-relaxation method (repro.core.klau)."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from repro.core import KlauConfig, klau_align
+from repro.core import BPConfig, KlauConfig, belief_propagation_align, klau_align
+from repro.core.rounding import MATCHER_KINDS
 from repro.errors import ConfigurationError
+from repro.generators import powerlaw_alignment_instance
 from repro.matching.validate import check_matching
+from repro.observe import capture, get_bus
 
 
 class TestConfig:
@@ -169,3 +174,43 @@ class TestRun:
     def test_summary_mentions_method(self, small_instance):
         res = klau_align(small_instance.problem, KlauConfig(n_iter=3))
         assert "klau-mr" in res.summary()
+
+
+class TestCertifiedBound:
+    """Every bound Klau reports is one, whatever matcher Step 3 runs.
+
+    Instances of the n=120 power-law sweep (d̄ = 4 and 10) on which
+    ``wbar·x`` of an ``approx`` Step 3 fell below a feasible objective
+    and stopped the run early.  A bound must dominate the run's own
+    objective, exact MR's and BP's.
+    """
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def instance(d: int, seed: int):
+        """The problem and the best of exact MR's and BP's objectives."""
+        p = powerlaw_alignment_instance(n=120, expected_degree=d,
+                                        seed=seed).problem
+        exact = klau_align(p, KlauConfig(n_iter=40))
+        bp = belief_propagation_align(p, BPConfig())
+        return p, max(exact.objective, bp.objective)
+
+    @pytest.mark.parametrize(
+        "d, seed, matcher",
+        [(4, 0, kind) for kind in MATCHER_KINDS] + [(10, 1, "approx")])
+    def test_every_reported_bound_is_a_bound(self, d, seed, matcher):
+        p, feasible = self.instance(d, seed)
+        with capture() as sink:
+            res = klau_align(p, KlauConfig(n_iter=40, matcher=matcher))
+            gauge = [row["value"] for row in get_bus().metrics.snapshot()
+                     if row["metric"] == "repro_best_upper_bound"]
+        bounds = ([r.upper_bound for r in res.history]
+                  + [e.fields["upper_bound"] for e in sink.events
+                     if e.type == "iteration"]
+                  + gauge + [res.best_upper_bound])
+        assert len(bounds) == 2 * len(res.history) + 2
+        assert min(bounds) >= max(feasible, res.objective) - 1e-9
+        if matcher == "auction":
+            assert bounds == [np.inf] * len(bounds)
+        if matcher != "exact":
+            assert res.iterations == 40  # the gap test never fired

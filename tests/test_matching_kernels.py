@@ -1,4 +1,4 @@
-"""Tests for the locally-dominant rounds kernel and its group-plan cache.
+"""Tests for the locally-dominant rounds kernel and its group plans.
 
 The contracts under test:
 
@@ -13,9 +13,14 @@ The contracts under test:
   whole ½-approximation family resolves ties identically;
 * every approximate matcher kind returns valid matchings whose rounds
   (if any) the machine simulator can replay;
-* group plans are cached and reused across calls on the same L
-  structure.
+* a plan from a raw CSR adjacency equals the plan of L's held
+  general-graph view, and rows out of order keep the tie-break;
+* nothing outlives a dropped L: its views and every plan built from
+  them are collectable.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -27,18 +32,16 @@ from repro.errors import DimensionError, TraceError
 from repro.machine.trace import matching_to_trace
 from repro.matching import (
     check_matching,
-    clear_plan_cache,
-    get_plan,
     greedy_matching,
     locally_dominant_matching,
     locally_dominant_matching_vectorized,
     max_weight_matching,
-    plan_cache_stats,
     suitor_matching,
 )
 from repro.matching.kernels import GroupPlan, locally_dominant_rounds
 from repro.matching.locally_dominant import locally_dominant_mates
 from repro.matching.result import MatchingResult
+from repro.matching.warm import ExactMatcher
 from repro.sparse.bipartite import BipartiteGraph
 
 from tests.helpers import random_bipartite
@@ -123,7 +126,7 @@ def assert_edges_from_mates(graph: BipartiteGraph, w, res) -> None:
 
 def rounds_match(backend: str, graph: BipartiteGraph, **kwargs):
     """``(mate_a, rounds)`` of one rounds implementation on ``graph``."""
-    plan = get_plan(graph)
+    plan = GroupPlan.from_graph(graph)
     mate, rounds = ROUNDS[backend](
         plan, graph.weights[plan.half_eid], **kwargs)
     head = mate[:graph.n_a]
@@ -289,36 +292,48 @@ def test_collect_rounds_off(rng):
 
 
 # ----------------------------------------------------------------------
-# Group-plan cache
+# Group plans
 # ----------------------------------------------------------------------
 
 
-def test_plan_cache_reuse(rng):
-    clear_plan_cache()
-    g = random_bipartite(rng, max_side=10)
-    base = plan_cache_stats()
-    p1 = get_plan(g)
-    p2 = get_plan(g)
-    assert p1 is p2
-    # Reweighted views share endpoint arrays, hence the plan.
-    p3 = get_plan(g.with_weights(np.abs(g.weights) + 1.0))
-    assert p3 is p1
-    stats = plan_cache_stats()
-    assert stats["builds"] == base["builds"] + 1
-    assert stats["hits"] >= base["hits"] + 2
+def test_dropped_graph_frees_its_views_and_plans(monkeypatch):
+    """No process-wide cache outlives L: once the last reference to a
+    graph and its ``with_weights`` views goes, its endpoint arrays, its
+    general-graph view and every plan the matchers built are freed."""
+    built = []
+    from_graph = GroupPlan.from_graph.__func__
 
+    def recording(cls, graph):
+        plan = from_graph(cls, graph)
+        built.append(weakref.ref(plan))
+        return plan
 
-def test_plan_cache_eviction(rng):
-    clear_plan_cache()
-    graphs = [random_bipartite(rng, max_side=8) for _ in range(12)]
-    for g in graphs:
-        get_plan(g)
-    assert plan_cache_stats()["size"] <= 8
+    monkeypatch.setattr(GroupPlan, "from_graph", classmethod(recording))
+    rng = np.random.default_rng(3)
+    g = BipartiteGraph.from_edges(
+        40, 40, rng.integers(0, 40, 200), rng.integers(0, 40, 200),
+        rng.uniform(0.1, 2.0, 200))
+    view = g.with_weights(g.weights * 1.01)
+    matchers = [make_matcher(kind) for kind in
+                ("approx", "approx-queue", "suitor", "greedy")]
+    exact = ExactMatcher()
+    for graph in (g, view, g):
+        for matcher in matchers:
+            matcher(graph, graph.weights)
+        exact(graph, graph.weights, dense_cutoff=0)
+    assert exact.last_stats.path == "warm"
+    refs = [weakref.ref(x) for x in
+            (g, view, g.edge_a, g.edge_b, g.edge_keys,
+             *g.as_general_graph()[:3])]
+    del g, view, graph, matchers, matcher, exact
+    gc.collect()
+    assert [r() is None for r in refs + built] == [True] * len(refs + built)
+    assert len(built) == 3  # one plan per call on g, view and g
 
 
 def test_group_plan_from_csr_matches_graph_plan(rng):
     g = random_bipartite(rng, max_side=10)
-    plan = get_plan(g)
+    plan = GroupPlan.from_graph(g)
     raw = GroupPlan.from_csr(plan.indptr, plan.neighbors)
     assert raw.n == plan.n == g.n_a + g.n_b
     for name in ("indptr", "neighbors", "degrees"):
@@ -336,7 +351,7 @@ def test_unsorted_csr_rows_keep_the_tie_break(rng):
     shuffled = 0
     for _ in range(30):
         g = duplicate_heavy(random_bipartite(rng))
-        plan = get_plan(g)
+        plan = GroupPlan.from_graph(g)
         hw = g.weights[plan.half_eid]
         ref_mate, ref_rounds = locally_dominant_rounds_python(plan, hw)
         # Reverse a random subset of rows.
@@ -361,7 +376,7 @@ def test_kernel_weight_length_checked():
     with pytest.raises(DimensionError):
         locally_dominant_matching_vectorized(g, weights=np.ones(5))
     with pytest.raises(DimensionError):
-        locally_dominant_rounds(get_plan(g), np.ones(5))
+        locally_dominant_rounds(GroupPlan.from_graph(g), np.ones(5))
     # A row out of order (vertex 0 lists 2 before 1) is sorted first.
     for bad in (np.ones(2), np.ones(5)):
         with pytest.raises(DimensionError):

@@ -277,13 +277,22 @@ class TestStateManagement:
         assert_cold(res, g2, g2.weights)
 
     def test_reweighted_view_shares_state(self):
-        """``with_weights`` views share endpoint arrays, so they
-        warm-start each other (the Klau wbar pattern)."""
+        """``with_weights`` views share the edge-key array, so they
+        warm-start each other (the Klau wbar pattern): a view, a view of
+        a view, and the base graph after them."""
         g = random_ell(8)
-        matcher = ExactMatcher()
-        matcher(g, g.weights)
-        matcher(g.with_weights(g.weights * 1.01), None)
-        assert matcher.last_stats.path == "warm"
+        views = [g]
+        for scale in (1.01, 1.02, 0.99):
+            views.append(views[-1].with_weights(g.weights * scale))
+        assert replay(views + [g], [None] * 5) == Counter(cold=1, warm=4)
+
+    def test_equal_but_distinct_graph_starts_cold(self):
+        """State follows the graph's key array, not equal contents or
+        shared endpoint arrays: a graph built anew is another L."""
+        g = random_ell(12)
+        twin = BipartiteGraph(g.n_a, g.n_b, g.edge_a, g.edge_b, g.weights)
+        assert np.array_equal(twin.edge_keys, g.edge_keys)
+        assert replay([g, twin, twin], [None] * 3) == Counter(cold=2, warm=1)
 
     def test_fresh_matcher_starts_cold(self):
         g = random_ell(9)

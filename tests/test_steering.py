@@ -190,6 +190,29 @@ class TestOutOfRangePairs:
                              before):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("steer", [forbid_pairs, pin_pairs])
+    @pytest.mark.parametrize("shift", [(0.7, 0.0), (0.0, 0.7), (-0.3, 0.0)])
+    def test_fractional_ids_rejected_and_l_unchanged(self, instance, steer,
+                                                     shift):
+        """``(a + 0.7, b)`` names no vertex pair; an int64 cast would
+        truncate it to the candidate ``(a, b)`` and edit that edge."""
+        p = instance.problem
+        a, b = int(p.ell.edge_a[0]), int(p.ell.edge_b[0])
+        before = (p.ell.edge_a.copy(), p.ell.edge_b.copy(),
+                  p.ell.weights.copy())
+        with pytest.raises(ValidationError, match="integer vertex ids"):
+            steer(p, [(a + shift[0], b + shift[1])])
+        for got, want in zip((p.ell.edge_a, p.ell.edge_b, p.ell.weights),
+                             before):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("steer", [forbid_pairs, pin_pairs])
+    def test_integral_floats_name_their_vertex(self, instance, steer):
+        p = instance.problem
+        a, b = int(p.ell.edge_a[0]), int(p.ell.edge_b[0])
+        got, want = steer(p, [(float(a), float(b))]), steer(p, [(a, b)])
+        _assert_same_l(got, want)
+
 
 def _assert_same_l(got, want):
     np.testing.assert_array_equal(got.ell.edge_a, want.ell.edge_a)
