@@ -124,7 +124,11 @@ def belief_propagation_align(
     """Run the BP message-passing method on ``problem``.
 
     ``tracer`` optionally records per-step work traces (see
-    :mod:`repro.machine.trace`) for the scaling study.  When the
+    :mod:`repro.machine.trace`) for the scaling study.  The tracer
+    replays the :class:`~repro.matching.result.RoundStats` of every
+    matching, so a traced run rounds every iterate with its matcher
+    (no :class:`~repro.core.rounding.RoundingWorkspace` keeps an
+    earlier answer).  When the
     :mod:`repro.observe` bus has sinks attached, the run is wrapped in a
     ``bp.align`` span and emits one ``iteration`` event per iteration
     (plus ``rounding``/``matching`` events from the rounding layer).
@@ -257,7 +261,9 @@ def _bp_run(
 
     tracker = BestTracker()
     history: list[IterationRecord] = []
-    workspace = RoundingWorkspace.for_problem(problem)
+    # A kept answer has no RoundStats for the tracer to replay.
+    workspace = (RoundingWorkspace.for_problem(problem)
+                 if tracer is None else None)
     pending: list[tuple[int, np.ndarray, np.ndarray]] = []
     active: np.ndarray | None = None
     counters: dict[str, int] = {}  # incremental runs' params

@@ -32,11 +32,17 @@ definition, and correctness checks recompute with it.
 
 ``RoundingWorkspace`` lets hot loops (BP's batched rounding) reuse the
 indicator buffer across calls instead of allocating ``O(|E_L|)`` per
-rounding, and remembers the last rounding of each source: near its
-fixed point BP often hands over an iterate bit-identical to the
-previous one of its source, and a matcher's answer is a function of L
-and the vector, so ``round_heuristic`` answers it again without
-running the matcher or the scorer.
+rounding, and remembers the last rounding of each source.  BP's
+max-product iterates settle long before its last iteration
+(Bayati–Gleich–Saberi–Wang, PAPERS.md), so a source's next vector
+mostly rounds to the matching it rounded to last time.  The
+greedy-order kinds (``approx``, ``approx-queue`` and ``greedy``) answer
+the greedy matching of the vector under the order (−g_e, e), and
+:func:`~repro.matching.greedy.is_greedy_matching` checks in one
+vectorized pass whether the last matching still is that matching; when
+it is, ``round_heuristic`` keeps it without running the matcher or the
+scorer.  Every other kind keeps its answer only for a vector whose
+bytes equal the last one.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from repro.core.problem import NetworkAlignmentProblem
 from repro.core.result import BestTracker
 from repro.errors import ConfigurationError, DimensionError
 from repro.matching.auction import auction_matching
-from repro.matching.greedy import greedy_matching
+from repro.matching.greedy import greedy_matching, is_greedy_matching
 from repro.matching.locally_dominant import (
     locally_dominant_matching,
     locally_dominant_matching_vectorized,
@@ -73,7 +79,16 @@ __all__ = [
 
 
 class Matcher(Protocol):
-    """A ``bipartite_match`` oracle: weights over L's edges → matching."""
+    """A ``bipartite_match`` oracle: weights over L's edges → matching.
+
+    A matcher may carry a ``kind`` attribute naming it in ``rounding``
+    events.  The name is a promise: a matcher whose ``kind`` is one of
+    the greedy-order kinds returns the greedy matching of the weights
+    under the order (−g_e, e) over the positive edges, so a
+    :class:`RoundingWorkspace` may keep an earlier answer that
+    :func:`~repro.matching.greedy.is_greedy_matching` certifies instead
+    of calling it.
+    """
 
     def __call__(
         self, ell: BipartiteGraph, weights: np.ndarray
@@ -84,12 +99,18 @@ MATCHER_KINDS = (
     "exact", "approx", "approx-queue", "greedy", "suitor", "auction",
 )
 
+#: The greedy-order kinds: each answers the greedy matching under the
+#: order (−g_e, e) over the positive edges, ties included (paper §V).
+_GREEDY_KINDS = frozenset({"approx", "approx-queue", "greedy"})
+
 
 def make_matcher(kind: str) -> Matcher:
     """Return the ``bipartite_match`` implementation named ``kind``.
 
     The returned callable carries a ``kind`` attribute so downstream
-    instrumentation (``rounding`` events) can name the oracle in use.
+    instrumentation (``rounding`` events) can name the oracle in use;
+    for the greedy-order kinds it is also the promise a
+    :class:`RoundingWorkspace` relies on (see :class:`Matcher`).
     ``"exact"`` returns a fresh
     :class:`~repro.matching.warm.ExactMatcher` per call to this factory:
     it warm-starts successive matchings on the same L structure, and
@@ -115,11 +136,16 @@ def make_matcher(kind: str) -> Matcher:
 
 
 class _Rounded(NamedTuple):
-    """One remembered rounding: its inputs and the answer they gave."""
+    """One remembered rounding: its inputs and the answer they gave.
+
+    ``vector`` is a copy of the vector rounded, kept only for matchers
+    outside the greedy-order kinds (``None`` for those, whose answer is
+    certified instead).
+    """
 
     problem: NetworkAlignmentProblem
     matcher: Matcher
-    vector: np.ndarray
+    vector: np.ndarray | None
     answer: tuple[float, float, float, MatchingResult]
 
 
@@ -132,11 +158,20 @@ class RoundingWorkspace:
     buffer is overwritten on every call; callers must not hold views
     across calls.
 
-    Per ``source`` it also keeps a copy of the last vector rounded, with
-    the problem, the matcher object and the answer: a call that hands
-    over the same bytes for the same problem and matcher object gets
-    that answer again without running the matcher or the scorer (and
-    leaves ``x`` as it was).
+    Per ``source`` it also keeps the problem, the matcher object and
+    the answer of the last rounding.  A call for the same problem and
+    matcher object gets that matching again, without running the
+    matcher or the scorer (and leaves ``x`` as it was), when:
+
+    * the matcher's ``kind`` is one of the greedy-order kinds and the
+      matching is still the greedy matching of the new vector
+      (:func:`~repro.matching.greedy.is_greedy_matching`); the answer
+      then has the same objective parts and edge ids, and a new
+      :class:`~repro.matching.result.MatchingResult` whose ``weight`` is
+      the new vector's sum over those edges and whose ``rounds`` is
+      empty;
+    * for any other matcher, the vector's bytes equal the last one's
+      (the workspace keeps a copy).
     """
 
     x: np.ndarray
@@ -165,18 +200,23 @@ class RoundingWorkspace:
         source: str,
         g: np.ndarray,
     ) -> tuple[float, float, float, MatchingResult] | None:
-        """The answer ``source``'s last rounding gave, if it rounded the
-        same bytes of ``g`` on ``problem`` with ``matcher``; else None."""
+        """The answer ``matcher`` would give for ``g`` on ``problem``, if
+        ``source``'s last rounding shows it without a run; else None."""
         last = self._last.get(source)
-        if (
-            last is not None
-            and last.problem is problem
-            and last.matcher is matcher
-            and last.vector.shape == g.shape
-            and np.array_equal(last.vector.view(np.int64), g.view(np.int64))
-        ):
-            return last.answer
-        return None
+        if last is None or last.problem is not problem \
+                or last.matcher is not matcher:
+            return None
+        if last.vector is not None:
+            same = last.vector.shape == g.shape and np.array_equal(
+                last.vector.view(np.int64), g.view(np.int64))
+            return last.answer if same else None
+        objective, weight_part, overlap_part, matching = last.answer
+        if not is_greedy_matching(problem.ell, g, matching):
+            return None
+        eids = matching.edge_ids
+        kept = MatchingResult(matching.mate_a, matching.mate_b, eids,
+                              float(g[eids].sum()))
+        return objective, weight_part, overlap_part, kept
 
     def remember(
         self,
@@ -186,8 +226,11 @@ class RoundingWorkspace:
         g: np.ndarray,
         answer: tuple[float, float, float, MatchingResult],
     ) -> None:
-        """Keep a copy of ``g`` and its answer as ``source``'s last rounding."""
-        self._last[source] = _Rounded(problem, matcher, g.copy(), answer)
+        """Keep ``answer`` (and, outside the greedy-order kinds, a copy of
+        ``g``) as ``source``'s last rounding."""
+        greedy = getattr(matcher, "kind", None) in _GREEDY_KINDS
+        self._last[source] = _Rounded(
+            problem, matcher, None if greedy else g.copy(), answer)
 
 
 def score_matching(
@@ -245,10 +288,13 @@ def round_heuristic(
     offers the result to it (keeping "track of which g produced the
     largest objective", Table I).  A :class:`RoundingWorkspace` saves
     the indicator allocation (hot loops round thousands of times on one
-    problem) and answers a vector whose bytes equal the last one rounded
-    for the same ``source``, problem and matcher object from memory: the
-    tracker is still offered the result and the ``rounding`` event still
-    fires, but no matcher runs, so no ``matching`` event does.
+    problem) and keeps the last answer for the same ``source``, problem
+    and matcher object when it provably is the answer again: for
+    the greedy-order kinds, when the last matching is still the greedy
+    matching of ``g``; for other matchers, when ``g`` has the last
+    vector's bytes.  The tracker is still offered the result and the
+    ``rounding`` event still fires, but no matcher runs, so no
+    ``matching`` event does.
     """
     if matcher is None:
         raise ConfigurationError(

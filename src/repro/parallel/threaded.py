@@ -17,6 +17,7 @@ import numpy as np
 
 from repro._util import asarray_f64
 from repro.errors import ConfigurationError
+from repro.matching.locally_dominant import _general_graph_arrays
 from repro.matching.result import MatchingResult
 from repro.sparse.bipartite import BipartiteGraph
 
@@ -77,9 +78,7 @@ def threaded_locally_dominant_matching(
     counter idiom of §V.  The output matches the serial implementation;
     only the wall-clock (GIL-bound) differs.
     """
-    w_vec = graph.weights if weights is None else asarray_f64(weights)
-    indptr_np, neighbors_np, half_eid = graph.general_view
-    hw_np = w_vec[half_eid]
+    indptr_np, neighbors_np, hw_np = _general_graph_arrays(graph, weights)
     n = graph.n_a + graph.n_b
     indptr = indptr_np.tolist()
     adj = neighbors_np.tolist()
@@ -164,4 +163,5 @@ def threaded_locally_dominant_matching(
          for a in range(graph.n_a)],
         dtype=np.int64,
     )
+    w_vec = graph.weights if weights is None else asarray_f64(weights)
     return MatchingResult.from_mates(graph, mate_a, weights=w_vec)

@@ -156,17 +156,19 @@ class TestTracedBatches:
 
 
 class TestRepeatedIterates:
-    """Near a fixed point BP hands the rounding step iterates equal to
-    the previous one of their source; the workspace answers those from
-    memory, and nothing but the ``matching`` events changes."""
+    """Near a fixed point BP's iterates round to the matching their
+    source got last time.  The workspace keeps that matching when it is
+    certified greedy (``approx``) or the iterate repeats byte for byte
+    (``suitor``), and nothing but the ``matching`` events changes."""
 
     @staticmethod
-    def run(problem):
+    def run(problem, matcher="approx", tracer=None):
         from repro.observe import capture
 
-        config = BPConfig(n_iter=30, batch=2, damping="none")
+        config = BPConfig(n_iter=30, batch=2, damping="none",
+                          matcher=matcher)
         with capture() as sink:
-            result = belief_propagation_align(problem, config)
+            result = belief_propagation_align(problem, config, tracer)
         # repr: the events' NaN upper bounds then compare equal.
         events = [
             repr((e.type, {k: v for k, v in e.fields.items()
@@ -175,13 +177,26 @@ class TestRepeatedIterates:
         ]
         return result, events, len(sink.of_type("matching"))
 
-    def test_same_run_with_fewer_matcher_runs(self, monkeypatch):
+    @staticmethod
+    def problem():
         import repro
+
+        return repro.powerlaw_alignment_instance(
+            n=30, expected_degree=3, seed=5).problem
+
+    def test_same_run_with_fewer_matcher_runs(self, monkeypatch):
+        # 47 of the 61 roundings keep a certified matching.
+        self.assert_same_run(monkeypatch, "approx", 14)
+
+    def test_suitor_keeps_repeated_bytes_only(self, monkeypatch):
+        # 35 of the 61 iterates repeat their source's last one.
+        self.assert_same_run(monkeypatch, "suitor", 26)
+
+    def assert_same_run(self, monkeypatch, matcher, runs):
         from repro.core import bp
 
-        problem = repro.powerlaw_alignment_instance(
-            n=30, expected_degree=3, seed=5).problem
-        remembered, events, matchings = self.run(problem)
+        problem = self.problem()
+        remembered, events, matchings = self.run(problem, matcher)
 
         round_heuristic = bp.round_heuristic
 
@@ -189,7 +204,7 @@ class TestRepeatedIterates:
             return round_heuristic(*args, **kwargs)
 
         monkeypatch.setattr(bp, "round_heuristic", no_workspace)
-        plain, plain_events, plain_matchings = self.run(problem)
+        plain, plain_events, plain_matchings = self.run(problem, matcher)
 
         assert np.array_equal(remembered.matching.mate_a,
                               plain.matching.mate_a)
@@ -201,4 +216,20 @@ class TestRepeatedIterates:
         # 30 iterations × (y, z) + the final exact rounding.
         assert sum(e.startswith("('rounding',") for e in events) == 61
         assert plain_matchings == 61
-        assert matchings == 61 - 35
+        assert matchings == runs
+
+    def test_a_traced_run_matches_every_rounding(self):
+        """The tracer replays every matching's round stats, which a kept
+        matching does not have, so a traced run matches every iterate."""
+        from repro.machine.trace import AlgorithmTracer
+
+        problem = self.problem()
+        traced, events, matchings = self.run(problem,
+                                             tracer=AlgorithmTracer())
+        untraced, untraced_events, _ = self.run(problem)
+        assert sum(e.startswith("('rounding',") for e in events) == 61
+        assert matchings == 61
+        assert [e for e in events if not e.startswith("('trace_replay',")
+                ] == untraced_events
+        assert np.array_equal(traced.matching.mate_a,
+                              untraced.matching.mate_a)

@@ -19,6 +19,10 @@ iteration loops were merged into one, by running this module from the
 repository root::
 
     PYTHONPATH=src python -m tests.test_bp_parity --record
+
+Since rounding keeps a matching it certifies greedy (``approx``
+scenarios), those scenarios record fewer ``matching`` events; nothing
+else in the fixture moved with that change.
 """
 
 from __future__ import annotations

@@ -3,6 +3,8 @@
 These encode §V's guarantees: validity, maximality over positive edges,
 the ½ weight/cardinality approximation ratio, the equivalence of all
 implementations under distinct weights, and the O(log V)-ish round decay.
+``TestGreedyCertificate`` pins the check that a matching is the greedy
+one, which rounding relies on to keep an earlier answer.
 """
 
 import numpy as np
@@ -10,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.core.rounding import make_matcher
+from repro.errors import ConfigurationError, DimensionError
 from repro.matching import (
+    MatchingResult,
     check_matching,
     greedy_matching,
     is_maximal_matching,
@@ -19,6 +23,7 @@ from repro.matching import (
     locally_dominant_matching_vectorized,
     max_weight_matching_dense,
 )
+from repro.matching.greedy import is_greedy_matching
 from repro.sparse.bipartite import BipartiteGraph
 
 from tests.helpers import random_bipartite
@@ -175,3 +180,90 @@ class TestConfig:
         g = random_bipartite(rng)
         with pytest.raises(ConfigurationError):
             locally_dominant_matching(g, init="bogus")
+
+
+#: Tie-heavy weights: small integers, both zeros, +inf and NaN.
+TIE_VALUES = (-1.0, -0.0, 0.0, 1.0, 2.0, 3.0, np.inf, np.nan)
+
+
+@st.composite
+def tie_heavy(draw):
+    """A small L and a weight vector full of ties: free draws from
+    :data:`TIE_VALUES`, one value per A- or B-vertex group, or one value
+    for every edge."""
+    n_a = draw(st.integers(1, 6))
+    n_b = draw(st.integers(1, 6))
+    pairs = sorted(draw(st.sets(
+        st.tuples(st.integers(0, n_a - 1), st.integers(0, n_b - 1)))))
+    g = BipartiteGraph.from_edges(
+        n_a, n_b, [a for a, _ in pairs], [b for _, b in pairs])
+    values = st.sampled_from(TIE_VALUES)
+    mode = draw(st.sampled_from(["free", "a_groups", "b_groups", "equal"]))
+    if mode == "free":
+        w = draw(st.lists(values, min_size=g.n_edges, max_size=g.n_edges))
+    elif mode == "equal":
+        w = [draw(values)] * g.n_edges
+    else:
+        side, n = (g.edge_a, n_a) if mode == "a_groups" else (g.edge_b, n_b)
+        per = draw(st.lists(values, min_size=n, max_size=n))
+        w = [per[v] for v in side.tolist()]
+    return g, np.array(w, dtype=np.float64)
+
+
+def random_maximal(g, w, rng, positive_only):
+    """A maximal matching taken in a random edge order."""
+    order = rng.permutation(g.n_edges)
+    if positive_only:
+        order = order[w[order] > 0]
+    mate_a = np.full(g.n_a, -1, dtype=np.int64)
+    used = np.zeros(g.n_b, dtype=bool)
+    for e in order.tolist():
+        a, b = int(g.edge_a[e]), int(g.edge_b[e])
+        if mate_a[a] < 0 and not used[b]:
+            mate_a[a], used[b] = b, True
+    return MatchingResult.from_mates(g, mate_a, weights=w)
+
+
+class TestGreedyCertificate:
+    """``is_greedy_matching`` passes the greedy matching under (−w_e, e)
+    over the positive edges and nothing else; the greedy-order kinds
+    return that matching whatever the ties."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy(), st.integers(0, 2**32 - 1))
+    def test_passes_exactly_the_greedy_matching(self, case, seed):
+        g, w = case
+        answers = [make_matcher(kind)(g, w)
+                   for kind in ("approx", "approx-queue", "greedy")]
+        greedy = answers[-1]
+        for answer in answers:
+            assert np.array_equal(answer.edge_ids, greedy.edge_ids)
+            assert np.array_equal(answer.mate_a, greedy.mate_a)
+            assert is_greedy_matching(g, w, answer)
+        rng = np.random.default_rng(seed)
+        perturbed = w.copy()
+        if g.n_edges:
+            at = rng.integers(0, g.n_edges, int(rng.integers(1, 3)))
+            perturbed[at] = rng.choice(np.array(TIE_VALUES), len(at))
+        others = [
+            make_matcher("approx")(g, perturbed),
+            random_maximal(g, w, rng, positive_only=True),
+            random_maximal(g, w, rng, positive_only=False),
+        ]
+        for other in others:
+            check_matching(g, other)
+            assert is_greedy_matching(g, w, other) == np.array_equal(
+                other.edge_ids, greedy.edge_ids)
+
+    def test_edges_sharing_a_vertex_fail(self):
+        g = BipartiteGraph.from_edges(1, 2, [0, 0], [0, 1])
+        w = np.array([2.0, 1.0])
+        assert is_greedy_matching(g, w, greedy_matching(g, w))
+        both = MatchingResult(mate_a=[0], mate_b=[0, 0], edge_ids=[0, 1],
+                              weight=3.0)
+        assert not is_greedy_matching(g, w, both)
+
+    def test_wrong_length_rejected(self):
+        g = BipartiteGraph.from_edges(2, 2, [0, 1], [0, 1])
+        with pytest.raises(DimensionError, match="wrong length"):
+            is_greedy_matching(g, np.ones(3), greedy_matching(g))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DimensionError
 from repro.matching import (
     check_matching,
     is_maximal_matching,
@@ -14,6 +14,7 @@ from repro.parallel import (
     parallel_for_threaded,
     threaded_locally_dominant_matching,
 )
+from repro.sparse.bipartite import BipartiteGraph
 
 from tests.helpers import random_bipartite
 
@@ -71,3 +72,10 @@ class TestThreadedMatcher:
         w = rng.random(g.n_edges)
         res = threaded_locally_dominant_matching(g, w, n_threads=2)
         check_matching(g, res)
+
+    def test_wrong_weight_length_rejected(self):
+        """Like every other matcher it refuses a weight vector of the
+        wrong length instead of matching on its first entries."""
+        g = BipartiteGraph.from_edges(3, 3, [0, 1, 2], [0, 1, 2], [1, 2, 3])
+        with pytest.raises(DimensionError, match="weights has wrong length"):
+            threaded_locally_dominant_matching(g, [5, 1, 1, 9], n_threads=2)

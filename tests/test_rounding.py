@@ -18,9 +18,6 @@ from repro.generators.bio import dmela_scere
 from repro.generators.ontology import lcsh_wiki
 from repro.graph import Graph
 from repro.matching import hopcroft_karp, max_weight_matching
-from repro.matching.locally_dominant import (
-    locally_dominant_matching_vectorized,
-)
 from repro.matching.result import MatchingResult
 from repro.multilevel import coarsen_graph, project_ell, project_squares
 from repro.observe import capture
@@ -183,17 +180,22 @@ class TestRoundHeuristic:
         assert tracker.best_iteration == 1
 
 
+#: The kinds whose answer is the greedy matching under (−g_e, e).
+GREEDY_ORDER = ("approx", "approx-queue", "greedy")
+
+
 class CountingMatcher:
-    """The ``approx`` matcher, counting its runs."""
+    """The matcher of ``kind``, counting its runs; ``claims`` is the
+    ``kind`` it reports (by default its own)."""
 
-    kind = "approx"
-
-    def __init__(self) -> None:
+    def __init__(self, kind: str = "approx", claims: str | None = None):
+        self.kind = kind if claims is None else claims
+        self.inner = make_matcher(kind)
         self.calls = 0
 
     def __call__(self, ell, weights):
         self.calls += 1
-        return locally_dominant_matching_vectorized(ell, weights)
+        return self.inner(ell, weights)
 
 
 class RecordingTracker(BestTracker):
@@ -210,9 +212,22 @@ class RecordingTracker(BestTracker):
                              vector, source, iteration)
 
 
+def assert_same_answer(got, want):
+    """Two ``round_heuristic`` answers agree bit for bit (but for the
+    matcher's round stats)."""
+    assert got[:3] == want[:3]
+    for name in ("mate_a", "mate_b", "edge_ids"):
+        assert np.array_equal(getattr(got[3], name), getattr(want[3], name))
+    assert got[3].weight == want[3].weight
+
+
 class TestRepeatedVector:
-    """A workspace answers the same bytes of the same source, problem and
-    matcher object without running the matcher again."""
+    """A workspace keeps the last answer of the same source, problem and
+    matcher object when it provably is the answer again.  For the
+    greedy-order kinds that is when the last matching is still the
+    greedy matching of the new vector; for every other kind (``suitor``
+    here, or a callable claiming another ``kind``), when the new vector
+    has the last one's bytes."""
 
     @staticmethod
     def call(p, g, matcher, workspace, source="y", tracker=None,
@@ -221,46 +236,123 @@ class TestRepeatedVector:
                                source=source, iteration=iteration,
                                workspace=workspace)
 
+    @staticmethod
+    def distinct(p):
+        """A vector of distinct positive weights."""
+        return p.weights + np.linspace(0.0, 1.0, p.n_edges_l)
+
     def test_equal_vector_is_answered_from_memory(self, small_instance):
         p = small_instance.problem
-        matcher, workspace = CountingMatcher(), RoundingWorkspace.for_problem(p)
-        tracker = RecordingTracker()
-        g = p.weights + np.linspace(0.0, 1.0, p.n_edges_l)
-        with capture() as sink:
-            first = self.call(p, g, matcher, workspace, tracker=tracker)
-            second = self.call(p, g.copy(), matcher, workspace,
-                               tracker=tracker, iteration=2)
+        for kind in GREEDY_ORDER + ("suitor",):
+            matcher = CountingMatcher(kind)
+            workspace = RoundingWorkspace.for_problem(p)
+            tracker = RecordingTracker()
+            g = self.distinct(p)
+            with capture() as sink:
+                first = self.call(p, g, matcher, workspace, tracker=tracker)
+                second = self.call(p, g.copy(), matcher, workspace,
+                                   tracker=tracker, iteration=2)
+            assert matcher.calls == 1
+            assert_same_answer(second, first)
+            if kind == "suitor":
+                assert second[3] is first[3]
+            else:
+                # A kept matching is a new result, with no round stats.
+                assert second[3] is not first[3] and second[3].rounds == []
+            assert tracker.offers == [("y", 1), ("y", 2)]
+            roundings = sink.of_type("rounding")
+            assert [e.fields["iteration"] for e in roundings] == [1, 2]
+            assert roundings[0].fields["objective"] == first[0]
+            assert roundings[1].fields["objective"] == first[0]
+            assert len(sink.of_type("matching")) == 1  # the matcher's run
+
+    @pytest.mark.parametrize("change", ["next_ulp", "negative_zero"])
+    @pytest.mark.parametrize("kind", GREEDY_ORDER)
+    def test_a_passing_vector_runs_no_matcher(self, small_instance, kind,
+                                              change):
+        p = small_instance.problem
+        matcher = CountingMatcher(kind)
+        workspace = RoundingWorkspace.for_problem(p)
+        g = self.distinct(p)
+        g[1] = 0.0
+        first = self.call(p, g, matcher, workspace)
+        h = g.copy()
+        if change == "next_ulp":
+            e = first[3].edge_ids[0]  # a matched edge gets heavier
+            h[e] = np.nextafter(h[e], np.inf)
+        else:
+            h[1] = -0.0
+        kept = self.call(p, h, matcher, workspace)
         assert matcher.calls == 1
-        assert second[:3] == first[:3] and second[3] is first[3]
-        assert tracker.offers == [("y", 1), ("y", 2)]
-        roundings = sink.of_type("rounding")
-        assert [e.fields["iteration"] for e in roundings] == [1, 2]
-        assert roundings[0].fields["objective"] == first[0]
-        assert roundings[1].fields["objective"] == first[0]
-        assert len(sink.of_type("matching")) == 1  # only the matcher's run
+        assert_same_answer(kept, round_heuristic(p, h, matcher=kind))
+        assert kept[3].weight == float(h[first[3].edge_ids].sum())
+
+    @pytest.mark.parametrize("kind", GREEDY_ORDER)
+    def test_a_failing_vector_runs_the_matcher(self, small_instance, kind):
+        """The workspace keeps no copy of the vector, so a caller that
+        reuses its buffer gets the new vector's answer."""
+        p = small_instance.problem
+        matcher = CountingMatcher(kind)
+        workspace = RoundingWorkspace.for_problem(p)
+        g = self.distinct(p)
+        first = self.call(p, g, matcher, workspace)
+        g[first[3].edge_ids[0]] = 0.0  # a matched edge is no longer positive
+        second = self.call(p, g, matcher, workspace)
+        assert matcher.calls == 2
+        assert_same_answer(second, round_heuristic(p, g, matcher=kind))
+        assert not np.array_equal(second[3].edge_ids, first[3].edge_ids)
+
+    @pytest.mark.parametrize("kind", GREEDY_ORDER)
+    def test_kept_answers_are_the_matchers_answers(self, small_instance,
+                                                   kind, rng):
+        """Along a walk of tie-heavy vectors the matcher runs exactly when
+        its answer changes, and every kept answer is the one it would
+        have given."""
+        p = small_instance.problem
+        matcher = CountingMatcher(kind)
+        workspace = RoundingWorkspace.for_problem(p)
+        values = np.array([-1.0, -0.0, 0.0, 1.0, 2.0, 3.0, np.inf, np.nan])
+        g = rng.integers(-1, 4, p.n_edges_l).astype(np.float64)
+        last, runs = None, 0
+        for _ in range(60):
+            g = g.copy()
+            at = rng.integers(0, p.n_edges_l, int(rng.integers(1, 4)))
+            g[at] = rng.choice(values, len(at))
+            got = self.call(p, g, matcher, workspace)
+            want = round_heuristic(p, g, matcher=kind)
+            runs += last is None or not np.array_equal(want[3].edge_ids,
+                                                        last)
+            assert matcher.calls == runs
+            assert_same_answer(got, want)
+            last = want[3].edge_ids
+        assert 1 < runs < 60  # both paths ran
 
     def test_the_vector_is_copied(self, small_instance):
+        """Outside the greedy-order kinds the workspace keeps a copy of
+        the vector, so a caller that reuses its buffer is not fooled."""
         p = small_instance.problem
-        matcher, workspace = CountingMatcher(), RoundingWorkspace.for_problem(p)
+        matcher = CountingMatcher("suitor")
+        workspace = RoundingWorkspace.for_problem(p)
         g = p.weights.copy()
         self.call(p, g, matcher, workspace)
         g[0] += 1.0  # the caller reuses its buffer
         self.call(p, g, matcher, workspace)
         assert matcher.calls == 2
 
-    @pytest.mark.parametrize("change", [
-        "next_ulp", "negative_zero", "other_source", "other_problem",
-        "other_matcher",
-    ])
-    def test_anything_else_runs_the_matcher(self, small_instance, change):
-        p = small_instance.problem
-        matcher, workspace = CountingMatcher(), RoundingWorkspace.for_problem(p)
-        g = p.weights.copy()
+    @staticmethod
+    def run_after(p, kind, change, claims=None):
+        """Matcher runs of a rounding, then two of a changed call."""
+        def counting():
+            return CountingMatcher(kind, claims=claims)
+
+        matcher, workspace = counting(), RoundingWorkspace.for_problem(p)
+        g = TestRepeatedVector.distinct(p)
         g[1] = 0.0
-        self.call(p, g, matcher, workspace)
+        first = TestRepeatedVector.call(p, g, matcher, workspace)
         h, q, m2, source = g.copy(), p, matcher, "y"
         if change == "next_ulp":
-            h[0] = np.nextafter(h[0], np.inf)
+            e = first[3].edge_ids[0]
+            h[e] = np.nextafter(h[e], np.inf)
         elif change == "negative_zero":
             h[1] = -0.0
         elif change == "other_source":
@@ -270,21 +362,50 @@ class TestRepeatedVector:
             q = NetworkAlignmentProblem(p.a_graph, p.b_graph, p.ell,
                                         p.alpha, p.beta)
         else:
-            m2 = CountingMatcher()
-        self.call(q, h, m2, workspace, source=source)
-        assert matcher.calls + (m2.calls if m2 is not matcher else 0) == 2
-        # ... and what ran is remembered in its turn.
-        self.call(q, h, m2, workspace, source=source)
-        assert matcher.calls + (m2.calls if m2 is not matcher else 0) == 2
+            m2 = counting()
+        runs = []
+        for _ in range(2):  # ... and what ran is remembered in its turn
+            TestRepeatedVector.call(q, h, m2, workspace, source=source)
+            runs.append(matcher.calls
+                        + (m2.calls if m2 is not matcher else 0))
+        return runs
+
+    @pytest.mark.parametrize("change", [
+        "next_ulp", "negative_zero", "other_source", "other_problem",
+        "other_matcher",
+    ])
+    def test_anything_else_runs_the_matcher(self, small_instance, change):
+        """``suitor`` keeps its answer for the same bytes only."""
+        assert self.run_after(small_instance.problem, "suitor",
+                              change) == [2, 2]
+
+    @pytest.mark.parametrize("change", ["next_ulp", "negative_zero"])
+    def test_a_custom_kind_gets_the_byte_test(self, small_instance, change):
+        """The greedy promise is the ``kind`` attribute: the ``approx``
+        kernel claiming another kind is kept for the same bytes only."""
+        assert self.run_after(small_instance.problem, "approx", change,
+                              claims="custom") == [2, 2]
+
+    @pytest.mark.parametrize("change", [
+        "other_source", "other_problem", "other_matcher",
+    ])
+    @pytest.mark.parametrize("kind", GREEDY_ORDER)
+    def test_another_source_problem_or_matcher_runs_the_matcher(
+            self, small_instance, kind, change):
+        assert self.run_after(small_instance.problem, kind,
+                              change) == [2, 2]
 
     def test_sources_are_remembered_apart(self, small_instance):
         p = small_instance.problem
-        matcher, workspace = CountingMatcher(), RoundingWorkspace.for_problem(p)
-        y, z = p.weights.copy(), p.weights * 2.0
-        for _ in range(3):
-            self.call(p, y, matcher, workspace, source="y")
-            self.call(p, z, matcher, workspace, source="z")
-        assert matcher.calls == 2
+        for kind in ("approx", "suitor"):
+            matcher = CountingMatcher(kind)
+            workspace = RoundingWorkspace.for_problem(p)
+            y = self.distinct(p)
+            z = y[::-1].copy()
+            for _ in range(3):
+                self.call(p, y, matcher, workspace, source="y")
+                self.call(p, z, matcher, workspace, source="z")
+            assert matcher.calls == 2
 
 
 class TestScoreMatching:
