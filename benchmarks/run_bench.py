@@ -1,22 +1,21 @@
 #!/usr/bin/env python
 """Benchmark trajectory harness: run the kernel + backend groups
-(``BENCH_2.json``), the flat-vs-multilevel comparison
-(``BENCH_3.json``), the resilience/supervision overhead group
+(``BENCH_2.json``), the resilience/supervision overhead group
 (``BENCH_5.json``), the HTTP serving latency group (``BENCH_6.json``),
 the incremental-realignment group (``BENCH_7.json``), the
 telemetry-exporter group (``BENCH_8.json``), and the durable-store
-group (``BENCH_10.json``) at the repo root.  ``BENCH_4.json`` (the
-python-vs-numpy matching-kernel comparison) is history: the kernels it
-timed are gone, and the trajectory gate keeps checking its recorded
-numbers.
+group (``BENCH_10.json``) at the repo root.  ``benchmarks/history/``
+keeps ``BENCH_3.json`` (flat BP vs the multilevel V-cycle) and
+``BENCH_4.json`` (python-vs-numpy matching kernels): the code they
+timed is gone, so nothing regenerates them and the trajectory gate,
+which reads the repo root, no longer checks them.
 
 Usage (from the repo root)::
 
     PYTHONPATH=src python benchmarks/run_bench.py [--out BENCH_2.json]
         [--repeats 5] [--scale 0.01]
-        [--group all|kernels-backend|multilevel|resilience|
+        [--group all|kernels-backend|resilience|
                  serve|incremental|export|durability]
-        [--out3 BENCH_3.json] [--multilevel-n 50000]
         [--out5 BENCH_5.json]
         [--out6 BENCH_6.json] [--out7 BENCH_7.json]
         [--out8 BENCH_8.json] [--out10 BENCH_10.json] [--smoke]
@@ -150,73 +149,6 @@ def backend_benchmarks(problem, repeats: int) -> list[dict]:
         })
         print(f"  backend/klau_{label}: {rows[-1]['median_s']:.3f} s")
     return rows
-
-
-def multilevel_benchmarks(n: int, repeats: int) -> tuple[list[dict], dict]:
-    """Flat BP vs 2-/3-level V-cycles on a wiki-scale synthetic.
-
-    Same configurations as ``bench_multilevel.py``; each row carries the
-    solver config's full ``to_dict()`` as provenance.  Returns the rows
-    plus the instance descriptor for the BENCH_3 header.
-    """
-    from repro.core import BPConfig, belief_propagation_align
-    from repro.generators import powerlaw_alignment_instance
-    from repro.multilevel import MultilevelConfig, multilevel_align
-
-    # p_perturb is a per-pair probability: scale it as ~8/n so the
-    # expected L degree stays constant instead of densifying with n.
-    inst = powerlaw_alignment_instance(
-        n=n, expected_degree=6.0, p_perturb=8.0 / n, seed=3,
-        name=f"powerlaw-n{n}",
-    )
-    problem = inst.problem
-    _ = problem.squares  # build S once, outside every timed region
-    print(f"  n_a={problem.ell.n_a} n_b={problem.ell.n_b} "
-          f"n_edges_l={problem.n_edges_l} nnz_s={problem.squares.nnz}")
-
-    flat_cfg = BPConfig(n_iter=100, matcher="approx", batch=8)
-    runs = [("flat_bp", flat_cfg,
-             lambda: belief_propagation_align(problem, flat_cfg))]
-    for n_levels in (2, 3):
-        ml_cfg = MultilevelConfig(n_levels=n_levels)
-        runs.append((
-            f"multilevel_{n_levels}level", ml_cfg,
-            lambda cfg=ml_cfg: multilevel_align(problem, cfg),
-        ))
-
-    rows = []
-    flat_row = None
-    for name, cfg, fn in runs:
-        samples, objective = [], None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            res = fn()
-            samples.append(time.perf_counter() - t0)
-            objective = res.objective
-        row = {
-            "group": "multilevel", "name": name,
-            **summarize(samples),
-            "extra": {"objective": objective, "config": cfg.to_dict()},
-        }
-        if flat_row is None:
-            flat_row = row
-        else:
-            row["extra"]["speedup_vs_flat"] = (
-                flat_row["median_s"] / row["median_s"]
-            )
-            row["extra"]["objective_ratio_vs_flat"] = (
-                objective / flat_row["extra"]["objective"]
-            )
-        rows.append(row)
-        print(f"  multilevel/{name}: {row['median_s']:.2f} s "
-              f"objective={objective:.0f}")
-    instance = {
-        "family": "powerlaw", "n": n, "expected_degree": 6.0,
-        "p_perturb": 8.0 / n, "seed": 3,
-        "n_a": problem.ell.n_a, "n_b": problem.ell.n_b,
-        "n_edges_l": problem.n_edges_l, "nnz_s": problem.squares.nnz,
-    }
-    return rows, instance
 
 
 def resilience_benchmarks(
@@ -874,18 +806,12 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=str(
         Path(__file__).resolve().parent.parent / "BENCH_2.json"))
-    ap.add_argument("--out3", default=str(
-        Path(__file__).resolve().parent.parent / "BENCH_3.json"))
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--scale", type=float, default=0.01)
     ap.add_argument("--group", default="all",
-                    choices=["all", "kernels-backend", "multilevel",
-                             "resilience", "serve", "incremental",
-                             "export", "durability"])
-    ap.add_argument("--multilevel-n", type=int, default=50_000,
-                    help="synthetic size for the multilevel group")
-    ap.add_argument("--multilevel-repeats", type=int, default=1,
-                    help="repeats for the (long) multilevel runs")
+                    choices=["all", "kernels-backend", "resilience",
+                             "serve", "incremental", "export",
+                             "durability"])
     ap.add_argument("--out5", default=str(
         Path(__file__).resolve().parent.parent / "BENCH_5.json"))
     ap.add_argument("--out6", default=str(
@@ -922,21 +848,6 @@ def main(argv: list[str] | None = None) -> int:
         }
         Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
         print(f"wrote {args.out} ({len(rows)} benchmarks)")
-
-    if args.group in ("all", "multilevel"):
-        print(f"building powerlaw problem (n={args.multilevel_n}) ...")
-        rows3, instance = multilevel_benchmarks(
-            args.multilevel_n, args.multilevel_repeats
-        )
-        doc3 = {
-            "schema": 1,
-            "generated_by": "benchmarks/run_bench.py --group multilevel",
-            "instance": instance,
-            "machine": machine_info(),
-            "benchmarks": rows3,
-        }
-        Path(args.out3).write_text(json.dumps(doc3, indent=2) + "\n")
-        print(f"wrote {args.out3} ({len(rows3)} benchmarks)")
 
     if args.group in ("all", "resilience"):
         print("running resilience benchmarks "

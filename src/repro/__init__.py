@@ -16,7 +16,7 @@ Quick start::
     print(result.summary())
 
 ``repro.align`` is the single entry point for every solver —
-``method="bp" | "klau" | "isorank" | "multilevel"`` — and accepts the
+``method="bp" | "klau" | "isorank"`` — and accepts the
 method's config dataclass or a plain dict.  See README.md for the
 architecture overview and DESIGN.md for the paper-to-module map.
 """
@@ -66,12 +66,6 @@ from repro.matching import (
     max_weight_matching,
     suitor_matching,
 )
-from repro.multilevel import (
-    CoarseningMap,
-    MultilevelConfig,
-    coarsen_graph,
-    multilevel_align,
-)
 from repro.registry import (
     SolverSpec,
     align,
@@ -101,7 +95,6 @@ __all__ = [
     "BPConfig",
     "BipartiteGraph",
     "CSRMatrix",
-    "CoarseningMap",
     "DeltaReport",
     "FaultPlan",
     "FaultSpec",
@@ -111,7 +104,6 @@ __all__ = [
     "MATCHER_KINDS",
     "MachineFaults",
     "MatchingResult",
-    "MultilevelConfig",
     "NetworkAlignmentProblem",
     "ParallelConfig",
     "ProblemDelta",
@@ -128,7 +120,6 @@ __all__ = [
     "available_methods",
     "belief_propagation_align",
     "bio_instance",
-    "coarsen_graph",
     "dmela_scere",
     "fault_plan",
     "get_checkpoint_store",
@@ -144,7 +135,6 @@ __all__ = [
     "lp_relaxation_align",
     "make_matcher",
     "max_weight_matching",
-    "multilevel_align",
     "observe",
     "ontology_instance",
     "parallel_map",

@@ -12,7 +12,6 @@ __all__ = [
     "asarray_f64",
     "check_same_length",
     "concat_ranges",
-    "counting_sort_pairs",
     "numeric_rows",
     "sorted_lookup",
     "sorted_union",
@@ -99,21 +98,6 @@ def sorted_union(n: int, *index_arrays: np.ndarray) -> np.ndarray:
     for idx in index_arrays:
         mark[idx] = True
     return np.flatnonzero(mark)
-
-
-def counting_sort_pairs(
-    primary: np.ndarray, secondary: np.ndarray, n_primary: int
-) -> np.ndarray:
-    """Return a stable permutation sorting by ``(primary, secondary)``.
-
-    Both keys must be non-negative integers, ``primary`` < ``n_primary``.
-    This is the standard two-pass radix used to build CSR structures in
-    linear time; it keeps hot loops inside NumPy.
-    """
-    order_secondary = np.argsort(secondary, kind="stable")
-    return order_secondary[
-        np.argsort(primary[order_secondary], kind="stable")
-    ]
 
 
 def numeric_rows(rows: list, width: int) -> np.ndarray | None:

@@ -4,7 +4,7 @@
 list of independent problems to align.  Each problem is solved through
 the :mod:`repro.registry` facade (the same dispatch as
 :func:`repro.align`), so every registered method — ``bp``, ``klau``
-(alias ``mr``), ``isorank``, ``multilevel`` — is available; the backend
+(alias ``mr``), ``isorank`` — is available; the backend
 only decides *where* the runs execute.  Results come back in input
 order.
 
@@ -127,7 +127,7 @@ def solve_many(
         Independent alignment instances.
     method:
         Any method known to the solver registry: ``"bp"``,
-        ``"klau"``/``"mr"``, ``"isorank"``, or ``"multilevel"``.
+        ``"klau"``/``"mr"`` or ``"isorank"``.
     config:
         Optional solver config (the method's config dataclass or a
         mapping for its ``from_dict``), shared by all runs.

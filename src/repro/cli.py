@@ -188,8 +188,7 @@ def _solve_config(args: argparse.Namespace) -> dict:
     Explicit flags win over the JSON file; where neither is given, bp/mr
     keep their historical CLI defaults (100 iterations, ``approx``
     matcher) and the other methods fall back to their config dataclass
-    defaults.  ``--iters``/``--matcher``/``--batch`` map onto the
-    multilevel coarsest-solve knobs.
+    defaults.
     """
     import json
 
@@ -197,13 +196,9 @@ def _solve_config(args: argparse.Namespace) -> dict:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = dict(json.load(fh))
-    if args.method == "multilevel":
-        keys = {"iters": "coarsest_iters", "matcher": "coarsest_matcher",
-                "batch": "batch"}
-    else:
-        keys = {"iters": "n_iter", "matcher": "matcher"}
-        if args.method == "bp":
-            keys["batch"] = "batch"
+    keys = {"iters": "n_iter", "matcher": "matcher"}
+    if args.method == "bp":
+        keys["batch"] = "batch"
     for flag, key in keys.items():
         value = getattr(args, flag)
         if value is not None:
@@ -538,12 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solver.add_argument(
         "--matcher", choices=MATCHER_KINDS, default=None,
-        help="rounding matcher (multilevel: the coarsest-solve matcher); "
-             "default approx for bp/mr",
+        help="rounding matcher; default approx for bp/mr",
     )
     solver.add_argument("--iters", type=int, default=None,
-                        help="solver iterations (multilevel: "
-                             "coarsest_iters); default 100 for bp/mr")
+                        help="solver iterations; default 100 for bp/mr")
     solver.add_argument("--batch", type=int, default=None)
     solver.add_argument("--alpha", type=float, default=1.0)
     solver.add_argument("--beta", type=float, default=2.0)
@@ -553,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="solve an SMAT problem directory")
     p.add_argument("directory")
     p.add_argument(
-        "--method", choices=["bp", "mr", "isorank", "multilevel"],
+        "--method", choices=["bp", "mr", "isorank"],
         default="bp",
         help="any repro.align() method (mr = Klau's matching relaxation)",
     )

@@ -3,8 +3,7 @@
 Every public config (:class:`~repro.core.bp.BPConfig`,
 :class:`~repro.core.klau.KlauConfig`,
 :class:`~repro.core.isorank.IsoRankConfig`,
-:class:`~repro.accel.config.ParallelConfig`,
-:class:`~repro.multilevel.vcycle.MultilevelConfig`) mixes in
+:class:`~repro.accel.config.ParallelConfig`) mixes in
 :class:`ConfigBase`, which gives them one uniform serialization surface:
 
 * :meth:`ConfigBase.to_dict` — a flat, JSON-serializable dict of every

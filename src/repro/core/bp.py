@@ -113,7 +113,6 @@ def belief_propagation_align(
     config: BPConfig | None = None,
     tracer: Any | None = None,
     *,
-    init_messages: tuple[np.ndarray, np.ndarray] | None = None,
     checkpoint_every: int = 0,
     checkpoint_store: Any | None = None,
     checkpoint_key: str = "bp",
@@ -133,12 +132,6 @@ def belief_propagation_align(
     ``bp.align`` span and emits one ``iteration`` event per iteration
     (plus ``rounding``/``matching`` events from the rounding layer).
 
-    ``init_messages`` optionally warm-starts the message vectors: a
-    ``(y0, z0)`` pair of length ``|E_L|`` (both copied).  The multilevel
-    V-cycle (:mod:`repro.multilevel`) uses this to seed each refine pass
-    from the expanded coarse solution; default ``None`` keeps the
-    all-zeros cold start of Listing 2.
-
     ``checkpoint_every`` > 0 snapshots the full iterate state (**y**,
     **z**, **S**:sup:`(k)`, the best tracker, the history, and for
     incremental runs the active set) into ``checkpoint_store`` under
@@ -146,10 +139,10 @@ def belief_propagation_align(
     work is lost); ``resume`` picks any such snapshot back up and
     continues from the iteration after it, bit-identically to the
     uninterrupted run (damping uses the absolute iteration number).  A
-    found snapshot takes precedence over ``init_messages`` and
-    ``warm_from``; an incremental snapshot resumes incrementally even
-    without ``warm_from``.  No matcher state is snapshotted: every
-    matcher's answer is a pure function of L and the rounded vector.
+    found snapshot takes precedence over ``warm_from``; an incremental
+    snapshot resumes incrementally even without ``warm_from``.  No
+    matcher state is snapshotted: every matcher's answer is a pure
+    function of L and the rounded vector.
 
     ``warm_from`` switches to *incremental* BP: messages are seeded from
     a prior converged :class:`repro.incremental.WarmState` (keyed by L
@@ -161,19 +154,15 @@ def belief_propagation_align(
     ``bp-warm[...]`` method.  When the seeding finds the problem
     unchanged, the prior matching is returned bit-identically without
     iterating.  Incremental runs checkpoint and resume like cold ones;
-    they are incompatible with ``tracer`` and ``init_messages``.
+    they are incompatible with ``tracer``.
 
     ``keep_state`` asks the run to attach its final message state to
     ``result.solver_state`` so a :class:`repro.incremental.WarmState`
     can be captured from it.
     """
     config = config or BPConfig()
-    if warm_from is not None and (
-        tracer is not None or init_messages is not None
-    ):
-        raise ConfigurationError(
-            "warm_from is incompatible with tracer/init_messages"
-        )
+    if warm_from is not None and tracer is not None:
+        raise ConfigurationError("warm_from is incompatible with tracer")
     bus = get_bus()
     labels = dict(matcher=config.matcher, n_iter=config.n_iter,
                   batch=config.batch, damping=config.damping)
@@ -184,7 +173,7 @@ def belief_propagation_align(
     with bus.trace("bp.align" if warm_from is None else "bp.realign",
                    **labels):
         return _bp_run(
-            problem, config, tracer, bus, init_messages, warm_from,
+            problem, config, tracer, bus, warm_from,
             checkpoint_every=checkpoint_every,
             checkpoint_store=checkpoint_store,
             checkpoint_key=checkpoint_key, resume=resume,
@@ -197,7 +186,6 @@ def _bp_run(
     config: BPConfig,
     tracer: Any | None,
     bus,
-    init_messages: tuple[np.ndarray, np.ndarray] | None,
     warm: "WarmState | None",
     *,
     checkpoint_every: int,
@@ -235,17 +223,8 @@ def _bp_run(
     # steps allocate nothing per iteration beyond the copies batched
     # rounding keeps.  Its gathers take mode="clip" (the indices are in
     # range; the default mode buffers ``out``).
-    if init_messages is None:
-        y = np.zeros(m)
-        z = np.zeros(m)
-    else:
-        y0, z0 = init_messages
-        y = np.array(y0, dtype=np.float64, copy=True)
-        z = np.array(z0, dtype=np.float64, copy=True)
-        if y.shape != (m,) or z.shape != (m,):
-            raise ConfigurationError(
-                f"init_messages must be two vectors of length {m}"
-            )
+    y = np.zeros(m)
+    z = np.zeros(m)
     sk = np.zeros(nnz)
     y_new = np.empty(m)
     z_new = np.empty(m)

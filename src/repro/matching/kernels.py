@@ -9,10 +9,9 @@ segmented argmax over still-free vertices (heavier edge wins; equal
 weights prefer the smaller vertex id), then every mutually-pointing pair
 commits at once.  It is the implementation behind the ``"approx"``
 matcher (:func:`repro.matching.locally_dominant
-.locally_dominant_matching_vectorized`) and the multilevel coarsener
-(:func:`repro.matching.locally_dominant.locally_dominant_mates`), and
-reports the same :class:`~repro.matching.result.RoundStats` stream the
-machine simulator replays through
+.locally_dominant_matching_vectorized`), and reports the same
+:class:`~repro.matching.result.RoundStats` stream the machine simulator
+replays through
 :func:`repro.machine.trace.matching_to_trace`.  An interpreted version
 of the same rounds lives in ``tests/oracles.py``; the tests pin the
 kernel's mates and round stats against it.
@@ -21,14 +20,14 @@ FindMate only ever takes a positive edge, and the vectors BP rounds are
 mostly non-positive (about one positive entry per A- and B-group, the
 "other max" structure of its messages).  So each call compacts the plan
 to its positive half-edges once and runs the rounds there; when every
-half-edge is positive (BP's first iterate, the coarsener's heavy-edge
-weights) it uses the plan as it is.  The work per call grows with the
-positive half-edges, plus, in productive rounds after the first, the
-full adjacency of the vertices the previous round matched, which the
-stats need.  The :class:`~repro.matching.result.RoundStats` are
-unchanged: they model the paper's full-adjacency FindMate scans.
+half-edge is positive (BP's first iterate) it uses the plan as it is.
+The work per call grows with the positive half-edges, plus, in
+productive rounds after the first, the full adjacency of the vertices
+the previous round matched, which the stats need.  The
+:class:`~repro.matching.result.RoundStats` are unchanged: they model the
+paper's full-adjacency FindMate scans.
 
-A :class:`GroupPlan` is the kernel's view of a general graph: for L it
+A :class:`GroupPlan` is the kernel's view of L as a general graph: it
 wraps :attr:`~repro.sparse.bipartite.BipartiteGraph.general_view`, which
 the graph builds once and shares with its ``with_weights`` views, so
 iterative solvers that round the same L every iteration convert it once
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util import asarray_f64, asarray_i64, concat_ranges
+from repro._util import asarray_f64, concat_ranges
 from repro.errors import DimensionError
 from repro.matching.result import RoundStats
 from repro.sparse.bipartite import BipartiteGraph
@@ -59,48 +58,21 @@ class GroupPlan:
 
     ``indptr``/``neighbors`` is the half-edge CSR adjacency over ``n``
     vertices, each row's neighbors in increasing order (the kernel's
-    tie-break relies on it), and ``degrees`` its row lengths.  For plans
-    built from a :class:`BipartiteGraph` the first ``n_a`` vertices are
-    the A side and ``half_eid`` maps half-edges back to L edge ids (so
-    per-call weights are one gather).
+    tie-break relies on it), and ``degrees`` its row lengths.  The first
+    ``n_a`` vertices are L's A side and ``half_eid`` maps half-edges
+    back to L edge ids (so per-call weights are one gather).
     """
 
     n: int
     indptr: np.ndarray
     neighbors: np.ndarray
     degrees: np.ndarray
-    half_eid: np.ndarray | None = None
+    half_eid: np.ndarray
 
     @property
     def n_half(self) -> int:
         """Number of half-edges (2·|E| for a bipartite plan)."""
         return len(self.neighbors)
-
-    @classmethod
-    def from_csr(cls, indptr: np.ndarray, neighbors: np.ndarray) -> "GroupPlan":
-        """Build a plan from a raw half-edge CSR adjacency.
-
-        Rows whose neighbors are not in increasing order are sorted;
-        ``half_eid`` then maps each plan half-edge to its position in
-        ``neighbors``, the order the caller's half-edge weights are in
-        (``None`` when every row already was sorted).
-        """
-        indptr = asarray_i64(indptr)
-        neighbors = asarray_i64(neighbors)
-        plan = cls(
-            n=len(indptr) - 1,
-            indptr=indptr,
-            neighbors=neighbors,
-            degrees=np.diff(indptr),
-        )
-        descents = np.diff(neighbors) < 0
-        cuts = indptr[1:-1]  # a descent across a row boundary is fine
-        descents[cuts[(cuts > 0) & (cuts < len(neighbors))] - 1] = False
-        if descents.any():
-            rows = np.repeat(np.arange(plan.n), plan.degrees)
-            plan.half_eid = np.lexsort((neighbors, rows))
-            plan.neighbors = neighbors[plan.half_eid]
-        return plan
 
     @classmethod
     def from_graph(cls, graph: BipartiteGraph) -> "GroupPlan":

@@ -38,7 +38,6 @@ from repro.sparse.bipartite import BipartiteGraph
 __all__ = [
     "locally_dominant_matching",
     "locally_dominant_matching_vectorized",
-    "locally_dominant_mates",
 ]
 
 
@@ -231,37 +230,3 @@ def locally_dominant_matching_vectorized(
         weight=float(w_vec[eids].sum()) if len(eids) else 0.0,
         rounds=rounds,
     )
-
-
-def locally_dominant_mates(
-    indptr: np.ndarray,
-    neighbors: np.ndarray,
-    half_weights: np.ndarray,
-    *,
-    collect_rounds: bool = True,
-) -> tuple[np.ndarray, list[RoundStats]]:
-    """Locally-dominant matching over a *general* undirected graph.
-
-    The vectorized rounds core shared by the bipartite rounding path
-    (which feeds L "by not making a distinction between the two sets of
-    vertices") and the multilevel coarsener (which matches heavy edges
-    of A and B directly).  ``indptr``/``neighbors``/``half_weights`` is
-    the half-edge CSR adjacency of an undirected graph on
-    ``len(indptr) - 1`` vertices; returns the symmetric mate array
-    (``-1`` = unmatched) plus per-round stats.  Tie-breaking is the
-    paper's: heavier edge wins, equal weights prefer the smaller
-    neighbor id.
-
-    The implementation is :func:`repro.matching.kernels
-    .locally_dominant_rounds` on a plan built per call from the CSR
-    (:meth:`~repro.matching.kernels.GroupPlan.from_csr`); the bipartite
-    entry points instead wrap L's held general-graph view.
-    """
-    plan = GroupPlan.from_csr(indptr, neighbors)
-    half_weights = asarray_f64(half_weights)
-    if plan.half_eid is not None and half_weights.shape == (plan.n_half,):
-        half_weights = half_weights[plan.half_eid]  # rows were sorted
-    mate, _, rounds = locally_dominant_rounds(
-        plan, half_weights, collect_rounds=collect_rounds
-    )
-    return mate, rounds

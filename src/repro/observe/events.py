@@ -37,9 +37,6 @@ Event types
 ``metric``
     A metrics-registry snapshot row, published via
     :meth:`repro.observe.metrics.MetricsRegistry.publish`.
-``multilevel_level``
-    One V-cycle level transition (coarsen / solve / refine) with the
-    level's problem sizes; emitted by ``multilevel/vcycle.py``.
 ``fault_injected``
     One fired chaos fault from an armed
     :class:`repro.resilience.FaultPlan`; emitted at every consultation
@@ -103,7 +100,6 @@ EVENT_TYPES: dict[str, tuple[str, ...]] = {
     "trace_replay": ("kind", "step", "seconds"),
     "barrier": ("step", "n_threads", "seconds"),
     "metric": ("metric", "metric_kind", "labels", "value"),
-    "multilevel_level": ("level", "action", "n_a", "n_b", "n_edges_l"),
     "fault_injected": ("site", "kind", "task_index"),
     "task_retry": (
         "site", "task_index", "attempt", "backend", "reason", "backoff_s",

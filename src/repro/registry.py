@@ -1,14 +1,14 @@
 """The unified solver entry point: ``repro.align(problem, method=...)``.
 
-Every alignment method the library implements — BP, Klau's MR, the
-IsoRank baseline, and the multilevel V-cycle — registers a
-:class:`SolverSpec` mapping its method string to its config class and
-solve function.  :func:`align` is then one call for all of them:
+Every alignment method the library implements — BP, Klau's MR and the
+IsoRank baseline — registers a :class:`SolverSpec` mapping its method
+string to its config class and solve function.  :func:`align` is then
+one call for all of them:
 
 >>> import repro
 >>> result = repro.align(problem, method="bp")                # doctest: +SKIP
->>> result = repro.align(problem, method="multilevel",        # doctest: +SKIP
-...                      config={"n_levels": 3, "refine_iters": 5})
+>>> result = repro.align(problem, method="klau",              # doctest: +SKIP
+...                      config={"n_iter": 40, "matcher": "approx"})
 
 ``config`` accepts the method's config dataclass, a plain mapping (fed
 through the config's ``from_dict``, so JSON round-trips), or ``None``
@@ -34,7 +34,6 @@ from repro.core.klau import KlauConfig, klau_align
 from repro.core.problem import NetworkAlignmentProblem
 from repro.core.result import AlignmentResult
 from repro.errors import ConfigurationError
-from repro.multilevel import MultilevelConfig, multilevel_align
 
 __all__ = [
     "SolverSpec",
@@ -185,8 +184,8 @@ def align(
 
     Args:
         problem: The alignment instance.
-        method: ``"bp"``, ``"klau"`` (alias ``"mr"``), ``"isorank"``,
-            or ``"multilevel"`` — or any name added via
+        method: ``"bp"``, ``"klau"`` (alias ``"mr"``) or
+            ``"isorank"`` — or any name added via
             :func:`register_solver`.
         config: The method's config dataclass, a mapping
             (``from_dict``), or ``None`` for defaults.
@@ -274,12 +273,4 @@ register_solver(
 )
 register_solver(
     SolverSpec(name="isorank", config_cls=IsoRankConfig, solve=isorank_align)
-)
-register_solver(
-    SolverSpec(
-        name="multilevel",
-        config_cls=MultilevelConfig,
-        solve=multilevel_align,
-        supports_trace=True,
-    )
 )

@@ -30,7 +30,10 @@ On construction the store **replays the journal**:
   everything the warm solve needs.  Any other non-terminal ``warm_from``
   job fails with ``warm_unavailable`` — the parent's converged solver
   state lived in the in-memory warm LRU and did not survive the
-  process, and re-solving cold would silently change the answer.
+  process, and re-solving cold would silently change the answer;
+* a non-terminal job whose method is no longer registered (a journal
+  written by another version) fails with ``bad_request``, as its
+  submission would now.
 
 Layout under ``ServeConfig.store_path``: ``jobs.db`` (plus SQLite's
 WAL side files) and ``checkpoints/``.  One connection is shared across
@@ -242,8 +245,11 @@ class SqliteJobStore(JobStore):
         queue), ``requeued`` (interrupted mid-run, resuming via
         checkpoint), ``failed`` (non-terminal warm jobs with no
         checkpoint to resume from, whose parent state died with the
-        process).
+        process, and non-terminal jobs of an unregistered method).
         """
+        from repro.registry import available_methods
+
+        methods = available_methods()
         with self._db_lock:
             rows = self._db.execute(
                 "SELECT id, tenant, method, config, digest, key,"
@@ -295,6 +301,16 @@ class SqliteJobStore(JobStore):
                 job.end("cancelled")
                 self._persist_transition(job)
                 counts["terminal"] += 1
+            elif method not in methods:
+                job.error = error_envelope(
+                    "bad_request",
+                    f"job {job_id} was recovered after a restart, but "
+                    f"its method {method!r} is not registered; expected "
+                    f"one of {methods}",
+                )
+                job.end("failed")
+                self._persist_transition(job)
+                counts["failed"] += 1
             else:
                 if problem is not None:
                     job.problem = problem_from_wire(json.loads(problem))

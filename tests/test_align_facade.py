@@ -14,7 +14,6 @@ from repro.core import (
     klau_align,
 )
 from repro.errors import ConfigurationError
-from repro.multilevel import MultilevelConfig
 from repro.registry import (
     SolverSpec,
     align,
@@ -23,21 +22,23 @@ from repro.registry import (
     register_solver,
 )
 
-ALL_CONFIGS = [
-    BPConfig, KlauConfig, IsoRankConfig, MultilevelConfig, ParallelConfig,
-]
+ALL_CONFIGS = [BPConfig, KlauConfig, IsoRankConfig, ParallelConfig]
 
 
 class TestRegistry:
     def test_available_methods(self):
-        assert available_methods() == ["bp", "isorank", "klau", "multilevel"]
+        assert available_methods() == ["bp", "isorank", "klau"]
 
     def test_alias_resolves_to_same_spec(self):
         assert get_solver("mr") is get_solver("klau")
 
-    def test_unknown_method(self):
-        with pytest.raises(ConfigurationError, match="simplex"):
-            get_solver("simplex")
+    def test_unknown_method(self, small_instance):
+        # "multilevel" named the retired V-cycle.
+        for name in ("simplex", "multilevel"):
+            with pytest.raises(ConfigurationError, match=name):
+                get_solver(name)
+            with pytest.raises(ConfigurationError, match=name):
+                align(small_instance.problem, name)
 
     def test_register_rejects_taken_name(self):
         with pytest.raises(ConfigurationError, match="already registered"):
@@ -91,13 +92,6 @@ class TestAlignDispatch:
             align(small_instance.problem, "isorank", cfg).objective
             == isorank_align(small_instance.problem, cfg).objective
         )
-
-    def test_multilevel_runs(self, medium_instance):
-        res = align(
-            medium_instance.problem, "multilevel",
-            {"coarsest_iters": 10, "refine_iters": 1},
-        )
-        assert res.method.startswith("multilevel[")
 
     def test_mapping_config_round_trips(self, small_instance):
         via_dict = align(
@@ -172,8 +166,7 @@ class TestPublicExports:
     def test_facade_names_exported(self):
         for name in (
             "align", "available_methods", "register_solver", "SolverSpec",
-            "MultilevelConfig", "multilevel_align", "CoarseningMap",
-            "coarsen_graph", "make_matcher", "MATCHER_KINDS",
+            "make_matcher", "MATCHER_KINDS",
             "IsoRankConfig", "isorank_align",
         ):
             assert name in repro.__all__

@@ -2,23 +2,27 @@
 
 Every scenario runs BP on a small seeded power-law instance and compares
 the run with the recording: cold BP at batch 1 and 4, a resume from a
-mid-run checkpoint, ``init_messages``, the approx, exact and suitor
-matchers, and warm (``warm_from``) realignment at edit rates 0, 1%, 5%
-and 30% (30% reaches the full-sweep fallback, 1% stops early because
-its active set empties).
+mid-run checkpoint, the approx, exact and suitor matchers, and warm
+(``warm_from``) realignment at edit rates 0, 1%, 5% and 30% (30%
+reaches the full-sweep fallback, 1% stops early because its active set
+empties).
 
 Pinned exactly: the mates, the objective parts, the history
 ``(iteration, source, objective)``, ``method``, ``params`` and the
 event stream (without the ``time``/``seq`` stamps and span ids/timings,
 which differ per run).  The final ``solver_state`` is pinned to 1e-12
-relative to each array's magnitude, so the fixture holds across numpy
-builds whose reductions round differently.
+relative to each array's magnitude (:func:`assert_state_close`), so the
+fixture holds across numpy builds whose reductions round differently.
 
 The fixture was recorded from the code before BP's cold and warm
 iteration loops were merged into one, by running this module from the
 repository root::
 
     PYTHONPATH=src python -m tests.test_bp_parity --record
+
+A re-record keeps a scenario's committed ``solver_state`` when the fresh
+one is within that tolerance of it, so recording on another host does
+not rewrite last bits.
 
 Since rounding keeps a matching it certifies greedy (``approx``
 scenarios), those scenarios record fewer ``matching`` events; nothing
@@ -53,9 +57,8 @@ _COLD = {"n_iter": 10, "gamma": 0.99}
 _WARM = {"n_iter": 30, "batch": 2}
 
 #: name -> (kind, instance seed, config, extra).  ``kind`` is "cold",
-#: "resume" (resume from the checkpoint at iteration ``extra``), "init"
-#: (``init_messages`` drawn from seed ``extra``) or "warm" (realign
-#: after an edit script at rate ``extra``).
+#: "resume" (resume from the checkpoint at iteration ``extra``) or
+#: "warm" (realign after an edit script at rate ``extra``).
 SCENARIOS: dict[str, tuple[str, int, dict, float]] = {
     "cold_b1_approx": ("cold", 5, dict(_COLD, batch=1, matcher="approx"), 0),
     "cold_b4_approx": ("cold", 5, dict(_COLD, batch=4, matcher="approx"), 0),
@@ -68,8 +71,6 @@ SCENARIOS: dict[str, tuple[str, int, dict, float]] = {
     "cold_no_damping": ("cold", 7, dict(_COLD, batch=1, damping="none"), 0),
     "resume_b1_k4": ("resume", 5, dict(_COLD, batch=1), 4),
     "resume_b4_k6": ("resume", 7, dict(_COLD, batch=4, matcher="suitor"), 6),
-    "init_b1_approx": ("init", 5, dict(_COLD, batch=1), 11),
-    "init_b4_exact": ("init", 7, dict(_COLD, batch=4, matcher="exact"), 12),
     "warm_rate0": ("warm", 5, dict(_WARM), 0.0),
     "warm_rate1": ("warm", 5, dict(_WARM), 0.01),
     "warm_rate5": ("warm", 5, dict(_WARM), 0.05),
@@ -101,7 +102,6 @@ def run_scenario(name: str):
     problem = _problem(seed)
     cfg = BPConfig(**cfg_kw)
     kwargs: dict = {"keep_state": True}
-    init = None
     if kind == "resume":
         store = SnapshotLog()
         align(problem, "bp", cfg, checkpoint_every=2, checkpoint_store=store,
@@ -110,10 +110,6 @@ def run_scenario(name: str):
         resume_from.save("p", store.saved[int(extra)])
         kwargs.update(checkpoint_store=resume_from, checkpoint_key="p",
                       resume=True)
-    elif kind == "init":
-        rng = np.random.default_rng(int(extra))
-        m = problem.n_edges_l
-        init = (rng.normal(size=m), rng.normal(size=m))
     elif kind == "warm":
         cold = align(problem, "bp", cfg, keep_state=True)
         warm_state = WarmState.from_result(problem, cold)
@@ -128,11 +124,7 @@ def run_scenario(name: str):
         problem, _ = apply_delta(problem, ProblemDelta.from_dict(delta))
         kwargs["warm_from"] = warm_state
     with capture() as sink:
-        if init is None:
-            result = align(problem, "bp", cfg, **kwargs)
-        else:
-            result = repro.belief_propagation_align(
-                problem, cfg, init_messages=init, keep_state=True)
+        result = align(problem, "bp", cfg, **kwargs)
     return result, sink.events
 
 
@@ -173,6 +165,16 @@ def summarize(result, events) -> dict:
     })
 
 
+def assert_state_close(actual: dict, expected: dict) -> None:
+    """``solver_state`` arrays equal to 1e-12 of each array's magnitude."""
+    assert sorted(actual) == sorted(expected)
+    for key, values in expected.items():
+        want = np.asarray(values, dtype=np.float64)
+        scale = float(np.max(np.abs(want), initial=0.0))
+        np.testing.assert_allclose(actual[key], want, rtol=1e-12,
+                                   atol=1e-12 * scale, err_msg=key)
+
+
 @pytest.fixture(scope="module")
 def recorded() -> dict:
     return json.loads(FIXTURE.read_text())
@@ -197,20 +199,26 @@ def test_bp_matches_recording(name, recorded):
     exp_state = expected.pop("solver_state")
     act_state = actual.pop("solver_state")
     assert actual == expected
-    assert sorted(act_state) == sorted(exp_state)
-    for key, values in exp_state.items():
-        want = np.asarray(values, dtype=np.float64)
-        scale = float(np.max(np.abs(want), initial=0.0))
-        np.testing.assert_allclose(act_state[key], want, rtol=1e-12,
-                                   atol=1e-12 * scale, err_msg=key)
+    assert_state_close(act_state, exp_state)
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: PYTHONPATH=src python -m tests.test_bp_parity "
                  "--record")
+    committed = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    fixture = {}
+    for name in SCENARIOS:
+        fresh = summarize(*run_scenario(name))
+        if name in committed:
+            try:
+                assert_state_close(fresh["solver_state"],
+                                   committed[name]["solver_state"])
+                fresh["solver_state"] = committed[name]["solver_state"]
+            except AssertionError:
+                pass
+        fixture[name] = fresh
     FIXTURE.write_text(json.dumps(
-        {name: summarize(*run_scenario(name)) for name in SCENARIOS},
-        sort_keys=True, separators=(",", ":"),
+        fixture, sort_keys=True, separators=(",", ":"),
     ) + "\n")
     print(f"wrote {FIXTURE}")

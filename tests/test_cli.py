@@ -37,6 +37,14 @@ class TestParser:
             ["jobs", "gc", "runs/jobs", "--older-than", "60"])
         assert args.jobs_command == "gc" and args.older_than == 60.0
 
+    def test_multilevel_method_is_a_usage_error(self, capsys):
+        """The retired V-cycle is not a ``--method`` choice."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["solve", "dir", "--method", "multilevel"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'multilevel'" in capsys.readouterr().err
+
     def test_metrics_format_text_accepted(self):
         args = build_parser().parse_args(
             ["--metrics-format", "text", "headline"])

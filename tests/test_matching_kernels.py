@@ -13,8 +13,6 @@ The contracts under test:
   whole ½-approximation family resolves ties identically;
 * every approximate matcher kind returns valid matchings whose rounds
   (if any) the machine simulator can replay;
-* a plan from a raw CSR adjacency equals the plan of L's held
-  general-graph view, and rows out of order keep the tie-break;
 * nothing outlives a dropped L: its views and every plan built from
   them are collectable.
 """
@@ -39,7 +37,6 @@ from repro.matching import (
     suitor_matching,
 )
 from repro.matching.kernels import GroupPlan, locally_dominant_rounds
-from repro.matching.locally_dominant import locally_dominant_mates
 from repro.matching.result import MatchingResult
 from repro.matching.warm import ExactMatcher
 from repro.sparse.bipartite import BipartiteGraph
@@ -78,8 +75,8 @@ def duplicate_heavy(graph: BipartiteGraph) -> BipartiteGraph:
 
 
 #: Weight shapes: BP's rounded iterates hold about one positive entry
-#: per A- and B-group ("other max"); its first iterates and the
-#: coarsener's heavy-edge weights are all positive.
+#: per A- and B-group ("other max"); its first iterates are all
+#: positive.
 WEIGHT_SHAPES = ["random", "ties", "one-per-group", "sparse", "none",
                  "single", "all", "positive-ties"]
 
@@ -331,53 +328,9 @@ def test_dropped_graph_frees_its_views_and_plans(monkeypatch):
     assert len(built) == 3  # one plan per call on g, view and g
 
 
-def test_group_plan_from_csr_matches_graph_plan(rng):
-    g = random_bipartite(rng, max_side=10)
-    plan = GroupPlan.from_graph(g)
-    raw = GroupPlan.from_csr(plan.indptr, plan.neighbors)
-    assert raw.n == plan.n == g.n_a + g.n_b
-    for name in ("indptr", "neighbors", "degrees"):
-        assert np.array_equal(getattr(raw, name), getattr(plan, name))
-    assert raw.half_eid is None  # already sorted: the caller's order
-
-
-def test_unsorted_csr_rows_keep_the_tie_break(rng):
-    """Rows listed out of order match like sorted ones (ties included).
-
-    The kernel takes the first half-edge at a vertex's maximum, which
-    is the smallest neighbor id only on sorted rows; ``from_csr`` sorts
-    them and ``half_eid`` carries the caller's weight order.
-    """
-    shuffled = 0
-    for _ in range(30):
-        g = duplicate_heavy(random_bipartite(rng))
-        plan = GroupPlan.from_graph(g)
-        hw = g.weights[plan.half_eid]
-        ref_mate, ref_rounds = locally_dominant_rounds_python(plan, hw)
-        # Reverse a random subset of rows.
-        perm = np.arange(plan.n_half)
-        for v in np.flatnonzero(rng.random(plan.n) < 0.5):
-            lo, hi = plan.indptr[v], plan.indptr[v + 1]
-            perm[lo:hi] = perm[lo:hi][::-1]
-        raw = GroupPlan.from_csr(plan.indptr, plan.neighbors[perm])
-        if raw.half_eid is not None:
-            shuffled += 1
-            assert np.array_equal(raw.neighbors, plan.neighbors)
-            assert np.array_equal(perm[raw.half_eid], np.arange(plan.n_half))
-        mate, rounds = locally_dominant_mates(
-            plan.indptr, plan.neighbors[perm], hw[perm])
-        assert np.array_equal(mate, ref_mate)
-        assert_rounds_equal(rounds, ref_rounds)
-    assert shuffled > 10
-
-
 def test_kernel_weight_length_checked():
     g = BipartiteGraph.from_edges(2, 2, [0, 1], [0, 1], [1.0, 2.0])
     with pytest.raises(DimensionError):
         locally_dominant_matching_vectorized(g, weights=np.ones(5))
     with pytest.raises(DimensionError):
         locally_dominant_rounds(GroupPlan.from_graph(g), np.ones(5))
-    # A row out of order (vertex 0 lists 2 before 1) is sorted first.
-    for bad in (np.ones(2), np.ones(5)):
-        with pytest.raises(DimensionError):
-            locally_dominant_mates([0, 2, 3, 4], [2, 1, 0, 0], bad)

@@ -101,7 +101,7 @@ class TestSchema:
 
     def test_schema_is_closed_and_documented_fields(self):
         # Every type has at least one required field; names are unique.
-        assert len(EVENT_TYPES) == 15
+        assert len(EVENT_TYPES) == 14
         for fields in EVENT_TYPES.values():
             assert fields
 

@@ -19,22 +19,9 @@ from repro.generators.ontology import lcsh_wiki
 from repro.graph import Graph
 from repro.matching import hopcroft_karp, max_weight_matching
 from repro.matching.result import MatchingResult
-from repro.multilevel import coarsen_graph, project_ell, project_squares
 from repro.observe import capture
 
 from tests.helpers import random_bipartite
-
-
-def coarse_problem() -> NetworkAlignmentProblem:
-    """One multilevel coarsening of a power-law problem (projected S)."""
-    fine = powerlaw_alignment_instance(n=300, expected_degree=6, seed=4).problem
-    ca = coarsen_graph(fine.a_graph)
-    cb = coarsen_graph(fine.b_graph)
-    proj = project_ell(fine.ell, ca.cmap, cb.cmap)
-    coarse = NetworkAlignmentProblem(ca.graph, cb.graph, proj.ell,
-                                     fine.alpha, fine.beta)
-    coarse._squares = project_squares(fine.squares, proj)
-    return coarse
 
 
 def squareless_problem() -> NetworkAlignmentProblem:
@@ -50,7 +37,6 @@ SCORED_PROBLEMS = {
         n=300, expected_degree=6, seed=3).problem,
     "dmela_scere": lambda: dmela_scere(scale=0.2, seed=1).problem,
     "lcsh_wiki": lambda: lcsh_wiki(scale=0.004, seed=1).problem,
-    "coarse": coarse_problem,
     "no_squares": squareless_problem,
 }
 

@@ -362,10 +362,12 @@ class TestHttpApi:
 
     def test_unknown_method_and_bad_config_rejected(
             self, server, wire_problem):
-        status, doc = _request(
-            server.base_url, "POST", "/v1/jobs",
-            body=_submission(wire_problem, method="nope"))
-        assert status == 400 and doc["error"]["code"] == "bad_request"
+        # "multilevel" named the retired V-cycle.
+        for method in ("nope", "multilevel"):
+            status, doc = _request(
+                server.base_url, "POST", "/v1/jobs",
+                body=_submission(wire_problem, method=method))
+            assert status == 400 and doc["error"]["code"] == "bad_request"
         status, doc = _request(
             server.base_url, "POST", "/v1/jobs",
             body=_submission(wire_problem, config={"bogus_knob": 3}))

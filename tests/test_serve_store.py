@@ -310,6 +310,39 @@ class TestRecovery:
         finally:
             reborn.shutdown()
 
+    def test_job_of_unregistered_method_fails_on_recovery(
+            self, tmp_path, wire_problem):
+        """A journal can hold a queued job of a method this process no
+        longer registers; it fails, and the worker keeps serving."""
+        from repro.core import BPConfig, belief_propagation_align
+        from repro.registry import SolverSpec, _REGISTRY, register_solver
+
+        cfg = _sqlite_config(tmp_path, workers=0)
+        register_solver(SolverSpec(name="retired", config_cls=BPConfig,
+                                   solve=belief_propagation_align))
+        try:
+            store = SqliteJobStore(cfg)
+            try:
+                job = store.submit(
+                    _submission(wire_problem, method="retired"), "default")
+            finally:
+                store.shutdown()  # durable shutdown keeps it queued
+        finally:
+            del _REGISTRY["retired"]
+
+        reborn = SqliteJobStore(_sqlite_config(tmp_path))
+        try:
+            failed = reborn.get(job.id)
+            assert failed.wait_terminal(10.0)
+            assert failed.state == "failed"
+            assert failed.snapshot()["error"]["code"] == "bad_request"
+            assert reborn.recovered["failed"] == 1
+            after = reborn.submit(_submission(wire_problem), "default")
+            assert after.wait_terminal(30.0)
+            assert after.state == "done"
+        finally:
+            reborn.shutdown()
+
     def test_pending_warm_job_fails_on_recovery(self, tmp_path,
                                                 wire_problem):
         cfg = _sqlite_config(tmp_path, checkpoint_every=0)

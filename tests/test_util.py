@@ -10,7 +10,6 @@ from repro._util import (
     asarray_f64,
     asarray_i64,
     check_same_length,
-    counting_sort_pairs,
     sorted_lookup,
     sorted_union,
 )
@@ -60,21 +59,6 @@ class TestSameLength:
     def test_mismatch(self):
         with pytest.raises(ValueError):
             check_same_length([1], [1, 2])
-
-
-class TestCountingSort:
-    def test_sorts_lexicographically(self):
-        primary = np.array([2, 0, 2, 0])
-        secondary = np.array([1, 5, 0, 2])
-        order = counting_sort_pairs(primary, secondary, 3)
-        pairs = list(zip(primary[order].tolist(), secondary[order].tolist()))
-        assert pairs == sorted(pairs)
-
-    def test_stability(self):
-        primary = np.array([1, 1, 1])
-        secondary = np.array([0, 0, 0])
-        order = counting_sort_pairs(primary, secondary, 2)
-        assert list(order) == [0, 1, 2]
 
 
 class TestSortedUnion:
