@@ -731,6 +731,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "solve" and args.batch is not None \
+            and args.method != "bp":
+        # Only BP batches its roundings; any other method would drop it.
+        parser.error(f"argument --batch: not allowed with --method "
+                     f"{args.method}")
     if args.metrics_out and not (args.trace_out or args.live):
         # Metrics updates ride the same active-bus guard as events; a
         # metrics-only capture still needs the bus switched on.

@@ -23,12 +23,16 @@ successive-shortest-path invariant cheaply:
    to an ulp) and then re-tightened exactly by raising ``v[j]`` by that
    residual.  Dropping a seed frees its column and zeroes its price,
    which can lower the repaired ``u`` of rows adjacent to it and break
-   *their* seeds; the drops propagate through a LIFO worklist over the
-   column adjacency, which is built only when some seed fails.
+   *their* seeds.  The drops run in vectorized rounds until none fails
+   (:func:`_drop_untight`).  A drop only lowers ``u`` and a lower ``u``
+   only breaks seeds, so the drop set is a least fixed point: the same
+   in any order, and so are the bits of ``u``, a minimum.
 4. **Residual augmentation** — the shared
    :func:`~repro.matching.exact._augment_row` search runs only for the
-   rows left free.  Near a fixed point every row stays tight and the
-   call costs a few vectorized passes over the edges.
+   rows left free, on Python lists; L's lists are held per set of
+   positive edges (:class:`_Views`).  Near a fixed point every row
+   stays tight and the call costs a few vectorized passes over the
+   edges.
 
 Two rules make every answer equal to the cold solver's, so the answer
 is a pure function of ``(L, weights)``:
@@ -60,7 +64,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from repro._util import asarray_f64
+from repro._util import asarray_f64, concat_ranges
 from repro.errors import ConfigurationError, DimensionError, ValidationError
 from repro.matching.dense import max_weight_matching_dense
 from repro.matching.exact import _DENSE_CUTOFF, _augment_row
@@ -130,6 +134,42 @@ class _Sparse:
         return np.where(edge_min < dummy, edge_min, dummy)
 
 
+class _Views:
+    """L's search views for one set of positive edges.
+
+    The seed lookup searches the positive edges' keys, the Dijkstra
+    search indexes the row CSR as Python lists (``ptr_l``, ``b_l``) and
+    the drop closure gathers through the column adjacency.  All are
+    functions of L and of which of its edges are positive, so a matcher
+    holds them while that set is unchanged: a whole Klau run, whose
+    ``wbar`` is positive everywhere, builds them once.
+    """
+
+    def __init__(self, graph: BipartiteGraph, sp: _Sparse) -> None:
+        self.edge_keys = graph.edge_keys
+        self.keep = sp.keep
+        self.positive_keys = graph.edge_keys[sp.keep]
+        self.ptr_l = sp.ptr.tolist()
+        self.b_l = sp.b.tolist()
+        self._columns: tuple | None = None
+
+    def columns(self, graph: BipartiteGraph) -> tuple:
+        """``(cptr, rows, edges)``: the positive edges by column.
+
+        ``edges`` index the positive edges (``_Sparse.cost``); the
+        graph's column permutation is already in ``(b, a)`` order.
+        Built on the first call that drops a seed.
+        """
+        if self._columns is None:
+            cp = graph.col_perm[self.keep[graph.col_perm]]
+            cptr = np.zeros(graph.n_b + 1, dtype=np.int64)
+            np.cumsum(np.bincount(graph.edge_b[cp], minlength=graph.n_b),
+                      out=cptr[1:])
+            self._columns = (cptr, graph.edge_a[cp],
+                             (np.cumsum(self.keep) - 1)[cp])
+        return self._columns
+
+
 class ExactMatcher:
     """Exact maximum-weight matching that warm-starts from its last call.
 
@@ -158,6 +198,7 @@ class ExactMatcher:
         self._u: np.ndarray | None = None
         self._v: np.ndarray | None = None
         self._match_row: np.ndarray | None = None
+        self._views: _Views | None = None
 
     def __call__(
         self,
@@ -224,7 +265,8 @@ class ExactMatcher:
             else:
                 path, reused, solved = "tie", 0, None
         if solved is None:
-            solved, depth_cold = _solve_cold(sp, n_a, n_b)
+            solved, depth_cold = _solve_cold(
+                sp, self._search_views(graph, sp), n_a, n_b)
             searched += rows_total
             depth += depth_cold
         self._keys = graph.edge_keys
@@ -236,6 +278,15 @@ class ExactMatcher:
         mate_a = np.where(match_row < n_b, match_row, -1)
         return MatchingResult.from_mates(graph, mate_a, weights=w_vec)
 
+    def _search_views(self, graph: BipartiteGraph, sp: _Sparse) -> _Views:
+        """The held views of ``graph`` under ``sp``'s positive edges,
+        built anew when L or that edge set changed."""
+        views = self._views
+        if (views is None or views.edge_keys is not graph.edge_keys
+                or not np.array_equal(views.keep, sp.keep)):
+            views = self._views = _Views(graph, sp)
+        return views
+
     def _warm(self, graph: BipartiteGraph, sp: _Sparse):
         """Repair the stored duals and reuse the stored matching.
 
@@ -244,6 +295,7 @@ class ExactMatcher:
         fewer than half of the matchable rows keep a tight seed.
         """
         n_a, n_b = graph.n_a, graph.n_b
+        views = self._search_views(graph, sp)
         u, v = self._u.copy(), self._v.copy()
         rows, shift = sp.rows, sp.shift
         eps = self.tol * (1.0 + shift)
@@ -251,7 +303,7 @@ class ExactMatcher:
         # Seeds: each matchable row's previous column, if it survives.
         prev = self._match_row[rows]
         probe = rows * n_b + prev
-        keys = graph.edge_keys[sp.keep]
+        keys = views.positive_keys
         pos = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
         on_edge = (prev >= 0) & (prev < n_b) & (keys[pos] == probe)
         on_dummy = prev == n_b + rows
@@ -266,58 +318,49 @@ class ExactMatcher:
         seed_col[s_cols] = True
         v[~seed_col & (v != 0.0)] = 0.0
         u[rows] = sp.row_minima(v, n_b)
-        tight = s_cost - v[s_cols] - u[s_rows] <= eps
-        if 2 * int(tight.sum()) < len(rows):
+        live = s_cost - v[s_cols] - u[s_rows] <= eps
+        if 2 * int(live.sum()) < len(rows):
             return None, 0, 0, 0
+        if not live.all():
+            _drop_untight(u, v, sp.cost, views.columns(graph), s_rows,
+                          s_cols, s_cost, live, eps, n_b)
 
-        match_row = np.full(n_a, -1, dtype=np.int64)
-        if len(s_rows) == len(rows) and tight.all():
-            # Every row keeps its seed: re-tighten, nothing to search.
-            v[s_cols] = s_cost - u[s_rows]
-            match_row[s_rows] = s_cols
-            return (u, v, match_row), len(s_rows), 0, 0
-
-        # Some row is left free, so the Dijkstra lists are needed.
-        ptr_l = sp.ptr.tolist()
-        b_l = sp.b.tolist()
-        cost_l = sp.cost.tolist()
-        u_l, v_l = u.tolist(), v.tolist()
-        live = dict(zip(s_rows.tolist(), zip(s_cols.tolist(),
-                                             s_cost.tolist())))
-        queue = s_rows[~tight].tolist()
-        if queue:
-            _drop_cascade(graph, sp, cost_l, queue, live, u_l, v_l, eps)
         # Re-tighten the survivors exactly: each residual is <= eps, so
         # raising v[j] by it restores c - u - v == 0 on the seed while
         # lowering other rows' reduced costs through j by at most eps.
-        match_row_l = match_row.tolist()
-        match_col_l = [-1] * (n_b + n_a)
-        for r, (j, c) in live.items():
-            v_l[j] = c - u_l[r]
-            match_row_l[r] = j
-            match_col_l[j] = r
-        searched = depth = 0
-        for r in rows.tolist():
-            if match_row_l[r] == -1:
-                searched += 1
-                depth += _augment_row(
-                    r, ptr_l, b_l, cost_l, shift, u_l, v_l, match_row_l,
-                    match_col_l, n_b,
-                )
+        k_rows, k_cols = s_rows[live], s_cols[live]
+        v[k_cols] = s_cost[live] - u[k_rows]
+        match_row = np.full(n_a, -1, dtype=np.int64)
+        match_row[k_rows] = k_cols
+        free = rows[match_row[rows] == -1]
+        if not len(free):
+            return (u, v, match_row), len(k_rows), 0, 0
+
+        # Search from each free row in row order, on lists: the held row
+        # CSR, and this call's costs, duals and matching.
+        match_col = np.full(n_b + n_a, -1, dtype=np.int64)
+        match_col[k_cols] = k_rows
+        cost_l = sp.cost.tolist()
+        u_l, v_l = u.tolist(), v.tolist()
+        match_row_l, match_col_l = match_row.tolist(), match_col.tolist()
+        depth = 0
+        for r in free.tolist():
+            depth += _augment_row(
+                r, views.ptr_l, views.b_l, cost_l, shift, u_l, v_l,
+                match_row_l, match_col_l, n_b,
+            )
         solved = (np.array(u_l), np.array(v_l),
                   np.array(match_row_l, dtype=np.int64))
-        return solved, len(live), searched, depth
+        return solved, len(k_rows), len(free), depth
 
 
-def _solve_cold(sp: _Sparse, n_a: int, n_b: int):
+def _solve_cold(sp: _Sparse, views: _Views, n_a: int, n_b: int):
     """Zero duals, then one augmenting search per matchable row in order.
 
     Returns ``((u, v, match_row), search_depth)``.
     """
     # Plain Python lists: the Dijkstra inner loop is scalar-indexed and
     # lists are markedly faster than NumPy scalars there.
-    ptr_l = sp.ptr.tolist()
-    b_l = sp.b.tolist()
     cost_l = sp.cost.tolist()
     n_cols = n_b + n_a  # real columns then one private dummy per row
     u = [0.0] * n_a
@@ -327,57 +370,48 @@ def _solve_cold(sp: _Sparse, n_a: int, n_b: int):
     depth = 0
     for r in sp.rows.tolist():
         depth += _augment_row(
-            r, ptr_l, b_l, cost_l, sp.shift, u, v, match_row, match_col, n_b
+            r, views.ptr_l, views.b_l, cost_l, sp.shift, u, v, match_row,
+            match_col, n_b,
         )
     solved = (np.array(u), np.array(v), np.array(match_row, dtype=np.int64))
     return solved, depth
 
 
-def _drop_cascade(
-    graph: BipartiteGraph,
-    sp: _Sparse,
-    cost_l: list,
-    queue: list,
-    live: dict,
-    u: list,
-    v: list,
+def _drop_untight(
+    u: np.ndarray,
+    v: np.ndarray,
+    cost: np.ndarray,
+    columns: tuple,
+    s_rows: np.ndarray,
+    s_cols: np.ndarray,
+    s_cost: np.ndarray,
+    live: np.ndarray,
     eps: float,
+    n_b: int,
 ) -> None:
-    """Drop the seeds in ``queue`` and every seed their drops untighten.
+    """Drop the untight seeds and every seed their drops untighten.
 
-    Freeing column j resets v[j] to 0, which can lower the repaired u of
-    rows adjacent to j (their reduced cost through j shrinks) and
-    untighten *their* seeds.  Each step drops one seed, so the cascade
-    is linear in the drops, not quadratic.
+    ``live`` marks the tight seeds; it, ``u`` and ``v`` are updated in
+    place.  Freeing column j prices it 0, which lowers the reduced cost
+    through j of each adjacent row to its cost ``c`` and so can lower
+    that row's ``u`` below what keeps *its* seed tight.  Each round
+    frees the columns of every seed that failed, lowers ``u`` once over
+    their adjacency, and tests the live seeds again.  A private dummy
+    column touches no other row, and a column already priced 0 lowers
+    no ``u`` (every ``u ≤ c − 0`` there already).
     """
-    # Column -> (row, edge) adjacency of the positive edges: the graph's
-    # column permutation is already in (b, a) order.
-    col_perm = graph.col_perm
-    cp = col_perm[sp.keep[col_perm]]
-    col_rows = graph.edge_a[cp].tolist()
-    col_edge = (np.cumsum(sp.keep) - 1)[cp].tolist()
-    cptr = np.zeros(graph.n_b + 1, dtype=np.int64)
-    np.cumsum(np.bincount(sp.b, minlength=graph.n_b), out=cptr[1:])
-    cptr_l = cptr.tolist()
-    n_b = graph.n_b
-    while queue:
-        r = queue.pop()
-        entry = live.pop(r, None)
-        if entry is None:
-            continue
-        j = entry[0]
-        v_j = v[j]
-        v[j] = 0.0
-        if v_j == 0.0 or j >= n_b:
-            continue  # price unchanged / private dummy column
-        for idx in range(cptr_l[j], cptr_l[j + 1]):
-            r2 = col_rows[idx]
-            nd = cost_l[col_edge[idx]]  # c - v[j] with v[j] = 0
-            if nd < u[r2]:
-                u[r2] = nd
-                seed = live.get(r2)
-                if seed is not None and seed[1] - v[seed[0]] - nd > eps:
-                    queue.append(r2)
+    cptr, col_rows, col_edge = columns
+    drop = ~live
+    while True:
+        cols = s_cols[drop]
+        v[cols] = 0.0
+        real = cols[cols < n_b]
+        idx, _ = concat_ranges(cptr[real], cptr[real + 1])
+        np.minimum.at(u, col_rows[idx], cost[col_edge[idx]])
+        drop = live & (s_cost - v[s_cols] - u[s_rows] > eps)
+        if not drop.any():
+            return
+        live[drop] = False
 
 
 def _optimum_is_unique(

@@ -45,6 +45,16 @@ class TestParser:
         assert exc.value.code == 2
         assert "invalid choice: 'multilevel'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["mr", "isorank"])
+    def test_batch_refused_where_the_method_ignores_it(self, method, capsys):
+        """Only BP batches its roundings: ``--batch`` with another
+        method is a usage error, not a flag silently dropped."""
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "dir", "--method", method, "--batch", "4"])
+        assert exc.value.code == 2
+        assert (f"argument --batch: not allowed with --method {method}"
+                in capsys.readouterr().err)
+
     def test_metrics_format_text_accepted(self):
         args = build_parser().parse_args(
             ["--metrics-format", "text", "headline"])
@@ -79,6 +89,9 @@ class TestCommands:
         assert "objective=" in out
         pairs = np.loadtxt(out_file, dtype=int, ndmin=2)
         assert pairs.shape[1] == 2
+        main(["solve", directory, "--method", "bp", "--iters", "4",
+              "--batch", "2"])
+        assert "objective=" in capsys.readouterr().out
 
     def test_solve_mr(self, tmp_path, capsys):
         from repro.generators.io import save_alignment_problem

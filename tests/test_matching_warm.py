@@ -7,7 +7,10 @@ performance device.  Drifting sequences on random L above the dense
 cutoff cover continuous drift, exact ties, near-ties, sign flips that
 empty rows, a switch of L and a repeated vector; ``last_stats.path``
 shows that each of the matcher's paths (warm, low-reuse cold, tie cold)
-really ran.  Hand-built L pin the uniqueness certificate.
+really ran.  The warm repair equals its loop reference bit for bit, also
+when drops untighten more seeds over several rounds, and the views a
+matcher holds per L follow its positive edges.  Hand-built L pin the
+uniqueness certificate.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import pytest
 
 from repro.core.rounding import MATCHER_KINDS, make_matcher
 from repro.errors import ConfigurationError
+from repro.matching import warm
 from repro.matching.exact import _DENSE_CUTOFF, max_weight_matching
 from repro.matching.validate import check_matching
 from repro.matching.warm import ExactMatcher, _Sparse
@@ -184,6 +188,76 @@ class TestVectorizedRepair:
                     searched += counts[1]
             matcher(g, w)
         assert compared >= _CALLS - 5 and searched > 0
+
+    def test_drop_heavy_closure_matches_loop_reference(self, monkeypatch):
+        """Large steps untighten many seeds, and the columns they free
+        untighten more: the closure runs several rounds (one adjacency
+        gather each) and still equals the one-at-a-time loop."""
+        gathers = [0]
+        gather = warm.concat_ranges
+
+        def counting(starts, stops):
+            gathers[0] += 1
+            return gather(starts, stops)
+
+        monkeypatch.setattr(warm, "concat_ranges", counting)
+        g = random_ell(13, degree=4.0)
+        rng = np.random.default_rng(17)
+        matcher = ExactMatcher()
+        w = g.weights
+        matcher(g, w)
+        deepest = 0
+        for _ in range(8):
+            w = w + rng.normal(0.0, 0.3, g.n_edges)
+            want = warm_start_loops(g, w, matcher._u, matcher._v,
+                                    matcher._match_row, matcher.tol)
+            gathers[0] = 0
+            solved, *counts = matcher._warm(g, _Sparse(g, w))
+            deepest = max(deepest, gathers[0])
+            assert solved is not None
+            for got, ref in zip(solved, want):
+                assert np.array_equal(got, ref)
+            assert tuple(counts) == want[3:]
+            matcher(g, w)
+        assert deepest >= 3
+
+
+class TestHeldViews:
+    """The views a matcher holds per L follow its positive edges."""
+
+    def test_positive_edges_change_between_warm_calls(self):
+        """Every other call empties some rows and the next restores
+        them, so no two calls in a row share their positive edges: a
+        warm call searching with the last call's views would go wrong."""
+        g = random_ell(14)
+        rng = np.random.default_rng(18)
+        matcher = ExactMatcher()
+        w = g.weights
+        paths: Counter = Counter()
+        searched = 0
+        for k in range(_CALLS):
+            w = w + rng.normal(0.0, 0.02, g.n_edges)
+            vec = w
+            if k % 2:
+                rows = rng.choice(g.n_a, 30, replace=False)
+                vec = np.where(np.isin(g.edge_a, rows), -np.abs(w), w)
+            assert_cold(matcher(g, vec), g, vec)
+            paths[matcher.last_stats.path] += 1
+            if matcher.last_stats.path == "warm":
+                searched += matcher.last_stats.rows_searched
+        assert paths["warm"] >= _CALLS * 3 // 4 and searched > 0, paths
+
+    def test_views_kept_while_positive_edges_unchanged(self):
+        g = random_ell(15)
+        matcher = ExactMatcher()
+        matcher(g, g.weights)
+        held = matcher._views
+        matcher(g.with_weights(g.weights * 1.01))
+        assert matcher._views is held
+        w = g.weights.copy()
+        w[0] = -1.0
+        matcher(g, w)
+        assert matcher._views is not held
 
 
 class TestCertificate:
